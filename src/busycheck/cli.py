@@ -19,15 +19,18 @@ from .semantics import (
     AbruptExit,
     FuelExhausted,
     Terminated,
-    explore,
+    fuel_bound,
     initial_pool,
     random_fair,
     rotated_round_robin,
     round_robin,
     run,
     serialize_trace,
-    sufficient_fuel,
 )
+
+# Not called here: picking a fuel budget needs no state space.  The name stays
+# importable from this module because perfbench/tracing.py wraps it here.
+from .semantics import explore  # noqa: F401
 
 
 def _add_program_arg(sub: argparse.ArgumentParser) -> None:
@@ -44,7 +47,13 @@ def _add_scheduler_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--seed", type=int, default=0, help="seed for the random scheduler")
     sub.add_argument("--window", type=int, default=16, help="fairness window for the random scheduler")
-    sub.add_argument("--fuel", type=int, default=None, help="step budget (default: state-space bound)")
+    sub.add_argument(
+        "--fuel",
+        type=int,
+        default=None,
+        help="step budget (default: the size bound (atoms+T)*(W+T+1) with T = forks+1 "
+        "and W = --window for random, 0 otherwise)",
+    )
 
 
 def _load_program(args) -> Command:
@@ -57,6 +66,8 @@ def _load_program(args) -> Command:
 
 
 def _make_scheduler(args):
+    if args.window < 1:
+        raise SystemExit2(f"--window must be >= 1, got {args.window}")
     name = args.sched
     if name == "round-robin":
         return round_robin()
@@ -77,8 +88,10 @@ class SystemExit2(Exception):
 
 def _fuel_for(args, program: Command) -> int:
     if args.fuel is not None:
+        if args.fuel < 0:
+            raise SystemExit2(f"--fuel must be >= 0, got {args.fuel}")
         return args.fuel
-    return sufficient_fuel(explore(program))
+    return fuel_bound(program, args.window if args.sched == "random" else 0)
 
 
 def _cmd_parse(args) -> int:
@@ -137,11 +150,12 @@ def _cmd_check_proof(args) -> int:
 
 def _verified_trace(args):
     program = _load_program(args)
+    scheduler, fuel = _make_scheduler(args), _fuel_for(args, program)
     proof = verify(program)
     if proof is None:
         print("Rejected", file=sys.stderr)
         return None
-    outcome, trace = run(initial_pool(program), _make_scheduler(args), _fuel_for(args, program))
+    outcome, trace = run(initial_pool(program), scheduler, fuel)
     if isinstance(outcome, FuelExhausted):
         print("run did not settle within fuel; raise --fuel", file=sys.stderr)
         return None

@@ -49,14 +49,10 @@ GS_INTRO = "GS-Intro"
 GS_CANCEL = "GS-Cancel"
 RA_LOOP = "RA-Loop"
 RA_FORK = "RA-Fork"
-RA_SEQ_LIFT = "RA-Seq-lift"
 RA_EXIT = "RA-Exit"
 RA_THREAD_TERM = "RA-ThreadTerm"
 
 GHOST_KINDS = frozenset({GS_INTRO, GS_CANCEL})
-RULE_NAME_SET = frozenset(
-    {GS_INTRO, GS_CANCEL, RA_LOOP, RA_FORK, RA_SEQ_LIFT, RA_EXIT, RA_THREAD_TERM}
-)
 
 LOOP_NEEDS_CREDIT = "LoopNeedsCredit"
 LOOP_HOLDS_OBLIGATION = "LoopHoldsObligation"

@@ -22,10 +22,10 @@ from .proofs import verify
 from .semantics import (
     FuelExhausted,
     explore,
+    fuel_bound,
     initial_pool,
     round_robin,
     run,
-    sufficient_fuel,
 )
 
 
@@ -193,8 +193,7 @@ def _check_one(
         report.soundness_violations += 1
         raise CampaignViolation(program, "verified program admits a fair infinite run")
 
-    fuel = sufficient_fuel(info)
-    outcome, trace = run(initial_pool(program), round_robin(), fuel)
+    outcome, trace = run(initial_pool(program), round_robin(), fuel_bound(program))
     if isinstance(outcome, FuelExhausted):
         raise CampaignViolation(program, "round-robin run of a verified program ran out of fuel")
     atrace = annotate(program, proof, trace)

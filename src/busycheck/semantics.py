@@ -3,15 +3,17 @@
 A thread pool maps thread ids to continuations.  Single-thread steps are
 lifted to pool steps; `exit` clears the whole pool, a thread at `done` is
 removed.  Every pool step is labeled with the name of the underlying rule.
-Sequencing is structural in the continuation representation, so the
-"ST-Seq-lift" name is declared for completeness but never emitted.
 
 Fairness follows the usual definition: every thread alive at any point is
 eventually scheduled.  On finite prefixes this is approximated by a sliding
 window check (`is_fair_prefix`).  Divergence, by contrast, is decided
 exactly: the reachable state space of a program is finite (loop bodies are
 `skip`, so forks cannot multiply), and a fair infinite run exists iff some
-reachable non-empty pool has every thread busy-waiting.
+reachable non-empty pool has every thread busy-waiting (`explore`).
+
+How long a run needs is a matter of size alone: `fuel_bound` gives the steps
+within which every run under the shipped schedulers reaches an empty or
+all-waiting pool, so picking a step budget needs no state-space search.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .lang import (
     Exit,
     Fork,
     LoopSkip,
+    Seq,
     SeqCont,
     normalize,
     pretty_continuation,
@@ -35,11 +38,8 @@ from .lang import (
 
 ST_LOOP = "ST-Loop"
 ST_FORK = "ST-Fork"
-ST_SEQ_LIFT = "ST-Seq-lift"
 TP_EXIT = "TP-Exit"
 TP_THREAD_TERM = "TP-ThreadTerm"
-
-RULE_NAMES = frozenset({ST_LOOP, ST_FORK, ST_SEQ_LIFT, TP_EXIT, TP_THREAD_TERM})
 
 
 class UnknownThreadError(KeyError):
@@ -319,9 +319,52 @@ def oracle_diverges(c: Command) -> bool:
     return explore(c).diverges
 
 
-def sufficient_fuel(info: ReachabilityInfo) -> int:
-    """Fuel that provably suffices for any fair run of a non-diverging program."""
-    return info.state_count * max(info.max_threads, 1) * 4
+def fuel_bound(c: Command, window: int = 0) -> int:
+    """Steps within which every run of `c` reaches an empty or all-waiting pool.
+
+    The bound is ``(atoms + T) * (window + T + 1)`` with ``T = forks + 1``;
+    `window` is the random scheduler's fairness window and 0 for round-robin
+    (rotated or not).  It holds for every scheduler built by `round_robin`,
+    `rotated_round_robin` and `random_fair(seed, window)`.
+
+    Proof.  Every atom of `c` runs at most once (loop bodies are `skip`), so
+    at most ``forks`` threads are ever spawned and at most ``T`` are alive at
+    once.  Call a step *progress* unless it is an ST-Loop step.  A progress
+    step runs a fork or exit atom or ends a thread, so a run has at most
+    ``atoms + T`` of them.  Loop steps leave the pool's domain unchanged.
+    While the pool is neither empty nor all-waiting, some thread `u` is not
+    loop-headed, and stepping it is progress.  Round-robin cycles over the
+    n <= T live ids, so it steps `u` within n steps.  The random scheduler
+    forces the oldest thread once some age reaches
+    ``max(1, window - n) <= window``.  After at most `window` steps without
+    `u`, its age has reached that deadline, so every later step is forced
+    until `u` steps; each forced pick other than `u` takes a thread at least
+    as old and resets it to age 0, which happens to at most n - 1 threads.
+    So `u` steps within ``window + n <= window + T`` steps.  Hence each
+    progress step comes within ``window + T`` steps of the one before, and
+    after the last one the pool is empty or all-waiting; an all-waiting pool
+    only loops from then on.
+
+    Consequently a run of a program with no fair infinite run never ends in
+    FuelExhausted under this budget, and a run that does ends at the same
+    all-waiting pool as under any larger budget.
+    """
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    atoms = forks = 0
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack.append(node.first)
+            stack.append(node.second)
+            continue
+        atoms += 1
+        if isinstance(node, Fork):
+            forks += 1
+            stack.append(node.body)
+    threads = forks + 1
+    return (atoms + threads) * (window + threads + 1)
 
 
 # --- serialization -----------------------------------------------------------

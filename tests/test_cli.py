@@ -2,7 +2,16 @@ import json
 
 import pytest
 
+import busycheck.cli
+import busycheck.semantics
 from busycheck.cli import main
+from busycheck.lang import parse
+from busycheck.semantics import fuel_bound
+
+# k x m interleaving programs with k = m = 2: the twin ends every thread in
+# `loop skip`, leaving main, 2 forkers and 4 grandchildren busy-waiting
+KM22 = "; ".join(["fork { fork { loop skip }; fork { loop skip }; exit }"] * 2) + "; loop skip"
+KM22_TWIN = KM22.replace("exit", "loop skip")
 
 
 def test_parse_echoes_normalized_program(capsys):
@@ -37,6 +46,51 @@ def test_run_reports_abrupt_exit(capsys):
 def test_run_fuel_exhausted_on_waiter(capsys):
     assert main(["run", "-e", "loop skip", "--fuel", "25"]) == 0
     assert capsys.readouterr().out.startswith("FuelExhausted")
+
+
+def test_run_json_on_waiter_walks_the_whole_fuel_bound(capsys):
+    assert main(["run", "-e", "loop skip", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"outcome": "FuelExhausted", "steps": fuel_bound(parse("loop skip"))}
+
+
+def test_run_twin_ends_at_its_all_waiting_pool(capsys):
+    for sched in ("round-robin", "rotated:3", "random"):
+        assert main(["run", "-e", KM22_TWIN, "--sched", sched, "--seed", "5"]) == 0
+        assert capsys.readouterr().out == "FuelExhausted live=7\n"
+
+
+def test_default_fuel_never_explores(monkeypatch, capsys):
+    def explore(*args):
+        raise AssertionError("explore called")
+
+    monkeypatch.setattr(busycheck.semantics, "explore", explore)
+    monkeypatch.setattr(busycheck.cli, "explore", explore)
+    assert main(["run", "-e", KM22]) == 0
+    assert capsys.readouterr().out.startswith("AbruptExit")
+    assert main(["trace", "-e", KM22, "--sched", "random"]) == 0
+    assert "RA-Exit" in capsys.readouterr().out
+    assert main(["graph", "-e", KM22, "--prefix"]) == 0
+    assert capsys.readouterr().out.startswith("digraph pog")
+
+
+def test_bad_window_or_fuel_exits_2_with_one_line(capsys):
+    for argv in (
+        ["run", "-e", "exit", "--sched", "random", "--window", "0"],
+        ["run", "-e", "exit", "--window", "-3"],
+        ["run", "-e", "exit", "--fuel", "-5"],
+        ["trace", "-e", "loop skip", "--fuel", "-1"],
+        ["graph", "-e", "fork { exit }; loop skip", "--window", "0"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "must be >=" in err, argv
+
+
+def test_zero_fuel_is_legal(capsys):
+    assert main(["run", "-e", "exit", "--fuel", "0"]) == 0
+    assert capsys.readouterr().out == "FuelExhausted live=1\n"
 
 
 def test_run_trace_output_is_stable(capsys):

@@ -253,16 +253,16 @@ def test_annotate_under_randomized_fair_schedules():
     # the constructive annotation works for whatever fair interleaving the
     # plain semantics produced, not just round-robin
     from busycheck.harness import GenConfig, gen_program
-    from busycheck.semantics import explore, sufficient_fuel
+    from busycheck.semantics import explore, fuel_bound
 
     annotated = 0
     for index, c in enumerate(gen_program(GenConfig(max_atoms=9, seed=71, count=120))):
         proof = verify(c)
         if proof is None:
             continue
-        info = explore(c)
-        sched = random_fair(index, 4 * max(info.max_threads, 1))
-        outcome, trace = run(initial_pool(c), sched, sufficient_fuel(info))
+        window = 4 * max(explore(c).max_threads, 1)
+        sched = random_fair(index, window)
+        outcome, trace = run(initial_pool(c), sched, fuel_bound(c, window))
         assert not isinstance(outcome, FuelExhausted)
         atrace = annotate(c, proof, trace)
         assert serialize_trace(project(atrace)) == serialize_trace(trace)

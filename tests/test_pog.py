@@ -26,7 +26,7 @@ from busycheck.pog import (
     to_dot,
 )
 from busycheck.proofs import verify
-from busycheck.semantics import initial_pool, round_robin, run, run_schedule, sufficient_fuel, explore
+from busycheck.semantics import fuel_bound, initial_pool, round_robin, run, run_schedule
 
 
 @pytest.fixture
@@ -164,8 +164,7 @@ def test_leaf_balance_random_prefixes_on_generated_programs():
         proof = verify(c)
         if proof is None:
             continue
-        info = explore(c)
-        outcome, trace = run(initial_pool(c), round_robin(), sufficient_fuel(info))
+        outcome, trace = run(initial_pool(c), round_robin(), fuel_bound(c))
         g = build_pog(annotate(c, proof, trace))
         for _ in range(3):
             prefix = random_sc_loopfree_prefix(g, rng)
@@ -184,8 +183,7 @@ def test_loop_leaf_has_an_exit_witness():
         proof = verify(c)
         if proof is None:
             continue
-        info = explore(c)
-        _, trace = run(initial_pool(c), round_robin(), sufficient_fuel(info))
+        _, trace = run(initial_pool(c), round_robin(), fuel_bound(c))
         g = build_pog(annotate(c, proof, trace))
         prefix = max_loopfree_sc_prefix(g)
         loop_leaves = [n for n in leaves(g, prefix) if g.info[n].rule == RA_LOOP]

@@ -1,6 +1,6 @@
 import pytest
 
-from busycheck.harness import GenConfig, gen_program
+from busycheck.harness import GenConfig, enumerate_programs, gen_program
 from busycheck.lang import (
     DONE,
     EXIT,
@@ -8,6 +8,8 @@ from busycheck.lang import (
     Fork,
     SeqCont,
     parse,
+    seq_atoms,
+    size,
 )
 from busycheck.semantics import (
     AbruptExit,
@@ -20,7 +22,9 @@ from busycheck.semantics import (
     Terminated,
     ThreadPool,
     UnknownThreadError,
+    _all_waiting,
     explore,
+    fuel_bound,
     initial_pool,
     is_fair_prefix,
     oracle_diverges,
@@ -31,7 +35,6 @@ from busycheck.semantics import (
     serialize_trace,
     step_pool,
     step_thread,
-    sufficient_fuel,
 )
 
 LOOP_CONT = SeqCont(LOOP_SKIP, DONE)
@@ -199,14 +202,63 @@ def test_oracle_vs_simulation_property():
         info = explore(c)
         if info.diverges:
             continue
-        fuel = sufficient_fuel(info)
-        schedulers = [rotated_round_robin(k) for k in range(info.max_threads)]
-        schedulers += [random_fair(seed, 4 * info.max_threads) for seed in range(100)]
-        for sched in schedulers:
+        window = 4 * info.max_threads
+        runs = [(rotated_round_robin(k), fuel_bound(c)) for k in range(info.max_threads)]
+        runs += [(random_fair(seed, window), fuel_bound(c, window)) for seed in range(100)]
+        for sched, fuel in runs:
             outcome, _ = run(initial_pool(c), sched, fuel)
             assert isinstance(outcome, (Terminated, AbruptExit)), (
                 f"non-diverging program did not settle: {c}"
             )
+
+
+def test_fuel_bound_is_atoms_plus_threads_times_window_plus_threads_plus_one():
+    assert fuel_bound(parse("loop skip")) == (1 + 1) * (0 + 1 + 1)
+    c = parse("fork { fork { exit } }; loop skip")  # 4 atoms, 2 forks
+    assert fuel_bound(c) == (4 + 3) * (0 + 3 + 1)
+    assert fuel_bound(c, 5) == (4 + 3) * (5 + 3 + 1)
+    with pytest.raises(ValueError):
+        fuel_bound(c, -1)
+
+
+def test_fuel_bound_takes_deep_nesting_without_recursion():
+    c = LOOP_SKIP
+    for _ in range(5000):
+        c = Fork(c)
+    assert fuel_bound(c) == (5001 + 5001) * (5001 + 1)
+
+
+def _forks(c):
+    return sum(1 + _forks(a.body) for a in seq_atoms(c) if isinstance(a, Fork))
+
+
+def test_fuel_bound_settles_every_small_program_exhaustively():
+    # the two halves of fuel_bound's proof, run by run: at most atoms + T
+    # progress (non-loop) steps, and at most window + T - 1 loop steps in a
+    # row while the pool is not all-waiting; and the outcome the oracle implies
+    for c in enumerate_programs(5):
+        info = explore(c)
+        threads = _forks(c) + 1
+        runs = [(rotated_round_robin(k), 0) for k in range(info.max_threads)]
+        runs += [(random_fair(seed, window), window) for window in (1, 3, 8) for seed in range(2)]
+        for sched, window in runs:
+            start = initial_pool(c)
+            outcome, trace = run(start, sched, fuel_bound(c, window))
+            progress = stalled = 0
+            waiting = _all_waiting(start)  # a loop step leaves the pool as it was
+            for step in trace:
+                if step.label.rule != ST_LOOP:
+                    progress, stalled = progress + 1, 0
+                    waiting = _all_waiting(step.after)
+                elif not waiting:
+                    stalled += 1
+                    assert stalled <= window + threads - 1, (c, window)
+            assert progress <= size(c) + threads, c
+            if not info.diverges:
+                assert isinstance(outcome, (Terminated, AbruptExit)), c
+            else:
+                assert isinstance(outcome, FuelExhausted), c
+                assert _all_waiting(outcome.last_pool), c
 
 
 def test_trace_serialization_format():
