@@ -13,10 +13,10 @@ decided on flats.
 
 A view shift may (i) trade `obs(n)` for `obs(n+1) * credit` and back (pairs
 are spawned and cancelled together, never one-sided), (ii) weaken
-semantically, and (iii) chain transitively.  For flats with a single obs
-atom on both sides the decision is the closed form n - k <= n' - k'; for the
-general case a budget-bounded saturation search is used and exhaustion is
-reported as "unknown" rather than "no".
+semantically, and (iii) chain transitively.  On flats this relation has an
+exact closed form (`view_shift`): a target with fewer obs atoms is always
+reached, one with more never, and with equal counts the shift holds iff
+sum(obs) - k <= sum(obs') - k'.
 """
 
 from __future__ import annotations
@@ -179,12 +179,7 @@ def normalize(a: Assertion) -> NormalizedAssertion:
 def satisfies_flat(b: ResourceBundle, f: NormalizedAssertion) -> bool:
     if isinstance(f, Bottom):
         return False
-    remaining = list(b.chunks)
-    for atom in f.obs:
-        if atom not in remaining:
-            return False
-        remaining.remove(atom)
-    return b.credits >= f.credits
+    return _multiset_leq(f.obs, b.chunks) and b.credits >= f.credits
 
 
 def flat_eq(a: Assertion, b: Assertion) -> bool:
@@ -226,82 +221,25 @@ def _multiset_leq(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
 # --- view shifts ----------------------------------------------------------------
 
 
-VIEW_SHIFT_STEP_BUDGET_BASE = 4
+def view_shift(a: Assertion, b: Assertion) -> bool:
+    """Exact view-shift decision on normalized flats.
 
-
-def view_shift_status(a: Assertion, b: Assertion) -> bool | None:
-    """Three-valued view-shift decision: True, False, or None (budget exhausted).
-
-    Single-obs-atom flats use the exact closed form; no rewrite creates or
-    merges obs atoms, so a target with more atoms than the source is a
-    definite no.  Everything else falls back to bounded saturation, which is
-    conservative: failure to find a path within budget is None, never False.
+    A pair move turns `obs(n)` into `obs(n+1) * credit` or back, so it keeps
+    the sum of obs atoms minus credits; no move creates or merges obs atoms.
+    Hence with equal atom counts the target is reachable iff
+    `sum(obs) - k <= sum(obs') - k'`: move every atom to its target value,
+    raising before lowering so credits never run out, then drop the spare
+    credits.  A target with more atoms is out of reach, and one with fewer is
+    always reached: inflate a spare atom to mint the credits, then drop it.
     """
     na, nb = normalize(a), normalize(b)
     if isinstance(na, Bottom):
         return True
     if isinstance(nb, Bottom):
         return False
-    if len(nb.obs) > len(na.obs):
-        return False
-    if len(na.obs) <= 1:
-        return _closed_form(na, nb)
-    found = _saturate(na, nb)
-    return True if found else None
-
-
-def view_shift(a: Assertion, b: Assertion) -> bool:
-    """True iff the shift is established (unknown counts as not established)."""
-    return view_shift_status(a, b) is True
-
-
-def _closed_form(na: Flat, nb: Flat) -> bool:
-    if len(na.obs) == 0:
-        # no atom to trade against: only credit weakening applies
-        return len(nb.obs) == 0 and nb.credits <= na.credits
-    if len(nb.obs) == 1:
-        return na.obs[0] - na.credits <= nb.obs[0] - nb.credits
-    # dropping the atom: inflate the pair first, then weaken it away,
-    # which funds any number of credits
-    return True
-
-
-def _saturate(na: Flat, nb: Flat) -> bool:
-    # dropping resources never enables a pair move, so weakening steps can
-    # always be deferred: explore intro/cancel only, then weaken once
-    max_val = max((*na.obs, *nb.obs), default=0)
-    atoms_total = len(na.obs) + na.credits + len(nb.obs) + nb.credits
-    budget = 2 * atoms_total + VIEW_SHIFT_STEP_BUDGET_BASE
-    val_bound = max_val + budget
-    cred_bound = max(na.credits, nb.credits) + budget
-    frontier = {na}
-    seen = {na}
-    for _ in range(budget):
-        if any(_weakens_to(f, nb) for f in frontier):
-            return True
-        nxt = set()
-        for f in frontier:
-            for g in _pair_moves(f, val_bound, cred_bound):
-                if g not in seen:
-                    seen.add(g)
-                    nxt.add(g)
-        if not nxt:
-            break
-        frontier = nxt
-    return any(_weakens_to(f, nb) for f in frontier)
-
-
-def _weakens_to(f: Flat, target: Flat) -> bool:
-    return _multiset_leq(target.obs, f.obs) and target.credits <= f.credits
-
-
-def _pair_moves(f: Flat, val_bound: int, cred_bound: int):
-    atoms = f.obs
-    for i, v in enumerate(atoms):
-        if v + 1 <= val_bound and f.credits + 1 <= cred_bound:
-            yield Flat(tuple(sorted(atoms[:i] + (v + 1,) + atoms[i + 1 :])), f.credits + 1)
-        if v >= 1 and f.credits >= 1:
-            yield Flat(tuple(sorted(atoms[:i] + (v - 1,) + atoms[i + 1 :])), f.credits - 1)
+    if len(nb.obs) != len(na.obs):
+        return len(nb.obs) < len(na.obs)
+    return sum(na.obs) - na.credits <= sum(nb.obs) - nb.credits
 
 
 # --- concrete syntax -----------------------------------------------------------

@@ -1,10 +1,13 @@
 """Annotated executions: thread pools carrying ghost resources.
 
-Each thread carries a complete resource bundle (exactly one obligations
-chunk plus credits).  Ghost steps spawn or cancel an obligation-credit pair
-and touch nothing else.  Real steps mirror the plain semantics but can get
-stuck: looping demands an empty chunk and a credit, and a thread may only
-terminate without obligations.  `exit` clears the pool regardless.
+An annotated pool is a `semantics.ThreadPool` whose entries are
+`AnnotatedThread`s, and an annotated trace is made of `semantics.TraceStep`s
+labelled with the rules below.  Each thread carries a complete resource
+bundle (exactly one obligations chunk plus credits).  Ghost steps spawn or
+cancel an obligation-credit pair and touch nothing else.  Real steps mirror
+the plain semantics but can get stuck: looping demands an empty chunk and a
+credit, and a thread may only terminate without obligations.  `exit` clears
+the pool regardless.
 
 `annotate` implements the constructive direction of the soundness argument:
 given a checked proof of {obs(0)} c {obs(0)} and a plain trace, it inserts
@@ -36,13 +39,11 @@ from .proofs import (
 )
 from . import semantics
 from .semantics import (
-    AbruptExit,
-    FuelExhausted,
-    Terminated,
     TraceStep,
     StepLabel,
     ThreadPool,
     UnknownThreadError,
+    outcome_of,
 )
 
 GS_INTRO = "GS-Intro"
@@ -76,56 +77,14 @@ class AnnotatedThread:
     bundle: ResourceBundle  # complete: exactly one chunk
     cont: Continuation
 
-
-@dataclass(frozen=True)
-class AnnotatedPool:
-    threads: tuple[tuple[int, AnnotatedThread], ...]
-
     def __post_init__(self) -> None:
-        for _, entry in self.threads:
-            if not entry.bundle.complete:
-                raise ValueError("annotated threads hold exactly one obligations chunk")
-
-    @staticmethod
-    def of(mapping: dict[int, AnnotatedThread]) -> "AnnotatedPool":
-        return AnnotatedPool(tuple(sorted(mapping.items())))
-
-    def tids(self) -> tuple[int, ...]:
-        return tuple(tid for tid, _ in self.threads)
-
-    def get(self, tid: int) -> AnnotatedThread:
-        for t, entry in self.threads:
-            if t == tid:
-                return entry
-        raise UnknownThreadError(tid)
-
-    def is_empty(self) -> bool:
-        return not self.threads
-
-    def replace(self, tid: int, entry: AnnotatedThread) -> "AnnotatedPool":
-        return AnnotatedPool(
-            tuple((t, entry if t == tid else e) for t, e in self.threads)
-        )
-
-    def remove(self, tid: int) -> "AnnotatedPool":
-        return AnnotatedPool(tuple((t, e) for t, e in self.threads if t != tid))
-
-    def extend(self, entry: AnnotatedThread) -> tuple["AnnotatedPool", int]:
-        new_tid = max((t for t, _ in self.threads), default=-1) + 1
-        return AnnotatedPool(self.threads + ((new_tid, entry),)), new_tid
-
-    def erase(self) -> ThreadPool:
-        """Forget bundles, keeping the plain pool."""
-        return ThreadPool(tuple((t, e.cont) for t, e in self.threads))
+        if not self.bundle.complete:
+            raise ValueError("annotated threads hold exactly one obligations chunk")
 
 
-EMPTY_ANNOTATED_POOL = AnnotatedPool(())
-
-
-@dataclass(frozen=True)
-class AnnotatedStep:
-    tid: int
-    kind: str
+def erase(pool: ThreadPool) -> ThreadPool:
+    """Forget bundles, keeping the plain pool."""
+    return ThreadPool(tuple((t, e.cont) for t, e in pool.threads))
 
 
 @dataclass(frozen=True)
@@ -148,27 +107,20 @@ class StuckAt:
 
 
 @dataclass(frozen=True)
-class ATraceStep:
-    before: AnnotatedPool
-    step: AnnotatedStep
-    after: AnnotatedPool
-
-
-@dataclass(frozen=True)
 class AnnotatedTrace:
-    initial: AnnotatedPool
-    steps: tuple[ATraceStep, ...]
+    initial: ThreadPool
+    steps: tuple[TraceStep, ...]
 
-    def final(self) -> AnnotatedPool:
+    def final(self) -> ThreadPool:
         return self.steps[-1].after if self.steps else self.initial
 
 
-def initial_annotated_pool(c: Command, tid0: int = 0, obligations: int = 0) -> AnnotatedPool:
+def initial_annotated_pool(c: Command, tid0: int = 0, obligations: int = 0) -> ThreadPool:
     entry = AnnotatedThread(ResourceBundle((obligations,), 0), to_continuation(normalize(c)))
-    return AnnotatedPool.of({tid0: entry})
+    return ThreadPool.of({tid0: entry})
 
 
-def ghost_step(pool: AnnotatedPool, tid: int, kind: str) -> AnnotatedPool:
+def ghost_step(pool: ThreadPool, tid: int, kind: str) -> ThreadPool:
     """Spawn (GS-Intro) or cancel (GS-Cancel) an obligation-credit pair of one thread."""
     entry = pool.get(tid)
     value = entry.bundle.chunks[0]
@@ -185,8 +137,8 @@ def ghost_step(pool: AnnotatedPool, tid: int, kind: str) -> AnnotatedPool:
 
 
 def real_step(
-    pool: AnnotatedPool, tid: int, split: Split | None = None
-) -> tuple[AnnotatedPool, AnnotatedStep] | Stuck:
+    pool: ThreadPool, tid: int, split: Split | None = None
+) -> tuple[ThreadPool, StepLabel] | Stuck:
     """Non-ghost step of thread `tid`; Stuck names the violated side condition.
 
     Looping keeps the bundle untouched (the credit is held, not consumed).
@@ -200,16 +152,16 @@ def real_step(
     if isinstance(cont, Done):
         if value > 0:
             return Stuck(TERM_HOLDS_OBLIGATION)
-        return pool.remove(tid), AnnotatedStep(tid, RA_THREAD_TERM)
+        return pool.remove(tid), StepLabel(tid, RA_THREAD_TERM)
     head = cont.head
     if isinstance(head, LoopSkip):
         if value > 0:
             return Stuck(LOOP_HOLDS_OBLIGATION)
         if credits < 1:
             return Stuck(LOOP_NEEDS_CREDIT)
-        return pool, (AnnotatedStep(tid, RA_LOOP))
+        return pool, StepLabel(tid, RA_LOOP)
     if isinstance(head, Exit):
-        return EMPTY_ANNOTATED_POOL, AnnotatedStep(tid, RA_EXIT)
+        return semantics.EMPTY_POOL, StepLabel(tid, RA_EXIT)
     assert isinstance(head, Fork)
     split = split or Split(0, 0)
     if split.child_obs > value or split.child_credits > credits:
@@ -224,7 +176,7 @@ def real_step(
     )
     pool2 = pool.replace(tid, AnnotatedThread(keep, cont.tail))
     pool2, _ = pool2.extend(child)
-    return pool2, AnnotatedStep(tid, RA_FORK)
+    return pool2, StepLabel(tid, RA_FORK)
 
 
 @dataclass(frozen=True)
@@ -235,10 +187,10 @@ class StepRequest:
 
 
 def run_annotated(
-    pool: AnnotatedPool, requests: list[StepRequest], fuel: int
+    pool: ThreadPool, requests: list[StepRequest], fuel: int
 ) -> tuple[object, AnnotatedTrace]:
     """Execute the requested steps, at most `fuel` of them."""
-    steps: list[ATraceStep] = []
+    steps: list[TraceStep] = []
     current = pool
     for idx, req in enumerate(requests[:fuel]):
         if current.is_empty():
@@ -247,28 +199,23 @@ def run_annotated(
             raise UnknownThreadError(req.tid)
         if req.kind == "intro":
             nxt = ghost_step(current, req.tid, GS_INTRO)
-            step = AnnotatedStep(req.tid, GS_INTRO)
+            label = StepLabel(req.tid, GS_INTRO)
         elif req.kind == "cancel":
             nxt = ghost_step(current, req.tid, GS_CANCEL)
-            step = AnnotatedStep(req.tid, GS_CANCEL)
+            label = StepLabel(req.tid, GS_CANCEL)
         elif req.kind == "real":
             result = real_step(current, req.tid, req.split)
             if isinstance(result, Stuck):
                 return StuckAt(idx, result.reason), AnnotatedTrace(pool, tuple(steps))
-            nxt, step = result
+            nxt, label = result
         else:
             raise ValueError(f"unknown request kind {req.kind!r}")
-        steps.append(ATraceStep(current, step, nxt))
+        steps.append(TraceStep(current, label, nxt))
         current = nxt
-    trace = AnnotatedTrace(pool, tuple(steps))
-    if current.is_empty():
-        if steps and steps[-1].step.kind == RA_EXIT:
-            return AbruptExit(len(steps)), trace
-        return Terminated(len(steps)), trace
-    return FuelExhausted(current), trace
+    return outcome_of(current, steps, RA_EXIT), AnnotatedTrace(pool, tuple(steps))
 
 
-def check_balance(pool: AnnotatedPool) -> bool:
+def check_balance(pool: ThreadPool) -> bool:
     """Obligations and credits in the system stay equal (spawned in pairs)."""
     obligations = sum(e.bundle.chunks[0] for _, e in pool.threads)
     credits = sum(e.bundle.credits for _, e in pool.threads)
@@ -370,28 +317,25 @@ def annotate(
     if start.get(tid0) != to_continuation(cmd):
         raise AnnotationError("trace does not start with {tid0: c;done}")
 
-    pool = AnnotatedPool.of(
-        {tid0: AnnotatedThread(ResourceBundle((0,), 0), to_continuation(cmd))}
-    )
+    pool = initial = initial_annotated_pool(cmd, tid0)
     cursors: dict[int, _Cursor] = {tid0: _Cursor(_extract_plan(proof))}
-    steps: list[ATraceStep] = []
+    steps: list[TraceStep] = []
 
     def emit_ghost(tid: int, ops: list[str]) -> None:
         nonlocal pool
         for op in ops:
             nxt = ghost_step(pool, tid, op)
-            steps.append(ATraceStep(pool, AnnotatedStep(tid, op), nxt))
+            steps.append(TraceStep(pool, StepLabel(tid, op), nxt))
             pool = nxt
 
-    def emit_real(tid: int, split: Split | None = None) -> AnnotatedStep:
+    def emit_real(tid: int, split: Split | None = None) -> None:
         nonlocal pool
         result = real_step(pool, tid, split)
         if isinstance(result, Stuck):
             raise AnnotationError(f"annotated run got stuck: {result.reason}")
-        nxt, step = result
-        steps.append(ATraceStep(pool, step, nxt))
+        nxt, label = result
+        steps.append(TraceStep(pool, label, nxt))
         pool = nxt
-        return step
 
     for plain in plain_trace:
         tid = plain.label.tid
@@ -424,13 +368,10 @@ def annotate(
             emit_real(tid)
         else:
             raise AnnotationError(f"unknown plain rule {rule!r}")
-        if pool.erase() != plain.after:
+        if erase(pool) != plain.after:
             raise AnnotationError("annotated run diverged from the plain trace")
 
-    return AnnotatedTrace(
-        AnnotatedPool.of({tid0: AnnotatedThread(ResourceBundle((0,), 0), to_continuation(cmd))}),
-        tuple(steps),
-    )
+    return AnnotatedTrace(initial, tuple(steps))
 
 
 def _slot_at(cursor: _Cursor) -> _Slot:
@@ -449,13 +390,13 @@ def project(trace: AnnotatedTrace) -> list[TraceStep]:
     }
     out = []
     for step in trace.steps:
-        if step.step.kind in GHOST_KINDS:
+        if step.label.rule in GHOST_KINDS:
             continue
         out.append(
             TraceStep(
-                step.before.erase(),
-                StepLabel(step.step.tid, plain_rule[step.step.kind]),
-                step.after.erase(),
+                erase(step.before),
+                StepLabel(step.label.tid, plain_rule[step.label.rule]),
+                erase(step.after),
             )
         )
     return out
@@ -464,7 +405,7 @@ def project(trace: AnnotatedTrace) -> list[TraceStep]:
 # --- serialization --------------------------------------------------------------
 
 
-def annotated_pool_str(pool: AnnotatedPool) -> str:
+def annotated_pool_str(pool: ThreadPool) -> str:
     inner = ",".join(
         f"{tid}:({e.bundle.chunks[0]}|{e.bundle.credits}) {pretty_continuation(e.cont)}"
         for tid, e in pool.threads
@@ -475,7 +416,7 @@ def annotated_pool_str(pool: AnnotatedPool) -> str:
 def serialize_annotated_trace(trace: AnnotatedTrace) -> str:
     """Plain trace format plus a (obligations|credits) bundle per thread."""
     lines = [
-        f"{i}\t{s.step.tid}\t{s.step.kind}\t{annotated_pool_str(s.before)}"
+        f"{i}\t{s.label.tid}\t{s.label.rule}\t{annotated_pool_str(s.before)}"
         for i, s in enumerate(trace.steps)
     ]
     return "\n".join(lines)

@@ -80,11 +80,11 @@ def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
     b0 = trace.initial.threads[0][1].bundle
     info: list[NodeInfo] = []
     for s in steps:
-        entry = s.before.get(s.step.tid)
+        entry = s.before.get(s.label.tid)
         info.append(
             NodeInfo(
-                s.step.tid,
-                s.step.kind,
+                s.label.tid,
+                s.label.rule,
                 entry.bundle.chunks[0],
                 entry.bundle.credits,
                 entry.cont,
@@ -95,10 +95,10 @@ def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
     # grouping steps by tid groups them by thread
     occurrences: dict[int, list[int]] = {}
     for i, s in enumerate(steps):
-        occurrences.setdefault(s.step.tid, []).append(i)
+        occurrences.setdefault(s.label.tid, []).append(i)
     edges: list[Edge] = []
     for i, s in enumerate(steps):
-        tid = s.step.tid
+        tid = s.label.tid
         own = occurrences[tid]
         pos = own.index(i)
         if pos + 1 < len(own):

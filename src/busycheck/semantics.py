@@ -1,8 +1,10 @@
 """Plain (unannotated) small-step semantics, schedulers, and divergence oracle.
 
-A thread pool maps thread ids to continuations.  Single-thread steps are
-lifted to pool steps; `exit` clears the whole pool, a thread at `done` is
-removed.  Every pool step is labeled with the name of the underlying rule.
+A thread pool maps thread ids to entries: continuations here, continuations
+with ghost resources in `ghost`, which reuses the same pool, step record and
+outcome classification.  Single-thread steps are lifted to pool steps;
+`exit` clears the whole pool, a thread at `done` is removed.  Every pool step
+is labeled with the name of the underlying rule.
 
 Fairness follows the usual definition: every thread alive at any point is
 eventually scheduled.  On finite prefixes this is approximated by a sliding
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Any, Protocol, Sequence
 
 from .lang import (
     Command,
@@ -48,36 +50,39 @@ class UnknownThreadError(KeyError):
 
 @dataclass(frozen=True)
 class ThreadPool:
-    """Finite map from thread id to continuation, stored sorted by id."""
+    """Finite map from thread id to entry, stored sorted by id.
 
-    threads: tuple[tuple[int, Continuation], ...]
+    An entry is a continuation, or a `ghost.AnnotatedThread` in annotated runs.
+    """
+
+    threads: tuple[tuple[int, Any], ...]
 
     @staticmethod
-    def of(mapping: dict[int, Continuation]) -> "ThreadPool":
+    def of(mapping: dict[int, Any]) -> "ThreadPool":
         return ThreadPool(tuple(sorted(mapping.items())))
 
     def tids(self) -> tuple[int, ...]:
         return tuple(tid for tid, _ in self.threads)
 
-    def get(self, tid: int) -> Continuation:
-        for t, cont in self.threads:
+    def get(self, tid: int) -> Any:
+        for t, entry in self.threads:
             if t == tid:
-                return cont
+                return entry
         raise UnknownThreadError(tid)
 
     def is_empty(self) -> bool:
         return not self.threads
 
-    def replace(self, tid: int, cont: Continuation) -> "ThreadPool":
-        return ThreadPool(tuple((t, cont if t == tid else k) for t, k in self.threads))
+    def replace(self, tid: int, entry: Any) -> "ThreadPool":
+        return ThreadPool(tuple((t, entry if t == tid else e) for t, e in self.threads))
 
     def remove(self, tid: int) -> "ThreadPool":
-        return ThreadPool(tuple((t, k) for t, k in self.threads if t != tid))
+        return ThreadPool(tuple((t, e) for t, e in self.threads if t != tid))
 
-    def extend(self, cont: Continuation) -> tuple["ThreadPool", int]:
+    def extend(self, entry: Any) -> tuple["ThreadPool", int]:
         """Add a thread under the fresh id max(dom)+1."""
         new_tid = max((t for t, _ in self.threads), default=-1) + 1
-        return ThreadPool(self.threads + ((new_tid, cont),)), new_tid
+        return ThreadPool(self.threads + ((new_tid, entry),)), new_tid
 
 
 EMPTY_POOL = ThreadPool(())
@@ -112,6 +117,15 @@ class FuelExhausted:
 
 
 RunOutcome = Terminated | AbruptExit | FuelExhausted
+
+
+def outcome_of(pool: ThreadPool, trace: Sequence[TraceStep], exit_rule: str) -> RunOutcome:
+    """Classify a run that stopped at `pool`; `exit_rule` labels an exit step."""
+    if pool.is_empty():
+        if trace and trace[-1].label.rule == exit_rule:
+            return AbruptExit(len(trace))
+        return Terminated(len(trace))
+    return FuelExhausted(pool)
 
 
 def step_thread(k: Continuation) -> tuple[Continuation, tuple[Continuation, ...]] | None:
@@ -181,22 +195,29 @@ class RandomFairScheduler:
         self.seed = seed
         self.window = window
 
-    def _age(self, trace: list[TraceStep], tid: int) -> int:
-        # steps since `tid` last stepped (or was born), scanning backwards
-        age = 0
-        for step in reversed(trace):
-            if step.label.tid == tid:
+    @staticmethod
+    def ages(trace: list[TraceStep], tids: tuple[int, ...]) -> dict[int, int]:
+        """Steps since each of `tids` last stepped (or was born).
+
+        One backward pass over the trace, which stops once every age is known.
+        """
+        ages: dict[int, int] = {}
+        pending = set(tids)
+        for depth, step in enumerate(reversed(trace)):
+            if not pending:
                 break
-            if tid not in step.before.tids():
-                break
-            age += 1
-        return age
+            present = set(step.before.tids())
+            for tid in [t for t in pending if t == step.label.tid or t not in present]:
+                ages[tid] = depth
+                pending.remove(tid)
+        ages.update(dict.fromkeys(pending, len(trace)))
+        return ages
 
     def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int:
         tids = pool.tids()
         deadline = max(1, self.window - len(tids))
-        overdue = [(self._age(trace, t), -t) for t in tids]
-        oldest_age, neg_tid = max(overdue)
+        ages = self.ages(trace, tids)
+        oldest_age, neg_tid = max((ages[t], -t) for t in tids)
         if oldest_age >= deadline:
             return -neg_tid
         rng = random.Random(self.seed * 1_000_003 + len(trace))
@@ -236,11 +257,7 @@ def run(tp: ThreadPool, scheduler: Scheduler, fuel: int) -> tuple[RunOutcome, li
         pool2, label = step_pool(pool, tid)
         trace.append(TraceStep(pool, label, pool2))
         pool = pool2
-    if pool.is_empty():
-        if trace and trace[-1].label.rule == TP_EXIT:
-            return AbruptExit(len(trace)), trace
-        return Terminated(len(trace)), trace
-    return FuelExhausted(pool), trace
+    return outcome_of(pool, trace, TP_EXIT), trace
 
 
 def run_schedule(tp: ThreadPool, tids: list[int]) -> tuple[RunOutcome, list[TraceStep]]:

@@ -6,11 +6,12 @@ lines on success as well.
 
 import itertools
 import time
+from collections import deque
 from contextlib import contextmanager
 
 import pytest
 
-from busycheck.assertions import CREDIT, FALSE, Flat, Obs, Star, _closed_form, _saturate, flat_eq
+from busycheck.assertions import CREDIT, FALSE, Obs, Star, flat_eq, state_assertion, view_shift
 from busycheck.cli import main
 from busycheck.ghost import (
     LOOP_HOLDS_OBLIGATION,
@@ -175,11 +176,12 @@ def test_criterion_5_ghost_balance(campaign, golden_run):
 def test_criterion_6_stuckness_triad():
     with criterion(6, "stuckness triad"):
         from busycheck.assertions import bundle
-        from busycheck.ghost import AnnotatedPool, AnnotatedThread
+        from busycheck.ghost import AnnotatedThread
         from busycheck.lang import DONE, LOOP_SKIP, SeqCont
+        from busycheck.semantics import ThreadPool
 
         def looping(chunk, credits):
-            return AnnotatedPool.of(
+            return ThreadPool.of(
                 {0: AnnotatedThread(bundle((chunk,), credits), SeqCont(LOOP_SKIP, DONE))}
             )
 
@@ -187,7 +189,7 @@ def test_criterion_6_stuckness_triad():
         assert real_step(looping(1, 1), 0) == Stuck(LOOP_HOLDS_OBLIGATION)
         result = real_step(looping(0, 1), 0)
         assert not isinstance(result, Stuck)
-        assert result[1].kind == RA_LOOP
+        assert result[1].rule == RA_LOOP
 
 
 def test_criterion_7_negative_control():
@@ -200,14 +202,30 @@ def test_criterion_7_negative_control():
             assert isinstance(outcome, FuelExhausted), text
 
 
-def test_criterion_8_view_shift_closed_form():
-    with criterion(8, "view-shift closed form vs saturation, 1296 tuples"):
+def _single_chunk_shift_by_search(n, k, n2, k2):
+    """Breadth-first search over pair moves from obs(n) * credit^k, then
+    weakening to obs(n2) * credit^k2.  The chunk must end at n2, so values
+    above max(n, n2) never help."""
+    seen = {(n, k)}
+    frontier = deque([(n, k)])
+    while frontier:
+        v, c = frontier.popleft()
+        if v == n2 and c >= k2:
+            return True
+        for nxt in ((v + 1, c + 1), (v - 1, c - 1)):
+            if 0 <= nxt[0] <= max(n, n2) and nxt[1] >= 0 and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
+
+
+def test_criterion_8_view_shift_exact_rule():
+    with criterion(8, "exact view-shift rule vs brute-force search, 1296 tuples"):
         started = time.perf_counter()
         mismatches = []
         for n, k, n2, k2 in itertools.product(range(6), repeat=4):
-            left = Flat((n,), k)
-            right = Flat((n2,), k2)
-            if _closed_form(left, right) != _saturate(left, right):
+            decided = view_shift(state_assertion(n, k), state_assertion(n2, k2))
+            if decided != _single_chunk_shift_by_search(n, k, n2, k2):
                 mismatches.append((n, k, n2, k2))
         assert mismatches == []
         assert time.perf_counter() - started < 5.0

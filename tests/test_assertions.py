@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter, deque
 
 import pytest
 
@@ -12,8 +13,6 @@ from busycheck.assertions import (
     Star,
     TRUE,
     AssertionParseError,
-    _closed_form,
-    _saturate,
     bundle,
     entails,
     flat_eq,
@@ -25,7 +24,6 @@ from busycheck.assertions import (
     star,
     state_assertion,
     view_shift,
-    view_shift_status,
 )
 
 # bundles with chunk values in 0..3, multiplicity <= 2, credits <= 3
@@ -156,20 +154,63 @@ def test_view_shift_cannot_mint_a_lone_credit():
     assert not view_shift(Obs(0), Star(Obs(0), CREDIT))
 
 
-def test_view_shift_status_three_valued():
-    assert view_shift_status(FALSE, Obs(3)) is True
-    assert view_shift_status(Obs(0), Star(Obs(0), Obs(0))) is False
-    # two chunks on both sides falls back to saturation and may time out,
-    # but an immediate hit is still decided
-    assert view_shift_status(Star(Obs(1), Obs(2)), Star(Obs(1), Obs(2))) is True
+def _as_assertion(f: Flat):
+    return star(*map(Obs, f.obs), *[CREDIT] * f.credits)
 
 
-def test_view_shift_closed_form_matches_saturation_sample():
+def _shift_reference(src: Flat, dst: Flat) -> bool:
+    """Brute force: breadth-first search over pair moves, then one weakening.
+
+    Dropping resources never enables a pair move, so weakening can come last.
+    No witness needs a value above max value + sum(src's values) + dst's
+    credits: kept atoms move straight to their target values, and a dropped
+    atom need only mint the credits for lowering them and for dst.  Pair
+    moves fix the credits once the values are known, so the search is finite.
+    """
+    bound = max((*src.obs, *dst.obs), default=0) + sum(src.obs) + dst.credits
+    seen = {src}
+    frontier = deque([src])
+    while frontier:
+        f = frontier.popleft()
+        if not Counter(dst.obs) - Counter(f.obs) and dst.credits <= f.credits:
+            return True
+        for i, v in enumerate(f.obs):
+            moves = []
+            if v + 1 <= bound:
+                moves.append((v + 1, f.credits + 1))
+            if v >= 1 and f.credits >= 1:
+                moves.append((v - 1, f.credits - 1))
+            for v2, k2 in moves:
+                g = Flat(tuple(sorted(f.obs[:i] + (v2,) + f.obs[i + 1 :])), k2)
+                if g not in seen:
+                    seen.add(g)
+                    frontier.append(g)
+    return False
+
+
+def test_view_shift_decides_multi_chunk_examples():
+    assert view_shift(FALSE, Obs(3)) is True
+    assert view_shift(Obs(0), Star(Obs(0), Obs(0))) is False
+    # multi-chunk shifts are decided, never left open
+    for src, dst, expected in [
+        (Flat((1, 2), 0), Flat((1, 2), 0), True),
+        (Flat((30, 30), 0), Flat((0,), 0), True),
+        (Flat((0, 30), 0), Flat((30, 30), 0), True),
+        (Flat((1, 2), 0), Flat((0, 0), 0), False),
+        (Flat((1, 2), 0), Flat((0, 0), 3), False),
+        (Flat((1, 2), 3), Flat((0, 0), 0), True),
+    ]:
+        assert view_shift(_as_assertion(src), _as_assertion(dst)) is expected, (src, dst)
+        assert _shift_reference(src, dst) is expected, (src, dst)
+
+
+def test_view_shift_matches_brute_force_on_single_chunks():
     for n, n2, k, k2 in itertools.product(range(4), repeat=4):
         left = Flat((n,), k)
         right = Flat((n2,), k2)
-        assert _closed_form(left, right) == _saturate(left, right)
-        assert _closed_form(left, right) == (n - k <= n2 - k2)
+        decided = view_shift(_as_assertion(left), _as_assertion(right))
+        assert decided == _shift_reference(left, right)
+        assert decided == (n - k <= n2 - k2)
 
 
 def test_view_shift_acts_under_star_context():
@@ -177,17 +218,6 @@ def test_view_shift_acts_under_star_context():
     assert view_shift(star(Obs(0), Obs(1)), star(Obs(1), Obs(1), CREDIT))
     assert view_shift(star(Obs(2), Obs(0), CREDIT), star(Obs(1), Obs(0)))
     assert not view_shift(star(Obs(0), Obs(0)), star(Obs(0), Obs(0), CREDIT))
-
-
-def _shift_reference(src: Flat, dst: Flat) -> bool:
-    # independent decision for flats: pair moves preserve (sum of obs atoms
-    # minus credits) over kept atoms, weakening drops whole atoms, and a
-    # dropped atom can be inflated first to fund any number of credits
-    if len(dst.obs) > len(src.obs):
-        return False
-    if len(dst.obs) < len(src.obs):
-        return True
-    return sum(src.obs) - src.credits <= sum(dst.obs) - dst.credits
 
 
 def test_saturation_agrees_with_reference_on_two_chunk_flats():
@@ -201,12 +231,8 @@ def test_saturation_agrees_with_reference_on_two_chunk_flats():
     empties = [Flat((), k) for k in range(3)]
     for src in flats:
         for dst in flats + singles + empties:
-            found = _saturate(src, dst)
             expected = _shift_reference(src, dst)
-            if expected:
-                assert found, (src, dst)  # budget covers these small shifts
-            else:
-                assert not found, (src, dst)
+            assert view_shift(_as_assertion(src), _as_assertion(dst)) is expected, (src, dst)
 
 
 def test_view_shift_never_reaches_bottom_from_satisfiable():
@@ -214,7 +240,7 @@ def test_view_shift_never_reaches_bottom_from_satisfiable():
     for _ in range(200):
         a = _random_assertion(rng, depth=2)
         if normalize(a) is not BOTTOM:
-            assert view_shift_status(a, FALSE) is False
+            assert view_shift(a, FALSE) is False
 
 
 def test_view_shift_ledger_quantity_never_decreases():

@@ -2,7 +2,6 @@ import pytest
 
 from busycheck.assertions import ResourceBundle, bundle
 from busycheck.ghost import (
-    AnnotatedPool,
     AnnotatedThread,
     AnnotationError,
     CancelUnderflow,
@@ -32,6 +31,7 @@ from busycheck.lang import DONE, LOOP_SKIP, SeqCont, parse, to_continuation
 from busycheck.proofs import tree_size, verify
 from busycheck.semantics import (
     FuelExhausted,
+    ThreadPool,
     UnknownThreadError,
     Terminated,
     initial_pool,
@@ -47,7 +47,7 @@ LOOP_CONT = SeqCont(LOOP_SKIP, DONE)
 
 
 def _single(chunk, credits, cont=LOOP_CONT):
-    return AnnotatedPool.of({0: AnnotatedThread(bundle((chunk,), credits), cont)})
+    return ThreadPool.of({0: AnnotatedThread(bundle((chunk,), credits), cont)})
 
 
 def test_ghost_intro_spawns_a_pair():
@@ -69,7 +69,7 @@ def test_ghost_cancel_requires_a_pair():
 
 
 def test_ghost_steps_touch_only_the_stepped_thread():
-    pool = AnnotatedPool.of(
+    pool = ThreadPool.of(
         {
             0: AnnotatedThread(bundle((0,), 0), LOOP_CONT),
             1: AnnotatedThread(bundle((1,), 2), LOOP_CONT),
@@ -86,23 +86,23 @@ def test_stuckness_triad():
     result = real_step(_single(0, 1), 0)
     assert not isinstance(result, Stuck)
     pool2, step = result
-    assert step.kind == RA_LOOP
+    assert step.rule == RA_LOOP
     assert pool2 == _single(0, 1)  # the credit is held, not consumed
 
 
 def test_term_requires_empty_chunk():
-    pool = AnnotatedPool.of({0: AnnotatedThread(bundle((1,), 1), DONE)})
+    pool = ThreadPool.of({0: AnnotatedThread(bundle((1,), 1), DONE)})
     assert real_step(pool, 0) == Stuck(TERM_HOLDS_OBLIGATION)
-    clean = AnnotatedPool.of({0: AnnotatedThread(bundle((0,), 2), DONE)})
+    clean = ThreadPool.of({0: AnnotatedThread(bundle((0,), 2), DONE)})
     pool2, step = real_step(clean, 0)
-    assert step.kind == RA_THREAD_TERM and pool2.is_empty()
+    assert step.rule == RA_THREAD_TERM and pool2.is_empty()
 
 
 def test_fork_splits_the_bundle():
     c = parse("fork { fork { loop skip }; exit }; loop skip")
-    pool = AnnotatedPool.of({0: AnnotatedThread(bundle((1,), 1), to_continuation(c))})
+    pool = ThreadPool.of({0: AnnotatedThread(bundle((1,), 1), to_continuation(c))})
     pool2, step = real_step(pool, 0, Split(1, 0))
-    assert step.kind == RA_FORK
+    assert step.rule == RA_FORK
     assert pool2.get(0).bundle == bundle((0,), 1)
     assert pool2.get(0).cont == LOOP_CONT
     assert pool2.get(1).bundle == bundle((1,), 0)
@@ -110,14 +110,14 @@ def test_fork_splits_the_bundle():
 
 
 def test_exit_clears_the_annotated_pool():
-    pool = AnnotatedPool.of(
+    pool = ThreadPool.of(
         {
             0: AnnotatedThread(bundle((2,), 0), to_continuation(parse("exit"))),
             1: AnnotatedThread(bundle((0,), 1), LOOP_CONT),
         }
     )
     pool2, step = real_step(pool, 0)
-    assert step.kind == RA_EXIT and pool2.is_empty()
+    assert step.rule == RA_EXIT and pool2.is_empty()
 
 
 WORKED_SCHEDULE = [
@@ -148,7 +148,7 @@ def test_run_annotated_replays_the_worked_trace(two_level_fork):
 
 
 def test_run_annotated_empty_pool_terminates():
-    outcome, trace = run_annotated(AnnotatedPool.of({}), WORKED_SCHEDULE, 10)
+    outcome, trace = run_annotated(ThreadPool.of({}), WORKED_SCHEDULE, 10)
     assert outcome == Terminated(0)
     assert trace.steps == ()
 
@@ -165,7 +165,7 @@ def test_check_balance_examples(two_level_fork):
     _, trace = run_annotated(pool, WORKED_SCHEDULE, 100)
     row4 = trace.steps[4].before
     assert check_balance(row4)  # obligations 0+2+0 match credits 1+0+1
-    assert check_balance(AnnotatedPool.of({}))
+    assert check_balance(ThreadPool.of({}))
     assert not check_balance(_single(1, 0))
 
 
@@ -183,9 +183,9 @@ def test_annotate_waiting_pair_bundles(waiting_pair):
     # let the waiter spin a few times before the exiting thread runs
     proof, trace, atrace = _annotated(waiting_pair, tids=[0, 0, 0, 0, 1])
     for step in atrace.steps:
-        if step.step.kind == RA_LOOP:
+        if step.label.rule == RA_LOOP:
             assert step.before.get(0).bundle == bundle((0,), 1)
-        if step.step.kind == RA_EXIT:
+        if step.label.rule == RA_EXIT:
             assert step.before.get(1).bundle == bundle((1,), 0)
 
 
@@ -199,7 +199,7 @@ def test_annotate_reproduces_worked_trace_bundles(two_level_fork):
 def test_annotate_exit_alone_needs_no_ghost_steps():
     c = parse("exit")
     _, trace, atrace = _annotated(c, tids=[0])
-    assert [s.step.kind for s in atrace.steps] == [RA_EXIT]
+    assert [s.label.rule for s in atrace.steps] == [RA_EXIT]
     assert atrace.steps[0].before.get(0).bundle == bundle((0,), 0)
 
 
@@ -219,19 +219,19 @@ def test_annotate_balance_and_ghost_progress(two_level_fork, waiting_pair):
         bound = tree_size(proof)
         streak: dict[int, int] = {}
         for step in atrace.steps:
-            if step.step.kind in (GS_INTRO, GS_CANCEL):
-                streak[step.step.tid] = streak.get(step.step.tid, 0) + 1
-                assert streak[step.step.tid] <= bound
+            if step.label.rule in (GS_INTRO, GS_CANCEL):
+                streak[step.label.tid] = streak.get(step.label.tid, 0) + 1
+                assert streak[step.label.tid] <= bound
             else:
-                streak[step.step.tid] = 0
+                streak[step.label.tid] = 0
 
 
 def test_annotate_split_conservation(two_level_fork):
     _, _, atrace = _annotated(two_level_fork, tids=[0, 1, 2, 0, 0, 0])
     for step in atrace.steps:
-        if step.step.kind != RA_FORK:
+        if step.label.rule != RA_FORK:
             continue
-        tid = step.step.tid
+        tid = step.label.tid
         before = step.before.get(tid).bundle
         child_tid = max(step.after.tids())
         kept = step.after.get(tid).bundle
@@ -312,4 +312,4 @@ def test_ghost_step_rejects_unknown_kind(bare_loop):
 
 def test_annotated_pool_requires_complete_bundles():
     with pytest.raises(ValueError):
-        AnnotatedPool.of({0: AnnotatedThread(ResourceBundle((0, 1), 0), LOOP_CONT)})
+        ThreadPool.of({0: AnnotatedThread(ResourceBundle((0, 1), 0), LOOP_CONT)})

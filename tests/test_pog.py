@@ -117,11 +117,12 @@ def test_max_loopfree_prefix_loop_free_trace_is_everything():
 
 def test_max_loopfree_prefix_boundary_first_step_loop():
     # a trace whose first step is already a loop step keeps only the root
-    from busycheck.ghost import AnnotatedPool, AnnotatedThread
+    from busycheck.ghost import AnnotatedThread
+    from busycheck.semantics import ThreadPool
     from busycheck.assertions import bundle
     from busycheck.lang import DONE, LOOP_SKIP, SeqCont
 
-    pool = AnnotatedPool.of({0: AnnotatedThread(bundle((0,), 1), SeqCont(LOOP_SKIP, DONE))})
+    pool = ThreadPool.of({0: AnnotatedThread(bundle((0,), 1), SeqCont(LOOP_SKIP, DONE))})
     requests = [StepRequest(0, "real")] * 3
     _, trace = run_annotated(pool, requests, 10)
     g = build_pog(trace)

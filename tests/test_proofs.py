@@ -122,6 +122,29 @@ def test_check_reports_path_to_deep_violation():
     assert violation.path == (0, 0, 0, 0)
 
 
+def _shifted_exit(*shifts):
+    """`{obs(0)} exit {false}` under nested ViewShift nodes, innermost last."""
+    tree = ProofTree(HoareTriple(Obs(0), EXIT, FALSE), Rule.EXIT)
+    for pre in reversed(shifts):
+        tree = ProofTree(
+            HoareTriple(pre, EXIT, FALSE),
+            Rule.VIEW_SHIFT,
+            (tree,),
+            ShiftData(tree.conclusion.pre, FALSE),
+        )
+    return tree
+
+
+def test_check_accepts_multi_chunk_view_shifts():
+    assert check_proof(_shifted_exit(Star(Obs(30), Obs(30)))) is None
+    assert check_proof(_shifted_exit(Star(Obs(0), Obs(30)), Star(Obs(30), Obs(30)))) is None
+
+
+def test_check_rejects_an_invalid_multi_chunk_view_shift():
+    tampered = _shifted_exit(Star(Obs(1), Obs(2)), Star(Obs(0), Obs(0)))
+    assert str(check_proof(tampered)) == "root: pre-side view shift invalid"
+
+
 def test_check_rejects_fork_split_mismatch():
     tree = _waiting_pair_tree()
     fork = tree.premises[0].premises[0]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from busycheck.harness import GenConfig, enumerate_programs, gen_program
@@ -15,6 +17,7 @@ from busycheck.semantics import (
     AbruptExit,
     FixedScheduler,
     FuelExhausted,
+    RandomFairScheduler,
     ST_FORK,
     ST_LOOP,
     TP_EXIT,
@@ -154,6 +157,37 @@ def test_random_fair_is_deterministic_in_seed():
     runs = [run(initial_pool(c), random_fair(11, 8), 60) for _ in range(2)]
     assert serialize_trace(runs[0][1]) == serialize_trace(runs[1][1])
     assert runs[0][0] == runs[1][0]
+
+
+def _age_by_scan(trace, tid):
+    # steps since `tid` last stepped (or was born), one thread at a time
+    age = 0
+    for step in reversed(trace):
+        if step.label.tid == tid or tid not in step.before.tids():
+            break
+        age += 1
+    return age
+
+
+class _UniformScheduler:
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def pick(self, trace, pool):
+        return self.rng.choice(pool.tids())
+
+
+def test_random_fair_ages_match_per_thread_scan():
+    cfg = GenConfig(max_atoms=14, exit_prob=0.2, seed=31, count=60)
+    checked = 0
+    for i, c in enumerate(gen_program(cfg)):
+        _, trace = run(initial_pool(c), _UniformScheduler(i), 80)
+        pools = [s.before for s in trace] + [trace[-1].after]
+        for n, pool in enumerate(pools):
+            ages = RandomFairScheduler.ages(trace[:n], pool.tids())
+            assert ages == {t: _age_by_scan(trace[:n], t) for t in pool.tids()}
+            checked += len(ages)
+    assert checked > 1000
 
 
 def test_oracle_examples():
