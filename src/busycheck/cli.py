@@ -1,7 +1,7 @@
 """Command-line interface: parse, run, verify, check-proof, trace, graph, fuzz.
 
 Exit codes: 0 on success / Verified / Ok, 1 on Rejected / RuleViolation /
-divergence witness, 2 on usage or parse errors.
+divergence witness, 2 on usage or parse errors and on malformed certificates.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .ghost import annotate, serialize_annotated_trace
 from .harness import CampaignViolation, GenConfig, soundness_campaign
 from .lang import Command, ParseError, normalize, parse, pretty
 from .pog import build_pog, max_loopfree_sc_prefix, to_dot
-from .proofs import check_proof, load_certificate, save_certificate, verify
+from .proofs import CertificateError, check_proof, load_certificate, save_certificate, verify
 from .semantics import (
     AbruptExit,
     FuelExhausted,
@@ -264,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
+        return 2
+    except CertificateError as err:
+        print(str(err), file=sys.stderr)
         return 2
     except SystemExit2 as err:
         print(str(err), file=sys.stderr)

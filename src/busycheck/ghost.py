@@ -27,8 +27,8 @@ from .lang import (
     Exit,
     Fork,
     LoopSkip,
+    Printer,
     normalize,
-    pretty_continuation,
     to_continuation,
 )
 from .proofs import (
@@ -110,9 +110,6 @@ class StuckAt:
 class AnnotatedTrace:
     initial: ThreadPool
     steps: tuple[TraceStep, ...]
-
-    def final(self) -> ThreadPool:
-        return self.steps[-1].after if self.steps else self.initial
 
 
 def initial_annotated_pool(c: Command, tid0: int = 0, obligations: int = 0) -> ThreadPool:
@@ -405,9 +402,9 @@ def project(trace: AnnotatedTrace) -> list[TraceStep]:
 # --- serialization --------------------------------------------------------------
 
 
-def annotated_pool_str(pool: ThreadPool) -> str:
+def annotated_pool_str(pool: ThreadPool, printer: Printer) -> str:
     inner = ",".join(
-        f"{tid}:({e.bundle.chunks[0]}|{e.bundle.credits}) {pretty_continuation(e.cont)}"
+        f"{tid}:({e.bundle.chunks[0]}|{e.bundle.credits}) {printer.continuation(e.cont)}"
         for tid, e in pool.threads
     )
     return "{%s}" % inner
@@ -415,8 +412,9 @@ def annotated_pool_str(pool: ThreadPool) -> str:
 
 def serialize_annotated_trace(trace: AnnotatedTrace) -> str:
     """Plain trace format plus a (obligations|credits) bundle per thread."""
+    printer = Printer()
     lines = [
-        f"{i}\t{s.label.tid}\t{s.label.rule}\t{annotated_pool_str(s.before)}"
+        f"{i}\t{s.label.tid}\t{s.label.rule}\t{annotated_pool_str(s.before, printer)}"
         for i, s in enumerate(trace.steps)
     ]
     return "\n".join(lines)

@@ -257,23 +257,75 @@ def parse(text: str) -> Command:
 # --- printer ---------------------------------------------------------------
 
 
+class Printer:
+    """Concrete syntax of commands and continuations, memoized by node identity.
+
+    One printer serves one certificate or one trace, whose nodes share
+    subterms: a certificate's premises reuse their conclusion's sub-commands,
+    and a trace's steps reuse the tails of continuations.  Printing a chain
+    (a `Seq` spine or a continuation) records, for every cell on it, where its
+    own text starts inside the chain's text, so a later print of any suffix is
+    one lookup and one slice, and the memo stays linear in the distinct nodes.
+    Each memo entry holds its node, so no id is reused while the printer
+    lives.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[int, tuple[object, str, int]] = {}  # id -> (node, text, start)
+
+    def command(self, c: Command) -> str:
+        """Concrete syntax for a command; parse(text) == normalize(c)."""
+        cells, parts = [], []
+        while isinstance(c, Seq) and id(c) not in self._memo:
+            cells.append(c)
+            first = c.first
+            parts.append(self.command(first) if isinstance(first, Seq) else self._atom(first))
+            c = c.second
+        parts.append(self._recall(c) if id(c) in self._memo else self._atom(c))
+        return self._join(cells, parts, "; ")
+
+    def continuation(self, k: Continuation) -> str:
+        """A continuation with `done` printed explicitly, e.g. `exit;done`."""
+        cells, parts = [], []
+        while isinstance(k, SeqCont) and id(k) not in self._memo:
+            cells.append(k)
+            parts.append(self._atom(k.head))
+            k = k.tail
+        parts.append(self._recall(k) if id(k) in self._memo else "done")
+        return self._join(cells, parts, ";")
+
+    def _atom(self, a: Command) -> str:
+        if isinstance(a, Exit):
+            return "exit"
+        if isinstance(a, LoopSkip):
+            return "loop skip"
+        if isinstance(a, Fork):
+            return "fork { %s }" % self.command(a.body)
+        raise TypeError(f"not an atom: {a!r}")
+
+    def _recall(self, node: object) -> str:
+        _, text, start = self._memo[id(node)]
+        return text[start:]
+
+    def _join(self, cells: list, parts: list[str], sep: str) -> str:
+        text = sep.join(parts)
+        start = 0
+        for cell, part in zip(cells, parts):
+            self._memo[id(cell)] = (cell, text, start)
+            start += len(part) + len(sep)
+        return text
+
+
 def pretty(c: Command) -> str:
-    """Concrete syntax for a command; parse(pretty(c)) == normalize(c)."""
-    return "; ".join(_pretty_atom(a) for a in seq_atoms(c))
+    """Concrete syntax for a command; parse(pretty(c)) == normalize(c).
 
-
-def _pretty_atom(a: Command) -> str:
-    if isinstance(a, Exit):
-        return "exit"
-    if isinstance(a, LoopSkip):
-        return "loop skip"
-    if isinstance(a, Fork):
-        return "fork { %s }" % pretty(a.body)
-    raise TypeError(f"not an atom: {a!r}")
+    Each call prints through a fresh `Printer`.  Code that prints many
+    commands sharing subterms (a certificate, a trace) keeps one `Printer`
+    for all of them, so each shared subterm is printed once.
+    """
+    return Printer().command(c)
 
 
 def pretty_continuation(k: Continuation) -> str:
     """Render a continuation with `done` printed explicitly, e.g. `exit;done`."""
-    parts = [_pretty_atom(a) for a in cont_atoms(k)]
-    parts.append("done")
-    return ";".join(parts)
+    return Printer().continuation(k)

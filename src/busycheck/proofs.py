@@ -45,11 +45,11 @@ from .lang import (
     Exit,
     Fork,
     LoopSkip,
+    Printer,
     Seq,
     last_atom,
     normalize,
     parse,
-    pretty,
     size,
 )
 
@@ -457,12 +457,16 @@ def verify(c: Command) -> ProofTree | None:
 
 
 def to_json_dict(t: ProofTree) -> dict:
+    return _to_entry(t, Printer())
+
+
+def _to_entry(t: ProofTree, printer: Printer) -> dict:
     entry: dict = {
         "rule": t.rule.value,
         "pre": pretty_assertion(t.conclusion.pre),
-        "cmd": pretty(t.conclusion.cmd),
+        "cmd": printer.command(t.conclusion.cmd),
         "post": pretty_assertion(t.conclusion.post),
-        "premises": [to_json_dict(p) for p in t.premises],
+        "premises": [_to_entry(p, printer) for p in t.premises],
     }
     if isinstance(t.data, ForkSplit):
         entry["ruleData"] = {"childObs": t.data.child_obs, "childCredits": t.data.child_credits}
@@ -483,14 +487,41 @@ class CertificateError(ValueError):
 
 
 def from_json_dict(entry: dict) -> ProofTree:
+    """The proof tree a certificate entry describes.
+
+    The root `cmd` is parsed.  A premise whose `cmd` text is the printed
+    form of the sub-command its rule implies (Seq: `first`/`second`, Fork:
+    `body`, ViewShift/Frame: the same command) gets that very object, so the
+    shared subterms compare by identity in `check_proof`; any other text is
+    parsed.  Either way the premise's command equals `parse` of its text.
+    """
+    return _from_entry(entry, None, Printer())
+
+
+def _implied_cmds(rule: Rule, cmd: Command) -> tuple[Command, ...]:
+    """The premise commands `rule` demands of a conclusion about `cmd`."""
+    if rule is Rule.SEQ and isinstance(cmd, Seq):
+        return (cmd.first, cmd.second)
+    if rule is Rule.FORK and isinstance(cmd, Fork):
+        return (cmd.body,)
+    if rule is Rule.VIEW_SHIFT or rule is Rule.FRAME:
+        return (cmd,)
+    return ()
+
+
+def _from_entry(entry: dict, implied: Command | None, printer: Printer) -> ProofTree:
+    # `implied` is None or a subterm of a parsed command, hence normalized:
+    # equal text means parse(text) == implied
     try:
         rule = Rule(entry["rule"])
-        triple = HoareTriple(
-            parse_assertion(entry["pre"]),
-            parse(entry["cmd"]),
-            parse_assertion(entry["post"]),
-        )
-        premises = tuple(from_json_dict(p) for p in entry.get("premises", []))
+        pre = parse_assertion(entry["pre"])
+        text = entry["cmd"]
+        cmd = implied if implied is not None and text == printer.command(implied) else parse(text)
+        triple = HoareTriple(pre, cmd, parse_assertion(entry["post"]))
+        hints = _implied_cmds(rule, cmd)
+        premises = []
+        for i, p in enumerate(entry.get("premises", [])):
+            premises.append(_from_entry(p, hints[i] if i < len(hints) else None, printer))
         raw = entry.get("ruleData")
         data: ForkSplit | ShiftData | FrameData | None = None
         if rule is Rule.FORK and raw is not None:
@@ -499,21 +530,24 @@ def from_json_dict(entry: dict) -> ProofTree:
             data = ShiftData(parse_assertion(raw["innerPre"]), parse_assertion(raw["innerPost"]))
         elif rule is Rule.FRAME and raw is not None:
             data = FrameData(parse_assertion(raw["frame"]))
+    except CertificateError:
+        raise  # from a premise, already worded
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
-    return ProofTree(triple, rule, premises, data)
+    return ProofTree(triple, rule, tuple(premises), data)
 
 
 def save_certificate(t: ProofTree, path: str) -> None:
+    """Write the certificate as single-line JSON."""
+    text = json.dumps(to_json_dict(t), separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(t), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_certificate(path: str) -> ProofTree:
     with open(path, encoding="utf-8") as fh:
         try:
             entry = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise CertificateError(f"not valid JSON: {exc}") from exc
     return from_json_dict(entry)

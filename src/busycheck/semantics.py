@@ -31,10 +31,10 @@ from .lang import (
     Exit,
     Fork,
     LoopSkip,
+    Printer,
     Seq,
     SeqCont,
     normalize,
-    pretty_continuation,
     to_continuation,
 )
 
@@ -387,15 +387,16 @@ def fuel_bound(c: Command, window: int = 0) -> int:
 # --- serialization -----------------------------------------------------------
 
 
-def pool_str(pool: ThreadPool) -> str:
-    inner = ",".join(f"{tid}:{pretty_continuation(k)}" for tid, k in pool.threads)
+def pool_str(pool: ThreadPool, printer: Printer) -> str:
+    inner = ",".join(f"{tid}:{printer.continuation(k)}" for tid, k in pool.threads)
     return "{%s}" % inner
 
 
 def serialize_trace(trace: list[TraceStep]) -> str:
     """One line per step: index, tid, rule, pool before the step (tab-separated)."""
+    printer = Printer()
     lines = [
-        f"{i}\t{s.label.tid}\t{s.label.rule}\t{pool_str(s.before)}"
+        f"{i}\t{s.label.tid}\t{s.label.rule}\t{pool_str(s.before, printer)}"
         for i, s in enumerate(trace)
     ]
     return "\n".join(lines)

@@ -136,6 +136,35 @@ def test_check_proof_flags_tampering(tmp_path, capsys):
     assert "RuleViolation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[]",
+        '{"rule": "Exit", "cmd": "exit", "post": "false", "premises": []}',
+        '{"rule": "Exit", "pre": "obs(0)", "cmd": "exit;;", "post": "false", "premises": []}',
+    ],
+)
+def test_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, text):
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    assert main(["check-proof", str(cert)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_check_proof_of_a_400_fork_certificate(tmp_path, capsys):
+    # separately parsed premise commands once made `check_proof` compare
+    # 400-deep sequences structurally and end in RecursionError
+    cert = tmp_path / "cert.json"
+    program = "fork { exit }; " * 400 + "loop skip"
+    assert main(["verify", "-e", program, "--emit-cert", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["check-proof", str(cert)]) == 0
+    assert capsys.readouterr().out.strip() == "Ok"
+
+
 def test_trace_subcommand_prints_annotated_run(capsys):
     assert main(["trace", "-e", "fork { exit }; loop skip"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from busycheck.harness import GenConfig, gen_program
@@ -8,6 +10,7 @@ from busycheck.lang import (
     Fork,
     LOOP_SKIP,
     ParseError,
+    Printer,
     Seq,
     SeqCont,
     cont_atoms,
@@ -115,6 +118,56 @@ def _generated_commands(seed=0, count=150, max_atoms=9):
 def test_round_trip_property():
     for c in _generated_commands(seed=3):
         assert parse(pretty(c)) == normalize(c)
+
+
+def _reference_atom(a):
+    if isinstance(a, Fork):
+        return "fork { %s }" % _reference_pretty(a.body)
+    return "exit" if a == EXIT else "loop skip"
+
+
+def _reference_pretty(c):
+    # the printer without a memo: the spine's atoms joined one by one
+    return "; ".join(_reference_atom(a) for a in seq_atoms(c))
+
+
+def _reference_continuation(k):
+    return ";".join([_reference_atom(a) for a in cont_atoms(k)] + ["done"])
+
+
+def _subterms(c):
+    out, stack = [], [c]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, Seq):
+            stack += [node.first, node.second]
+        elif isinstance(node, Fork):
+            stack.append(node.body)
+    return out
+
+
+def _suffixes(k):
+    out = []
+    while isinstance(k, SeqCont):
+        out.append(k)
+        k = k.tail
+    return out + [k]
+
+
+def test_shared_printer_matches_the_unmemoized_printer():
+    left_nested = Seq(Seq(Fork(Seq(EXIT, LOOP_SKIP)), EXIT), Seq(Seq(LOOP_SKIP, EXIT), EXIT))
+    for seed, c in enumerate(_generated_commands(seed=6) + [left_nested]):
+        rng = random.Random(seed)
+        commands = _subterms(c)
+        conts = [k for d in commands for k in _suffixes(to_continuation(d))]
+        rng.shuffle(commands)
+        rng.shuffle(conts)
+        printer = Printer()
+        for d in commands + commands:  # the second round reads the memo only
+            assert printer.command(d) == _reference_pretty(d) == pretty(d)
+        for k in conts + conts:
+            assert printer.continuation(k) == _reference_continuation(k)
 
 
 def test_normalize_idempotent_property():

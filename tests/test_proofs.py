@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+import busycheck.proofs
 from busycheck.assertions import CREDIT, FALSE, Obs, Star, flat_eq
 from busycheck.harness import GenConfig, enumerate_programs, gen_program
 from busycheck.lang import EXIT, Fork, LOOP_SKIP, parse, pretty, seq_atoms
@@ -273,13 +276,85 @@ def test_exit_necessity():
             assert _contains(c, type(EXIT)), pretty(c)
 
 
+def _flat(n):
+    return parse("fork { exit }; " * n + "loop skip")
+
+
+def _round_trip_programs():
+    yield from enumerate_programs(6)
+    yield _flat(50)
+    yield _flat(200)
+
+
 def test_certificate_round_trip(tmp_path):
-    tree = verify(TWO_LEVEL)
+    path = str(tmp_path / "cert.json")
+    for c in _round_trip_programs():
+        tree = verify(c)
+        if tree is None:
+            continue
+        save_certificate(tree, path)
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == to_json_dict(tree), pretty(c)
+        loaded = load_certificate(path)
+        assert loaded == tree, pretty(c)
+        assert check_proof(loaded) is None, pretty(c)
+
+
+def test_certificate_is_single_line_and_linear_in_size(tmp_path):
     path = tmp_path / "cert.json"
-    save_certificate(tree, str(path))
-    loaded = load_certificate(str(path))
-    assert check_proof(loaded) is None
-    assert to_json_dict(loaded) == to_json_dict(tree)
+    save_certificate(verify(_flat(200)), str(path))
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    # no indentation: 392,325 bytes, where indented JSON took 3,781,666
+    assert len(text) < 500_000
+
+
+def _seq_entry(entry):
+    stack = [entry]
+    while stack:
+        e = stack.pop()
+        if e["rule"] == "Seq":
+            return e
+        stack.extend(e["premises"])
+    raise AssertionError("certificate has no Seq node")
+
+
+def test_loaded_premises_reuse_the_conclusions_subterms():
+    entry = to_json_dict(verify(TWO_LEVEL))
+    seq = from_json_dict(entry)
+    while seq.rule is not Rule.SEQ:
+        seq = seq.premises[0]
+    first, second = seq.premises
+    assert first.conclusion.cmd is seq.conclusion.cmd.first
+    assert second.conclusion.cmd is seq.conclusion.cmd.second
+
+
+def test_edited_premise_command_is_parsed_and_rejected():
+    entry = to_json_dict(verify(TWO_LEVEL))
+    _seq_entry(entry)["premises"][1]["cmd"] = "fork { loop skip }; exit"
+    violation = check_proof(from_json_dict(entry))
+    assert violation is not None
+    assert violation.reason == "Seq premise commands do not match the sequence"
+
+
+def test_loading_parses_only_the_root_command(monkeypatch):
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse(text)
+
+    entry = to_json_dict(verify(_flat(20)))
+    monkeypatch.setattr(busycheck.proofs, "parse", counting_parse)
+    tree = from_json_dict(entry)
+    assert calls == [entry["cmd"]]
+    # a leaf's text that is not the printed form is parsed, to the same command
+    leaf = _seq_entry(entry)["premises"][0]["premises"][0]["premises"][0]
+    assert (leaf["rule"], leaf["cmd"]) == ("Exit", "exit")
+    leaf["cmd"] = "exit  # spelled differently"
+    calls.clear()
+    assert from_json_dict(entry) == tree
+    assert calls == [entry["cmd"], leaf["cmd"]]
 
 
 def test_certificate_rejects_garbage(tmp_path):

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from busycheck import proofs, semantics
+from busycheck.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -26,3 +27,20 @@ def test_tracer_finds_every_attribute_it_patches(monkeypatch):
     finally:
         tracer.uninstall()
     assert (proofs.view_shift, semantics.RandomFairScheduler.pick) == originals
+
+
+def test_tracer_counts_the_certificate_path(monkeypatch, tmp_path, capsys):
+    tracer = _load_tracing(monkeypatch).Tracer()
+    cert = str(tmp_path / "cert.json")
+    try:
+        tracer.install()
+        assert main(["verify", "-e", "fork { exit }; fork { exit }; loop skip", "--emit-cert", cert]) == 0
+        assert main(["check-proof", cert]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.split() == ["Verified", "Ok"]
+    calls = tracer.aggregate()[2]
+    # the program text is parsed by `verify`, the certificate's root `cmd` by
+    # `check-proof`; no premise is parsed again
+    assert calls["proofs.cert_io"] == 2
+    assert calls["lang.parse"] == 2
