@@ -22,6 +22,7 @@ sum(obs) - k <= sum(obs') - k'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,15 @@ def bundle(chunks: tuple[int, ...] | list[int], credits: int) -> ResourceBundle:
 
 class Assertion:
     __slots__ = ()
+
+    @cached_property
+    def normal_form(self) -> "NormalizedAssertion":
+        """`normalize(self)`, computed on first use and kept on the object.
+
+        Assertions are frozen, so the kept form never goes stale, and an
+        assertion shared by many proof nodes is flattened once.
+        """
+        return _flatten(self)
 
 
 @dataclass(frozen=True)
@@ -101,8 +111,13 @@ def star(*parts: Assertion) -> Assertion:
     return acc
 
 
+@lru_cache(maxsize=1024)
 def state_assertion(obs_count: int, credit_count: int) -> Assertion:
-    """Canonical rendering of a single-chunk ghost state: obs(n) * credit^k."""
+    """Canonical rendering of a single-chunk ghost state: obs(n) * credit^k.
+
+    The recently used states are kept, so the proof nodes built for one state
+    share one assertion object and its normal form.
+    """
     return star(Obs(obs_count), *([CREDIT] * credit_count))
 
 
@@ -156,7 +171,16 @@ NormalizedAssertion = Bottom | Flat
 
 
 def normalize(a: Assertion) -> NormalizedAssertion:
-    """Flatten stars; `true` is the unit, any `false` collapses to Bottom."""
+    """Flatten stars; `true` is the unit, any `false` collapses to Bottom.
+
+    Computed once per assertion object (`Assertion.normal_form`).
+    """
+    if not isinstance(a, Assertion):
+        raise TypeError(f"not an assertion: {a!r}")
+    return a.normal_form
+
+
+def _flatten(a: Assertion) -> NormalizedAssertion:
     obs: list[int] = []
     credits = 0
     stack = [a]

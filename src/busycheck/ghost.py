@@ -29,6 +29,7 @@ from .lang import (
     LoopSkip,
     Printer,
     normalize,
+    spells,
     to_continuation,
 )
 from .proofs import (
@@ -169,7 +170,7 @@ def real_step(
     keep = ResourceBundle((value - split.child_obs,), credits - split.child_credits)
     child = AnnotatedThread(
         ResourceBundle((split.child_obs,), split.child_credits),
-        to_continuation(head.body),
+        head.thread,
     )
     pool2 = pool.replace(tid, AnnotatedThread(keep, cont.tail))
     pool2, _ = pool2.extend(child)
@@ -311,10 +312,13 @@ def annotate(
     if len(start.threads) != 1:
         raise AnnotationError("trace must start from a singleton pool")
     tid0 = start.tids()[0]
-    if start.get(tid0) != to_continuation(cmd):
+    start_cont = start.get(tid0)
+    if not spells(start_cont, cmd):
         raise AnnotationError("trace does not start with {tid0: c;done}")
 
-    pool = initial = initial_annotated_pool(cmd, tid0)
+    # the annotated run starts from the trace's own continuation, so each
+    # erased pool below shares its continuations with the plain one
+    pool = initial = ThreadPool.of({tid0: AnnotatedThread(ResourceBundle((0,), 0), start_cont)})
     cursors: dict[int, _Cursor] = {tid0: _Cursor(_extract_plan(proof))}
     steps: list[TraceStep] = []
 

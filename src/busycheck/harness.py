@@ -1,11 +1,14 @@
 """Random program generation and the empirical soundness campaign.
 
 The campaign samples programs, runs the verifier, and cross-checks every
-Verified answer against the exact divergence oracle: a Verified program for
-which a fair infinite run exists is a bug witness and aborts the campaign.
-Verified programs are additionally executed, annotated with their proof, and
-checked for ghost balance after every step plus the leaf-sum equality on
-random sibling-closed loop-edge-free prefixes.
+Verified answer against the exact divergence oracle `semantics.spawn_tree`, a
+walk linear in the program (the tests hold it to the reference search
+`semantics.explore`): a Verified program for which a fair infinite run exists
+is a bug witness and aborts the campaign.  Verified programs are additionally
+executed, annotated with their proof (which `annotate` checks), and checked
+for ghost balance after every step plus the leaf-sum equality on random
+sibling-closed loop-edge-free prefixes.  The same walk counts the programs
+that reach a second thread (`multi_thread`).
 """
 
 from __future__ import annotations
@@ -21,12 +24,16 @@ from .pog import build_pog, check_leaf_balance, describe_leaf, random_sc_loopfre
 from .proofs import verify
 from .semantics import (
     FuelExhausted,
-    explore,
     fuel_bound,
     initial_pool,
     round_robin,
     run,
+    spawn_tree,
 )
+
+# Not called here: the campaign decides divergence with `spawn_tree`.  The name
+# stays importable from this module because perfbench/tracing.py wraps it here.
+from .semantics import explore  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,7 @@ class CampaignReport:
     balance_checks: int = 0
     balance_failures: int = 0
     rejected_terminating: int = 0
+    multi_thread: int = 0
     wall_time: float = 0.0
 
     def to_json_dict(self) -> dict:
@@ -128,6 +136,7 @@ class CampaignReport:
             "balanceChecks": self.balance_checks,
             "balanceFailures": self.balance_failures,
             "rejectedTerminating": self.rejected_terminating,
+            "multiThread": self.multi_thread,
             "wallTime": round(self.wall_time, 3),
         }
 
@@ -147,6 +156,7 @@ class CampaignReport:
             ("ghost-balance checks", self.balance_checks),
             ("ghost-balance failures", self.balance_failures),
             ("rejected but terminating", f"{self.rejected_terminating} ({frac:.1%})"),
+            ("multi-thread programs", self.multi_thread),
             ("wall time", f"{self.wall_time:.2f}s"),
         ]
         width = max(len(name) for name, _ in rows)
@@ -180,16 +190,18 @@ def _check_one(
 ) -> None:
     report.total += 1
     proof = verify(program)
-    info = explore(program)
-    if info.diverges:
+    tree = spawn_tree(program)
+    if tree.threads >= 2:
+        report.multi_thread += 1
+    if tree.diverges:
         report.oracle_diverges += 1
     if proof is None:
         report.rejected += 1
-        if not info.diverges:
+        if not tree.diverges:
             report.rejected_terminating += 1
         return
     report.verified += 1
-    if info.diverges:
+    if tree.diverges:
         report.soundness_violations += 1
         raise CampaignViolation(program, "verified program admits a fair infinite run")
 

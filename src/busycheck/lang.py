@@ -14,6 +14,7 @@ Concrete grammar (whitespace-insensitive, ``#`` comments to end of line)::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class Command:
@@ -36,6 +37,15 @@ class LoopSkip(Command):
 class Fork(Command):
     body: Command
 
+    @cached_property
+    def thread(self) -> "Continuation":
+        """The continuation `body;done` a forked thread starts with.
+
+        Built once and kept on the node (commands are frozen), so every run
+        that takes this fork, plain or annotated, starts the same object.
+        """
+        return to_continuation(self.body)
+
 
 @dataclass(frozen=True)
 class Seq(Command):
@@ -50,30 +60,43 @@ LOOP_SKIP = LoopSkip()
 def normalize(c: Command) -> Command:
     """Right-associate sequencing: no Seq ever appears as the first child of a Seq.
 
-    Fork bodies are normalized recursively.  Idempotent.
+    Fork bodies are normalized too.  Idempotent and iterative (any depth);
+    a normal `c`, such as a parsed program, is returned as is.
     """
-    while isinstance(c, Seq) and isinstance(c.first, Seq):
-        inner = c.first
-        c = Seq(inner.first, Seq(inner.second, c.second))
-    if isinstance(c, Seq):
-        return Seq(normalize(c.first), normalize(c.second))
-    if isinstance(c, Fork):
-        return Fork(normalize(c.body))
-    return c
+    if _is_normal(c):
+        return c
+    forks: list[Fork] = []  # every fork comes before the forks in its body
+    stack = [c]
+    while stack:
+        for a in _spine(stack.pop()):
+            if isinstance(a, Fork):
+                forks.append(a)
+                stack.append(a.body)
+    normal: dict[int, Command] = {}  # id of a fork of c -> its normal form
+
+    def rebuild(cmd: Command) -> Command:
+        return seq_of([normal.get(id(a), a) for a in _spine(cmd)])
+
+    for f in reversed(forks):
+        normal[id(f)] = Fork(rebuild(f.body))
+    return rebuild(c)
 
 
-def seq_atoms(c: Command) -> list[Command]:
-    """Top-level atoms of a command, in execution order."""
-    out: list[Command] = []
+def _is_normal(c: Command) -> bool:
+    """No Seq is the first child of a Seq, in `c` or in any fork body."""
     stack = [c]
     while stack:
         node = stack.pop()
         if isinstance(node, Seq):
+            first = node.first
+            if isinstance(first, Seq):
+                return False
+            if isinstance(first, Fork):
+                stack.append(first.body)
             stack.append(node.second)
-            stack.append(node.first)
-        else:
-            out.append(node)
-    return out
+        elif isinstance(node, Fork):
+            stack.append(node.body)
+    return True
 
 
 def last_atom(c: Command) -> Command:
@@ -125,19 +148,37 @@ DONE = Done()
 def to_continuation(c: Command, tail: Continuation = DONE) -> Continuation:
     """Turn a command into the continuation ``c;done``.
 
-    Nested Seq is flattened so every SeqCont head is atomic.
+    Nested Seq is flattened so every SeqCont head is atomic.  Iterative, so
+    any length and nesting of sequences works.
     """
-    if isinstance(c, Seq):
-        return to_continuation(c.first, to_continuation(c.second, tail))
-    return SeqCont(c, tail)
+    for a in reversed(list(_spine(c))):
+        tail = SeqCont(a, tail)
+    return tail
 
 
-def cont_atoms(k: Continuation) -> list[Command]:
-    out = []
-    while isinstance(k, SeqCont):
-        out.append(k.head)
+def spells(k: Continuation, c: Command) -> bool:
+    """True iff `k == to_continuation(c)`, decided without building the latter.
+
+    Iterative; each head is compared with its atom by identity first, so a
+    continuation built from `c` itself is checked in one pass over its cells.
+    """
+    for a in _spine(c):
+        if not isinstance(k, SeqCont) or (k.head is not a and k.head != a):
+            return False
         k = k.tail
-    return out
+    return isinstance(k, Done)
+
+
+def _spine(c: Command):
+    """The atoms of `c` in execution order, however its sequences nest."""
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack.append(node.second)
+            stack.append(node.first)
+        else:
+            yield node
 
 
 # --- parser ---------------------------------------------------------------

@@ -342,7 +342,7 @@ class _Search:
                 if t2 is None:
                     continue
                 t = ProofTree(
-                    HoareTriple(node1.conclusion.pre, Seq(first, rest), required),
+                    HoareTriple(node1.conclusion.pre, cmd, required),
                     Rule.SEQ,
                     (node1, t2),
                 )

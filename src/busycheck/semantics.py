@@ -9,9 +9,13 @@ is labeled with the name of the underlying rule.
 Fairness follows the usual definition: every thread alive at any point is
 eventually scheduled.  On finite prefixes this is approximated by a sliding
 window check (`is_fair_prefix`).  Divergence, by contrast, is decided
-exactly: the reachable state space of a program is finite (loop bodies are
-`skip`, so forks cannot multiply), and a fair infinite run exists iff some
-reachable non-empty pool has every thread busy-waiting (`explore`).
+exactly, in two independent ways.  `spawn_tree` walks each thread alone to
+its first `exit` or `loop skip`: a fair infinite run exists iff no thread
+stops at `exit` and some thread stops at `loop skip`, and the walk is linear
+in the program.  `explore` is the reference: the reachable state space is
+finite (loop bodies are `skip`, so forks cannot multiply), and a fair
+infinite run exists iff some reachable non-empty pool has every thread
+busy-waiting; its cost grows with the number of interleavings.
 
 How long a run needs is a matter of size alone: `fuel_bound` gives the steps
 within which every run under the shipped schedulers reaches an empty or
@@ -140,7 +144,7 @@ def step_thread(k: Continuation) -> tuple[Continuation, tuple[Continuation, ...]
     if isinstance(head, LoopSkip):
         return k, ()
     if isinstance(head, Fork):
-        return k.tail, (to_continuation(head.body),)
+        return k.tail, (head.thread,)
     return None  # Exit is a pool-level step
 
 
@@ -334,6 +338,77 @@ def explore(c: Command, tid0: int = 0) -> ReachabilityInfo:
 def oracle_diverges(c: Command) -> bool:
     """True iff a fair infinite reduction sequence from {0: c;done} exists."""
     return explore(c).diverges
+
+
+@dataclass(frozen=True)
+class SpawnTree:
+    """Summary of a program's spawn tree: one node per thread any run starts.
+
+    Each thread is run alone to its first `exit` or `loop skip`, or to its
+    end; `exits` and `waits` count the threads stopping at each.
+    """
+
+    threads: int
+    exits: int
+    waits: int
+
+    @property
+    def diverges(self) -> bool:
+        """True iff a fair infinite run exists (see `spawn_tree`)."""
+        return self.exits == 0 and self.waits > 0
+
+
+def spawn_tree(c: Command) -> SpawnTree:
+    """The spawn tree of `c`, found in one iterative walk of its atoms.
+
+    Each thread, starting with the main one, is walked to its first `exit`,
+    `loop skip` or end, and every fork met on the way adds the fork's body as
+    a thread.  Atoms after a thread's stop are never reached, so the walk
+    touches each atom at most once.
+
+    `diverges` is exact: a fair infinite run exists iff no thread of the tree
+    stops at `exit` and some thread stops at `loop skip`.
+
+    Proof.  A thread's own steps do not depend on other threads, except that
+    an `exit` step empties the pool; so in every run, each thread that is
+    ever alive is a node of the tree and walks a prefix of that node's path.
+    (If) With no `exit` stop, no run ever takes an `exit` step.  Under
+    round-robin, which is fair, every thread then runs its finitely many
+    fork atoms and either ends or reaches its `loop skip`, and the threads
+    stopping at `loop skip` (at least one) loop forever: a fair infinite run.
+    (Only if) Take a fair infinite run.  It never empties the pool, so it
+    takes no `exit` step.  Every node of the tree is spawned in it: the main
+    thread is alive at the start, and a node that is alive is scheduled
+    again and again by fairness, so it runs its path up to its stop and
+    spawns all its children.  A node stopping at `exit` would then be
+    scheduled at its `exit` head and end the run, so there is none.  Only
+    finitely many steps are not `loop skip` steps, because every atom runs
+    at most once, so from some point on every step is a loop step; the pool
+    is then non-empty and, by fairness, every live thread is loop-headed, so
+    some node stops at `loop skip`.
+
+    This walk is independent of `explore`, which stays as the reference
+    search over reachable pools, and of the proof search in `proofs`.
+    """
+    threads = exits = waits = 0
+    bodies = [c]
+    while bodies:
+        threads += 1
+        todo = [bodies.pop()]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, Seq):
+                todo.append(node.second)
+                todo.append(node.first)
+            elif isinstance(node, Fork):
+                bodies.append(node.body)
+            else:
+                if isinstance(node, Exit):
+                    exits += 1
+                else:
+                    waits += 1
+                break
+    return SpawnTree(threads, exits, waits)
 
 
 def fuel_bound(c: Command, window: int = 0) -> int:

@@ -165,6 +165,26 @@ def test_check_proof_of_a_400_fork_certificate(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "Ok"
 
 
+@pytest.mark.parametrize(
+    "program",
+    [
+        "fork { exit }; " * 400 + "loop skip",
+        "fork { " + "fork { exit }; " * 400 + "loop skip }; loop skip",
+    ],
+    ids=["flat", "in-a-fork-body"],
+)
+def test_trace_and_graph_of_a_400_fork_program(program, capsys):
+    # `annotate` once compared 400-cell continuations structurally, the main
+    # thread's with a freshly built copy and a forked thread's plain and
+    # annotated copies, and ended in RecursionError
+    assert main(["trace", "-e", program]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split("\t")
+    assert last[2] == "RA-Exit"
+    assert main(["graph", "--prefix", "-e", program]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("digraph pog") and "RA-Exit" in out
+
+
 def test_trace_subcommand_prints_annotated_run(capsys):
     assert main(["trace", "-e", "fork { exit }; loop skip"]) == 0
     out = capsys.readouterr().out
@@ -195,6 +215,7 @@ def test_fuzz_small_campaign(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["total"] == 38
+    assert 0 < payload["multiThread"] < 38
     assert payload["soundnessViolations"] == 0
     assert payload["leafBalanceFailures"] == 0
 

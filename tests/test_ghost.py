@@ -286,6 +286,20 @@ def test_annotate_rejects_mismatched_trace(waiting_pair, two_level_fork):
         annotate(waiting_pair, proof, trace)
 
 
+def test_annotate_starts_from_the_traces_own_continuation(waiting_pair):
+    twin = parse("fork { exit }; loop skip")  # equal to waiting_pair, not the same object
+    _, trace = run(initial_pool(twin), round_robin(), 100)
+    atrace = annotate(waiting_pair, verify(waiting_pair), trace)
+    assert atrace.initial.get(0).cont is trace[0].before.get(0)
+    assert serialize_trace(project(atrace)) == serialize_trace(trace)
+
+
+def test_annotate_rejects_a_trace_of_another_program(waiting_pair):
+    _, trace = run(initial_pool(parse("fork { exit }; exit")), round_robin(), 100)
+    with pytest.raises(AnnotationError, match="does not start with"):
+        annotate(waiting_pair, verify(waiting_pair), trace)
+
+
 def test_annotate_rejects_unchecked_proof(waiting_pair):
     from busycheck.proofs import HoareTriple, ProofTree, Rule
     from busycheck.assertions import FALSE, Obs, Star, CREDIT

@@ -1,5 +1,7 @@
 import pytest
 
+import busycheck.harness
+import busycheck.semantics
 from busycheck.harness import (
     CampaignReport,
     CampaignViolation,
@@ -10,6 +12,7 @@ from busycheck.harness import (
 )
 from busycheck.lang import EXIT, LOOP_SKIP, parse, pretty, size
 from busycheck.proofs import verify
+from busycheck.semantics import explore, spawn_tree
 
 
 def test_generation_is_deterministic():
@@ -97,3 +100,54 @@ def test_report_json_shape():
 def test_campaign_violation_carries_source():
     violation = CampaignViolation(parse("loop skip"), "boom")
     assert "loop skip" in str(violation)
+
+
+def test_default_campaign_report_is_pinned():
+    payload = soundness_campaign(GenConfig(seed=42, count=500)).to_json_dict()
+    del payload["wallTime"]
+    assert payload == {
+        "total": 2820,
+        "verified": 1716,
+        "rejected": 1104,
+        "oracleDiverges": 1104,
+        "soundnessViolations": 0,
+        "leafBalanceChecks": 5148,
+        "leafBalanceFailures": 0,
+        "balanceChecks": 4518,
+        "balanceFailures": 0,
+        "rejectedTerminating": 0,
+        "multiThread": 1447,
+    }
+
+
+def test_multi_thread_counts_programs_that_reach_two_threads():
+    programs = list(enumerate_programs(6))
+    reach_two = [explore(c).max_threads >= 2 for c in programs]
+    assert [spawn_tree(c).threads >= 2 for c in programs] == reach_two
+    report = soundness_campaign(GenConfig(count=0), exhaustive_max_atoms=5)
+    assert report.multi_thread == sum(reach_two[: report.total]) > 0
+    rows = [line.split() for line in report.summary().splitlines()]
+    assert ["multi-thread", "programs", str(report.multi_thread)] in rows
+
+
+def test_campaign_never_explores(monkeypatch):
+    def explore(*args):
+        raise AssertionError("explore called")
+
+    monkeypatch.setattr(busycheck.semantics, "explore", explore)
+    monkeypatch.setattr(busycheck.harness, "explore", explore)
+    report = soundness_campaign(GenConfig(max_atoms=8, seed=5, count=40), exhaustive_max_atoms=3)
+    assert report.total == 40 + 30
+    assert report.oracle_diverges == report.rejected > 0
+
+
+def test_campaign_catches_a_verifier_that_accepts_a_busy_wait(monkeypatch):
+    exit_proof = verify(EXIT)
+
+    def accepting(c):
+        return exit_proof if c == LOOP_SKIP else verify(c)
+
+    monkeypatch.setattr(busycheck.harness, "verify", accepting)
+    with pytest.raises(CampaignViolation, match="admits a fair infinite run") as err:
+        soundness_campaign(GenConfig(count=0), exhaustive_max_atoms=1)
+    assert err.value.program == LOOP_SKIP

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from busycheck.harness import GenConfig, gen_program
+from busycheck.harness import GenConfig, enumerate_programs, gen_program
 from busycheck.lang import (
     DONE,
     EXIT,
@@ -13,14 +13,33 @@ from busycheck.lang import (
     Printer,
     Seq,
     SeqCont,
-    cont_atoms,
     normalize,
     parse,
     pretty,
-    seq_atoms,
     size,
+    spells,
     to_continuation,
 )
+
+
+def seq_atoms(c):
+    """Top-level atoms of a command, in execution order."""
+    out, stack = [], [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack += [node.second, node.first]
+        else:
+            out.append(node)
+    return out
+
+
+def cont_atoms(k):
+    out = []
+    while isinstance(k, SeqCont):
+        out.append(k.head)
+        k = k.tail
+    return out
 
 
 def test_parse_waiting_pair():
@@ -174,6 +193,83 @@ def test_normalize_idempotent_property():
     for c in _generated_commands(seed=4):
         once = normalize(c)
         assert normalize(once) == once
+
+
+def _reference_normalize(c):
+    # the recursive rotation normalizer, independent of the iterative one
+    while isinstance(c, Seq) and isinstance(c.first, Seq):
+        c = Seq(c.first.first, Seq(c.first.second, c.second))
+    if isinstance(c, Seq):
+        return Seq(_reference_normalize(c.first), _reference_normalize(c.second))
+    if isinstance(c, Fork):
+        return Fork(_reference_normalize(c.body))
+    return c
+
+
+def _reassociated(rng, c):
+    """c with every sequence regrouped at random (and fork bodies too)."""
+    atoms = [Fork(_reassociated(rng, a.body)) if isinstance(a, Fork) else a for a in seq_atoms(c)]
+
+    def group(lo, hi):
+        if hi - lo == 1:
+            return atoms[lo]
+        mid = rng.randint(lo + 1, hi - 1)
+        return Seq(group(lo, mid), group(mid, hi))
+
+    return group(0, len(atoms))
+
+
+def test_normal_programs_normalize_to_themselves():
+    count = 0
+    for c in enumerate_programs(5):
+        parsed = parse(pretty(c))
+        assert normalize(parsed) is parsed
+        assert normalize(c) is c
+        count += 1
+    assert count == 514
+
+
+def test_normalize_matches_the_recursive_reference_on_regrouped_programs():
+    rng = random.Random(11)
+    for c in _generated_commands(seed=8, max_atoms=14):
+        regrouped = _reassociated(rng, c)
+        once = normalize(regrouped)
+        assert once == _reference_normalize(regrouped) == c
+        assert normalize(once) is once
+
+
+def test_normalize_takes_10000_deep_fork_chains():
+    normal = EXIT
+    for _ in range(10_000):
+        normal = Fork(normal)
+    assert normalize(normal) is normal
+    skewed = Seq(Seq(EXIT, LOOP_SKIP), EXIT)  # the rebuild path, at every level
+    for _ in range(10_000):
+        skewed = Fork(skewed)
+    out = normalize(skewed)
+    for _ in range(10_000):
+        assert isinstance(out, Fork) and out is not skewed
+        out, skewed = out.body, skewed.body
+    assert out == Seq(EXIT, Seq(LOOP_SKIP, EXIT))
+
+
+def test_to_continuation_takes_10000_atom_sequences():
+    c = EXIT
+    for _ in range(10_000):
+        c = Seq(c, LOOP_SKIP)  # left-nested: deep on the first side
+    assert len(cont_atoms(to_continuation(c))) == 10_001
+
+
+def test_spells_agrees_with_building_the_continuation():
+    programs = list(enumerate_programs(4))
+    rng = random.Random(2)
+    for c in programs:
+        k = to_continuation(c)
+        assert spells(k, c)
+        assert spells(to_continuation(parse(pretty(c))), c)  # equal, not shared
+        other = rng.choice(programs)
+        assert spells(to_continuation(other), c) == (other == c)
+    assert spells(to_continuation(Seq(Seq(EXIT, LOOP_SKIP), EXIT)), parse("exit; loop skip; exit"))
 
 
 def test_to_continuation_length_matches_atom_count():

@@ -5,7 +5,7 @@ import pytest
 import busycheck.proofs
 from busycheck.assertions import CREDIT, FALSE, Obs, Star, flat_eq
 from busycheck.harness import GenConfig, enumerate_programs, gen_program
-from busycheck.lang import EXIT, Fork, LOOP_SKIP, parse, pretty, seq_atoms
+from busycheck.lang import EXIT, Fork, LOOP_SKIP, Seq, parse, pretty
 from busycheck.proofs import (
     CertificateError,
     ForkSplit,
@@ -260,6 +260,18 @@ def test_frame_must_be_obligation_free():
     )
     violation = check_proof(framed)
     assert violation is not None and "obs" in violation.reason
+
+
+def seq_atoms(c):
+    """Top-level atoms of a command, in execution order."""
+    out, stack = [], [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack += [node.second, node.first]
+        else:
+            out.append(node)
+    return out
 
 
 def _contains(c, kind):

@@ -8,9 +8,11 @@ from busycheck.lang import (
     EXIT,
     LOOP_SKIP,
     Fork,
+    Seq,
     SeqCont,
     parse,
-    seq_atoms,
+    pretty,
+    seq_of,
     size,
 )
 from busycheck.semantics import (
@@ -35,7 +37,9 @@ from busycheck.semantics import (
     rotated_round_robin,
     round_robin,
     run,
+    SpawnTree,
     serialize_trace,
+    spawn_tree,
     step_pool,
     step_thread,
 )
@@ -200,6 +204,59 @@ def test_oracle_loop_then_dead_exit_diverges():
     assert oracle_diverges(parse("loop skip; exit"))
 
 
+def test_spawn_tree_examples():
+    assert spawn_tree(parse("fork { exit }; loop skip")) == SpawnTree(2, 1, 1)
+    assert spawn_tree(parse("loop skip; exit")) == SpawnTree(1, 0, 1)
+    assert spawn_tree(parse("exit; fork { loop skip }")) == SpawnTree(1, 1, 0)
+    assert spawn_tree(parse("fork { fork { loop skip } }")) == SpawnTree(3, 0, 1)
+    assert spawn_tree(parse("fork { fork { loop skip } }")).diverges
+    assert not spawn_tree(parse("fork { exit }")).diverges  # an exit stop wins
+    assert not spawn_tree(parse("fork { fork { exit } }; loop skip")).diverges
+    assert spawn_tree(parse("fork { loop skip; fork { exit } }; loop skip")).diverges
+
+
+def test_spawn_tree_agrees_with_explore_on_every_program_of_up_to_7_atoms():
+    programs = 0
+    for c in enumerate_programs(7):
+        assert spawn_tree(c).diverges == explore(c).diverges, pretty(c)
+        programs += 1
+    assert programs == 10_878
+
+
+def _km_program(k, m, end):
+    """k x fork{ (fork{loop skip})^m; end }; loop skip."""
+    thread = "fork { " + "fork { loop skip }; " * m + end + " }"
+    return "; ".join([thread] * k) + "; loop skip"
+
+
+def _nest_program(depth, end):
+    body = end
+    for _ in range(depth):
+        body = "fork { " + body + " }"
+    return body + "; loop skip"
+
+
+def test_spawn_tree_agrees_with_explore_on_the_interleaving_families():
+    # the families whose state spaces grow fastest, and their twins whose
+    # `exit` becomes `loop skip`, so every thread ends up busy-waiting
+    cases = [(_km_program(k, m, end), end) for k in (1, 2, 3) for m in range(5) for end in ("exit", "loop skip")]
+    cases += [(_nest_program(d, end), end) for d in range(1, 13) for end in ("exit", "loop skip")]
+    for text, end in cases:
+        c = parse(text)
+        tree, info = spawn_tree(c), explore(c)
+        assert tree.diverges == info.diverges == (end == "loop skip"), text
+        assert tree.threads >= info.max_threads, text
+
+
+def test_spawn_tree_takes_deep_and_long_programs():
+    c = LOOP_SKIP
+    for _ in range(10_000):
+        c = Fork(c)
+    assert spawn_tree(c) == SpawnTree(10_001, 0, 1)
+    flat = seq_of([Fork(EXIT)] * 10_000 + [LOOP_SKIP])
+    assert spawn_tree(flat) == SpawnTree(10_001, 10_000, 1)
+
+
 def _generated(seed, count=120, max_atoms=8):
     return gen_program(GenConfig(max_atoms=max_atoms, seed=seed, count=count))
 
@@ -260,6 +317,18 @@ def test_fuel_bound_takes_deep_nesting_without_recursion():
     for _ in range(5000):
         c = Fork(c)
     assert fuel_bound(c) == (5001 + 5001) * (5001 + 1)
+
+
+def seq_atoms(c):
+    """Top-level atoms of a command, in execution order."""
+    out, stack = [], [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack += [node.second, node.first]
+        else:
+            out.append(node)
+    return out
 
 
 def _forks(c):
