@@ -1,7 +1,9 @@
 """Command-line interface: parse, run, verify, check-proof, trace, graph, fuzz.
 
 Exit codes: 0 on success / Verified / Ok, 1 on Rejected / RuleViolation /
-divergence witness, 2 on usage or parse errors and on malformed certificates.
+divergence witness, 2 on usage or parse errors, malformed certificates and
+input nested past the recursion limit.  `check-proof` also checks the claim:
+the root triple must be {obs(0)} c {obs(0)}.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .assertions import OBS_ZERO, normalize as normalize_assertion
 from .ghost import annotate, serialize_annotated_trace
 from .harness import CampaignViolation, GenConfig, soundness_campaign
 from .lang import Command, ParseError, normalize, parse, pretty
@@ -141,6 +144,9 @@ def _cmd_verify(args) -> int:
 def _cmd_check_proof(args) -> int:
     tree = load_certificate(args.cert)
     violation = check_proof(tree)
+    pre, post = (normalize_assertion(a) for a in (tree.conclusion.pre, tree.conclusion.post))
+    if violation is None and not pre == post == normalize_assertion(OBS_ZERO):
+        violation = "root: certificate does not prove {obs(0)} c {obs(0)}"
     if violation is None:
         print("Ok")
         return 0
@@ -273,6 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as err:
         print(str(err), file=sys.stderr)
+        return 2
+    except RecursionError:
+        limit = f"past the recursion limit of {sys.getrecursionlimit()}"
+        print(f"{args.command}: input too deeply nested or too long ({limit})", file=sys.stderr)
         return 2
 
 

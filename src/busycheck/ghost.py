@@ -12,7 +12,9 @@ the pool regardless.
 `annotate` implements the constructive direction of the soundness argument:
 given a checked proof of {obs(0)} c {obs(0)} and a plain trace, it inserts
 the proof's ghost moves and fork splits to produce an annotated trace whose
-non-ghost steps project back onto the plain trace step for step.
+non-ghost steps project back onto the plain trace step for step.  It checks
+this after every step against an erased pool kept beside the annotated one
+with the same pool operations, so a step costs no Python work per thread.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .semantics import (
     TraceStep,
     StepLabel,
     ThreadPool,
-    UnknownThreadError,
     outcome_of,
 )
 
@@ -193,8 +194,6 @@ def run_annotated(
     for idx, req in enumerate(requests[:fuel]):
         if current.is_empty():
             break
-        if req.tid not in current.tids():
-            raise UnknownThreadError(req.tid)
         if req.kind == "intro":
             nxt = ghost_step(current, req.tid, GS_INTRO)
             label = StepLabel(req.tid, GS_INTRO)
@@ -316,9 +315,11 @@ def annotate(
     if not spells(start_cont, cmd):
         raise AnnotationError("trace does not start with {tid0: c;done}")
 
-    # the annotated run starts from the trace's own continuation, so each
-    # erased pool below shares its continuations with the plain one
+    # the annotated run starts from the trace's own continuation, so the
+    # erased pool, kept step by step next to the annotated one, shares its
+    # continuations with the plain trace's pools
     pool = initial = ThreadPool.of({tid0: AnnotatedThread(ResourceBundle((0,), 0), start_cont)})
+    erased = start
     cursors: dict[int, _Cursor] = {tid0: _Cursor(_extract_plan(proof))}
     steps: list[TraceStep] = []
 
@@ -330,13 +331,17 @@ def annotate(
             pool = nxt
 
     def emit_real(tid: int, split: Split | None = None) -> None:
-        nonlocal pool
+        nonlocal pool, erased
         result = real_step(pool, tid, split)
         if isinstance(result, Stuck):
             raise AnnotationError(f"annotated run got stuck: {result.reason}")
         nxt, label = result
         steps.append(TraceStep(pool, label, nxt))
         pool = nxt
+        if label.rule == RA_FORK:
+            erased, _ = erased.replace(tid, pool.get(tid).cont).extend(pool.threads[-1][1].cont)
+        elif label.rule != RA_LOOP:  # an exit empties the pool, an ended thread leaves it
+            erased = erased.remove(tid) if pool.threads else semantics.EMPTY_POOL
 
     for plain in plain_trace:
         tid = plain.label.tid
@@ -358,10 +363,8 @@ def annotate(
             if slot.split is None or slot.child is None:
                 raise AnnotationError("proof has no fork split where the trace forks")
             emit_ghost(tid, slot.ops)
-            before_tids = set(pool.tids())
             emit_real(tid, slot.split)
-            (child_tid,) = set(pool.tids()) - before_tids
-            cursors[child_tid] = _Cursor(slot.child)
+            cursors[pool.tids()[-1]] = _Cursor(slot.child)  # the child has the new last id
             cursor.index += 1
         elif rule == semantics.TP_EXIT:
             slot = _slot_at(cursor)
@@ -369,7 +372,7 @@ def annotate(
             emit_real(tid)
         else:
             raise AnnotationError(f"unknown plain rule {rule!r}")
-        if erase(pool) != plain.after:
+        if erased != plain.after:
             raise AnnotationError("annotated run diverged from the plain trace")
 
     return AnnotatedTrace(initial, tuple(steps))
@@ -407,11 +410,11 @@ def project(trace: AnnotatedTrace) -> list[TraceStep]:
 
 
 def annotated_pool_str(pool: ThreadPool, printer: Printer) -> str:
-    inner = ",".join(
-        f"{tid}:({e.bundle.chunks[0]}|{e.bundle.credits}) {printer.continuation(e.cont)}"
-        for tid, e in pool.threads
-    )
-    return "{%s}" % inner
+    def entry(pair: tuple[int, AnnotatedThread]) -> str:
+        e = pair[1]
+        return f"{pair[0]}:({e.bundle.chunks[0]}|{e.bundle.credits}) {printer.continuation(e.cont)}"
+
+    return "{%s}" % ",".join(printer.each(pool.threads, entry))
 
 
 def serialize_annotated_trace(trace: AnnotatedTrace) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any, Callable, Sequence
 
 
 class Command:
@@ -308,11 +309,23 @@ class Printer:
     own text starts inside the chain's text, so a later print of any suffix is
     one lookup and one slice, and the memo stays linear in the distinct nodes.
     Each memo entry holds its node, so no id is reused while the printer
-    lives.
+    lives.  `each` memoizes a trace's `(tid, entry)` pairs the same way.
     """
 
     def __init__(self) -> None:
         self._memo: dict[int, tuple[object, str, int]] = {}  # id -> (node, text, start)
+        self._texts: dict[int, str] = {}  # id -> text, for the items `each` rendered
+        self._held: list[object] = []  # those items, so their ids stay theirs
+
+    def each(self, items: Sequence[object], render: Callable[[Any], str]) -> list[str]:
+        """`render(item)` for each item, computed once per item object; the
+        lookups of items rendered before run without a Python loop."""
+        texts = list(map(self._texts.get, map(id, items)))
+        while None in texts:
+            i = texts.index(None)
+            texts[i] = self._texts[id(items[i])] = render(items[i])
+            self._held.append(items[i])
+        return texts
 
     def command(self, c: Command) -> str:
         """Concrete syntax for a command; parse(text) == normalize(c)."""

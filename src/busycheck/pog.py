@@ -92,25 +92,18 @@ def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
         )
     # ids are never reused: a terminating thread forked a strictly higher id
     # first, so the largest id stays live until an exit clears the pool, and
-    # grouping steps by tid groups them by thread
-    occurrences: dict[int, list[int]] = {}
-    for i, s in enumerate(steps):
-        occurrences.setdefault(s.label.tid, []).append(i)
+    # a thread's steps are the steps with its tid.  One pass links each step
+    # to the thread's previous step, or to the fork that made the thread.
+    last: dict[int, int] = {}  # tid -> its latest step, or the fork step before its first
     edges: list[Edge] = []
     for i, s in enumerate(steps):
         tid = s.label.tid
-        own = occurrences[tid]
-        pos = own.index(i)
-        if pos + 1 < len(own):
-            j = own[pos + 1]
-            edges.append(Edge(i, tid, info[i].rule, j))
-        born = set(s.after.tids()) - set(s.before.tids())
-        if born:
-            (child,) = born
-            child_steps = [l for l in occurrences.get(child, []) if l > i]
-            if child_steps:
-                j = min(child_steps)
-                edges.append(Edge(i, child, info[i].rule, j))
+        j = last.get(tid)
+        if j is not None:
+            edges.append(Edge(j, tid, info[j].rule, i))
+        last[tid] = i
+        if s.label.rule == RA_FORK:
+            last[s.after.tids()[-1]] = i  # the child has the new last id
     edges.sort(key=lambda e: (e.src, e.dst))
     return ProgramOrderGraph(info, edges, (b0.chunks[0], b0.credits))
 

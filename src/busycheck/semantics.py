@@ -4,7 +4,10 @@ A thread pool maps thread ids to entries: continuations here, continuations
 with ghost resources in `ghost`, which reuses the same pool, step record and
 outcome classification.  Single-thread steps are lifted to pool steps;
 `exit` clears the whole pool, a thread at `done` is removed.  Every pool step
-is labeled with the name of the underlying rule.
+is labeled with the name of the underlying rule.  Pool operations bisect and
+slice a sorted tuple, so a step shares every untouched entry with the pool
+before it and costs no Python work per thread; the random scheduler reads
+thread ages off a run history it updates once per step.
 
 Fairness follows the usual definition: every thread alive at any point is
 eventually scheduled.  On finite prefixes this is approximated by a sliding
@@ -25,7 +28,9 @@ all-waiting pool, so picking a step budget needs no state-space search.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Protocol, Sequence
 
 from .lang import (
@@ -57,36 +62,49 @@ class ThreadPool:
     """Finite map from thread id to entry, stored sorted by id.
 
     An entry is a continuation, or a `ghost.AnnotatedThread` in annotated runs.
+    `ids` caches the ids in order and takes no part in equality or hashing.
     """
 
     threads: tuple[tuple[int, Any], ...]
+    ids: tuple[int, ...] = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.ids is None:
+            object.__setattr__(self, "ids", tuple(t for t, _ in self.threads))
 
     @staticmethod
     def of(mapping: dict[int, Any]) -> "ThreadPool":
         return ThreadPool(tuple(sorted(mapping.items())))
 
     def tids(self) -> tuple[int, ...]:
-        return tuple(tid for tid, _ in self.threads)
+        return self.ids
+
+    def _index(self, tid: int) -> int:
+        i = bisect_left(self.ids, tid)
+        if i == len(self.ids) or self.ids[i] != tid:
+            raise UnknownThreadError(tid)
+        return i
 
     def get(self, tid: int) -> Any:
-        for t, entry in self.threads:
-            if t == tid:
-                return entry
-        raise UnknownThreadError(tid)
+        return self.threads[self._index(tid)][1]
 
     def is_empty(self) -> bool:
         return not self.threads
 
     def replace(self, tid: int, entry: Any) -> "ThreadPool":
-        return ThreadPool(tuple((t, entry if t == tid else e) for t, e in self.threads))
+        i = self._index(tid)
+        if self.threads[i][1] is entry:
+            return self
+        return ThreadPool(self.threads[:i] + ((tid, entry),) + self.threads[i + 1 :], self.ids)
 
     def remove(self, tid: int) -> "ThreadPool":
-        return ThreadPool(tuple((t, e) for t, e in self.threads if t != tid))
+        i = self._index(tid)
+        return ThreadPool(self.threads[:i] + self.threads[i + 1 :], self.ids[:i] + self.ids[i + 1 :])
 
     def extend(self, entry: Any) -> tuple["ThreadPool", int]:
         """Add a thread under the fresh id max(dom)+1."""
-        new_tid = max((t for t, _ in self.threads), default=-1) + 1
-        return ThreadPool(self.threads + ((new_tid, entry),)), new_tid
+        new_tid = self.ids[-1] + 1 if self.ids else 0
+        return ThreadPool(self.threads + ((new_tid, entry),), self.ids + (new_tid,)), new_tid
 
 
 EMPTY_POOL = ThreadPool(())
@@ -179,18 +197,17 @@ class RoundRobinScheduler:
         tids = pool.tids()
         if not trace:
             return tids[self.offset % len(tids)]
-        last = trace[-1].label.tid
-        for t in tids:
-            if t > last:
-                return t
-        return tids[0]
+        i = bisect_right(tids, trace[-1].label.tid)
+        return tids[i] if i < len(tids) else tids[0]
 
 
 class RandomFairScheduler:
     """Random choice with a forced pick once a thread nears its deadline.
 
-    Stateless: each decision is a pure function of (seed, trace, pool), so a
-    run is reproducible from the seed alone.
+    Each decision is a pure function of (seed, trace, pool), so a run is
+    reproducible from the seed alone.  Ages (steps since a thread last stepped
+    or was born) come from a run history, a cache that reads each new trace
+    step once and starts over when handed a different or shorter trace.
     """
 
     def __init__(self, seed: int, window: int):
@@ -198,32 +215,28 @@ class RandomFairScheduler:
             raise ValueError("window must be >= 1")
         self.seed = seed
         self.window = window
+        self._trace: list[TraceStep] | None = None  # the trace the history is for
+        self._seen = 0  # how many of its steps it covers
+        self._last: dict[int, int] = {}  # tid -> index of its last step or birth
 
-    @staticmethod
-    def ages(trace: list[TraceStep], tids: tuple[int, ...]) -> dict[int, int]:
-        """Steps since each of `tids` last stepped (or was born).
-
-        One backward pass over the trace, which stops once every age is known.
-        """
-        ages: dict[int, int] = {}
-        pending = set(tids)
-        for depth, step in enumerate(reversed(trace)):
-            if not pending:
-                break
-            present = set(step.before.tids())
-            for tid in [t for t in pending if t == step.label.tid or t not in present]:
-                ages[tid] = depth
-                pending.remove(tid)
-        ages.update(dict.fromkeys(pending, len(trace)))
-        return ages
+    def _history(self, trace: list[TraceStep]) -> dict[int, int]:
+        if trace is not self._trace or len(trace) < self._seen:
+            self._trace, self._seen, self._last = trace, 0, {}
+        last = self._last
+        for j in range(self._seen, len(trace)):
+            step = trace[j]
+            last[step.label.tid] = j
+            if len(step.after.ids) > len(step.before.ids):
+                last[step.after.ids[-1]] = j  # born at a fork step
+        self._seen = len(trace)
+        return last
 
     def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int:
         tids = pool.tids()
-        deadline = max(1, self.window - len(tids))
-        ages = self.ages(trace, tids)
-        oldest_age, neg_tid = max((ages[t], -t) for t in tids)
-        if oldest_age >= deadline:
-            return -neg_tid
+        lasts = list(map(self._history(trace).get, tids, repeat(-1)))
+        first = min(lasts)
+        if len(trace) - 1 - first >= max(1, self.window - len(tids)):
+            return tids[lasts.index(first)]  # the oldest thread, lowest id first
         rng = random.Random(self.seed * 1_000_003 + len(trace))
         return rng.choice(tids)
 
@@ -277,18 +290,22 @@ def is_fair_prefix(trace: list[TraceStep], window: int) -> bool:
 
     Every thread alive at step k must step at some j in [k, k+window); windows
     that extend past the end of the trace cannot be judged and pass vacuously.
+    One pass over a trace whose steps chain: per live thread, the first step
+    at which it has been waiting since it last stepped or was born.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    n = len(trace)
-    for k in range(n):
-        if k + window > n:
-            break
-        scheduled = {trace[j].label.tid for j in range(k, k + window)}
-        for tid in trace[k].before.tids():
-            if tid not in scheduled:
-                return False
-    return True
+    waiting = dict.fromkeys(trace[0].before.tids(), 0) if trace else {}
+    for j, step in enumerate(trace):
+        tid = step.label.tid
+        if j - waiting.pop(tid, j) >= window:
+            return False
+        before, after = len(step.before.ids), len(step.after.ids)
+        if after >= before:
+            waiting[tid] = j + 1  # the thread outlives its step (no exit, no end)
+        if after > before:
+            waiting[step.after.ids[-1]] = j + 1
+    return all(k + window > len(trace) for k in waiting.values())
 
 
 # --- exact divergence oracle -------------------------------------------------
@@ -463,8 +480,8 @@ def fuel_bound(c: Command, window: int = 0) -> int:
 
 
 def pool_str(pool: ThreadPool, printer: Printer) -> str:
-    inner = ",".join(f"{tid}:{printer.continuation(k)}" for tid, k in pool.threads)
-    return "{%s}" % inner
+    texts = printer.each(pool.threads, lambda pair: f"{pair[0]}:{printer.continuation(pair[1])}")
+    return "{%s}" % ",".join(texts)
 
 
 def serialize_trace(trace: list[TraceStep]) -> str:

@@ -6,6 +6,7 @@ import busycheck.cli
 import busycheck.semantics
 from busycheck.cli import main
 from busycheck.lang import parse
+from busycheck.proofs import check_proof, load_certificate
 from busycheck.semantics import fuel_bound
 
 # k x m interleaving programs with k = m = 2: the twin ends every thread in
@@ -152,6 +153,49 @@ def test_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, text):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_check_proof_checks_the_claim_not_only_the_rules(tmp_path, capsys):
+    # every node instantiates its rule, but the root proves {false} loop skip
+    # {obs(0)}: a vacuous triple, not {obs(0)} c {obs(0)}
+    cert = tmp_path / "vacuous.json"
+    cert.write_text(
+        '{"rule":"ViewShift","pre":"false","cmd":"loop skip","post":"obs(0)","premises":'
+        '[{"rule":"Loop","pre":"obs(0) * credit","cmd":"loop skip","post":"false",'
+        '"premises":[],"ruleData":null}],'
+        '"ruleData":{"innerPre":"obs(0) * credit","innerPost":"false"}}'
+    )
+    assert check_proof(load_certificate(str(cert))) is None  # the library checks rules only
+    assert main(["check-proof", str(cert)]) == 1
+    assert capsys.readouterr().out == (
+        "RuleViolation root: certificate does not prove {obs(0)} c {obs(0)}\n"
+    )
+
+
+def _nest(depth):
+    return "fork { " * depth + "exit" + " }" * depth + "; loop skip"
+
+
+def _long(length):
+    return "fork { exit }; " * length + "loop skip"
+
+
+@pytest.mark.parametrize("command", ["parse", "verify", "trace"])
+@pytest.mark.parametrize("n", [1000, 10_000])
+@pytest.mark.parametrize("shape", [_nest, _long], ids=["depth", "length"])
+def test_deep_or_long_input_exits_2_with_one_line(command, n, shape, capsys):
+    assert main([command, "-e", shape(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"{command}: ") and "recursion limit" in err
+
+
+@pytest.mark.parametrize("program", [_nest(150), _long(300)], ids=["depth", "length"])
+def test_programs_below_the_recursion_limit_still_work(program, capsys):
+    for command in ("parse", "verify", "trace"):
+        assert main([command, "-e", program]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_check_proof_of_a_400_fork_certificate(tmp_path, capsys):

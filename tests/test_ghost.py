@@ -27,11 +27,13 @@ from busycheck.ghost import (
     run_annotated,
     serialize_annotated_trace,
 )
-from busycheck.lang import DONE, LOOP_SKIP, SeqCont, parse, to_continuation
+from busycheck.lang import DONE, LOOP_SKIP, Printer, SeqCont, parse, to_continuation
 from busycheck.proofs import tree_size, verify
 from busycheck.semantics import (
     FuelExhausted,
     ThreadPool,
+    TraceStep,
+    fuel_bound,
     UnknownThreadError,
     Terminated,
     initial_pool,
@@ -292,6 +294,38 @@ def test_annotate_starts_from_the_traces_own_continuation(waiting_pair):
     atrace = annotate(waiting_pair, verify(waiting_pair), trace)
     assert atrace.initial.get(0).cont is trace[0].before.get(0)
     assert serialize_trace(project(atrace)) == serialize_trace(trace)
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_annotate_checks_every_step_against_the_plain_pool(two_level_fork, index):
+    # the erased pool annotate keeps next to the annotated one must meet the
+    # plain trace's pool after every step: tamper with one `after` pool
+    proof, trace, _ = _annotated(two_level_fork, tids=[0, 1, 2, 0, 0, 0])
+    step = trace[index]
+    if step.after.is_empty():
+        wrong = ThreadPool.of({0: LOOP_CONT})
+    else:
+        tid = step.after.tids()[-1]
+        wrong = step.after.replace(tid, SeqCont(LOOP_SKIP, step.after.get(tid)))
+    trace[index] = TraceStep(step.before, step.label, wrong)
+    with pytest.raises(AnnotationError, match="diverged from the plain trace"):
+        annotate(two_level_fork, proof, trace)
+
+
+def test_annotated_trace_printing_renders_each_pool_entry_once(monkeypatch):
+    # a cost count: rendered entries grow with the steps, not with the steps
+    # times the threads
+    rendered = []
+    continuation = Printer.continuation
+    monkeypatch.setattr(Printer, "continuation", lambda self, k: rendered.append(k) or continuation(self, k))
+    for n in (10, 40):
+        c = parse("; ".join(["fork { loop skip }"] * n) + "; exit")
+        _, _, atrace = _annotated(c, fuel=fuel_bound(c))
+        rendered.clear()
+        text = serialize_annotated_trace(atrace)
+        assert len(rendered) <= len(atrace.steps) + 1
+        assert sum(len(s.before.threads) for s in atrace.steps) > 10 * len(rendered)
+        assert text.count("\n") + 1 == len(atrace.steps)
 
 
 def test_annotate_rejects_a_trace_of_another_program(waiting_pair):

@@ -8,6 +8,7 @@ from busycheck.lang import (
     EXIT,
     LOOP_SKIP,
     Fork,
+    Printer,
     Seq,
     SeqCont,
     parse,
@@ -173,6 +174,42 @@ def _age_by_scan(trace, tid):
     return age
 
 
+def _reference_ages(trace, tids):
+    """Steps since each of `tids` last stepped (or was born).
+
+    The random scheduler's ages before it kept a run history: one backward
+    pass over the trace, which stops once every age is known.
+    """
+    ages = {}
+    pending = set(tids)
+    for depth, step in enumerate(reversed(trace)):
+        if not pending:
+            break
+        present = set(step.before.tids())
+        for tid in [t for t in pending if t == step.label.tid or t not in present]:
+            ages[tid] = depth
+            pending.remove(tid)
+    ages.update(dict.fromkeys(pending, len(trace)))
+    return ages
+
+
+class _ReferenceRandomFair:
+    """`RandomFairScheduler.pick` computed from `_reference_ages`."""
+
+    def __init__(self, seed, window):
+        self.seed, self.window = seed, window
+
+    def pick(self, trace, pool):
+        tids = pool.tids()
+        deadline = max(1, self.window - len(tids))
+        ages = _reference_ages(trace, tids)
+        oldest_age, neg_tid = max((ages[t], -t) for t in tids)
+        if oldest_age >= deadline:
+            return -neg_tid
+        rng = random.Random(self.seed * 1_000_003 + len(trace))
+        return rng.choice(tids)
+
+
 class _UniformScheduler:
     def __init__(self, seed):
         self.rng = random.Random(seed)
@@ -188,10 +225,146 @@ def test_random_fair_ages_match_per_thread_scan():
         _, trace = run(initial_pool(c), _UniformScheduler(i), 80)
         pools = [s.before for s in trace] + [trace[-1].after]
         for n, pool in enumerate(pools):
-            ages = RandomFairScheduler.ages(trace[:n], pool.tids())
+            ages = _reference_ages(trace[:n], pool.tids())
             assert ages == {t: _age_by_scan(trace[:n], t) for t in pool.tids()}
             checked += len(ages)
     assert checked > 1000
+
+
+def _schedule(pool, scheduler, fuel):
+    return [s.label.tid for s in run(pool, scheduler, fuel)[1]]
+
+
+@pytest.mark.parametrize("window", [1, 3, 16])
+def test_random_fair_schedules_match_the_reference_on_every_program_of_up_to_5_atoms(window):
+    forced = 0
+    for c in enumerate_programs(5):
+        fuel = fuel_bound(c, window)
+        for seed in range(4):
+            got = _schedule(initial_pool(c), random_fair(seed, window), fuel)
+            assert got == _schedule(initial_pool(c), _ReferenceRandomFair(seed, window), fuel), c
+            forced += len(got)
+    assert forced > 1000
+
+
+@pytest.mark.parametrize("window", [1, 3, 16])
+def test_random_fair_schedules_match_the_reference_on_waiters(window):
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 60):
+        c = parse("; ".join(["fork { loop skip }"] * n) + "; exit")
+        for seed in range(4):
+            got = _schedule(initial_pool(c), random_fair(seed, window), fuel_bound(c, window))
+            want = _schedule(initial_pool(c), _ReferenceRandomFair(seed, window), fuel_bound(c, window))
+            assert got == want, (n, seed)
+
+
+@pytest.mark.parametrize("window", [1, 5])
+def test_random_fair_history_is_rebuilt_for_another_or_a_shorter_trace(window):
+    # one scheduler, handed prefixes in random order (new lists, and the same
+    # list cut short) and other runs' traces, picks what the reference picks
+    sched, rng = random_fair(2, window), random.Random(window)
+    for i, c in enumerate(_generated(seed=25, count=30)):
+        _, trace = run(initial_pool(c), _UniformScheduler(i), 60)
+        cuts = list(range(len(trace)))
+        rng.shuffle(cuts)
+        for n in cuts:
+            want = _ReferenceRandomFair(2, window).pick(trace[:n], trace[n].before)
+            assert sched.pick(trace[:n], trace[n].before) == want
+        for n in sorted(cuts, reverse=True):
+            del trace[n + 1 :]
+            if not trace[-1].after.is_empty():
+                want = _ReferenceRandomFair(2, window).pick(trace[:], trace[-1].after)
+                assert sched.pick(trace, trace[-1].after) == want
+
+
+def test_pool_operations_match_a_dict_reference():
+    rng = random.Random(7)
+    for _ in range(150):
+        pool, ref = ThreadPool.of({}), {}
+        for step in range(40):
+            op = rng.choice("ggrrex")
+            tid = rng.randrange(-1, max(ref, default=0) + 3)
+            entry = ("entry", step)
+            if op == "x":
+                pool, new = pool.extend(entry)
+                assert new == max(ref, default=-1) + 1
+                ref[new] = entry
+            elif tid not in ref:
+                call = {"g": pool.get, "r": lambda t: pool.replace(t, 0), "e": pool.remove}[op]
+                with pytest.raises(UnknownThreadError):
+                    call(tid)
+            elif op == "g":
+                assert pool.get(tid) is ref[tid]
+            else:
+                old = pool
+                if op == "r":
+                    pool = pool.replace(tid, entry)
+                    ref[tid] = entry
+                else:
+                    pool = pool.remove(tid)
+                    del ref[tid]
+                # every untouched pair object is shared with the old pool
+                kept = {t: pair for t, pair in zip(old.tids(), old.threads) if t != tid}
+                assert all(pair is kept[t] for t, pair in zip(pool.tids(), pool.threads) if t != tid)
+            fresh = ThreadPool.of(ref)
+            assert pool == fresh and hash(pool) == hash(fresh)
+            assert pool.tids() == fresh.tids() == tuple(sorted(ref))
+            assert [pool.get(t) for t in ref] == list(ref.values())
+
+
+def test_pool_replace_with_the_same_entry_is_the_same_pool():
+    assert TWO_LOOPERS.replace(1, LOOP_CONT) is TWO_LOOPERS
+    assert TWO_LOOPERS.replace(1, EXIT_CONT) != TWO_LOOPERS
+
+
+def test_pool_equality_and_hash_ignore_the_carried_ids():
+    threads = ((0, LOOP_CONT), (3, EXIT_CONT))
+    plain, odd = ThreadPool(threads), ThreadPool(threads, (5, 9))
+    assert plain.tids() == (0, 3)
+    assert plain == odd and hash(plain) == hash(odd) and repr(plain) == repr(odd)
+    assert {plain: "found"}[odd] == "found"
+    assert ThreadPool(threads[:1], (0, 3)) != plain
+
+
+def _fair_by_windows(trace, window):
+    """`is_fair_prefix` as one window per step: the definition it implements."""
+    n = len(trace)
+    for k in range(n):
+        if k + window > n:
+            break
+        scheduled = {trace[j].label.tid for j in range(k, k + window)}
+        for tid in trace[k].before.tids():
+            if tid not in scheduled:
+                return False
+    return True
+
+
+def test_is_fair_prefix_agrees_with_the_windowed_definition():
+    verdicts = set()
+    for i, c in enumerate(_generated(seed=24, count=80, max_atoms=10)):
+        for sched in (round_robin(), rotated_round_robin(i), random_fair(i, 6), _UniformScheduler(i)):
+            _, trace = run(initial_pool(c), sched, 50)
+            for n in {len(trace), len(trace) // 2, 7}:
+                for window in range(1, 12):
+                    got = is_fair_prefix(trace[:n], window)
+                    assert got == _fair_by_windows(trace[:n], window), (c, i, n, window)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_trace_printing_renders_each_pool_entry_once(monkeypatch):
+    # a cost count: rendered entries grow with the steps, not with the steps
+    # times the threads (which every step's pool would cost printed afresh)
+    rendered = []
+    continuation = Printer.continuation
+    monkeypatch.setattr(Printer, "continuation", lambda self, k: rendered.append(k) or continuation(self, k))
+    for n in (10, 40):
+        c = parse("; ".join(["fork { loop skip }"] * n) + "; exit")
+        _, trace = run(initial_pool(c), round_robin(), fuel_bound(c))
+        rendered.clear()
+        text = serialize_trace(trace)
+        assert len(rendered) <= len(trace) + 1
+        assert sum(len(s.before.threads) for s in trace) > 10 * len(rendered)
+        assert text.count("\n") + 1 == len(trace)
 
 
 def test_oracle_examples():
