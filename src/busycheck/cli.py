@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_run)
 
-    p = subs.add_parser("verify", help="search for a termination proof")
+    p = subs.add_parser("verify", help="build a termination proof")
     _add_program_arg(p)
     p.add_argument("--emit-cert", metavar="FILE", help="write the certificate as JSON")
     p.add_argument("--json", action="store_true")

@@ -100,21 +100,6 @@ def _is_normal(c: Command) -> bool:
     return True
 
 
-def last_atom(c: Command) -> Command:
-    while isinstance(c, Seq):
-        c = c.second
-    return c
-
-
-def size(c: Command) -> int:
-    """Total number of atomic commands, counting inside fork bodies."""
-    if isinstance(c, Seq):
-        return size(c.first) + size(c.second)
-    if isinstance(c, Fork):
-        return 1 + size(c.body)
-    return 1
-
-
 def seq_of(atoms: list[Command]) -> Command:
     """Right-associated sequence of the given atoms (must be non-empty)."""
     if not atoms:

@@ -1,4 +1,4 @@
-"""Hoare-triple proof objects, the certificate checker, and proof search.
+"""Hoare-triple proof objects, the certificate checker, and proof construction.
 
 The proof system has six rules.  Exit discharges a whole obligations chunk:
 {obs(n)} exit {false}.  Loop justifies busy-waiting and demands a credit but
@@ -11,11 +11,51 @@ triple by view shifts, and Frame adds an obligation-free frame (a chunk can
 never be framed: threads hold exactly one).
 
 `check_proof` validates a proof tree node by node and reports the first
-violation with its root-to-leaf path.  `derive` searches for a proof of
-{obs(n)} c {obs(0)} by symbolic execution over single-chunk ghost states
-(obligations, credits), trying ghost pair moves and fork splits smallest
-first, so the returned certificate is minimal; the regression suite pins
-the exact certificate shape for `fork { exit }; loop skip`.
+violation with its root-to-leaf path.  `derive` builds a proof of
+{obs(n)} c {obs(0)} in one pass over single-chunk ghost states (o, k), read
+obs(o) * credit^k.  The regression suite pins the exact certificate for
+`fork { exit }; loop skip`.
+
+Feasibility.  Each thread body and each suffix of one has a pair
+(absorbing, need): `exit` gives (True, 0) and `loop skip` (False, 1),
+whatever follows; `fork { b }` followed by the rest r gives
+(A_b or A_r, N_b + N_r), an empty rest being (False, 0).  So a command is
+absorbing iff a thread of its spawn tree stops at `exit`, and need counts
+the threads that stop at `loop skip`.  A state (o, k) is *feasible* when the
+command is absorbing or k - o >= need.  An infeasible state has no proof:
+without an exit, pair moves keep k - o, forks split it, credits can only be
+dropped, and each loop skip consumes one.  So `derive` returns None iff
+`not absorbing and -n < need`; at n = 0 that is exactly the spawn tree's
+divergence test, which the tests check and this module does not import.
+
+Construction.  Walk each thread's spine from its start state, (n, 0) for
+the root.  `exit` runs from (o, 0) and `loop skip` from (0, 1) (feasibility
+gives k >= o + 1), both reached by a view shift; after either, the rest is
+unreachable and is proved from `false` through the state
+(0, 0 if absorbing else need) of the rest.  A fork adds delta ghost pairs,
+hands (co, cc) of (o + delta, k + delta) to the child and keeps the rest.
+With D = N_r - (k - o):
+
+- b and r both absorbing: delta = 0, (co, cc) = (0, 0).
+- b not absorbing: delta = max(0, N_b - k), (co, cc) = (0, N_b).
+- only b absorbing: delta = 0 and (0, 0) if D <= 0, else
+  delta = max(0, D - o) and (co, cc) = (D, 0).
+
+Every choice leads only to feasible successors: the split fits in
+(o + delta, k + delta); the child gets cc - co = N_b or is absorbing; when
+r does not absorb, the parent keeps (k - o) - (cc - co) >= N_r, in the
+second case because its state was feasible and b does not absorb, in the
+third by the choice of D.  So a trailing fork (r = (False, 0)) shifts to
+obs(0).  By induction over the
+spine and the spawn tree, a feasible start always yields a proof.
+
+It is also the smallest choice: in the order ghost delta 0, 1, -1, 2, -2,
+..., then splits by ascending co + cc, then ascending co, it is the first
+with feasible successors.  The child's need fixes cc - co >= N_b, or the
+parent's fixes co - cc >= D; the least total puts all of it on one side,
+and it fits from the least delta >= 0 on.  A negative delta only shrinks
+the splits, so it never wins.  The tests keep the backtracking search over
+that order as a reference, and their certificates agree byte for byte.
 """
 
 from __future__ import annotations
@@ -33,7 +73,6 @@ from .assertions import (
     OBS_ZERO,
     Star,
     flat_add,
-    flat_eq,
     normalize as normalize_assertion,
     parse_assertion,
     pretty_assertion,
@@ -47,10 +86,8 @@ from .lang import (
     LoopSkip,
     Printer,
     Seq,
-    last_atom,
     normalize,
     parse,
-    size,
 )
 
 # Not called here: the exact view-shift rule has no third answer.  The old
@@ -124,19 +161,46 @@ class RuleViolation:
 
 
 def tree_size(t: ProofTree) -> int:
-    return 1 + sum(tree_size(p) for p in t.premises)
+    """Nodes of `t`, a premise shared by two nodes counted twice; iterative."""
+    count, todo = 0, [t]
+    while todo:
+        node = todo.pop()
+        count += 1
+        todo.extend(node.premises)
+    return count
 
 
 # --- certificate checking ------------------------------------------------------
 
 
 def check_proof(t: ProofTree) -> RuleViolation | None:
-    """None when every node instantiates its rule schema; first failure otherwise."""
-    return _check_node(t, ())
+    """None when every node instantiates its rule schema; first failure otherwise.
 
-
-def _violation(path: tuple[int, ...], reason: str) -> RuleViolation:
-    return RuleViolation(path, reason)
+    Nodes are checked in pre-order (a node, then its premises left to right),
+    iteratively, so any depth works.  `open_nodes[d]` is the node at depth d
+    of the current path and `next_premise[d]` the index of its premise to
+    visit next; the path is read off them only when a node fails.
+    """
+    reason = _node_fault(t)
+    if reason is not None:
+        return RuleViolation((), reason)
+    open_nodes, next_premise = [t], [0]
+    while open_nodes:
+        premises = open_nodes[-1].premises
+        i = next_premise[-1]
+        if i == len(premises):
+            open_nodes.pop()
+            next_premise.pop()
+            continue
+        next_premise[-1] = i + 1
+        p = premises[i]
+        reason = _node_fault(p)
+        if reason is not None:
+            return RuleViolation(tuple(j - 1 for j in next_premise), reason)
+        if p.premises:
+            open_nodes.append(p)
+            next_premise.append(0)
+    return None
 
 
 def _single_chunk(f) -> bool:
@@ -151,301 +215,215 @@ def _has_obs_atom(a: Assertion) -> bool:
     return False
 
 
-def _check_node(t: ProofTree, path: tuple[int, ...]) -> RuleViolation | None:
+def _node_fault(t: ProofTree) -> str | None:
+    """Why `t` does not instantiate its rule given its premises' conclusions, or None."""
     c = t.conclusion
     want = _PREMISE_COUNT.get(t.rule)
     if want is None:
-        return _violation(path, f"unknown rule {t.rule!r}")
+        return f"unknown rule {t.rule!r}"
     if len(t.premises) != want:
-        return _violation(path, f"{t.rule.value} takes {want} premises, got {len(t.premises)}")
+        return f"{t.rule.value} takes {want} premises, got {len(t.premises)}"
 
     npre = normalize_assertion(c.pre)
     npost = normalize_assertion(c.post)
 
     if t.rule is Rule.EXIT:
         if not isinstance(c.cmd, Exit):
-            return _violation(path, "Exit rule applied to a non-exit command")
+            return "Exit rule applied to a non-exit command"
         if not (_single_chunk(npre) and npre.credits == 0):
-            return _violation(path, "Exit precondition must be obs(n)")
+            return "Exit precondition must be obs(n)"
         if not isinstance(npost, Bottom):
-            return _violation(path, "Exit postcondition must be false")
+            return "Exit postcondition must be false"
     elif t.rule is Rule.LOOP:
         if not isinstance(c.cmd, LoopSkip):
-            return _violation(path, "Loop rule applied to a non-loop command")
+            return "Loop rule applied to a non-loop command"
         if npre != Flat((0,), 1):
-            return _violation(path, "Loop precondition must be obs(0) * credit")
+            return "Loop precondition must be obs(0) * credit"
         if not isinstance(npost, Bottom):
-            return _violation(path, "Loop postcondition must be false")
+            return "Loop postcondition must be false"
     elif t.rule is Rule.FORK:
         if not isinstance(c.cmd, Fork):
-            return _violation(path, "Fork rule applied to a non-fork command")
+            return "Fork rule applied to a non-fork command"
         if not isinstance(t.data, ForkSplit):
-            return _violation(path, "Fork node carries no resource split")
+            return "Fork node carries no resource split"
         p = t.premises[0]
         if p.conclusion.cmd != c.cmd.body:
-            return _violation(path, "Fork premise command is not the fork body")
+            return "Fork premise command is not the fork body"
         if normalize_assertion(p.conclusion.pre) != Flat((t.data.child_obs,), t.data.child_credits):
-            return _violation(path, "Fork premise precondition does not match the split")
+            return "Fork premise precondition does not match the split"
         if normalize_assertion(p.conclusion.post) != Flat((0,), 0):
-            return _violation(path, "forked thread must end with obs(0)")
+            return "forked thread must end with obs(0)"
         if not _single_chunk(npost):
-            return _violation(path, "Fork postcondition must be obs(n) * credit^k")
+            return "Fork postcondition must be obs(n) * credit^k"
         if npre != Flat(
             (t.data.child_obs + npost.obs[0],), t.data.child_credits + npost.credits
         ):
-            return _violation(path, "Fork precondition must be the sum of split and remainder")
+            return "Fork precondition must be the sum of split and remainder"
     elif t.rule is Rule.SEQ:
         if not isinstance(c.cmd, Seq):
-            return _violation(path, "Seq rule applied to a non-sequence command")
+            return "Seq rule applied to a non-sequence command"
         p1, p2 = t.premises
         if p1.conclusion.cmd != c.cmd.first or p2.conclusion.cmd != c.cmd.second:
-            return _violation(path, "Seq premise commands do not match the sequence")
+            return "Seq premise commands do not match the sequence"
         if normalize_assertion(p1.conclusion.pre) != npre:
-            return _violation(path, "Seq precondition does not match first premise")
+            return "Seq precondition does not match first premise"
         if normalize_assertion(p1.conclusion.post) != normalize_assertion(p2.conclusion.pre):
-            return _violation(path, "Seq middle assertion mismatch")
+            return "Seq middle assertion mismatch"
         if normalize_assertion(p2.conclusion.post) != npost:
-            return _violation(path, "Seq postcondition does not match second premise")
+            return "Seq postcondition does not match second premise"
     elif t.rule is Rule.VIEW_SHIFT:
         if not isinstance(t.data, ShiftData):
-            return _violation(path, "ViewShift node carries no intermediate assertions")
+            return "ViewShift node carries no intermediate assertions"
         p = t.premises[0]
         if p.conclusion.cmd != c.cmd:
-            return _violation(path, "ViewShift premise command differs from conclusion")
+            return "ViewShift premise command differs from conclusion"
         if normalize_assertion(p.conclusion.pre) != normalize_assertion(t.data.inner_pre):
-            return _violation(path, "ViewShift premise precondition mismatch")
+            return "ViewShift premise precondition mismatch"
         if normalize_assertion(p.conclusion.post) != normalize_assertion(t.data.inner_post):
-            return _violation(path, "ViewShift premise postcondition mismatch")
+            return "ViewShift premise postcondition mismatch"
         if not view_shift(c.pre, t.data.inner_pre):
-            return _violation(path, "pre-side view shift invalid")
+            return "pre-side view shift invalid"
         if not view_shift(t.data.inner_post, c.post):
-            return _violation(path, "post-side view shift invalid")
+            return "post-side view shift invalid"
     elif t.rule is Rule.FRAME:
         if not isinstance(t.data, FrameData):
-            return _violation(path, "Frame node carries no frame assertion")
+            return "Frame node carries no frame assertion"
         if _has_obs_atom(t.data.frame):
-            return _violation(path, "frames must not contain obs atoms")
+            return "frames must not contain obs atoms"
         p = t.premises[0]
         if p.conclusion.cmd != c.cmd:
-            return _violation(path, "Frame premise command differs from conclusion")
+            return "Frame premise command differs from conclusion"
         if npre != flat_add(normalize_assertion(p.conclusion.pre), normalize_assertion(t.data.frame)):
-            return _violation(path, "Frame precondition is not premise * frame")
+            return "Frame precondition is not premise * frame"
         if npost != flat_add(normalize_assertion(p.conclusion.post), normalize_assertion(t.data.frame)):
-            return _violation(path, "Frame postcondition is not premise * frame")
-
-    for i, p in enumerate(t.premises):
-        bad = _check_node(p, path + (i,))
-        if bad is not None:
-            return bad
+            return "Frame postcondition is not premise * frame"
     return None
 
 
-# --- proof search ----------------------------------------------------------------
-
-_DeadState = None  # symbolic state after a verified exit or loop: assertion `false`
+# --- proof construction ----------------------------------------------------------
 
 
-def _deadly(atom: Command) -> bool:
-    return isinstance(atom, (Exit, LoopSkip))
+def _features(c: Command) -> dict[int, tuple[bool, int]]:
+    """(absorbing, need) of every spine suffix of `c` and of its fork bodies, by id.
 
-
-class _Search:
-    """Bounded search for {obs(o) * credit^c} cmd {obs(0)} derivations.
-
-    Symbolic state is the thread's single chunk value plus credit count; the
-    dead state (after exit/loop, assertion `false`) is None.  Ghost pair
-    moves per atom are bounded by the root command's atom count, which
-    suffices: extra introductions only ever add matched pairs.
-
-    Branches are pruned by an exact feasibility measure.  A command is
-    *absorbing* when its live path ends in exit, directly or through a live
-    fork child: such a thread can discharge any chunk.  Otherwise ghost pair
-    moves preserve credits-minus-obligations, splits distribute it, and each
-    live busy-wait ending consumes one credit, so a state (o, c) works iff
-    c - o covers the count of live loop endings.
+    Post-order without recursion, built like `lang.normalize`: every spine is
+    listed before the spines of the fork bodies on it, and the list is read
+    back to front, each spine from its last atom to its first.
     """
-
-    def __init__(self, intro_budget: int):
-        self.intro_budget = intro_budget
-        self.memo: dict = {}
-        self.features: dict[int, tuple[bool, int]] = {}
-
-    def _features(self, cmd: Command) -> tuple[bool, int]:
-        """(absorbing, credits needed) of `cmd` run as a thread body."""
-        cached = self.features.get(id(cmd))
-        if cached is not None:
-            return cached
-        if isinstance(cmd, Seq):
-            head, rest = cmd.first, cmd.second
-            if isinstance(head, Exit):
-                result = (True, 0)
-            elif isinstance(head, LoopSkip):
-                result = (False, 1)
+    spines: list[list[Command]] = []
+    todo = [c]
+    while todo:
+        suffix = todo.pop()
+        spine = [suffix]
+        while isinstance(suffix, Seq):
+            if isinstance(suffix.first, Fork):
+                todo.append(suffix.first.body)
+            suffix = suffix.second
+            spine.append(suffix)
+        if isinstance(suffix, Fork):
+            todo.append(suffix.body)
+        spines.append(spine)
+    features: dict[int, tuple[bool, int]] = {}
+    for spine in reversed(spines):
+        rest = (False, 0)  # past the last atom: nothing absorbs, nothing waits
+        for suffix in reversed(spine):
+            atom = suffix.first if isinstance(suffix, Seq) else suffix
+            if isinstance(atom, Exit):
+                rest = (True, 0)
+            elif isinstance(atom, LoopSkip):
+                rest = (False, 1)
             else:
-                absorbing_body, need_body = self._features(head.body)
-                absorbing_rest, need_rest = self._features(rest)
-                result = (absorbing_body or absorbing_rest, need_body + need_rest)
-        elif isinstance(cmd, Exit):
-            result = (True, 0)
-        elif isinstance(cmd, LoopSkip):
-            result = (False, 1)
-        else:
-            result = self._features(cmd.body)
-        self.features[id(cmd)] = result
-        return result
+                absorbing, need = features[id(atom.body)]
+                rest = (absorbing or rest[0], need + rest[1])
+            features[id(suffix)] = rest
+    return features
 
-    def feasible(self, cmd: Command, obs_count: int, credit_count: int) -> bool:
-        absorbing, need = self._features(cmd)
-        return absorbing or credit_count - obs_count >= need
 
-    def thread(self, obs_count: int, credit_count: int, cmd: Command) -> ProofTree | None:
-        """Derivation of {obs(o) * credit^c} cmd {obs(0)}, or None."""
-        key = (id(cmd), obs_count, credit_count)
-        if key in self.memo:
-            return self.memo[key]
-        required = FALSE if _deadly(last_atom(cmd)) else OBS_ZERO
-        t = self.seq((obs_count, credit_count), cmd, required)
-        if t is not None and required is FALSE:
-            t = _wrap(t, t.conclusion.pre, OBS_ZERO)
-        self.memo[key] = t
-        return t
+def _fork_choice(o: int, k: int, body: tuple[bool, int], rest: tuple[bool, int]):
+    """(delta, child_obs, child_credits) for a fork run in the feasible state
+    (o, k), given the (absorbing, need) of its body and of the atoms after it."""
+    body_absorbing, body_need = body
+    if not body_absorbing:
+        return max(0, body_need - k), 0, body_need
+    rest_absorbing, rest_need = rest
+    short = rest_need - (k - o)
+    if rest_absorbing or short <= 0:
+        return 0, 0, 0
+    return max(0, short - o), short, 0
 
-    def seq(self, state, cmd: Command, required: Assertion) -> ProofTree | None:
-        key = (id(cmd), state, required is FALSE)
-        if key in self.memo:
-            return self.memo[key]
-        t = self._seq_uncached(state, cmd, required)
-        self.memo[key] = t
-        return t
 
-    def _seq_uncached(self, state, cmd: Command, required: Assertion) -> ProofTree | None:
-        if state is _DeadState:
-            # unreachable code after exit/loop: conjure the weakest workable
-            # start from `false`; obligations only burden, so none are taken
-            absorbing, need = self._features(cmd)
-            t = self.seq((0, 0 if absorbing else need), cmd, required)
-            if t is None:
-                return None
-            return _wrap_dead(t, required)
-        if not self.feasible(cmd, *state):
-            return None
+def derive(c: Command, n: int) -> ProofTree | None:
+    """The proof of {obs(n)} c {obs(0)} built in one pass, or None when the
+    start state (n, 0) is infeasible for `c` and so no proof exists.
 
-        if isinstance(cmd, Seq):
-            first, rest = cmd.first, cmd.second
-        else:
-            first, rest = cmd, None
-        for state1, node1, after in self._atom_options(state, first, rest):
+    Iterative at any depth and length.  A forward walk fixes every thread's
+    states and every fork's choice, parents before children; the trees are
+    then built back to front, children first.
+    """
+    c = normalize(c)
+    features = _features(c)
+    absorbing, need = features[id(c)]
+    if not absorbing and -n < need:
+        return None
+    threads = [(c, (n, 0))]  # (body, start state); a fork's child comes later
+    walks = []
+    for body, state in threads:  # grows while it is walked
+        walk, suffix = [], body
+        while True:
+            atom, rest = (suffix.first, suffix.second) if isinstance(suffix, Seq) else (suffix, None)
+            dead = state is None  # code after an exit or a loop skip
+            if dead:
+                absorbing, need = features[id(suffix)]
+                state = (0, 0 if absorbing else need)
+            o, k = state
+            start, after, child = ((o, 0) if isinstance(atom, Exit) else (0, 1)), None, None
+            if isinstance(atom, Fork):
+                r = (False, 0) if rest is None else features[id(rest)]
+                delta, co, cc = _fork_choice(o, k, features[id(atom.body)], r)
+                start, after = (o + delta, k + delta), (o + delta - co, k + delta - cc)
+                child = len(threads)
+                threads.append((atom.body, (co, cc)))
+            walk.append((suffix, atom, state, start, after, dead, child))
             if rest is None:
-                t = self._finish_atom(node1, after, required)
+                break
+            suffix, state = rest, after
+        walks.append(walk)
+
+    proofs: list[ProofTree | None] = [None] * len(threads)
+    for i in reversed(range(len(threads))):
+        required = OBS_ZERO if isinstance(walks[i][-1][1], Fork) else FALSE
+        t = None
+        for suffix, atom, state, start, after, dead, child in reversed(walks[i]):
+            pre = state_assertion(*start)
+            if child is None:
+                rule = Rule.EXIT if isinstance(atom, Exit) else Rule.LOOP
+                node = ProofTree(HoareTriple(pre, atom, FALSE), rule)
             else:
-                t2 = self.seq(after, rest, required)
-                if t2 is None:
-                    continue
-                t = ProofTree(
-                    HoareTriple(node1.conclusion.pre, cmd, required),
-                    Rule.SEQ,
-                    (node1, t2),
-                )
-            if t is None:
-                continue
-            if state1 != state:
-                t = _wrap(t, state_assertion(*state), t.conclusion.post)
-            return t
-        return None
-
-    def _finish_atom(self, node1: ProofTree, after, required: Assertion) -> ProofTree | None:
-        post = node1.conclusion.post
-        if flat_eq(post, required):
-            return node1
-        if view_shift(post, required):
-            return _wrap(node1, node1.conclusion.pre, required)
-        return None
-
-    def _atom_options(self, state, atom: Command, rest: Command | None):
-        """Yield (pre-shift state, proof node, state after) smallest first."""
-        o, c = state
-        if isinstance(atom, Exit):
-            pre = state_assertion(o, 0)
-            node = ProofTree(HoareTriple(pre, atom, FALSE), Rule.EXIT)
-            yield (o, 0), node, _DeadState
-            return
-        if isinstance(atom, LoopSkip):
-            if c >= o + 1:  # cancel the chunk away and keep one credit
-                pre = state_assertion(0, 1)
-                node = ProofTree(HoareTriple(pre, atom, FALSE), Rule.LOOP)
-                yield (0, 1), node, _DeadState
-            return
-        assert isinstance(atom, Fork)
-        for delta in _ghost_deltas(o, c, self.intro_budget):
-            o1, c1 = o + delta, c + delta
-            for child_obs, child_credits in _splits_ascending(o1, c1):
-                if not self.feasible(atom.body, child_obs, child_credits):
-                    continue
-                keep = (o1 - child_obs, c1 - child_credits)
-                if rest is None:
-                    # trailing fork: the remainder must shift to obs(0)
-                    if keep[1] - keep[0] < 0:
-                        continue
-                elif not self.feasible(rest, *keep):
-                    continue
-                child = self.thread(child_obs, child_credits, atom.body)
-                if child is None:
-                    continue
-                node = ProofTree(
-                    HoareTriple(state_assertion(o1, c1), atom, state_assertion(*keep)),
-                    Rule.FORK,
-                    (child,),
-                    ForkSplit(child_obs, child_credits),
-                )
-                yield (o1, c1), node, keep
-
-
-def _ghost_deltas(o: int, c: int, budget: int):
-    yield 0
-    for d in range(1, budget + 1):
-        yield d
-        if o - d >= 0 and c - d >= 0:
-            yield -d
-
-
-def _splits_ascending(o: int, c: int):
-    for total in range(o + c + 1):
-        for child_obs in range(min(total, o) + 1):
-            child_credits = total - child_obs
-            if child_credits <= c:
-                yield child_obs, child_credits
+                post, split = state_assertion(*after), ForkSplit(*threads[child][1])
+                node = ProofTree(HoareTriple(pre, atom, post), Rule.FORK, (proofs[child],), split)
+            if t is None:  # the last atom; a trailing fork shifts to obs(0)
+                t = node if required is FALSE or after == (0, 0) else _wrap(node, pre, required)
+            else:
+                t = ProofTree(HoareTriple(pre, suffix, required), Rule.SEQ, (node, t))
+            if start != state:
+                t = _wrap(t, state_assertion(*state), required)
+            if dead:
+                t = _wrap(t, FALSE, required)
+        proofs[i] = t if required is OBS_ZERO else _wrap(t, t.conclusion.pre, OBS_ZERO)
+    return proofs[0]
 
 
 def _wrap(t: ProofTree, pre: Assertion, post: Assertion) -> ProofTree:
     """View-shift wrapper around `t`, merging nested shifts into one node."""
     if pre == t.conclusion.pre and post == t.conclusion.post:
         return t
-    if t.rule is Rule.VIEW_SHIFT:
-        inner = t.premises[0]
-        return ProofTree(
-            HoareTriple(pre, t.conclusion.cmd, post),
-            Rule.VIEW_SHIFT,
-            (inner,),
-            ShiftData(inner.conclusion.pre, inner.conclusion.post),
-        )
+    inner = t.premises[0] if t.rule is Rule.VIEW_SHIFT else t
     return ProofTree(
         HoareTriple(pre, t.conclusion.cmd, post),
         Rule.VIEW_SHIFT,
-        (t,),
-        ShiftData(t.conclusion.pre, t.conclusion.post),
+        (inner,),
+        ShiftData(inner.conclusion.pre, inner.conclusion.post),
     )
-
-
-def _wrap_dead(t: ProofTree, required: Assertion) -> ProofTree:
-    return _wrap(t, FALSE, required)
-
-
-def derive(c: Command, n: int) -> ProofTree | None:
-    """Search for a proof of {obs(n)} c {obs(0)}; None when the bounded
-    search is exhaustive for its budget and fails."""
-    c = normalize(c)
-    search = _Search(intro_budget=size(c))
-    return search.thread(n, 0, c)
 
 
 def verify(c: Command) -> ProofTree | None:
@@ -494,8 +472,18 @@ def from_json_dict(entry: dict) -> ProofTree:
     `body`, ViewShift/Frame: the same command) gets that very object, so the
     shared subterms compare by identity in `check_proof`; any other text is
     parsed.  Either way the premise's command equals `parse` of its text.
+    Each distinct assertion text is parsed once, so equal texts share one
+    `Assertion` and its normal form.
     """
-    return _from_entry(entry, None, Printer())
+    return _from_entry(entry, None, Printer(), _ParsedAssertions())
+
+
+class _ParsedAssertions(dict):
+    """Assertion text -> `parse_assertion(text)`, parsed on first lookup."""
+
+    def __missing__(self, text: str) -> Assertion:
+        parsed = self[text] = parse_assertion(text)
+        return parsed
 
 
 def _implied_cmds(rule: Rule, cmd: Command) -> tuple[Command, ...]:
@@ -509,27 +497,30 @@ def _implied_cmds(rule: Rule, cmd: Command) -> tuple[Command, ...]:
     return ()
 
 
-def _from_entry(entry: dict, implied: Command | None, printer: Printer) -> ProofTree:
+def _from_entry(
+    entry: dict, implied: Command | None, printer: Printer, assertions: _ParsedAssertions
+) -> ProofTree:
     # `implied` is None or a subterm of a parsed command, hence normalized:
     # equal text means parse(text) == implied
     try:
         rule = Rule(entry["rule"])
-        pre = parse_assertion(entry["pre"])
+        pre = assertions[entry["pre"]]
         text = entry["cmd"]
         cmd = implied if implied is not None and text == printer.command(implied) else parse(text)
-        triple = HoareTriple(pre, cmd, parse_assertion(entry["post"]))
+        triple = HoareTriple(pre, cmd, assertions[entry["post"]])
         hints = _implied_cmds(rule, cmd)
         premises = []
         for i, p in enumerate(entry.get("premises", [])):
-            premises.append(_from_entry(p, hints[i] if i < len(hints) else None, printer))
+            hint = hints[i] if i < len(hints) else None
+            premises.append(_from_entry(p, hint, printer, assertions))
         raw = entry.get("ruleData")
         data: ForkSplit | ShiftData | FrameData | None = None
         if rule is Rule.FORK and raw is not None:
             data = ForkSplit(int(raw["childObs"]), int(raw["childCredits"]))
         elif rule is Rule.VIEW_SHIFT and raw is not None:
-            data = ShiftData(parse_assertion(raw["innerPre"]), parse_assertion(raw["innerPost"]))
+            data = ShiftData(assertions[raw["innerPre"]], assertions[raw["innerPost"]])
         elif rule is Rule.FRAME and raw is not None:
-            data = FrameData(parse_assertion(raw["frame"]))
+            data = FrameData(assertions[raw["frame"]])
     except CertificateError:
         raise  # from a premise, already worded
     except (KeyError, TypeError, ValueError) as exc:

@@ -405,7 +405,7 @@ def spawn_tree(c: Command) -> SpawnTree:
     some node stops at `loop skip`.
 
     This walk is independent of `explore`, which stays as the reference
-    search over reachable pools, and of the proof search in `proofs`.
+    search over reachable pools, and of the proof constructor in `proofs`.
     """
     threads = exits = waits = 0
     bodies = [c]

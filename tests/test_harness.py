@@ -10,9 +10,23 @@ from busycheck.harness import (
     gen_program,
     soundness_campaign,
 )
-from busycheck.lang import EXIT, LOOP_SKIP, parse, pretty, size
+from busycheck.lang import EXIT, LOOP_SKIP, Fork, Seq, parse, pretty
 from busycheck.proofs import verify
 from busycheck.semantics import explore, spawn_tree
+
+
+def _atom_count(c):
+    """Atoms of `c`, counting inside fork bodies."""
+    count, stack = 0, [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack += [node.first, node.second]
+        else:
+            count += 1
+            if isinstance(node, Fork):
+                stack.append(node.body)
+    return count
 
 
 def test_generation_is_deterministic():
@@ -22,7 +36,7 @@ def test_generation_is_deterministic():
 
 def test_generation_respects_budget():
     for c in gen_program(GenConfig(max_atoms=7, seed=5, count=200)):
-        assert 1 <= size(c) <= 7
+        assert 1 <= _atom_count(c) <= 7
 
 
 def test_single_atom_config_yields_only_atoms():
@@ -44,7 +58,7 @@ def test_enumeration_counts():
 def test_enumeration_is_duplicate_free():
     programs = list(enumerate_programs(4))
     assert len(programs) == len(set(programs))
-    assert all(size(c) <= 4 for c in programs)
+    assert all(_atom_count(c) <= 4 for c in programs)
 
 
 def test_named_programs_classification():

@@ -16,7 +16,6 @@ from busycheck.lang import (
     normalize,
     parse,
     pretty,
-    size,
     spells,
     to_continuation,
 )
@@ -277,8 +276,3 @@ def test_to_continuation_length_matches_atom_count():
         cont = to_continuation(normalize(c))
         assert len(cont_atoms(cont)) == len(seq_atoms(normalize(c)))
         assert to_continuation(normalize(c)) == _cont_oracle(c)
-
-
-def test_size_counts_fork_bodies():
-    assert size(parse("fork { fork { loop skip }; exit }; loop skip")) == 5
-    assert size(EXIT) == 1

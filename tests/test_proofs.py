@@ -1,11 +1,33 @@
+import ast
 import json
 
 import pytest
 
+import busycheck.assertions
 import busycheck.proofs
-from busycheck.assertions import CREDIT, FALSE, Obs, Star, flat_eq
+from busycheck.assertions import (
+    CREDIT,
+    FALSE,
+    OBS_ZERO,
+    Obs,
+    Star,
+    flat_eq,
+    state_assertion,
+    view_shift,
+)
 from busycheck.harness import GenConfig, enumerate_programs, gen_program
-from busycheck.lang import EXIT, Fork, LOOP_SKIP, Seq, parse, pretty
+from busycheck.lang import (
+    EXIT,
+    Exit,
+    Fork,
+    LOOP_SKIP,
+    LoopSkip,
+    Seq,
+    normalize,
+    parse,
+    pretty,
+    seq_of,
+)
 from busycheck.proofs import (
     CertificateError,
     ForkSplit,
@@ -24,7 +46,8 @@ from busycheck.proofs import (
     tree_size,
     verify,
 )
-from busycheck.semantics import oracle_diverges
+from busycheck.proofs import _wrap
+from busycheck.semantics import oracle_diverges, spawn_tree
 
 WAITING_PAIR = parse("fork { exit }; loop skip")
 TWO_LEVEL = parse("fork { fork { loop skip }; exit }; loop skip")
@@ -223,9 +246,9 @@ def test_empirical_soundness_small():
 
 
 def test_verifier_is_exact_on_small_programs():
-    # observed (and locked here as a regression): on this language the
-    # search accepts exactly the programs the divergence oracle clears,
-    # so the monitored incompleteness fraction stays at zero
+    # on this language the verifier accepts exactly the programs the
+    # divergence oracle clears (the proofs module docstring argues why), so
+    # the monitored incompleteness fraction stays at zero
     for c in enumerate_programs(5):
         assert (verify(c) is not None) == (not oracle_diverges(c)), pretty(c)
 
@@ -381,3 +404,245 @@ def test_certificate_rejects_garbage(tmp_path):
 def test_tree_size_counts_nodes():
     # root shift, seq, fork, child shift, exit leaf, loop leaf
     assert tree_size(_waiting_pair_tree()) == 6
+
+
+# --- the backtracking search `derive` replaced, kept as a reference ----------------
+
+
+def _atom_count(c):
+    """Atoms of `c`, counting inside fork bodies."""
+    count, stack = 0, [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack += [node.first, node.second]
+        else:
+            count += 1
+            if isinstance(node, Fork):
+                stack.append(node.body)
+    return count
+
+
+class _ReferenceSearch:
+    """Memoized backtracking search for {obs(o) * credit^c} cmd {obs(0)}.
+
+    Per atom it tries ghost pair moves 0, 1, -1, 2, -2, ... up to the atom
+    count of the root command, and fork splits by ascending
+    child_obs + child_credits, then ascending child_obs; it prunes with the
+    (absorbing, need) feasibility test and returns the first success.
+    """
+
+    def __init__(self, intro_budget):
+        self.intro_budget = intro_budget
+        self.memo = {}
+        self.features = {}
+
+    def _features(self, cmd):
+        cached = self.features.get(id(cmd))
+        if cached is not None:
+            return cached
+        if isinstance(cmd, Seq):
+            head, rest = cmd.first, cmd.second
+            if isinstance(head, Exit):
+                result = (True, 0)
+            elif isinstance(head, LoopSkip):
+                result = (False, 1)
+            else:
+                absorbing_body, need_body = self._features(head.body)
+                absorbing_rest, need_rest = self._features(rest)
+                result = (absorbing_body or absorbing_rest, need_body + need_rest)
+        elif isinstance(cmd, Exit):
+            result = (True, 0)
+        elif isinstance(cmd, LoopSkip):
+            result = (False, 1)
+        else:
+            result = self._features(cmd.body)
+        self.features[id(cmd)] = result
+        return result
+
+    def feasible(self, cmd, obs_count, credit_count):
+        absorbing, need = self._features(cmd)
+        return absorbing or credit_count - obs_count >= need
+
+    def thread(self, obs_count, credit_count, cmd):
+        key = (id(cmd), obs_count, credit_count)
+        if key in self.memo:
+            return self.memo[key]
+        last = cmd
+        while isinstance(last, Seq):
+            last = last.second
+        required = FALSE if isinstance(last, (Exit, LoopSkip)) else OBS_ZERO
+        t = self.seq((obs_count, credit_count), cmd, required)
+        if t is not None and required is FALSE:
+            t = _wrap(t, t.conclusion.pre, OBS_ZERO)
+        self.memo[key] = t
+        return t
+
+    def seq(self, state, cmd, required):
+        key = (id(cmd), state, required is FALSE)
+        if key not in self.memo:
+            self.memo[key] = self._seq_uncached(state, cmd, required)
+        return self.memo[key]
+
+    def _seq_uncached(self, state, cmd, required):
+        if state is None:  # dead code after exit or loop skip
+            absorbing, need = self._features(cmd)
+            t = self.seq((0, 0 if absorbing else need), cmd, required)
+            return None if t is None else _wrap(t, FALSE, required)
+        if not self.feasible(cmd, *state):
+            return None
+        first, rest = (cmd.first, cmd.second) if isinstance(cmd, Seq) else (cmd, None)
+        for state1, node1, after in self._atom_options(state, first, rest):
+            if rest is None:
+                t = self._finish_atom(node1, required)
+            else:
+                t2 = self.seq(after, rest, required)
+                if t2 is None:
+                    continue
+                t = ProofTree(HoareTriple(node1.conclusion.pre, cmd, required), Rule.SEQ, (node1, t2))
+            if t is None:
+                continue
+            if state1 != state:
+                t = _wrap(t, state_assertion(*state), t.conclusion.post)
+            return t
+        return None
+
+    def _finish_atom(self, node1, required):
+        post = node1.conclusion.post
+        if flat_eq(post, required):
+            return node1
+        if view_shift(post, required):
+            return _wrap(node1, node1.conclusion.pre, required)
+        return None
+
+    def _atom_options(self, state, atom, rest):
+        o, c = state
+        if isinstance(atom, Exit):
+            node = ProofTree(HoareTriple(state_assertion(o, 0), atom, FALSE), Rule.EXIT)
+            yield (o, 0), node, None
+            return
+        if isinstance(atom, LoopSkip):
+            if c >= o + 1:
+                node = ProofTree(HoareTriple(state_assertion(0, 1), atom, FALSE), Rule.LOOP)
+                yield (0, 1), node, None
+            return
+        for delta in _ghost_deltas(o, c, self.intro_budget):
+            o1, c1 = o + delta, c + delta
+            for child_obs, child_credits in _splits_ascending(o1, c1):
+                if not self.feasible(atom.body, child_obs, child_credits):
+                    continue
+                keep = (o1 - child_obs, c1 - child_credits)
+                if rest is None:
+                    if keep[1] - keep[0] < 0:
+                        continue
+                elif not self.feasible(rest, *keep):
+                    continue
+                child = self.thread(child_obs, child_credits, atom.body)
+                if child is None:
+                    continue
+                node = ProofTree(
+                    HoareTriple(state_assertion(o1, c1), atom, state_assertion(*keep)),
+                    Rule.FORK,
+                    (child,),
+                    ForkSplit(child_obs, child_credits),
+                )
+                yield (o1, c1), node, keep
+
+
+def _ghost_deltas(o, c, budget):
+    yield 0
+    for d in range(1, budget + 1):
+        yield d
+        if o - d >= 0 and c - d >= 0:
+            yield -d
+
+
+def _splits_ascending(o, c):
+    for total in range(o + c + 1):
+        for child_obs in range(min(total, o) + 1):
+            child_credits = total - child_obs
+            if child_credits <= c:
+                yield child_obs, child_credits
+
+
+def _reference_derive(c, n):
+    c = normalize(c)
+    return _ReferenceSearch(_atom_count(c)).thread(n, 0, c)
+
+
+def _certificate(tree):
+    return None if tree is None else to_json_dict(tree)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_derive_matches_the_reference_search_up_to_6_atoms(n):
+    for c in enumerate_programs(6):
+        assert _certificate(derive(c, n)) == _certificate(_reference_derive(c, n)), pretty(c)
+
+
+def test_verify_matches_the_reference_search_on_7_atoms():
+    for c in enumerate_programs(7):
+        if _atom_count(c) == 7:
+            assert _certificate(verify(c)) == _certificate(_reference_derive(c, 0)), pretty(c)
+
+
+def test_verify_succeeds_exactly_when_the_spawn_tree_does_not_diverge():
+    # completeness of the six rules for this language, up to 7 atoms
+    for c in enumerate_programs(7):
+        assert (verify(c) is None) == spawn_tree(c).diverges, pretty(c)
+
+
+def test_proofs_imports_nothing_from_semantics():
+    tree = ast.parse(open(busycheck.proofs.__file__, encoding="utf-8").read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module is None or "semantics" not in node.module
+            assert all("semantics" not in alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert all("semantics" not in alias.name for alias in node.names)
+
+
+def _waiters(n):
+    return seq_of([Fork(LOOP_SKIP)] * n + [EXIT])
+
+
+def test_proof_size_grows_linearly():
+    assert tree_size(verify(_waiters(400))) <= 2.1 * tree_size(verify(_waiters(200)))
+
+
+def _deep_nesting(depth):
+    c = LOOP_SKIP
+    for _ in range(depth):
+        c = Seq(Fork(c), EXIT)
+    return c
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: seq_of([Fork(EXIT)] * 10_000 + [LOOP_SKIP]),
+        lambda: _waiters(10_000),
+        lambda: _deep_nesting(10_000),
+    ],
+    ids=["exits-then-loop", "waiters-then-exit", "nesting"],
+)
+def test_derive_check_and_size_take_10000_atoms_or_levels(build):
+    tree = verify(build())
+    assert tree is not None
+    assert check_proof(tree) is None
+    assert tree_size(tree) > 10_000
+
+
+def test_loading_parses_each_assertion_text_once(monkeypatch):
+    calls = []
+
+    def counting_parse_assertion(text):
+        calls.append(text)
+        return busycheck.assertions.parse_assertion(text)
+
+    entry = to_json_dict(verify(_flat(20)))
+    monkeypatch.setattr(busycheck.proofs, "parse_assertion", counting_parse_assertion)
+    tree = from_json_dict(entry)
+    assert sorted(calls) == sorted(set(calls))
+    assert set(calls) == {"obs(0)", "obs(1)", "obs(0) * credit", "obs(1) * credit", "false"}
+    assert tree == from_json_dict(entry)

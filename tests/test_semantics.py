@@ -14,7 +14,6 @@ from busycheck.lang import (
     parse,
     pretty,
     seq_of,
-    size,
 )
 from busycheck.semantics import (
     AbruptExit,
@@ -508,6 +507,11 @@ def _forks(c):
     return sum(1 + _forks(a.body) for a in seq_atoms(c) if isinstance(a, Fork))
 
 
+def _atoms(c):
+    """Atoms of `c`, counting inside fork bodies."""
+    return sum(1 + (_atoms(a.body) if isinstance(a, Fork) else 0) for a in seq_atoms(c))
+
+
 def test_fuel_bound_settles_every_small_program_exhaustively():
     # the two halves of fuel_bound's proof, run by run: at most atoms + T
     # progress (non-loop) steps, and at most window + T - 1 loop steps in a
@@ -529,7 +533,7 @@ def test_fuel_bound_settles_every_small_program_exhaustively():
                 elif not waiting:
                     stalled += 1
                     assert stalled <= window + threads - 1, (c, window)
-            assert progress <= size(c) + threads, c
+            assert progress <= _atoms(c) + threads, c
             if not info.diverges:
                 assert isinstance(outcome, (Terminated, AbruptExit)), c
             else:
