@@ -46,14 +46,11 @@ class ResourceBundle:
         return len(self.chunks) == 1
 
 
-EMPTY_BUNDLE = ResourceBundle((), 0)
-
-
 def bundle(chunks: tuple[int, ...] | list[int], credits: int) -> ResourceBundle:
     return ResourceBundle(tuple(chunks), credits)
 
 
-# --- assertion syntax --------------------------------------------------------
+# --- assertion terms --------------------------------------------------------
 
 
 class Assertion:
@@ -264,100 +261,3 @@ def view_shift(a: Assertion, b: Assertion) -> bool:
     if len(nb.obs) != len(na.obs):
         return len(nb.obs) < len(na.obs)
     return sum(na.obs) - na.credits <= sum(nb.obs) - nb.credits
-
-
-# --- concrete syntax -----------------------------------------------------------
-
-
-class AssertionParseError(ValueError):
-    pass
-
-
-def parse_assertion(text: str) -> Assertion:
-    """Parse `true | false | obs(N) | credit | A * B` (left-assoc, parens ok)."""
-    tokens = _lex_assertion(text)
-    pos = 0
-
-    def peek() -> str:
-        return tokens[pos] if pos < len(tokens) else ""
-
-    def take() -> str:
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def atom() -> Assertion:
-        tok = take()
-        if tok == "true":
-            return TRUE
-        if tok == "false":
-            return FALSE
-        if tok == "credit":
-            return CREDIT
-        if tok == "obs":
-            if take() != "(":
-                raise AssertionParseError("expected '(' after obs")
-            num = take()
-            if not num.isdigit():
-                raise AssertionParseError(f"expected a number, found {num!r}")
-            if take() != ")":
-                raise AssertionParseError("expected ')'")
-            return Obs(int(num))
-        if tok == "(":
-            inner = expr()
-            if take() != ")":
-                raise AssertionParseError("expected ')'")
-            return inner
-        raise AssertionParseError(f"unexpected token {tok!r}")
-
-    def expr() -> Assertion:
-        acc = atom()
-        while peek() == "*":
-            take()
-            acc = Star(acc, atom())
-        return acc
-
-    result = expr()
-    if pos != len(tokens):
-        raise AssertionParseError(f"trailing input at {tokens[pos]!r}")
-    return result
-
-
-def _lex_assertion(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()*":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalpha() or ch.isdigit():
-            j = i
-            while j < len(text) and (text[j].isalnum()):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise AssertionParseError(f"unexpected character {ch!r}")
-    return tokens
-
-
-def pretty_assertion(a: Assertion) -> str:
-    if isinstance(a, TrueA):
-        return "true"
-    if isinstance(a, FalseA):
-        return "false"
-    if isinstance(a, Obs):
-        return f"obs({a.count})"
-    if isinstance(a, Credit):
-        return "credit"
-    if isinstance(a, Star):
-        left = pretty_assertion(a.left)
-        right = pretty_assertion(a.right)
-        if isinstance(a.right, Star):  # right nesting needs parens under left-assoc
-            right = f"({right})"
-        return f"{left} * {right}"
-    raise TypeError(f"not an assertion: {a!r}")

@@ -271,13 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except CertificateError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    except SystemExit2 as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (CertificateError, SystemExit2, FileNotFoundError) as err:
         print(str(err), file=sys.stderr)
         return 2
     except RecursionError:

@@ -90,14 +90,6 @@ def erase(pool: ThreadPool) -> ThreadPool:
 
 
 @dataclass(frozen=True)
-class Split:
-    """Bundle portion handed to a forked thread."""
-
-    child_obs: int
-    child_credits: int
-
-
-@dataclass(frozen=True)
 class Stuck:
     reason: str
 
@@ -136,7 +128,7 @@ def ghost_step(pool: ThreadPool, tid: int, kind: str) -> ThreadPool:
 
 
 def real_step(
-    pool: ThreadPool, tid: int, split: Split | None = None
+    pool: ThreadPool, tid: int, split: ForkSplit | None = None
 ) -> tuple[ThreadPool, StepLabel] | Stuck:
     """Non-ghost step of thread `tid`; Stuck names the violated side condition.
 
@@ -162,7 +154,7 @@ def real_step(
     if isinstance(head, Exit):
         return semantics.EMPTY_POOL, StepLabel(tid, RA_EXIT)
     assert isinstance(head, Fork)
-    split = split or Split(0, 0)
+    split = split or ForkSplit(0, 0)
     if split.child_obs > value or split.child_credits > credits:
         raise SplitError(
             f"cannot split ({split.child_obs}|{split.child_credits}) "
@@ -182,7 +174,7 @@ def real_step(
 class StepRequest:
     tid: int
     kind: str  # "intro", "cancel", or "real"
-    split: Split | None = None
+    split: ForkSplit | None = None
 
 
 def run_annotated(
@@ -225,7 +217,7 @@ def check_balance(pool: ThreadPool) -> bool:
 @dataclass
 class _Slot:
     ops: list[str] = field(default_factory=list)
-    split: Split | None = None
+    split: ForkSplit | None = None
     child: "_Plan | None" = None
 
 
@@ -256,27 +248,37 @@ def _ops_between(src, dst) -> list[str]:
 
 
 def _extract_plan(t: ProofTree) -> _Plan:
-    if t.rule is Rule.VIEW_SHIFT:
-        inner = _extract_plan(t.premises[0])
-        pre_ops = _ops_between(t.conclusion.pre, t.data.inner_pre)
-        post_ops = _ops_between(t.data.inner_post, t.conclusion.post)
-        inner.slots[0].ops[:0] = pre_ops
-        inner.final_ops.extend(post_ops)
-        return inner
-    if t.rule is Rule.FRAME:
-        return _extract_plan(t.premises[0])
-    if t.rule is Rule.SEQ:
-        head = _extract_plan(t.premises[0])
-        rest = _extract_plan(t.premises[1])
-        rest.slots[0].ops[:0] = head.final_ops
-        return _Plan(head.slots + rest.slots, rest.final_ops)
-    if t.rule is Rule.FORK:
-        child = _extract_plan(t.premises[0])
-        data: ForkSplit = t.data
-        slot = _Slot(split=Split(data.child_obs, data.child_credits), child=child)
-        return _Plan([slot], [])
-    # Exit and Loop leaves
-    return _Plan([_Slot()], [])
+    """The plan of the thread `t` proves: one slot per Exit, Loop or Fork
+    leaf, left to right, each with the ghost steps that the view shifts met
+    since the leaf before put ahead of it; the steps met after the last leaf
+    are the final ops.  A Fork's slot holds the plan of its premise.
+
+    Iterative: `todo` holds the nodes still to visit and the post-side steps
+    of the view shifts being visited, each with the plan it adds to, and
+    `plan.final_ops` collects the steps ahead of the next slot.
+    """
+    root = _Plan([], [])
+    todo: list[tuple[ProofTree | list[str], _Plan]] = [(t, root)]
+    while todo:
+        node, plan = todo.pop()
+        if isinstance(node, list):
+            plan.final_ops += node
+        elif node.rule is Rule.VIEW_SHIFT:
+            plan.final_ops += _ops_between(node.conclusion.pre, node.data.inner_pre)
+            todo.append((_ops_between(node.data.inner_post, node.conclusion.post), plan))
+            todo.append((node.premises[0], plan))
+        elif node.rule is Rule.FRAME:
+            todo.append((node.premises[0], plan))
+        elif node.rule is Rule.SEQ:
+            todo += [(node.premises[1], plan), (node.premises[0], plan)]
+        else:
+            slot = _Slot(plan.final_ops)
+            plan.final_ops = []
+            plan.slots.append(slot)
+            if node.rule is Rule.FORK:
+                slot.split, slot.child = node.data, _Plan([], [])
+                todo.append((node.premises[0], slot.child))
+    return root
 
 
 @dataclass
@@ -330,7 +332,7 @@ def annotate(
             steps.append(TraceStep(pool, StepLabel(tid, op), nxt))
             pool = nxt
 
-    def emit_real(tid: int, split: Split | None = None) -> None:
+    def emit_real(tid: int, split: ForkSplit | None = None) -> None:
         nonlocal pool, erased
         result = real_step(pool, tid, split)
         if isinstance(result, Stuck):

@@ -230,30 +230,44 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> None:
         self.pos += 1
-        return tok
 
-    def fail(self, expected: str) -> None:
+    def error(self, expected: str) -> ParseError:
         tok = self.peek()
         shown = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected {expected}, found {shown!r}", tok.line, tok.col)
+        return ParseError(f"expected {expected}, found {shown!r}", tok.line, tok.col)
 
     def expect(self, text: str) -> None:
         tok = self.peek()
         if tok.text != text or tok.kind == "eof":
-            self.fail(f"'{text}'")
+            raise self.error(f"'{text}'")
         self.next()
 
     def command(self) -> Command:
-        atom = self.atom()
-        if self.peek().text == ";":
+        """`cmd`, read without recursion: `open_seqs` holds, for each fork
+        whose body is being read, the atoms read so far around that fork."""
+        open_seqs: list[list[Command]] = []
+        atoms: list[Command] = []
+        while True:
+            if self.peek().text == "fork":
+                self.next()
+                self.expect("{")
+                open_seqs.append(atoms)
+                atoms = []
+                continue
+            atoms.append(self.atom())
+            while self.peek().text != ";":
+                if not open_seqs:
+                    return seq_of(atoms)
+                self.expect("}")
+                body = seq_of(atoms)
+                atoms = open_seqs.pop()
+                atoms.append(Fork(body))
             self.next()
-            return Seq(atom, self.command())
-        return atom
 
     def atom(self) -> Command:
+        """An atom other than a fork, which `command` reads."""
         tok = self.peek()
         if tok.text == "exit":
             self.next()
@@ -262,14 +276,7 @@ class _Parser:
             self.next()
             self.expect("skip")
             return LOOP_SKIP
-        if tok.text == "fork":
-            self.next()
-            self.expect("{")
-            body = self.command()
-            self.expect("}")
-            return Fork(body)
-        self.fail("'exit', 'loop skip', or 'fork'")
-        raise AssertionError("unreachable")
+        raise self.error("'exit', 'loop skip', or 'fork'")
 
 
 def parse(text: str) -> Command:
@@ -277,7 +284,7 @@ def parse(text: str) -> Command:
     parser = _Parser(_tokenize(text))
     cmd = parser.command()
     if parser.peek().kind != "eof":
-        parser.fail("end of input")
+        raise parser.error("end of input")
     return cmd
 
 
@@ -285,20 +292,19 @@ def parse(text: str) -> Command:
 
 
 class Printer:
-    """Concrete syntax of commands and continuations, memoized by node identity.
+    """Concrete syntax of continuations, memoized by node identity.
 
-    One printer serves one certificate or one trace, whose nodes share
-    subterms: a certificate's premises reuse their conclusion's sub-commands,
-    and a trace's steps reuse the tails of continuations.  Printing a chain
-    (a `Seq` spine or a continuation) records, for every cell on it, where its
-    own text starts inside the chain's text, so a later print of any suffix is
-    one lookup and one slice, and the memo stays linear in the distinct nodes.
-    Each memo entry holds its node, so no id is reused while the printer
-    lives.  `each` memoizes a trace's `(tid, entry)` pairs the same way.
+    One printer serves one trace, whose steps reuse the tails of
+    continuations.  Printing a continuation records, for every cell on it,
+    where its own text starts inside the continuation's text, so a later
+    print of any suffix is one lookup and one slice, and the memo stays
+    linear in the distinct cells.  Each memo entry holds its cell, so no id
+    is reused while the printer lives.  `each` memoizes a trace's
+    `(tid, entry)` pairs the same way.
     """
 
     def __init__(self) -> None:
-        self._memo: dict[int, tuple[object, str, int]] = {}  # id -> (node, text, start)
+        self._memo: dict[int, tuple[object, str, int]] = {}  # id -> (cell, text, start)
         self._texts: dict[int, str] = {}  # id -> text, for the items `each` rendered
         self._held: list[object] = []  # those items, so their ids stay theirs
 
@@ -312,57 +318,48 @@ class Printer:
             self._held.append(items[i])
         return texts
 
-    def command(self, c: Command) -> str:
-        """Concrete syntax for a command; parse(text) == normalize(c)."""
-        cells, parts = [], []
-        while isinstance(c, Seq) and id(c) not in self._memo:
-            cells.append(c)
-            first = c.first
-            parts.append(self.command(first) if isinstance(first, Seq) else self._atom(first))
-            c = c.second
-        parts.append(self._recall(c) if id(c) in self._memo else self._atom(c))
-        return self._join(cells, parts, "; ")
-
     def continuation(self, k: Continuation) -> str:
         """A continuation with `done` printed explicitly, e.g. `exit;done`."""
         cells, parts = [], []
         while isinstance(k, SeqCont) and id(k) not in self._memo:
             cells.append(k)
-            parts.append(self._atom(k.head))
+            parts.append(pretty(k.head))
             k = k.tail
-        parts.append(self._recall(k) if id(k) in self._memo else "done")
-        return self._join(cells, parts, ";")
-
-    def _atom(self, a: Command) -> str:
-        if isinstance(a, Exit):
-            return "exit"
-        if isinstance(a, LoopSkip):
-            return "loop skip"
-        if isinstance(a, Fork):
-            return "fork { %s }" % self.command(a.body)
-        raise TypeError(f"not an atom: {a!r}")
-
-    def _recall(self, node: object) -> str:
-        _, text, start = self._memo[id(node)]
-        return text[start:]
-
-    def _join(self, cells: list, parts: list[str], sep: str) -> str:
-        text = sep.join(parts)
+        if id(k) in self._memo:
+            _, text, start = self._memo[id(k)]
+            parts.append(text[start:])
+        else:
+            parts.append("done")
+        text = ";".join(parts)
         start = 0
         for cell, part in zip(cells, parts):
             self._memo[id(cell)] = (cell, text, start)
-            start += len(part) + len(sep)
+            start += len(part) + 1
         return text
 
 
 def pretty(c: Command) -> str:
     """Concrete syntax for a command; parse(pretty(c)) == normalize(c).
 
-    Each call prints through a fresh `Printer`.  Code that prints many
-    commands sharing subterms (a certificate, a trace) keeps one `Printer`
-    for all of them, so each shared subterm is printed once.
+    Iterative: `todo` holds the commands and texts still to print, next last.
     """
-    return Printer().command(c)
+    out: list[str] = []
+    todo: list[Command | str] = [c]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, Seq):
+            todo += (x.second, "; ", x.first)
+        elif isinstance(x, Fork):
+            todo += (" }", x.body, "fork { ")
+        elif isinstance(x, Exit):
+            out.append("exit")
+        elif isinstance(x, LoopSkip):
+            out.append("loop skip")
+        else:
+            raise TypeError(f"not a command: {x!r}")
+    return "".join(out)
 
 
 def pretty_continuation(k: Continuation) -> str:

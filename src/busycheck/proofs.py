@@ -56,26 +56,40 @@ parent's fixes co - cc >= D; the least total puts all of it on one side,
 and it fits from the least delta >= 0 on.  A negative delta only shrinks
 the splits, so it never wins.  The tests keep the backtracking search over
 that order as a reference, and their certificates agree byte for byte.
+
+Certificates.  A certificate is one JSON object, `{"format": 2, "cmds":
+[...], "asserts": [...], "nodes": [...], "root": i}`, whose entries name
+earlier entries by index, so its size is linear in the proof and its
+nesting depth is constant.  `cmds` holds commands, each `"exit"`,
+`"loop skip"`, `{"fork": i}` or `{"seq": [i, j]}`; `asserts` holds
+assertions, each `"true"`, `"false"`, `"credit"`, `{"obs": n}` or
+`{"star": [i, j]}`.  Both tables are hash-consed (Filliâtre & Conchon, ML
+2006): a term occurs once.  `nodes` lists the proof nodes in post-order, as
+LRAT numbers its steps; each has its `rule`, the indices of its `pre`,
+`cmd` and `post` and of its `premises`, and its rule data: `childObs` and
+`childCredits` (Fork), `innerPre` and `innerPost` (ViewShift), `frame`
+(Frame).  `root` is the index of the conclusion's node.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .assertions import (
     FALSE,
     Assertion,
     Bottom,
+    Credit,
+    FalseA,
     Flat,
     Obs,
     OBS_ZERO,
     Star,
+    TrueA,
     flat_add,
     normalize as normalize_assertion,
-    parse_assertion,
-    pretty_assertion,
     state_assertion,
     view_shift,
 )
@@ -84,11 +98,13 @@ from .lang import (
     Exit,
     Fork,
     LoopSkip,
-    Printer,
     Seq,
     normalize,
-    parse,
 )
+
+# Not called here: certificates carry no program text.  The name stays
+# importable from this module because perfbench/tracing.py wraps it.
+from .lang import parse  # noqa: F401
 
 # Not called here: the exact view-shift rule has no third answer.  The old
 # name stays importable from this module because perfbench/tracing.py wraps it.
@@ -207,14 +223,6 @@ def _single_chunk(f) -> bool:
     return isinstance(f, Flat) and len(f.obs) == 1
 
 
-def _has_obs_atom(a: Assertion) -> bool:
-    if isinstance(a, Obs):
-        return True
-    if isinstance(a, Star):
-        return _has_obs_atom(a.left) or _has_obs_atom(a.right)
-    return False
-
-
 def _node_fault(t: ProofTree) -> str | None:
     """Why `t` does not instantiate its rule given its premises' conclusions, or None."""
     c = t.conclusion
@@ -288,14 +296,15 @@ def _node_fault(t: ProofTree) -> str | None:
     elif t.rule is Rule.FRAME:
         if not isinstance(t.data, FrameData):
             return "Frame node carries no frame assertion"
-        if _has_obs_atom(t.data.frame):
+        frame = normalize_assertion(t.data.frame)
+        if isinstance(frame, Flat) and frame.obs:
             return "frames must not contain obs atoms"
         p = t.premises[0]
         if p.conclusion.cmd != c.cmd:
             return "Frame premise command differs from conclusion"
-        if npre != flat_add(normalize_assertion(p.conclusion.pre), normalize_assertion(t.data.frame)):
+        if npre != flat_add(normalize_assertion(p.conclusion.pre), frame):
             return "Frame precondition is not premise * frame"
-        if npost != flat_add(normalize_assertion(p.conclusion.post), normalize_assertion(t.data.frame)):
+        if npost != flat_add(normalize_assertion(p.conclusion.post), frame):
             return "Frame postcondition is not premise * frame"
     return None
 
@@ -433,99 +442,146 @@ def verify(c: Command) -> ProofTree | None:
 
 # --- certificates -----------------------------------------------------------------
 
+# The classes of each table by tag, and the tag of each class.
+_COMMANDS = {"exit": Exit, "loop skip": LoopSkip, "fork": Fork, "seq": Seq}
+_ASSERTIONS = {"true": TrueA, "false": FalseA, "credit": Credit, "obs": Obs, "star": Star}
+_TAGS = {cls: tag for table in (_COMMANDS, _ASSERTIONS) for tag, cls in table.items()}
+_TERMS = (Command, Assertion)
+
 
 def to_json_dict(t: ProofTree) -> dict:
-    return _to_entry(t, Printer())
+    """The certificate of `t` (the module docstring has the format).
 
+    One iterative walk writes the nodes in post-order, the root last, and
+    interns every term they name into its table, fields first, so equal
+    terms get one entry.  Proof nodes are not interned.
+    """
+    cmds: list = []
+    asserts: list = []
+    by_id: dict[int, int] = {}  # id of a term of `t` -> its entry
+    by_key: dict[tuple, int] = {}  # (class, field values) -> entry
 
-def _to_entry(t: ProofTree, printer: Printer) -> dict:
-    entry: dict = {
-        "rule": t.rule.value,
-        "pre": pretty_assertion(t.conclusion.pre),
-        "cmd": printer.command(t.conclusion.cmd),
-        "post": pretty_assertion(t.conclusion.post),
-        "premises": [_to_entry(p, printer) for p in t.premises],
-    }
-    if isinstance(t.data, ForkSplit):
-        entry["ruleData"] = {"childObs": t.data.child_obs, "childCredits": t.data.child_credits}
-    elif isinstance(t.data, ShiftData):
-        entry["ruleData"] = {
-            "innerPre": pretty_assertion(t.data.inner_pre),
-            "innerPost": pretty_assertion(t.data.inner_post),
+    def intern(term) -> int:
+        todo = [term]
+        while id(term) not in by_id:
+            x = todo[-1]
+            parts = [getattr(x, f.name) for f in fields(x)]
+            missing = [p for p in parts if isinstance(p, _TERMS) and id(p) not in by_id]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            values = [by_id[id(p)] if isinstance(p, _TERMS) else p for p in parts]
+            key = (type(x), *values)
+            if key not in by_key:
+                table = cmds if isinstance(x, Command) else asserts
+                by_key[key] = len(table)
+                tag = _TAGS[type(x)]
+                table.append({tag: values if len(values) > 1 else values[0]} if values else tag)
+            by_id[id(x)] = by_key[key]
+        return by_id[id(term)]
+
+    nodes: list[dict] = []
+    done: list[int] = []  # written nodes whose parent is not written yet
+    todo: list[tuple[ProofTree, bool]] = [(t, False)]
+    while todo:
+        node, ready = todo.pop()
+        if not ready:
+            todo.append((node, True))
+            todo += ((p, False) for p in reversed(node.premises))
+            continue
+        c, data, cut = node.conclusion, node.data, len(done) - len(node.premises)
+        entry = {
+            "rule": node.rule.value,
+            "pre": intern(c.pre),
+            "cmd": intern(c.cmd),
+            "post": intern(c.post),
+            "premises": done[cut:],
         }
-    elif isinstance(t.data, FrameData):
-        entry["ruleData"] = {"frame": pretty_assertion(t.data.frame)}
-    else:
-        entry["ruleData"] = None
-    return entry
+        del done[cut:]
+        if isinstance(data, ForkSplit):
+            entry.update(childObs=data.child_obs, childCredits=data.child_credits)
+        elif isinstance(data, ShiftData):
+            entry.update(innerPre=intern(data.inner_pre), innerPost=intern(data.inner_post))
+        elif isinstance(data, FrameData):
+            entry.update(frame=intern(data.frame))
+        done.append(len(nodes))
+        nodes.append(entry)
+    return {"format": 2, "cmds": cmds, "asserts": asserts, "nodes": nodes, "root": len(nodes) - 1}
 
 
 class CertificateError(ValueError):
     pass
 
 
-def from_json_dict(entry: dict) -> ProofTree:
-    """The proof tree a certificate entry describes.
+def from_json_dict(data: dict) -> ProofTree:
+    """The proof tree a certificate describes.
 
-    The root `cmd` is parsed.  A premise whose `cmd` text is the printed
-    form of the sub-command its rule implies (Seq: `first`/`second`, Fork:
-    `body`, ViewShift/Frame: the same command) gets that very object, so the
-    shared subterms compare by identity in `check_proof`; any other text is
-    parsed.  Either way the premise's command equals `parse` of its text.
-    Each distinct assertion text is parsed once, so equal texts share one
-    `Assertion` and its normal form.
+    One forward loop per table builds each entry from the entries before it
+    and interns it, so equal terms load as one object and `check_proof`
+    compares them by identity.  CertificateError names the fault: a
+    format other than 2, an index of no earlier entry, a seq whose first
+    part is a seq (not `parse`'s normal form), or a node that is the premise
+    of two nodes (so `check_proof` walks a tree no larger than the file).
     """
-    return _from_entry(entry, None, Printer(), _ParsedAssertions())
-
-
-class _ParsedAssertions(dict):
-    """Assertion text -> `parse_assertion(text)`, parsed on first lookup."""
-
-    def __missing__(self, text: str) -> Assertion:
-        parsed = self[text] = parse_assertion(text)
-        return parsed
-
-
-def _implied_cmds(rule: Rule, cmd: Command) -> tuple[Command, ...]:
-    """The premise commands `rule` demands of a conclusion about `cmd`."""
-    if rule is Rule.SEQ and isinstance(cmd, Seq):
-        return (cmd.first, cmd.second)
-    if rule is Rule.FORK and isinstance(cmd, Fork):
-        return (cmd.body,)
-    if rule is Rule.VIEW_SHIFT or rule is Rule.FRAME:
-        return (cmd,)
-    return ()
-
-
-def _from_entry(
-    entry: dict, implied: Command | None, printer: Printer, assertions: _ParsedAssertions
-) -> ProofTree:
-    # `implied` is None or a subterm of a parsed command, hence normalized:
-    # equal text means parse(text) == implied
+    if not isinstance(data, dict) or data.get("format") != 2:
+        raise CertificateError('unsupported certificate format: expected an object with "format": 2')
     try:
-        rule = Rule(entry["rule"])
-        pre = assertions[entry["pre"]]
-        text = entry["cmd"]
-        cmd = implied if implied is not None and text == printer.command(implied) else parse(text)
-        triple = HoareTriple(pre, cmd, assertions[entry["post"]])
-        hints = _implied_cmds(rule, cmd)
-        premises = []
-        for i, p in enumerate(entry.get("premises", [])):
-            hint = hints[i] if i < len(hints) else None
-            premises.append(_from_entry(p, hint, printer, assertions))
-        raw = entry.get("ruleData")
-        data: ForkSplit | ShiftData | FrameData | None = None
-        if rule is Rule.FORK and raw is not None:
-            data = ForkSplit(int(raw["childObs"]), int(raw["childCredits"]))
-        elif rule is Rule.VIEW_SHIFT and raw is not None:
-            data = ShiftData(assertions[raw["innerPre"]], assertions[raw["innerPost"]])
-        elif rule is Rule.FRAME and raw is not None:
-            data = FrameData(assertions[raw["frame"]])
+        cmds = _read_table(data["cmds"], _COMMANDS)
+        asserts = _read_table(data["asserts"], _ASSERTIONS)
+        nodes: list[ProofTree] = []
+        used: list[int] = []  # the premise indices of every node
+        for e in data["nodes"]:
+            premises = tuple(_at(nodes, i) for i in e["premises"])
+            used += e["premises"]
+            rule = Rule(e["rule"])
+            extra: ForkSplit | ShiftData | FrameData | None = None
+            if rule is Rule.FORK:
+                extra = ForkSplit(_count(e["childObs"]), _count(e["childCredits"]))
+            elif rule is Rule.VIEW_SHIFT:
+                extra = ShiftData(_at(asserts, e["innerPre"]), _at(asserts, e["innerPost"]))
+            elif rule is Rule.FRAME:
+                extra = FrameData(_at(asserts, e["frame"]))
+            triple = HoareTriple(_at(asserts, e["pre"]), _at(cmds, e["cmd"]), _at(asserts, e["post"]))
+            nodes.append(ProofTree(triple, rule, premises, extra))
+        if len(set(used)) < len(used):
+            raise CertificateError("malformed certificate: a node is the premise of two nodes")
+        return _at(nodes, data["root"])
     except CertificateError:
-        raise  # from a premise, already worded
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed certificate: {exc}") from exc
-    return ProofTree(triple, rule, tuple(premises), data)
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CertificateError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_table(entries: list, classes: dict[str, type]) -> list:
+    """The terms of one table, each interned on its class and field values."""
+    terms: list = []
+    interned: dict[tuple, object] = {}
+    for entry in entries:
+        [(tag, value)] = [(entry, [])] if isinstance(entry, str) else entry.items()
+        cls = classes[tag]
+        values = value if isinstance(value, list) else [value]
+        args = [_count(v) for v in values] if cls is Obs else [_at(terms, v) for v in values]
+        key = (cls, *args) if cls is Obs else (cls, *map(id, args))
+        if key not in interned:
+            interned[key] = cls(*args)
+        term = interned[key]
+        if isinstance(term, Seq) and isinstance(term.first, Seq):
+            raise CertificateError("malformed certificate: the first part of a seq is a seq")
+        terms.append(term)
+    return terms
+
+
+def _at(entries: list, i):
+    if type(i) is not int or not 0 <= i < len(entries):
+        raise CertificateError(f"malformed certificate: {i!r} is not the index of an earlier entry")
+    return entries[i]
+
+
+def _count(n) -> int:
+    if type(n) is not int or n < 0:
+        raise CertificateError(f"malformed certificate: {n!r} is not a count")
+    return n
 
 
 def save_certificate(t: ProofTree, path: str) -> None:

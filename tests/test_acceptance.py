@@ -17,7 +17,6 @@ from busycheck.ghost import (
     LOOP_HOLDS_OBLIGATION,
     LOOP_NEEDS_CREDIT,
     RA_LOOP,
-    Split,
     StepRequest,
     Stuck,
     annotate,
@@ -84,9 +83,9 @@ def golden_run():
         initial_annotated_pool(c),
         [
             StepRequest(0, "intro"),
-            StepRequest(0, "real", Split(1, 0)),
+            StepRequest(0, "real", ForkSplit(1, 0)),
             StepRequest(1, "intro"),
-            StepRequest(1, "real", Split(0, 1)),
+            StepRequest(1, "real", ForkSplit(0, 1)),
             StepRequest(2, "real"),
             StepRequest(0, "real"),
             StepRequest(0, "real"),

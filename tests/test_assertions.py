@@ -2,8 +2,6 @@ import itertools
 import random
 from collections import Counter, deque
 
-import pytest
-
 from busycheck.assertions import (
     BOTTOM,
     CREDIT,
@@ -12,13 +10,9 @@ from busycheck.assertions import (
     Obs,
     Star,
     TRUE,
-    AssertionParseError,
     bundle,
     entails,
-    flat_eq,
     normalize,
-    parse_assertion,
-    pretty_assertion,
     satisfies,
     satisfies_flat,
     star,
@@ -249,19 +243,3 @@ def test_view_shift_ledger_quantity_never_decreases():
     for n, n2, k, k2 in itertools.product(range(5), repeat=4):
         if view_shift(state_assertion(n, k), state_assertion(n2, k2)):
             assert n2 - k2 >= n - k
-
-
-def test_assertion_parser_round_trip():
-    rng = random.Random(86)
-    for _ in range(200):
-        a = _random_assertion(rng)
-        assert flat_eq(parse_assertion(pretty_assertion(a)), a)
-
-
-def test_assertion_parser_concrete_forms():
-    assert parse_assertion("obs(2) * credit * true") == star(Obs(2), CREDIT, TRUE)
-    assert parse_assertion("(obs(0))") == Obs(0)
-    with pytest.raises(AssertionParseError):
-        parse_assertion("obs(abc)")
-    with pytest.raises(AssertionParseError):
-        parse_assertion("credit *")

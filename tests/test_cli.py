@@ -115,7 +115,8 @@ def test_verify_accepts_and_emits_certificate(tmp_path, capsys):
     code = main(["verify", "-e", "fork { exit }; loop skip", "--emit-cert", str(cert)])
     assert code == 0
     assert capsys.readouterr().out.strip() == "Verified"
-    assert json.loads(cert.read_text())["rule"] == "ViewShift"
+    payload = json.loads(cert.read_text())
+    assert payload["nodes"][payload["root"]]["rule"] == "ViewShift"
 
     assert main(["check-proof", str(cert)]) == 0
     assert capsys.readouterr().out.strip() == "Ok"
@@ -131,10 +132,23 @@ def test_check_proof_flags_tampering(tmp_path, capsys):
     main(["verify", "-e", "fork { exit }; loop skip", "--emit-cert", str(cert)])
     capsys.readouterr()
     payload = json.loads(cert.read_text())
-    payload["premises"][0]["premises"][1]["pre"] = "obs(1) * credit"
+    nodes, asserts = payload["nodes"], payload["asserts"]
+    seq = nodes[nodes[payload["root"]]["premises"][0]]
+    loop = nodes[seq["premises"][1]]
+    loop["pre"] = asserts.index({"star": [asserts.index({"obs": 1}), asserts.index("credit")]})
     cert.write_text(json.dumps(payload))
     assert main(["check-proof", str(cert)]) == 1
     assert "RuleViolation" in capsys.readouterr().out
+
+
+def _v2(cmds, asserts, nodes, root, format=2):
+    return json.dumps({"format": format, "cmds": cmds, "asserts": asserts, "nodes": nodes, "root": root})
+
+
+# {obs(0)} exit {obs(0)}: an Exit leaf under a ViewShift
+EXIT_LEAF = {"rule": "Exit", "pre": 0, "cmd": 0, "post": 1, "premises": []}
+EXIT_SHIFT = {"rule": "ViewShift", "pre": 0, "cmd": 0, "post": 0, "premises": [0], "innerPre": 0, "innerPost": 1}
+EXIT_TABLES = (["exit"], [{"obs": 0}, "false"])
 
 
 @pytest.mark.parametrize(
@@ -142,8 +156,19 @@ def test_check_proof_flags_tampering(tmp_path, capsys):
     [
         "{not json",
         "[]",
+        # certificates in the old nested format
         '{"rule": "Exit", "cmd": "exit", "post": "false", "premises": []}',
         '{"rule": "Exit", "pre": "obs(0)", "cmd": "exit;;", "post": "false", "premises": []}',
+        pytest.param(_v2(*EXIT_TABLES, [EXIT_LEAF, EXIT_SHIFT], 1, format=3), id="format-3"),
+        pytest.param(_v2(*EXIT_TABLES, [{"rule": "Exit", "cmd": 0, "post": 1, "premises": []}], 0), id="no-pre"),
+        pytest.param(_v2(["exit;;"], EXIT_TABLES[1], [EXIT_LEAF], 0), id="unknown-cmd"),
+        pytest.param(_v2(*EXIT_TABLES, [{**EXIT_LEAF, "post": 2}], 0), id="bad-index"),
+        pytest.param(_v2(*EXIT_TABLES, [EXIT_LEAF, EXIT_SHIFT], 2), id="bad-root"),
+        pytest.param(_v2(*EXIT_TABLES, [{**EXIT_SHIFT, "premises": [1]}, EXIT_LEAF], 0), id="forward-index"),
+        pytest.param(
+            _v2(["exit", {"seq": [0, 0]}, {"seq": [1, 0]}], EXIT_TABLES[1], [EXIT_LEAF], 0), id="seq-in-first"
+        ),
+        pytest.param(_v2(*EXIT_TABLES, [EXIT_LEAF, EXIT_SHIFT, EXIT_SHIFT], 2), id="premise-twice"),
     ],
 )
 def test_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, text):
@@ -155,16 +180,20 @@ def test_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, text):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_old_format_certificate_is_unsupported(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"rule": "Exit", "pre": "obs(0)", "cmd": "exit", "post": "false", "premises": []}')
+    assert main(["check-proof", str(cert)]) == 2
+    assert capsys.readouterr().err.startswith("unsupported certificate format")
+
+
 def test_check_proof_checks_the_claim_not_only_the_rules(tmp_path, capsys):
     # every node instantiates its rule, but the root proves {false} loop skip
     # {obs(0)}: a vacuous triple, not {obs(0)} c {obs(0)}
     cert = tmp_path / "vacuous.json"
-    cert.write_text(
-        '{"rule":"ViewShift","pre":"false","cmd":"loop skip","post":"obs(0)","premises":'
-        '[{"rule":"Loop","pre":"obs(0) * credit","cmd":"loop skip","post":"false",'
-        '"premises":[],"ruleData":null}],'
-        '"ruleData":{"innerPre":"obs(0) * credit","innerPost":"false"}}'
-    )
+    loop = {"rule": "Loop", "pre": 3, "cmd": 0, "post": 0, "premises": []}
+    shift = {"rule": "ViewShift", "pre": 0, "cmd": 0, "post": 1, "premises": [0], "innerPre": 3, "innerPost": 0}
+    cert.write_text(_v2(["loop skip"], ["false", {"obs": 0}, "credit", {"star": [1, 2]}], [loop, shift], 1))
     assert check_proof(load_certificate(str(cert))) is None  # the library checks rules only
     assert main(["check-proof", str(cert)]) == 1
     assert capsys.readouterr().out == (
@@ -180,15 +209,28 @@ def _long(length):
     return "fork { exit }; " * length + "loop skip"
 
 
-@pytest.mark.parametrize("command", ["parse", "verify", "trace"])
-@pytest.mark.parametrize("n", [1000, 10_000])
-@pytest.mark.parametrize("shape", [_nest, _long], ids=["depth", "length"])
-def test_deep_or_long_input_exits_2_with_one_line(command, n, shape, capsys):
-    assert main([command, "-e", shape(n)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert err.startswith(f"{command}: ") and "recursion limit" in err
+def _waiters(length):
+    return "fork { loop skip }; " * length + "exit"
+
+
+@pytest.mark.parametrize(
+    "program", [_nest(10_000), _long(10_000), _waiters(10_000)], ids=["depth", "length", "waiters"]
+)
+def test_deep_or_long_input_parses_verifies_and_checks(program, tmp_path, capsys):
+    cert = str(tmp_path / "cert.json")
+    assert main(["parse", "-e", program]) == 0
+    assert capsys.readouterr().out == program + "\n"
+    assert main(["verify", "-e", program, "--emit-cert", cert]) == 0
+    assert capsys.readouterr().out == "Verified\n"
+    assert main(["check-proof", cert]) == 0
+    assert capsys.readouterr() == ("Ok\n", "")
+
+
+def test_trace_of_a_10000_fork_program(capsys):
+    # the main thread forks, the child exits: the run is 2 steps long
+    assert main(["trace", "-e", _long(10_000)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[2] for line in lines] == ["RA-Fork", "RA-Exit"]
 
 
 @pytest.mark.parametrize("program", [_nest(150), _long(300)], ids=["depth", "length"])

@@ -13,7 +13,6 @@ from busycheck.ghost import (
     RA_FORK,
     RA_LOOP,
     RA_THREAD_TERM,
-    Split,
     StepRequest,
     Stuck,
     StuckAt,
@@ -28,7 +27,7 @@ from busycheck.ghost import (
     serialize_annotated_trace,
 )
 from busycheck.lang import DONE, LOOP_SKIP, Printer, SeqCont, parse, to_continuation
-from busycheck.proofs import tree_size, verify
+from busycheck.proofs import ForkSplit, tree_size, verify
 from busycheck.semantics import (
     FuelExhausted,
     ThreadPool,
@@ -103,7 +102,7 @@ def test_term_requires_empty_chunk():
 def test_fork_splits_the_bundle():
     c = parse("fork { fork { loop skip }; exit }; loop skip")
     pool = ThreadPool.of({0: AnnotatedThread(bundle((1,), 1), to_continuation(c))})
-    pool2, step = real_step(pool, 0, Split(1, 0))
+    pool2, step = real_step(pool, 0, ForkSplit(1, 0))
     assert step.rule == RA_FORK
     assert pool2.get(0).bundle == bundle((0,), 1)
     assert pool2.get(0).cont == LOOP_CONT
@@ -124,9 +123,9 @@ def test_exit_clears_the_annotated_pool():
 
 WORKED_SCHEDULE = [
     StepRequest(0, "intro"),
-    StepRequest(0, "real", Split(1, 0)),
+    StepRequest(0, "real", ForkSplit(1, 0)),
     StepRequest(1, "intro"),
-    StepRequest(1, "real", Split(0, 1)),
+    StepRequest(1, "real", ForkSplit(0, 1)),
     StepRequest(2, "real"),
     StepRequest(0, "real"),
     StepRequest(0, "real"),

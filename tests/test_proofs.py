@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import json
 
 import pytest
 
 import busycheck.assertions
+import busycheck.lang
 import busycheck.proofs
 from busycheck.assertions import (
     CREDIT,
@@ -333,63 +335,121 @@ def test_certificate_round_trip(tmp_path):
         loaded = load_certificate(path)
         assert loaded == tree, pretty(c)
         assert check_proof(loaded) is None, pretty(c)
+    # too deep for `==` on trees: the loaded tree writes the same certificate
+    tree = verify(_waiters(400))
+    save_certificate(tree, path)
+    loaded = load_certificate(path)
+    assert to_json_dict(loaded) == to_json_dict(tree)
+    assert check_proof(loaded) is None
 
 
 def test_certificate_is_single_line_and_linear_in_size(tmp_path):
-    path = tmp_path / "cert.json"
-    save_certificate(verify(_flat(200)), str(path))
-    text = path.read_text()
-    assert text.count("\n") == 1 and text.endswith("\n")
-    # no indentation: 392,325 bytes, where indented JSON took 3,781,666
-    assert len(text) < 500_000
+    sizes = []
+    for n in (400, 800):
+        path = tmp_path / f"cert{n}.json"
+        save_certificate(verify(_waiters(n)), str(path))
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        sizes.append(len(text))
+    # 177,545 and 358,557 bytes; the nested format took 3.46 MB at n = 400
+    assert sizes[0] < 200_000 and sizes[1] <= 2.1 * sizes[0]
 
 
-def _seq_entry(entry):
-    stack = [entry]
+def _subterms(term):
+    stack = [term]
     while stack:
-        e = stack.pop()
-        if e["rule"] == "Seq":
-            return e
-        stack.extend(e["premises"])
-    raise AssertionError("certificate has no Seq node")
+        x = stack.pop()
+        yield x
+        stack += [getattr(x, f.name) for f in dataclasses.fields(x) if f.name != "count"]
 
 
 def test_loaded_premises_reuse_the_conclusions_subterms():
-    entry = to_json_dict(verify(TWO_LEVEL))
-    seq = from_json_dict(entry)
-    while seq.rule is not Rule.SEQ:
-        seq = seq.premises[0]
-    first, second = seq.premises
-    assert first.conclusion.cmd is seq.conclusion.cmd.first
-    assert second.conclusion.cmd is seq.conclusion.cmd.second
+    # equal terms load as one object, so a premise's command is the very
+    # sub-command its rule names
+    tree = from_json_dict(to_json_dict(verify(TWO_LEVEL)))
+    objects, stack = {}, [tree]
+    while stack:
+        t = stack.pop()
+        stack.extend(t.premises)
+        if t.rule is Rule.SEQ:
+            first, second = t.premises
+            assert first.conclusion.cmd is t.conclusion.cmd.first
+            assert second.conclusion.cmd is t.conclusion.cmd.second
+        terms = [t.conclusion.pre, t.conclusion.cmd, t.conclusion.post]
+        if isinstance(t.data, ShiftData):
+            terms += [t.data.inner_pre, t.data.inner_post]
+        for term in terms:
+            for x in _subterms(term):
+                assert objects.setdefault(x, x) is x
 
 
-def test_edited_premise_command_is_parsed_and_rejected():
-    entry = to_json_dict(verify(TWO_LEVEL))
-    _seq_entry(entry)["premises"][1]["cmd"] = "fork { loop skip }; exit"
-    violation = check_proof(from_json_dict(entry))
-    assert violation is not None
-    assert violation.reason == "Seq premise commands do not match the sequence"
+def test_loading_parses_nothing(monkeypatch, tmp_path):
+    def parse_fails(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    tree = verify(_flat(20))
+    path = str(tmp_path / "cert.json")
+    save_certificate(tree, path)
+    monkeypatch.setattr(busycheck.proofs, "parse", parse_fails)
+    monkeypatch.setattr(busycheck.lang, "parse", parse_fails)
+    assert load_certificate(path) == tree
+    assert not hasattr(busycheck.assertions, "parse_assertion")  # no assertion syntax left
 
 
-def test_loading_parses_only_the_root_command(monkeypatch):
-    calls = []
+def _int_fields(value, path=()):
+    """(path, value) of every int in a JSON value."""
+    if isinstance(value, int):
+        yield path, value
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _int_fields(v, path + (i,))
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            yield from _int_fields(v, path + (k,))
 
-    def counting_parse(text):
-        calls.append(text)
-        return parse(text)
 
-    entry = to_json_dict(verify(_flat(20)))
-    monkeypatch.setattr(busycheck.proofs, "parse", counting_parse)
-    tree = from_json_dict(entry)
-    assert calls == [entry["cmd"]]
-    # a leaf's text that is not the printed form is parsed, to the same command
-    leaf = _seq_entry(entry)["premises"][0]["premises"][0]["premises"][0]
-    assert (leaf["rule"], leaf["cmd"]) == ("Exit", "exit")
-    leaf["cmd"] = "exit  # spelled differently"
-    calls.clear()
-    assert from_json_dict(entry) == tree
-    assert calls == [entry["cmd"], leaf["cmd"]]
+def _index_bound(cert, path):
+    """The length of the list the int at `path` indexes, or None for a count."""
+    if path[-1] in ("format", "obs", "childObs", "childCredits"):
+        return None
+    if path[0] == "root" or "premises" in path:
+        return len(cert["nodes"])
+    if path[0] == "cmds" or path[-1] == "cmd":
+        return len(cert["cmds"])
+    return len(cert["asserts"])
+
+
+def _tampered(cert, path, value):
+    cert = json.loads(json.dumps(cert))
+    target = cert
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return cert
+
+
+@pytest.mark.parametrize("c", [WAITING_PAIR, TWO_LEVEL], ids=["waiting-pair", "two-level"])
+def test_every_single_field_tamper_is_caught(c):
+    # each int moved by one, and each index moved to every other in-range
+    # index, is rejected on load, fails the check, or changes the root
+    # triple.  A table entry is the one exception: it stands for every use
+    # of its term, so a tamper there may give another valid proof of the
+    # same triple (two-level: obs(2) -> obs(3) shifts the child's ghost
+    # pairs consistently); that proof must still differ from the original.
+    tree = verify(c)
+    cert = to_json_dict(tree)
+    tampers = 0
+    for path, value in _int_fields(cert):
+        bound = _index_bound(cert, path)
+        for new in {value - 1, value + 1, *range(bound or 0)} - {value}:
+            tampers += 1
+            try:
+                loaded = from_json_dict(_tampered(cert, path, new))
+            except CertificateError:
+                continue
+            if check_proof(loaded) is None and loaded.conclusion == tree.conclusion:
+                assert path[0] in ("cmds", "asserts") and loaded != tree, (path, new)
+    assert tampers > 100
 
 
 def test_certificate_rejects_garbage(tmp_path):
@@ -631,18 +691,3 @@ def test_derive_check_and_size_take_10000_atoms_or_levels(build):
     assert tree is not None
     assert check_proof(tree) is None
     assert tree_size(tree) > 10_000
-
-
-def test_loading_parses_each_assertion_text_once(monkeypatch):
-    calls = []
-
-    def counting_parse_assertion(text):
-        calls.append(text)
-        return busycheck.assertions.parse_assertion(text)
-
-    entry = to_json_dict(verify(_flat(20)))
-    monkeypatch.setattr(busycheck.proofs, "parse_assertion", counting_parse_assertion)
-    tree = from_json_dict(entry)
-    assert sorted(calls) == sorted(set(calls))
-    assert set(calls) == {"obs(0)", "obs(1)", "obs(0) * credit", "obs(1) * credit", "false"}
-    assert tree == from_json_dict(entry)

@@ -40,7 +40,6 @@ def test_tracer_counts_the_certificate_path(monkeypatch, tmp_path, capsys):
         tracer.uninstall()
     assert capsys.readouterr().out.split() == ["Verified", "Ok"]
     calls = tracer.aggregate()[2]
-    # the program text is parsed by `verify`, the certificate's root `cmd` by
-    # `check-proof`; no premise is parsed again
+    # the program text is parsed by `verify`; a certificate holds no program text
     assert calls["proofs.cert_io"] == 2
-    assert calls["lang.parse"] == 2
+    assert calls["lang.parse"] == 1
