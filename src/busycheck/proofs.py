@@ -64,11 +64,13 @@ nesting depth is constant.  `cmds` holds commands, each `"exit"`,
 `"loop skip"`, `{"fork": i}` or `{"seq": [i, j]}`; `asserts` holds
 assertions, each `"true"`, `"false"`, `"credit"`, `{"obs": n}` or
 `{"star": [i, j]}`.  Both tables are hash-consed (Filliâtre & Conchon, ML
-2006): a term occurs once.  `nodes` lists the proof nodes in post-order, as
-LRAT numbers its steps; each has its `rule`, the indices of its `pre`,
-`cmd` and `post` and of its `premises`, and its rule data: `childObs` and
-`childCredits` (Fork), `innerPre` and `innerPost` (ViewShift), `frame`
-(Frame).  `root` is the index of the conclusion's node.
+2006): a term occurs once.  As `parse` and `star` build them, no seq's
+first part is a seq and no star's right part is a star, so an assertion has
+at most twice as many nodes as its table has entries.  `nodes` lists the
+proof nodes in post-order, as LRAT numbers its steps; each has its `rule`,
+the indices of its `pre`, `cmd` and `post` and of its `premises`, and its
+rule data: `childObs` and `childCredits` (Fork), `innerPre` and `innerPost`
+(ViewShift), `frame` (Frame).  `root` is the index of the conclusion's node.
 """
 
 from __future__ import annotations
@@ -223,6 +225,25 @@ def _single_chunk(f) -> bool:
     return isinstance(f, Flat) and len(f.obs) == 1
 
 
+def _same_cmd(a: Command, b: Command) -> bool:
+    """`a == b` without recursion.  A pair of one object is equal at once, so
+    two loaded (interned) commands that differ walk one path to a difference."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Fork):
+            todo.append((x.body, y.body))
+        elif isinstance(x, Seq):
+            todo += [(x.first, y.first), (x.second, y.second)]
+        elif x != y:  # an atom, or not a command at all
+            return False
+    return True
+
+
 def _node_fault(t: ProofTree) -> str | None:
     """Why `t` does not instantiate its rule given its premises' conclusions, or None."""
     c = t.conclusion
@@ -255,7 +276,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if not isinstance(t.data, ForkSplit):
             return "Fork node carries no resource split"
         p = t.premises[0]
-        if p.conclusion.cmd != c.cmd.body:
+        if not _same_cmd(p.conclusion.cmd, c.cmd.body):
             return "Fork premise command is not the fork body"
         if normalize_assertion(p.conclusion.pre) != Flat((t.data.child_obs,), t.data.child_credits):
             return "Fork premise precondition does not match the split"
@@ -271,7 +292,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if not isinstance(c.cmd, Seq):
             return "Seq rule applied to a non-sequence command"
         p1, p2 = t.premises
-        if p1.conclusion.cmd != c.cmd.first or p2.conclusion.cmd != c.cmd.second:
+        if not (_same_cmd(p1.conclusion.cmd, c.cmd.first) and _same_cmd(p2.conclusion.cmd, c.cmd.second)):
             return "Seq premise commands do not match the sequence"
         if normalize_assertion(p1.conclusion.pre) != npre:
             return "Seq precondition does not match first premise"
@@ -283,7 +304,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if not isinstance(t.data, ShiftData):
             return "ViewShift node carries no intermediate assertions"
         p = t.premises[0]
-        if p.conclusion.cmd != c.cmd:
+        if not _same_cmd(p.conclusion.cmd, c.cmd):
             return "ViewShift premise command differs from conclusion"
         if normalize_assertion(p.conclusion.pre) != normalize_assertion(t.data.inner_pre):
             return "ViewShift premise precondition mismatch"
@@ -300,7 +321,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if isinstance(frame, Flat) and frame.obs:
             return "frames must not contain obs atoms"
         p = t.premises[0]
-        if p.conclusion.cmd != c.cmd:
+        if not _same_cmd(p.conclusion.cmd, c.cmd):
             return "Frame premise command differs from conclusion"
         if npre != flat_add(normalize_assertion(p.conclusion.pre), frame):
             return "Frame precondition is not premise * frame"
@@ -518,11 +539,11 @@ def from_json_dict(data: dict) -> ProofTree:
     """The proof tree a certificate describes.
 
     One forward loop per table builds each entry from the entries before it
-    and interns it, so equal terms load as one object and `check_proof`
-    compares them by identity.  CertificateError names the fault: a
-    format other than 2, an index of no earlier entry, a seq whose first
-    part is a seq (not `parse`'s normal form), or a node that is the premise
-    of two nodes (so `check_proof` walks a tree no larger than the file).
+    and interns it, so equal terms load as one object.  CertificateError
+    names the fault: a format other than 2, an index of no earlier entry, a
+    seq or star not in the form the module docstring gives, or a node that is
+    the premise of two nodes (so `check_proof` walks a tree no larger than
+    the file).
     """
     if not isinstance(data, dict) or data.get("format") != 2:
         raise CertificateError('unsupported certificate format: expected an object with "format": 2')
@@ -568,6 +589,8 @@ def _read_table(entries: list, classes: dict[str, type]) -> list:
         term = interned[key]
         if isinstance(term, Seq) and isinstance(term.first, Seq):
             raise CertificateError("malformed certificate: the first part of a seq is a seq")
+        if isinstance(term, Star) and isinstance(term.right, Star):
+            raise CertificateError("malformed certificate: the right part of a star is a star")
         terms.append(term)
     return terms
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -169,6 +170,11 @@ EXIT_TABLES = (["exit"], [{"obs": 0}, "false"])
             _v2(["exit", {"seq": [0, 0]}, {"seq": [1, 0]}], EXIT_TABLES[1], [EXIT_LEAF], 0), id="seq-in-first"
         ),
         pytest.param(_v2(*EXIT_TABLES, [EXIT_LEAF, EXIT_SHIFT, EXIT_SHIFT], 2), id="premise-twice"),
+        # entry k + 1 is entry k twice: a 1 KB table naming an assertion of 2^61 nodes
+        pytest.param(
+            _v2(["exit"], [{"obs": 0}] + [{"star": [k, k]} for k in range(60)], [{**EXIT_LEAF, "pre": 60}], 0),
+            id="doubling-star",
+        ),
     ],
 )
 def test_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, text):
@@ -198,6 +204,36 @@ def test_check_proof_checks_the_claim_not_only_the_rules(tmp_path, capsys):
     assert main(["check-proof", str(cert)]) == 1
     assert capsys.readouterr().out == (
         "RuleViolation root: certificate does not prove {obs(0)} c {obs(0)}\n"
+    )
+
+
+def test_check_proof_compares_deep_commands_without_recursion(tmp_path, capsys):
+    # a Seq premise's command moved to the next shorter suffix differs from
+    # the suffix it should be only 2000 sequences down
+    cert = tmp_path / "cert.json"
+    assert main(["verify", "-e", _long(2000), "--emit-cert", str(cert)]) == 0
+    capsys.readouterr()
+    payload = json.loads(cert.read_text())
+    cmds, nodes = payload["cmds"], payload["nodes"]
+    top = max((n for n in nodes if n["rule"] == "Seq"), key=lambda n: n["cmd"])
+    rest = nodes[top["premises"][1]]
+    rest["cmd"] = cmds[rest["cmd"]]["seq"][1]
+    cert.write_text(json.dumps(payload))
+    assert main(["check-proof", str(cert)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("RuleViolation ") and err == ""
+
+
+def test_recursion_past_the_limit_exits_2_with_one_line(monkeypatch, capsys):
+    def verify(program):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(busycheck.cli, "verify", verify)
+    assert main(["verify", "-e", "exit"]) == 2
+    limit = sys.getrecursionlimit()
+    assert capsys.readouterr() == (
+        "",
+        f"verify: input too deeply nested or too long (past the recursion limit of {limit})\n",
     )
 
 
