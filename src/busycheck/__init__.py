@@ -9,7 +9,6 @@ from .lang import (
     LoopSkip,
     ParseError,
     Seq,
-    normalize,
     parse,
     pretty,
     to_continuation,

@@ -1,9 +1,9 @@
 """Command-line interface: parse, run, verify, check-proof, trace, graph, fuzz.
 
 Exit codes: 0 on success / Verified / Ok, 1 on Rejected / RuleViolation /
-divergence witness, 2 on usage or parse errors, malformed certificates and
-input nested past the recursion limit.  `check-proof` also checks the claim:
-the root triple must be {obs(0)} c {obs(0)}.
+divergence witness, 2 on usage or parse errors, unreadable files, malformed
+certificates and input nested past the recursion limit.  `check-proof` also
+checks the claim: the root triple must be {obs(0)} c {obs(0)}.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from .assertions import OBS_ZERO, normalize as normalize_assertion
 from .ghost import annotate, serialize_annotated_trace
 from .harness import CampaignViolation, GenConfig, soundness_campaign
-from .lang import Command, ParseError, normalize, parse, pretty
+from .lang import Command, ParseError, parse, pretty
 from .pog import build_pog, max_loopfree_sc_prefix, to_dot
 from .proofs import CertificateError, check_proof, load_certificate, save_certificate, verify
 from .semantics import (
@@ -64,8 +64,11 @@ def _load_program(args) -> Command:
         text = args.expr
     else:
         with open(args.path, encoding="utf-8") as fh:
-            text = fh.read()
-    return normalize(parse(text))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise SystemExit2(f"{args.path}: not UTF-8: {exc}") from exc
+    return parse(text)
 
 
 def _make_scheduler(args):
@@ -192,14 +195,17 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    cfg = GenConfig(
-        max_atoms=args.max_atoms,
-        fork_prob=args.fork_weight,
-        loop_prob=args.loop_weight,
-        exit_prob=args.exit_weight,
-        seed=args.seed,
-        count=args.count,
-    )
+    try:
+        cfg = GenConfig(
+            max_atoms=args.max_atoms,
+            fork_prob=args.fork_weight,
+            loop_prob=args.loop_weight,
+            exit_prob=args.exit_weight,
+            seed=args.seed,
+            count=args.count,
+        )
+    except ValueError as exc:
+        raise SystemExit2(f"fuzz: {exc}") from exc
     try:
         report = soundness_campaign(cfg, exhaustive_max_atoms=args.exhaustive_max)
     except CampaignViolation as violation:
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("parse", help="echo the normalized program")
+    p = subs.add_parser("parse", help="echo the program")
     _add_program_arg(p)
     p.set_defaults(func=_cmd_parse)
 
@@ -271,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except (CertificateError, SystemExit2, FileNotFoundError) as err:
+    except (CertificateError, SystemExit2, OSError) as err:
         print(str(err), file=sys.stderr)
         return 2
     except RecursionError:

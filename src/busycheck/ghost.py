@@ -30,7 +30,6 @@ from .lang import (
     Fork,
     LoopSkip,
     Printer,
-    normalize,
     spells,
     to_continuation,
 )
@@ -106,9 +105,9 @@ class AnnotatedTrace:
     steps: tuple[TraceStep, ...]
 
 
-def initial_annotated_pool(c: Command, tid0: int = 0, obligations: int = 0) -> ThreadPool:
-    entry = AnnotatedThread(ResourceBundle((obligations,), 0), to_continuation(normalize(c)))
-    return ThreadPool.of({tid0: entry})
+def initial_annotated_pool(c: Command, obligations: int = 0) -> ThreadPool:
+    entry = AnnotatedThread(ResourceBundle((obligations,), 0), to_continuation(c))
+    return ThreadPool.of({0: entry})
 
 
 def ghost_step(pool: ThreadPool, tid: int, kind: str) -> ThreadPool:
@@ -297,11 +296,10 @@ def annotate(
     fork splits come from the proof's Fork nodes.  The non-ghost steps of the
     result project onto the input trace exactly.
     """
-    cmd = normalize(c)
     violation = check_proof(proof)
     if violation is not None:
         raise AnnotationError(f"proof does not check: {violation}")
-    if proof.conclusion.cmd != cmd:
+    if proof.conclusion.cmd != c:
         raise AnnotationError("proof concludes a different command")
     if _flat_state(proof.conclusion.pre) != (0, 0) or _flat_state(proof.conclusion.post) != (0, 0):
         raise AnnotationError("annotation needs a proof of {obs(0)} c {obs(0)}")
@@ -314,7 +312,7 @@ def annotate(
         raise AnnotationError("trace must start from a singleton pool")
     tid0 = start.tids()[0]
     start_cont = start.get(tid0)
-    if not spells(start_cont, cmd):
+    if not spells(start_cont, c):
         raise AnnotationError("trace does not start with {tid0: c;done}")
 
     # the annotated run starts from the trace's own continuation, so the

@@ -14,6 +14,7 @@ that reach a second thread (`multi_thread`).
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -35,6 +36,9 @@ from .semantics import (
 # stays importable from this module because perfbench/tracing.py wraps it here.
 from .semantics import explore  # noqa: F401
 
+# Random prefixes checked for leaf balance on each verified program's graph.
+PREFIXES_PER_TRACE = 3
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -46,8 +50,9 @@ class GenConfig:
     count: int = 100
 
     def __post_init__(self) -> None:
-        if min(self.fork_prob, self.loop_prob, self.exit_prob) <= 0:
-            raise ValueError("weights must be positive")
+        weights = (self.fork_prob, self.loop_prob, self.exit_prob)
+        if min(weights) <= 0 or not math.isfinite(sum(weights)):
+            raise ValueError("weights must be positive, with a finite sum")
         if self.max_atoms < 1:
             raise ValueError("max_atoms must be >= 1")
 
@@ -78,7 +83,7 @@ def _gen_command(rng: random.Random, cfg: GenConfig, atoms: int) -> Command:
 
 
 def enumerate_programs(max_atoms: int):
-    """All normalized commands with at most max_atoms atoms."""
+    """All commands with at most max_atoms atoms."""
     for n in range(1, max_atoms + 1):
         yield from _commands_of_size(n)
 
@@ -166,7 +171,6 @@ class CampaignReport:
 def soundness_campaign(
     cfg: GenConfig,
     exhaustive_max_atoms: int = 6,
-    prefixes_per_trace: int = 3,
 ) -> CampaignReport:
     """Run the verify-vs-oracle loop; any violation raises CampaignViolation.
 
@@ -180,14 +184,12 @@ def soundness_campaign(
     if exhaustive_max_atoms:
         programs.extend(enumerate_programs(exhaustive_max_atoms))
     for index, program in enumerate(programs):
-        _check_one(program, cfg.seed * 7919 + index, prefixes_per_trace, report)
+        _check_one(program, cfg.seed * 7919 + index, report)
     report.wall_time = time.perf_counter() - started
     return report
 
 
-def _check_one(
-    program: Command, prefix_seed: int, prefixes_per_trace: int, report: CampaignReport
-) -> None:
+def _check_one(program: Command, prefix_seed: int, report: CampaignReport) -> None:
     report.total += 1
     proof = verify(program)
     tree = spawn_tree(program)
@@ -216,7 +218,7 @@ def _check_one(
             raise CampaignViolation(program, "ghost balance broken along the annotated trace")
     graph = build_pog(atrace)
     rng = random.Random(prefix_seed)
-    for _ in range(prefixes_per_trace):
+    for _ in range(PREFIXES_PER_TRACE):
         prefix = random_sc_loopfree_prefix(graph, rng)
         balance = check_leaf_balance(graph, prefix)
         report.leaf_balance_checks += 1

@@ -2,8 +2,10 @@
 
 The language has exactly four constructs: ``exit`` (abruptly terminates the
 whole program), ``loop skip`` (busy-wait forever), ``fork { c }`` (spawn a
-thread), and right-associative sequencing ``c ; c``.  A running thread is a
-continuation: a chain of atomic commands ending in ``done``.
+thread), and right-associative sequencing ``c ; c``.  Sequences are
+right-associated by construction (a `Seq` whose first part is a `Seq` raises
+ValueError), so a command is a chain of atoms, and a running thread is a
+continuation: a chain of atoms ending in ``done``.
 
 Concrete grammar (whitespace-insensitive, ``#`` comments to end of line)::
 
@@ -50,54 +52,18 @@ class Fork(Command):
 
 @dataclass(frozen=True)
 class Seq(Command):
+    """`first; second`, right-associated: `first` is an atom."""
+
     first: Command
     second: Command
+
+    def __post_init__(self) -> None:
+        if isinstance(self.first, Seq):
+            raise ValueError("the first part of a seq is a seq")
 
 
 EXIT = Exit()
 LOOP_SKIP = LoopSkip()
-
-
-def normalize(c: Command) -> Command:
-    """Right-associate sequencing: no Seq ever appears as the first child of a Seq.
-
-    Fork bodies are normalized too.  Idempotent and iterative (any depth);
-    a normal `c`, such as a parsed program, is returned as is.
-    """
-    if _is_normal(c):
-        return c
-    forks: list[Fork] = []  # every fork comes before the forks in its body
-    stack = [c]
-    while stack:
-        for a in _spine(stack.pop()):
-            if isinstance(a, Fork):
-                forks.append(a)
-                stack.append(a.body)
-    normal: dict[int, Command] = {}  # id of a fork of c -> its normal form
-
-    def rebuild(cmd: Command) -> Command:
-        return seq_of([normal.get(id(a), a) for a in _spine(cmd)])
-
-    for f in reversed(forks):
-        normal[id(f)] = Fork(rebuild(f.body))
-    return rebuild(c)
-
-
-def _is_normal(c: Command) -> bool:
-    """No Seq is the first child of a Seq, in `c` or in any fork body."""
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Seq):
-            first = node.first
-            if isinstance(first, Seq):
-                return False
-            if isinstance(first, Fork):
-                stack.append(first.body)
-            stack.append(node.second)
-        elif isinstance(node, Fork):
-            stack.append(node.body)
-    return True
 
 
 def seq_of(atoms: list[Command]) -> Command:
@@ -131,13 +97,13 @@ class SeqCont(Continuation):
 DONE = Done()
 
 
-def to_continuation(c: Command, tail: Continuation = DONE) -> Continuation:
-    """Turn a command into the continuation ``c;done``.
+def to_continuation(c: Command) -> Continuation:
+    """Turn a command into the continuation ``c;done``, one cell per atom.
 
-    Nested Seq is flattened so every SeqCont head is atomic.  Iterative, so
-    any length and nesting of sequences works.
+    Iterative, so any length and nesting of sequences works.
     """
-    for a in reversed(list(_spine(c))):
+    tail: Continuation = DONE
+    for a in reversed(list(spine(c))):
         tail = SeqCont(a, tail)
     return tail
 
@@ -148,23 +114,19 @@ def spells(k: Continuation, c: Command) -> bool:
     Iterative; each head is compared with its atom by identity first, so a
     continuation built from `c` itself is checked in one pass over its cells.
     """
-    for a in _spine(c):
+    for a in spine(c):
         if not isinstance(k, SeqCont) or (k.head is not a and k.head != a):
             return False
         k = k.tail
     return isinstance(k, Done)
 
 
-def _spine(c: Command):
-    """The atoms of `c` in execution order, however its sequences nest."""
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Seq):
-            stack.append(node.second)
-            stack.append(node.first)
-        else:
-            yield node
+def spine(c: Command):
+    """The atoms of `c` in execution order."""
+    while isinstance(c, Seq):
+        yield c.first
+        c = c.second
+    yield c
 
 
 # --- parser ---------------------------------------------------------------
@@ -280,7 +242,7 @@ class _Parser:
 
 
 def parse(text: str) -> Command:
-    """Parse a program; the result is right-associated by construction."""
+    """Parse a program into the command it spells, atoms in source order."""
     parser = _Parser(_tokenize(text))
     cmd = parser.command()
     if parser.peek().kind != "eof":
@@ -339,7 +301,7 @@ class Printer:
 
 
 def pretty(c: Command) -> str:
-    """Concrete syntax for a command; parse(pretty(c)) == normalize(c).
+    """Concrete syntax for a command; parse(pretty(c)) == c.
 
     Iterative: `todo` holds the commands and texts still to print, next last.
     """

@@ -64,13 +64,14 @@ nesting depth is constant.  `cmds` holds commands, each `"exit"`,
 `"loop skip"`, `{"fork": i}` or `{"seq": [i, j]}`; `asserts` holds
 assertions, each `"true"`, `"false"`, `"credit"`, `{"obs": n}` or
 `{"star": [i, j]}`.  Both tables are hash-consed (Filliâtre & Conchon, ML
-2006): a term occurs once.  As `parse` and `star` build them, no seq's
-first part is a seq and no star's right part is a star, so an assertion has
-at most twice as many nodes as its table has entries.  `nodes` lists the
-proof nodes in post-order, as LRAT numbers its steps; each has its `rule`,
-the indices of its `pre`, `cmd` and `post` and of its `premises`, and its
-rule data: `childObs` and `childCredits` (Fork), `innerPre` and `innerPost`
-(ViewShift), `frame` (Frame).  `root` is the index of the conclusion's node.
+2006): a term occurs once.  The `Seq` constructor refuses a seq as first
+part, and as `star` builds them no star's right part is a star, so an
+assertion has at most twice as many nodes as its table has entries.
+`nodes` lists the proof nodes in post-order, as LRAT numbers its steps;
+each has its `rule`, the indices of its `pre`, `cmd` and `post` and of its
+`premises`, and its rule data: `childObs` and `childCredits` (Fork),
+`innerPre` and `innerPost` (ViewShift), `frame` (Frame).  `root` is the
+index of the conclusion's node.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ from .lang import (
     Fork,
     LoopSkip,
     Seq,
-    normalize,
 )
 
 # Not called here: certificates carry no program text.  The name stays
@@ -336,9 +336,9 @@ def _node_fault(t: ProofTree) -> str | None:
 def _features(c: Command) -> dict[int, tuple[bool, int]]:
     """(absorbing, need) of every spine suffix of `c` and of its fork bodies, by id.
 
-    Post-order without recursion, built like `lang.normalize`: every spine is
-    listed before the spines of the fork bodies on it, and the list is read
-    back to front, each spine from its last atom to its first.
+    Post-order without recursion: every spine is listed before the spines of
+    the fork bodies on it, and the list is read back to front, each spine
+    from its last atom to its first.
     """
     spines: list[list[Command]] = []
     todo = [c]
@@ -390,7 +390,6 @@ def derive(c: Command, n: int) -> ProofTree | None:
     states and every fork's choice, parents before children; the trees are
     then built back to front, children first.
     """
-    c = normalize(c)
     features = _features(c)
     absorbing, need = features[id(c)]
     if not absorbing and -n < need:
@@ -587,8 +586,6 @@ def _read_table(entries: list, classes: dict[str, type]) -> list:
         if key not in interned:
             interned[key] = cls(*args)
         term = interned[key]
-        if isinstance(term, Seq) and isinstance(term.first, Seq):
-            raise CertificateError("malformed certificate: the first part of a seq is a seq")
         if isinstance(term, Star) and isinstance(term.right, Star):
             raise CertificateError("malformed certificate: the right part of a star is a star")
         terms.append(term)

@@ -41,9 +41,8 @@ from .lang import (
     Fork,
     LoopSkip,
     Printer,
-    Seq,
     SeqCont,
-    normalize,
+    spine,
     to_continuation,
 )
 
@@ -282,7 +281,7 @@ def run_schedule(tp: ThreadPool, tids: list[int]) -> tuple[RunOutcome, list[Trac
 
 
 def initial_pool(c: Command, tid0: int = 0) -> ThreadPool:
-    return ThreadPool.of({tid0: to_continuation(normalize(c))})
+    return ThreadPool.of({tid0: to_continuation(c)})
 
 
 def is_fair_prefix(trace: list[TraceStep], window: int) -> bool:
@@ -326,7 +325,7 @@ def _all_waiting(pool: ThreadPool) -> bool:
     )
 
 
-def explore(c: Command, tid0: int = 0) -> ReachabilityInfo:
+def explore(c: Command) -> ReachabilityInfo:
     """Exhaustive reachable-state search from the singleton initial pool.
 
     A fair infinite run exists iff some reachable non-empty pool has every
@@ -334,7 +333,7 @@ def explore(c: Command, tid0: int = 0) -> ReachabilityInfo:
     other non-empty pool is forced to make progress under fairness and the
     (finite) state graph strictly consumes atoms on non-loop steps.
     """
-    start = initial_pool(c, tid0)
+    start = initial_pool(c)
     seen = {start}
     queue = [start]
     diverges = False
@@ -411,19 +410,14 @@ def spawn_tree(c: Command) -> SpawnTree:
     bodies = [c]
     while bodies:
         threads += 1
-        todo = [bodies.pop()]
-        while todo:
-            node = todo.pop()
-            if isinstance(node, Seq):
-                todo.append(node.second)
-                todo.append(node.first)
-            elif isinstance(node, Fork):
-                bodies.append(node.body)
+        for atom in spine(bodies.pop()):
+            if isinstance(atom, Fork):
+                bodies.append(atom.body)
+            elif isinstance(atom, Exit):
+                exits += 1
+                break
             else:
-                if isinstance(node, Exit):
-                    exits += 1
-                else:
-                    waits += 1
+                waits += 1
                 break
     return SpawnTree(threads, exits, waits)
 
@@ -461,17 +455,13 @@ def fuel_bound(c: Command, window: int = 0) -> int:
     if window < 0:
         raise ValueError("window must be >= 0")
     atoms = forks = 0
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Seq):
-            stack.append(node.first)
-            stack.append(node.second)
-            continue
-        atoms += 1
-        if isinstance(node, Fork):
-            forks += 1
-            stack.append(node.body)
+    bodies = [c]
+    while bodies:
+        for atom in spine(bodies.pop()):
+            atoms += 1
+            if isinstance(atom, Fork):
+                forks += 1
+                bodies.append(atom.body)
     threads = forks + 1
     return (atoms + threads) * (window + threads + 1)
 

@@ -363,3 +363,31 @@ def test_unknown_scheduler_exits_2(capsys):
 
 def test_missing_file_exits_2(capsys):
     assert main(["parse", "no-such-file.bw"]) == 2
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "prog.bw"
+    path.write_bytes(b"exit; \xff loop skip\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda d: ["fuzz", "--max-atoms", "0"], id="fuzz-max-atoms-0"),
+        pytest.param(lambda d: ["fuzz", "--fork-weight", "0"], id="fuzz-fork-weight-0"),
+        pytest.param(lambda d: ["fuzz", "--exit-weight", "-1"], id="fuzz-exit-weight-negative"),
+        pytest.param(lambda d: ["fuzz", "--loop-weight", "nan"], id="fuzz-loop-weight-nan"),
+        pytest.param(
+            lambda d: ["fuzz", "--fork-weight", "1e308", "--loop-weight", "1e308"], id="fuzz-weights-overflow"
+        ),
+        pytest.param(lambda d: ["parse", str(d)], id="program-is-a-directory"),
+        pytest.param(lambda d: ["check-proof", str(d)], id="certificate-is-a-directory"),
+        pytest.param(lambda d: ["parse", _not_utf8(d)], id="program-not-utf8"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

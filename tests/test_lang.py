@@ -13,9 +13,9 @@ from busycheck.lang import (
     Printer,
     Seq,
     SeqCont,
-    normalize,
     parse,
     pretty,
+    seq_of,
     spells,
     to_continuation,
 )
@@ -92,14 +92,9 @@ def test_pretty_round_trips_the_examples():
     assert pretty(Fork(LOOP_SKIP)) == "fork { loop skip }"
 
 
-def test_normalize_right_associates():
-    a, b, d = EXIT, LOOP_SKIP, EXIT
-    assert normalize(Seq(Seq(a, b), d)) == Seq(a, Seq(b, d))
-
-
-def test_normalize_reaches_fork_bodies():
-    c = Fork(Seq(Seq(EXIT, LOOP_SKIP), EXIT))
-    assert normalize(c) == Fork(Seq(EXIT, Seq(LOOP_SKIP, EXIT)))
+def test_seq_refuses_a_seq_as_its_first_part():
+    with pytest.raises(ValueError, match="the first part of a seq is a seq"):
+        Seq(Seq(EXIT, LOOP_SKIP), EXIT)
 
 
 def test_to_continuation_atoms():
@@ -121,21 +116,17 @@ def _cont_oracle(c):
     return SeqCont(c, DONE)
 
 
-def test_to_continuation_flattens_left_nesting():
-    a, b, d = EXIT, LOOP_SKIP, EXIT
-    c = Seq(Seq(a, b), d)
-    expected = SeqCont(a, SeqCont(b, SeqCont(d, DONE)))
-    assert _cont_oracle(c) == expected
-    assert to_continuation(c) == expected
-
-
 def _generated_commands(seed=0, count=150, max_atoms=9):
     return gen_program(GenConfig(max_atoms=max_atoms, seed=seed, count=count))
 
 
 def test_round_trip_property():
     for c in _generated_commands(seed=3):
-        assert parse(pretty(c)) == normalize(c)
+        assert parse(pretty(c)) == c
+    small = list(enumerate_programs(5))
+    assert len(small) == 514
+    for c in small:
+        assert parse(pretty(c)) == c
 
 
 def _reference_atom(a):
@@ -174,8 +165,7 @@ def _suffixes(k):
 
 
 def test_shared_printer_matches_the_unmemoized_printer():
-    left_nested = Seq(Seq(Fork(Seq(EXIT, LOOP_SKIP)), EXIT), Seq(Seq(LOOP_SKIP, EXIT), EXIT))
-    for seed, c in enumerate(_generated_commands(seed=6) + [left_nested]):
+    for seed, c in enumerate(_generated_commands(seed=6)):
         rng = random.Random(seed)
         commands = _subterms(c)
         conts = [k for d in commands for k in _suffixes(to_continuation(d))]
@@ -188,74 +178,8 @@ def test_shared_printer_matches_the_unmemoized_printer():
             assert printer.continuation(k) == _reference_continuation(k)
 
 
-def test_normalize_idempotent_property():
-    for c in _generated_commands(seed=4):
-        once = normalize(c)
-        assert normalize(once) == once
-
-
-def _reference_normalize(c):
-    # the recursive rotation normalizer, independent of the iterative one
-    while isinstance(c, Seq) and isinstance(c.first, Seq):
-        c = Seq(c.first.first, Seq(c.first.second, c.second))
-    if isinstance(c, Seq):
-        return Seq(_reference_normalize(c.first), _reference_normalize(c.second))
-    if isinstance(c, Fork):
-        return Fork(_reference_normalize(c.body))
-    return c
-
-
-def _reassociated(rng, c):
-    """c with every sequence regrouped at random (and fork bodies too)."""
-    atoms = [Fork(_reassociated(rng, a.body)) if isinstance(a, Fork) else a for a in seq_atoms(c)]
-
-    def group(lo, hi):
-        if hi - lo == 1:
-            return atoms[lo]
-        mid = rng.randint(lo + 1, hi - 1)
-        return Seq(group(lo, mid), group(mid, hi))
-
-    return group(0, len(atoms))
-
-
-def test_normal_programs_normalize_to_themselves():
-    count = 0
-    for c in enumerate_programs(5):
-        parsed = parse(pretty(c))
-        assert normalize(parsed) is parsed
-        assert normalize(c) is c
-        count += 1
-    assert count == 514
-
-
-def test_normalize_matches_the_recursive_reference_on_regrouped_programs():
-    rng = random.Random(11)
-    for c in _generated_commands(seed=8, max_atoms=14):
-        regrouped = _reassociated(rng, c)
-        once = normalize(regrouped)
-        assert once == _reference_normalize(regrouped) == c
-        assert normalize(once) is once
-
-
-def test_normalize_takes_10000_deep_fork_chains():
-    normal = EXIT
-    for _ in range(10_000):
-        normal = Fork(normal)
-    assert normalize(normal) is normal
-    skewed = Seq(Seq(EXIT, LOOP_SKIP), EXIT)  # the rebuild path, at every level
-    for _ in range(10_000):
-        skewed = Fork(skewed)
-    out = normalize(skewed)
-    for _ in range(10_000):
-        assert isinstance(out, Fork) and out is not skewed
-        out, skewed = out.body, skewed.body
-    assert out == Seq(EXIT, Seq(LOOP_SKIP, EXIT))
-
-
 def test_to_continuation_takes_10000_atom_sequences():
-    c = EXIT
-    for _ in range(10_000):
-        c = Seq(c, LOOP_SKIP)  # left-nested: deep on the first side
+    c = seq_of([EXIT] + [LOOP_SKIP] * 10_000)
     assert len(cont_atoms(to_continuation(c))) == 10_001
 
 
@@ -268,11 +192,10 @@ def test_spells_agrees_with_building_the_continuation():
         assert spells(to_continuation(parse(pretty(c))), c)  # equal, not shared
         other = rng.choice(programs)
         assert spells(to_continuation(other), c) == (other == c)
-    assert spells(to_continuation(Seq(Seq(EXIT, LOOP_SKIP), EXIT)), parse("exit; loop skip; exit"))
 
 
 def test_to_continuation_length_matches_atom_count():
     for c in _generated_commands(seed=5):
-        cont = to_continuation(normalize(c))
-        assert len(cont_atoms(cont)) == len(seq_atoms(normalize(c)))
-        assert to_continuation(normalize(c)) == _cont_oracle(c)
+        cont = to_continuation(c)
+        assert len(cont_atoms(cont)) == len(seq_atoms(c))
+        assert cont == _cont_oracle(c)

@@ -25,7 +25,6 @@ from busycheck.lang import (
     LOOP_SKIP,
     LoopSkip,
     Seq,
-    normalize,
     parse,
     pretty,
     seq_of,
@@ -626,7 +625,6 @@ def _splits_ascending(o, c):
 
 
 def _reference_derive(c, n):
-    c = normalize(c)
     return _ReferenceSearch(_atom_count(c)).thread(n, 0, c)
 
 
