@@ -11,7 +11,6 @@ from .lang import (
     Seq,
     parse,
     pretty,
-    to_continuation,
 )
 from .assertions import (
     CREDIT,

@@ -40,11 +40,6 @@ class ResourceBundle:
     def union(self, other: "ResourceBundle") -> "ResourceBundle":
         return ResourceBundle(self.chunks + other.chunks, self.credits + other.credits)
 
-    @property
-    def complete(self) -> bool:
-        """A thread's bundle: exactly one obligations chunk."""
-        return len(self.chunks) == 1
-
 
 def bundle(chunks: tuple[int, ...] | list[int], credits: int) -> ResourceBundle:
     return ResourceBundle(tuple(chunks), credits)

@@ -2,12 +2,12 @@
 
 An annotated pool is a `semantics.ThreadPool` whose entries are
 `AnnotatedThread`s, and an annotated trace is made of `semantics.TraceStep`s
-labelled with the rules below.  Each thread carries a complete resource
-bundle (exactly one obligations chunk plus credits).  Ghost steps spawn or
-cancel an obligation-credit pair and touch nothing else.  Real steps mirror
-the plain semantics but can get stuck: looping demands an empty chunk and a
-credit, and a thread may only terminate without obligations.  `exit` clears
-the pool regardless.
+labelled with the rules below.  Each thread carries exactly one obligations
+chunk plus credits, two counts next to what it has left to run.  Ghost
+steps spawn or cancel an obligation-credit pair and touch nothing else.
+Real steps mirror the plain semantics but can get stuck: looping demands an
+empty chunk and a credit, and a thread may only terminate without
+obligations.  `exit` clears the pool regardless.
 
 `annotate` implements the constructive direction of the soundness argument:
 given a checked proof of {obs(0)} c {obs(0)} and a plain trace, it inserts
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .assertions import ResourceBundle, Bottom, Flat, normalize as normalize_assertion
+from .assertions import Bottom, Flat, normalize as normalize_assertion
 from .lang import (
     Command,
     Continuation,
@@ -30,8 +30,7 @@ from .lang import (
     Fork,
     LoopSkip,
     Printer,
-    spells,
-    to_continuation,
+    same_command,
 )
 from .proofs import (
     ForkSplit,
@@ -75,16 +74,15 @@ class AnnotationError(ValueError):
 
 @dataclass(frozen=True)
 class AnnotatedThread:
-    bundle: ResourceBundle  # complete: exactly one chunk
-    cont: Continuation
+    """A thread's obligations chunk, its credits, and what it has left to run."""
 
-    def __post_init__(self) -> None:
-        if not self.bundle.complete:
-            raise ValueError("annotated threads hold exactly one obligations chunk")
+    obligations: int
+    credits: int
+    cont: Continuation
 
 
 def erase(pool: ThreadPool) -> ThreadPool:
-    """Forget bundles, keeping the plain pool."""
+    """Forget ghost resources, keeping the plain pool."""
     return ThreadPool(tuple((t, e.cont) for t, e in pool.threads))
 
 
@@ -106,24 +104,24 @@ class AnnotatedTrace:
 
 
 def initial_annotated_pool(c: Command, obligations: int = 0) -> ThreadPool:
-    entry = AnnotatedThread(ResourceBundle((obligations,), 0), to_continuation(c))
-    return ThreadPool.of({0: entry})
+    if obligations < 0:
+        raise ValueError("obligations must be a natural")
+    return ThreadPool.of({0: AnnotatedThread(obligations, 0, c)})
 
 
 def ghost_step(pool: ThreadPool, tid: int, kind: str) -> ThreadPool:
     """Spawn (GS-Intro) or cancel (GS-Cancel) an obligation-credit pair of one thread."""
     entry = pool.get(tid)
-    value = entry.bundle.chunks[0]
-    credits = entry.bundle.credits
+    value, credits = entry.obligations, entry.credits
     if kind == GS_INTRO:
-        new = ResourceBundle((value + 1,), credits + 1)
+        delta = 1
     elif kind == GS_CANCEL:
         if value < 1 or credits < 1:
             raise CancelUnderflow(f"thread {tid} holds ({value}|{credits}); nothing to cancel")
-        new = ResourceBundle((value - 1,), credits - 1)
+        delta = -1
     else:
         raise ValueError(f"not a ghost step kind: {kind!r}")
-    return pool.replace(tid, AnnotatedThread(new, entry.cont))
+    return pool.replace(tid, AnnotatedThread(value + delta, credits + delta, entry.cont))
 
 
 def real_step(
@@ -131,14 +129,12 @@ def real_step(
 ) -> tuple[ThreadPool, StepLabel] | Stuck:
     """Non-ghost step of thread `tid`; Stuck names the violated side condition.
 
-    Looping keeps the bundle untouched (the credit is held, not consumed).
-    Fork splits the bundle conservatively per the supplied `split`; omitting
-    it passes nothing to the child.
+    Looping keeps the resources untouched (the credit is held, not consumed).
+    Fork splits the resources conservatively per the supplied `split`;
+    omitting it passes nothing to the child.
     """
     entry = pool.get(tid)
-    value = entry.bundle.chunks[0]
-    credits = entry.bundle.credits
-    cont = entry.cont
+    value, credits, cont = entry.obligations, entry.credits, entry.cont
     if isinstance(cont, Done):
         if value > 0:
             return Stuck(TERM_HOLDS_OBLIGATION)
@@ -154,18 +150,14 @@ def real_step(
         return semantics.EMPTY_POOL, StepLabel(tid, RA_EXIT)
     assert isinstance(head, Fork)
     split = split or ForkSplit(0, 0)
-    if split.child_obs > value or split.child_credits > credits:
+    if not (0 <= split.child_obs <= value and 0 <= split.child_credits <= credits):
         raise SplitError(
             f"cannot split ({split.child_obs}|{split.child_credits}) "
             f"out of ({value}|{credits})"
         )
-    keep = ResourceBundle((value - split.child_obs,), credits - split.child_credits)
-    child = AnnotatedThread(
-        ResourceBundle((split.child_obs,), split.child_credits),
-        head.thread,
-    )
-    pool2 = pool.replace(tid, AnnotatedThread(keep, cont.tail))
-    pool2, _ = pool2.extend(child)
+    keep = AnnotatedThread(value - split.child_obs, credits - split.child_credits, cont.tail)
+    child = AnnotatedThread(split.child_obs, split.child_credits, head.body)
+    pool2, _ = pool.replace(tid, keep).extend(child)
     return pool2, StepLabel(tid, RA_FORK)
 
 
@@ -205,8 +197,8 @@ def run_annotated(
 
 def check_balance(pool: ThreadPool) -> bool:
     """Obligations and credits in the system stay equal (spawned in pairs)."""
-    obligations = sum(e.bundle.chunks[0] for _, e in pool.threads)
-    credits = sum(e.bundle.credits for _, e in pool.threads)
+    obligations = sum(e.obligations for _, e in pool.threads)
+    credits = sum(e.credits for _, e in pool.threads)
     return obligations == credits
 
 
@@ -290,7 +282,7 @@ class _Cursor:
 def annotate(
     c: Command, proof: ProofTree, plain_trace: list[TraceStep]
 ) -> AnnotatedTrace:
-    """Annotate a plain run of {tid0: c;done} using a checked proof.
+    """Annotate a plain run of {tid0: c} using a checked proof.
 
     Ghost steps land immediately before the owning thread's next real step;
     fork splits come from the proof's Fork nodes.  The non-ghost steps of the
@@ -299,7 +291,7 @@ def annotate(
     violation = check_proof(proof)
     if violation is not None:
         raise AnnotationError(f"proof does not check: {violation}")
-    if proof.conclusion.cmd != c:
+    if not same_command(proof.conclusion.cmd, c):
         raise AnnotationError("proof concludes a different command")
     if _flat_state(proof.conclusion.pre) != (0, 0) or _flat_state(proof.conclusion.post) != (0, 0):
         raise AnnotationError("annotation needs a proof of {obs(0)} c {obs(0)}")
@@ -312,13 +304,13 @@ def annotate(
         raise AnnotationError("trace must start from a singleton pool")
     tid0 = start.tids()[0]
     start_cont = start.get(tid0)
-    if not spells(start_cont, c):
-        raise AnnotationError("trace does not start with {tid0: c;done}")
+    if not same_command(start_cont, c):
+        raise AnnotationError("trace does not start with {tid0: c}")
 
-    # the annotated run starts from the trace's own continuation, so the
-    # erased pool, kept step by step next to the annotated one, shares its
-    # continuations with the plain trace's pools
-    pool = initial = ThreadPool.of({tid0: AnnotatedThread(ResourceBundle((0,), 0), start_cont)})
+    # the annotated run starts from the trace's own command, so the erased
+    # pool, kept step by step next to the annotated one, shares its entries
+    # with the plain trace's pools
+    pool = initial = ThreadPool.of({tid0: AnnotatedThread(0, 0, start_cont)})
     erased = start
     cursors: dict[int, _Cursor] = {tid0: _Cursor(_extract_plan(proof))}
     steps: list[TraceStep] = []
@@ -385,7 +377,7 @@ def _slot_at(cursor: _Cursor) -> _Slot:
 
 
 def project(trace: AnnotatedTrace) -> list[TraceStep]:
-    """Erase bundles and ghost steps, recovering the plain trace."""
+    """Erase ghost resources and ghost steps, recovering the plain trace."""
     plain_rule = {
         RA_LOOP: semantics.ST_LOOP,
         RA_FORK: semantics.ST_FORK,
@@ -412,13 +404,13 @@ def project(trace: AnnotatedTrace) -> list[TraceStep]:
 def annotated_pool_str(pool: ThreadPool, printer: Printer) -> str:
     def entry(pair: tuple[int, AnnotatedThread]) -> str:
         e = pair[1]
-        return f"{pair[0]}:({e.bundle.chunks[0]}|{e.bundle.credits}) {printer.continuation(e.cont)}"
+        return f"{pair[0]}:({e.obligations}|{e.credits}) {printer.continuation(e.cont)}"
 
     return "{%s}" % ",".join(printer.each(pool.threads, entry))
 
 
 def serialize_annotated_trace(trace: AnnotatedTrace) -> str:
-    """Plain trace format plus a (obligations|credits) bundle per thread."""
+    """Plain trace format plus (obligations|credits) per thread."""
     printer = Printer()
     lines = [
         f"{i}\t{s.label.tid}\t{s.label.rule}\t{annotated_pool_str(s.before, printer)}"

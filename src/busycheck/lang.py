@@ -4,8 +4,10 @@ The language has exactly four constructs: ``exit`` (abruptly terminates the
 whole program), ``loop skip`` (busy-wait forever), ``fork { c }`` (spawn a
 thread), and right-associative sequencing ``c ; c``.  Sequences are
 right-associated by construction (a `Seq` whose first part is a `Seq` raises
-ValueError), so a command is a chain of atoms, and a running thread is a
-continuation: a chain of atoms ending in ``done``.
+ValueError), so a command is a chain of atoms, and each suffix of that chain
+is again a command.  A running thread is what is left of its command: such a
+suffix, whose `head` atom runs next and whose `tail` is the rest, or `DONE`
+once nothing is left.
 
 Concrete grammar (whitespace-insensitive, ``#`` comments to end of line)::
 
@@ -16,7 +18,6 @@ Concrete grammar (whitespace-insensitive, ``#`` comments to end of line)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable, Sequence
 
 
@@ -24,6 +25,16 @@ class Command:
     """Base class of command AST nodes."""
 
     __slots__ = ()
+
+    @property
+    def head(self) -> Command:
+        """The atom that runs first: an atom is its own head."""
+        return self
+
+    @property
+    def tail(self) -> Continuation:
+        """What is left to run after the head: `DONE` after an atom."""
+        return DONE
 
 
 @dataclass(frozen=True)
@@ -40,15 +51,6 @@ class LoopSkip(Command):
 class Fork(Command):
     body: Command
 
-    @cached_property
-    def thread(self) -> "Continuation":
-        """The continuation `body;done` a forked thread starts with.
-
-        Built once and kept on the node (commands are frozen), so every run
-        that takes this fork, plain or annotated, starts the same object.
-        """
-        return to_continuation(self.body)
-
 
 @dataclass(frozen=True)
 class Seq(Command):
@@ -60,6 +62,14 @@ class Seq(Command):
     def __post_init__(self) -> None:
         if isinstance(self.first, Seq):
             raise ValueError("the first part of a seq is a seq")
+
+    @property
+    def head(self) -> Command:
+        return self.first
+
+    @property
+    def tail(self) -> Command:
+        return self.second
 
 
 EXIT = Exit()
@@ -76,49 +86,36 @@ def seq_of(atoms: list[Command]) -> Command:
     return cmd
 
 
-# --- continuations ---------------------------------------------------------
-
-
-class Continuation:
-    __slots__ = ()
+# --- threads ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Done(Continuation):
-    pass
-
-
-@dataclass(frozen=True)
-class SeqCont(Continuation):
-    head: Command  # always atomic: Exit, LoopSkip, or Fork
-    tail: Continuation
+class Done:
+    """What a thread has left to run once it has run all its atoms."""
 
 
 DONE = Done()
 
-
-def to_continuation(c: Command) -> Continuation:
-    """Turn a command into the continuation ``c;done``, one cell per atom.
-
-    Iterative, so any length and nesting of sequences works.
-    """
-    tail: Continuation = DONE
-    for a in reversed(list(spine(c))):
-        tail = SeqCont(a, tail)
-    return tail
+Continuation = Command | Done  # what a thread has left to run
 
 
-def spells(k: Continuation, c: Command) -> bool:
-    """True iff `k == to_continuation(c)`, decided without building the latter.
-
-    Iterative; each head is compared with its atom by identity first, so a
-    continuation built from `c` itself is checked in one pass over its cells.
-    """
-    for a in spine(c):
-        if not isinstance(k, SeqCont) or (k.head is not a and k.head != a):
+def same_command(a: Continuation, b: Continuation) -> bool:
+    """`a == b` without recursion.  A pair of one object is equal at once, so
+    two loaded (interned) commands that differ walk one path to a difference."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
             return False
-        k = k.tail
-    return isinstance(k, Done)
+        if isinstance(x, Fork):
+            todo.append((x.body, y.body))
+        elif isinstance(x, Seq):
+            todo += [(x.first, y.first), (x.second, y.second)]
+        elif x != y:  # an atom, or not a command at all
+            return False
+    return True
 
 
 def spine(c: Command):
@@ -254,19 +251,20 @@ def parse(text: str) -> Command:
 
 
 class Printer:
-    """Concrete syntax of continuations, memoized by node identity.
+    """Concrete syntax of what threads have left to run, memoized by node
+    identity.
 
-    One printer serves one trace, whose steps reuse the tails of
-    continuations.  Printing a continuation records, for every cell on it,
-    where its own text starts inside the continuation's text, so a later
-    print of any suffix is one lookup and one slice, and the memo stays
-    linear in the distinct cells.  Each memo entry holds its cell, so no id
-    is reused while the printer lives.  `each` memoizes a trace's
+    One printer serves one trace, whose steps reuse the tails of commands.
+    Printing a command as a thread records, for every spine suffix on it,
+    where its own text starts inside the command's text, so a later print
+    of any suffix is one lookup and one slice, and the memo stays linear in
+    the distinct suffixes.  Each memo entry holds its suffix, so no id is
+    reused while the printer lives.  `each` memoizes a trace's
     `(tid, entry)` pairs the same way.
     """
 
     def __init__(self) -> None:
-        self._memo: dict[int, tuple[object, str, int]] = {}  # id -> (cell, text, start)
+        self._memo: dict[int, tuple[object, str, int]] = {}  # id -> (suffix, text, start)
         self._texts: dict[int, str] = {}  # id -> text, for the items `each` rendered
         self._held: list[object] = []  # those items, so their ids stay theirs
 
@@ -281,10 +279,11 @@ class Printer:
         return texts
 
     def continuation(self, k: Continuation) -> str:
-        """A continuation with `done` printed explicitly, e.g. `exit;done`."""
-        cells, parts = [], []
-        while isinstance(k, SeqCont) and id(k) not in self._memo:
-            cells.append(k)
+        """What a thread has left, atoms joined by `;` and an explicit `done`,
+        e.g. `exit;done`."""
+        suffixes, parts = [], []
+        while not isinstance(k, Done) and id(k) not in self._memo:
+            suffixes.append(k)
             parts.append(pretty(k.head))
             k = k.tail
         if id(k) in self._memo:
@@ -294,8 +293,8 @@ class Printer:
             parts.append("done")
         text = ";".join(parts)
         start = 0
-        for cell, part in zip(cells, parts):
-            self._memo[id(cell)] = (cell, text, start)
+        for suffix, part in zip(suffixes, parts):
+            self._memo[id(suffix)] = (suffix, text, start)
             start += len(part) + 1
         return text
 
@@ -325,5 +324,5 @@ def pretty(c: Command) -> str:
 
 
 def pretty_continuation(k: Continuation) -> str:
-    """Render a continuation with `done` printed explicitly, e.g. `exit;done`."""
+    """Render what a thread has left with `done` printed explicitly, e.g. `exit;done`."""
     return Printer().continuation(k)

@@ -7,7 +7,7 @@ edges carry the rule name of their source step.  Node 0 is the root.
 A prefix (downward-closed node set) is sibling-closed when, for every fork
 node, either both successor steps are included or neither is.  Leaves of a
 sibling-closed prefix satisfy the obligation/credit sum equality when the
-run starts from a complete, balanced bundle.
+run starts with as many obligations as credits.
 
 Built over finite prefixes only: a node whose successors lie beyond the
 trace is a leaf, and a fork node missing one of its two successors must stay
@@ -77,19 +77,11 @@ def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
     steps = trace.steps
     if len(trace.initial.threads) != 1:
         raise PrefixError("trace must start from a singleton pool")
-    b0 = trace.initial.threads[0][1].bundle
+    start = trace.initial.threads[0][1]
     info: list[NodeInfo] = []
     for s in steps:
         entry = s.before.get(s.label.tid)
-        info.append(
-            NodeInfo(
-                s.label.tid,
-                s.label.rule,
-                entry.bundle.chunks[0],
-                entry.bundle.credits,
-                entry.cont,
-            )
-        )
+        info.append(NodeInfo(s.label.tid, s.label.rule, entry.obligations, entry.credits, entry.cont))
     # ids are never reused: a terminating thread forked a strictly higher id
     # first, so the largest id stays live until an exit clears the pool, and
     # a thread's steps are the steps with its tid.  One pass links each step
@@ -105,7 +97,7 @@ def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
         if s.label.rule == RA_FORK:
             last[s.after.tids()[-1]] = i  # the child has the new last id
     edges.sort(key=lambda e: (e.src, e.dst))
-    return ProgramOrderGraph(info, edges, (b0.chunks[0], b0.credits))
+    return ProgramOrderGraph(info, edges, (start.obligations, start.credits))
 
 
 def downward_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> bool:
@@ -190,16 +182,15 @@ class LeafBalance:
     credits: int
     equal: bool
     leaves: tuple[int, ...]
-    leaf_data: tuple[tuple[int, int, int, int], ...]  # (node, tid, obligations, credits)
 
 
 def check_leaf_balance(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) -> LeafBalance:
     """Sum obligations and credits over the threads stepped at the prefix leaves.
 
     Preconditions are reported, not silently computed: the prefix must be a
-    sibling-closed downward-closed subset and the run must start from a
-    complete bundle with obligations matching credits (runs of verified
-    programs start from (0|0)).
+    sibling-closed downward-closed subset and the run must start with
+    obligations matching credits (runs of verified programs start from
+    (0|0)).
     """
     pset = set(prefix)
     if not pset <= set(g.nodes):
@@ -212,12 +203,9 @@ def check_leaf_balance(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) 
     if o0 != c0:
         raise PrefixError("initial bundle is not balanced")
     leaf_nodes = tuple(sorted(leaves(g, pset)))
-    data = tuple(
-        (n, g.info[n].tid, g.info[n].obligations, g.info[n].credits) for n in leaf_nodes
-    )
-    total_o = sum(d[2] for d in data)
-    total_c = sum(d[3] for d in data)
-    return LeafBalance(total_o, total_c, total_o == total_c, leaf_nodes, data)
+    total_o = sum(g.info[n].obligations for n in leaf_nodes)
+    total_c = sum(g.info[n].credits for n in leaf_nodes)
+    return LeafBalance(total_o, total_c, total_o == total_c, leaf_nodes)
 
 
 def to_dot(g: ProgramOrderGraph, prefix: set[int] | frozenset[int] | None = None) -> str:

@@ -97,11 +97,14 @@ from .assertions import (
     view_shift,
 )
 from .lang import (
+    DONE,
     Command,
+    Done,
     Exit,
     Fork,
     LoopSkip,
     Seq,
+    same_command,
 )
 
 # Not called here: certificates carry no program text.  The name stays
@@ -225,25 +228,6 @@ def _single_chunk(f) -> bool:
     return isinstance(f, Flat) and len(f.obs) == 1
 
 
-def _same_cmd(a: Command, b: Command) -> bool:
-    """`a == b` without recursion.  A pair of one object is equal at once, so
-    two loaded (interned) commands that differ walk one path to a difference."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Fork):
-            todo.append((x.body, y.body))
-        elif isinstance(x, Seq):
-            todo += [(x.first, y.first), (x.second, y.second)]
-        elif x != y:  # an atom, or not a command at all
-            return False
-    return True
-
-
 def _node_fault(t: ProofTree) -> str | None:
     """Why `t` does not instantiate its rule given its premises' conclusions, or None."""
     c = t.conclusion
@@ -276,7 +260,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if not isinstance(t.data, ForkSplit):
             return "Fork node carries no resource split"
         p = t.premises[0]
-        if not _same_cmd(p.conclusion.cmd, c.cmd.body):
+        if not same_command(p.conclusion.cmd, c.cmd.body):
             return "Fork premise command is not the fork body"
         if normalize_assertion(p.conclusion.pre) != Flat((t.data.child_obs,), t.data.child_credits):
             return "Fork premise precondition does not match the split"
@@ -292,7 +276,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if not isinstance(c.cmd, Seq):
             return "Seq rule applied to a non-sequence command"
         p1, p2 = t.premises
-        if not (_same_cmd(p1.conclusion.cmd, c.cmd.first) and _same_cmd(p2.conclusion.cmd, c.cmd.second)):
+        if not (same_command(p1.conclusion.cmd, c.cmd.first) and same_command(p2.conclusion.cmd, c.cmd.second)):
             return "Seq premise commands do not match the sequence"
         if normalize_assertion(p1.conclusion.pre) != npre:
             return "Seq precondition does not match first premise"
@@ -304,7 +288,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if not isinstance(t.data, ShiftData):
             return "ViewShift node carries no intermediate assertions"
         p = t.premises[0]
-        if not _same_cmd(p.conclusion.cmd, c.cmd):
+        if not same_command(p.conclusion.cmd, c.cmd):
             return "ViewShift premise command differs from conclusion"
         if normalize_assertion(p.conclusion.pre) != normalize_assertion(t.data.inner_pre):
             return "ViewShift premise precondition mismatch"
@@ -321,7 +305,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if isinstance(frame, Flat) and frame.obs:
             return "frames must not contain obs atoms"
         p = t.premises[0]
-        if not _same_cmd(p.conclusion.cmd, c.cmd):
+        if not same_command(p.conclusion.cmd, c.cmd):
             return "Frame premise command differs from conclusion"
         if npre != flat_add(normalize_assertion(p.conclusion.pre), frame):
             return "Frame precondition is not premise * frame"
@@ -343,21 +327,18 @@ def _features(c: Command) -> dict[int, tuple[bool, int]]:
     spines: list[list[Command]] = []
     todo = [c]
     while todo:
-        suffix = todo.pop()
-        spine = [suffix]
-        while isinstance(suffix, Seq):
-            if isinstance(suffix.first, Fork):
-                todo.append(suffix.first.body)
-            suffix = suffix.second
+        suffix, spine = todo.pop(), []
+        while not isinstance(suffix, Done):
             spine.append(suffix)
-        if isinstance(suffix, Fork):
-            todo.append(suffix.body)
+            if isinstance(suffix.head, Fork):
+                todo.append(suffix.head.body)
+            suffix = suffix.tail
         spines.append(spine)
-    features: dict[int, tuple[bool, int]] = {}
+    features = {id(DONE): (False, 0)}  # past the last atom: nothing absorbs, nothing waits
     for spine in reversed(spines):
-        rest = (False, 0)  # past the last atom: nothing absorbs, nothing waits
+        rest = features[id(DONE)]
         for suffix in reversed(spine):
-            atom = suffix.first if isinstance(suffix, Seq) else suffix
+            atom = suffix.head
             if isinstance(atom, Exit):
                 rest = (True, 0)
             elif isinstance(atom, LoopSkip):
@@ -399,7 +380,7 @@ def derive(c: Command, n: int) -> ProofTree | None:
     for body, state in threads:  # grows while it is walked
         walk, suffix = [], body
         while True:
-            atom, rest = (suffix.first, suffix.second) if isinstance(suffix, Seq) else (suffix, None)
+            atom, rest = suffix.head, suffix.tail
             dead = state is None  # code after an exit or a loop skip
             if dead:
                 absorbing, need = features[id(suffix)]
@@ -407,13 +388,12 @@ def derive(c: Command, n: int) -> ProofTree | None:
             o, k = state
             start, after, child = ((o, 0) if isinstance(atom, Exit) else (0, 1)), None, None
             if isinstance(atom, Fork):
-                r = (False, 0) if rest is None else features[id(rest)]
-                delta, co, cc = _fork_choice(o, k, features[id(atom.body)], r)
+                delta, co, cc = _fork_choice(o, k, features[id(atom.body)], features[id(rest)])
                 start, after = (o + delta, k + delta), (o + delta - co, k + delta - cc)
                 child = len(threads)
                 threads.append((atom.body, (co, cc)))
             walk.append((suffix, atom, state, start, after, dead, child))
-            if rest is None:
+            if isinstance(rest, Done):
                 break
             suffix, state = rest, after
         walks.append(walk)

@@ -1,7 +1,8 @@
 """Plain (unannotated) small-step semantics, schedulers, and divergence oracle.
 
-A thread pool maps thread ids to entries: continuations here, continuations
-with ghost resources in `ghost`, which reuses the same pool, step record and
+A thread pool maps thread ids to entries: here what each thread has left to
+run (a spine suffix of the program or of a fork body, or `DONE`), in `ghost`
+that plus ghost resources; `ghost` reuses the same pool, step record and
 outcome classification.  Single-thread steps are lifted to pool steps;
 `exit` clears the whole pool, a thread at `done` is removed.  Every pool step
 is labeled with the name of the underlying rule.  Pool operations bisect and
@@ -41,9 +42,7 @@ from .lang import (
     Fork,
     LoopSkip,
     Printer,
-    SeqCont,
     spine,
-    to_continuation,
 )
 
 ST_LOOP = "ST-Loop"
@@ -60,7 +59,8 @@ class UnknownThreadError(KeyError):
 class ThreadPool:
     """Finite map from thread id to entry, stored sorted by id.
 
-    An entry is a continuation, or a `ghost.AnnotatedThread` in annotated runs.
+    An entry is what a thread has left to run, or a `ghost.AnnotatedThread`
+    in annotated runs.
     `ids` caches the ids in order and takes no part in equality or hashing.
     """
 
@@ -149,11 +149,11 @@ def outcome_of(pool: ThreadPool, trace: Sequence[TraceStep], exit_rule: str) -> 
     return FuelExhausted(pool)
 
 
-def step_thread(k: Continuation) -> tuple[Continuation, tuple[Continuation, ...]] | None:
+def step_thread(k: Continuation) -> tuple[Continuation, tuple[Command, ...]] | None:
     """Single-thread step; None when no such step exists (done or exit head).
 
     A loop head self-steps; a fork head continues with its tail and spawns
-    the body as a fresh continuation.  At most one thread is forked per step.
+    a thread that runs the body.  At most one thread is forked per step.
     """
     if isinstance(k, Done):
         return None
@@ -161,7 +161,7 @@ def step_thread(k: Continuation) -> tuple[Continuation, tuple[Continuation, ...]
     if isinstance(head, LoopSkip):
         return k, ()
     if isinstance(head, Fork):
-        return k.tail, (head.thread,)
+        return k.tail, (head.body,)
     return None  # Exit is a pool-level step
 
 
@@ -170,7 +170,8 @@ def step_pool(tp: ThreadPool, tid: int) -> tuple[ThreadPool, StepLabel]:
     cont = tp.get(tid)
     if isinstance(cont, Done):
         return tp.remove(tid), StepLabel(tid, TP_THREAD_TERM)
-    if isinstance(cont.head, Exit):
+    head = cont.head
+    if isinstance(head, Exit):
         return EMPTY_POOL, StepLabel(tid, TP_EXIT)
     stepped = step_thread(cont)
     assert stepped is not None
@@ -178,7 +179,7 @@ def step_pool(tp: ThreadPool, tid: int) -> tuple[ThreadPool, StepLabel]:
     tp2 = tp.replace(tid, cont2)
     for child in forked:
         tp2, _ = tp2.extend(child)
-    rule = ST_LOOP if isinstance(cont.head, LoopSkip) else ST_FORK
+    rule = ST_LOOP if isinstance(head, LoopSkip) else ST_FORK
     return tp2, StepLabel(tid, rule)
 
 
@@ -281,7 +282,7 @@ def run_schedule(tp: ThreadPool, tids: list[int]) -> tuple[RunOutcome, list[Trac
 
 
 def initial_pool(c: Command, tid0: int = 0) -> ThreadPool:
-    return ThreadPool.of({tid0: to_continuation(c)})
+    return ThreadPool.of({tid0: c})
 
 
 def is_fair_prefix(trace: list[TraceStep], window: int) -> bool:
@@ -321,7 +322,7 @@ def _all_waiting(pool: ThreadPool) -> bool:
     if pool.is_empty():
         return False
     return all(
-        isinstance(k, SeqCont) and isinstance(k.head, LoopSkip) for _, k in pool.threads
+        not isinstance(k, Done) and isinstance(k.head, LoopSkip) for _, k in pool.threads
     )
 
 
@@ -352,7 +353,7 @@ def explore(c: Command) -> ReachabilityInfo:
 
 
 def oracle_diverges(c: Command) -> bool:
-    """True iff a fair infinite reduction sequence from {0: c;done} exists."""
+    """True iff a fair infinite reduction sequence from {0: c} exists."""
     return explore(c).diverges
 
 

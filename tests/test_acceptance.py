@@ -174,15 +174,12 @@ def test_criterion_5_ghost_balance(campaign, golden_run):
 
 def test_criterion_6_stuckness_triad():
     with criterion(6, "stuckness triad"):
-        from busycheck.assertions import bundle
         from busycheck.ghost import AnnotatedThread
-        from busycheck.lang import DONE, LOOP_SKIP, SeqCont
+        from busycheck.lang import LOOP_SKIP
         from busycheck.semantics import ThreadPool
 
         def looping(chunk, credits):
-            return ThreadPool.of(
-                {0: AnnotatedThread(bundle((chunk,), credits), SeqCont(LOOP_SKIP, DONE))}
-            )
+            return ThreadPool.of({0: AnnotatedThread(chunk, credits, LOOP_SKIP)})
 
         assert real_step(looping(0, 0), 0) == Stuck(LOOP_NEEDS_CREDIT)
         assert real_step(looping(1, 1), 0) == Stuck(LOOP_HOLDS_OBLIGATION)

@@ -61,8 +61,6 @@ def test_bundle_union_is_commutative_monoid():
     assert a.union(b) == b.union(a)
     empty = bundle((), 0)
     assert a.union(empty) == a
-    assert not a.union(b).complete
-    assert bundle((5,), 9).complete
 
 
 def test_normalize_examples():

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +103,15 @@ def test_run_trace_output_is_stable(capsys):
     assert main(args) == 0
     assert capsys.readouterr().out == first
     assert first.splitlines()[0] == "0\t0\tST-Fork\t{0:fork { exit };loop skip;done}"
+
+
+def test_readme_golden_trace_is_the_trace_output(capsys):
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index('$ busycheck trace -e "fork { exit }; loop skip"') + 1
+    golden = lines[start : lines.index("```", start)]
+    assert main(["trace", "-e", "fork { exit }; loop skip"]) == 0
+    assert capsys.readouterr().out.splitlines() == golden
+    assert len(golden) == 3 and all(line.count("\t") == 3 for line in golden)
 
 
 def test_run_json(capsys):

@@ -1,6 +1,5 @@
 import pytest
 
-from busycheck.assertions import ResourceBundle, bundle
 from busycheck.ghost import (
     AnnotatedThread,
     AnnotationError,
@@ -13,6 +12,7 @@ from busycheck.ghost import (
     RA_FORK,
     RA_LOOP,
     RA_THREAD_TERM,
+    SplitError,
     StepRequest,
     Stuck,
     StuckAt,
@@ -26,9 +26,11 @@ from busycheck.ghost import (
     run_annotated,
     serialize_annotated_trace,
 )
-from busycheck.lang import DONE, LOOP_SKIP, Printer, SeqCont, parse, to_continuation
+from busycheck.harness import enumerate_programs
+from busycheck.lang import DONE, LOOP_SKIP, Done, Fork, Printer, Seq, parse
 from busycheck.proofs import ForkSplit, tree_size, verify
 from busycheck.semantics import (
+    ST_FORK,
     FuelExhausted,
     ThreadPool,
     TraceStep,
@@ -44,25 +46,27 @@ from busycheck.semantics import (
     serialize_trace,
 )
 
-LOOP_CONT = SeqCont(LOOP_SKIP, DONE)
+
+def _single(chunk, credits, cont=LOOP_SKIP):
+    return ThreadPool.of({0: AnnotatedThread(chunk, credits, cont)})
 
 
-def _single(chunk, credits, cont=LOOP_CONT):
-    return ThreadPool.of({0: AnnotatedThread(bundle((chunk,), credits), cont)})
+def _counts(entry):
+    return entry.obligations, entry.credits
 
 
 def test_ghost_intro_spawns_a_pair():
     pool = _single(0, 0)
     after = ghost_step(pool, 0, GS_INTRO)
-    assert after.get(0).bundle == bundle((1,), 1)
+    assert _counts(after.get(0)) == (1, 1)
     after2 = ghost_step(_single(1, 0), 0, GS_INTRO)
-    assert after2.get(0).bundle == bundle((2,), 1)
+    assert _counts(after2.get(0)) == (2, 1)
 
 
 def test_ghost_cancel_requires_a_pair():
     pool = _single(2, 1)
     after = ghost_step(pool, 0, GS_CANCEL)
-    assert after.get(0).bundle == bundle((1,), 0)
+    assert _counts(after.get(0)) == (1, 0)
     with pytest.raises(CancelUnderflow):
         ghost_step(_single(0, 0), 0, GS_CANCEL)
     with pytest.raises(CancelUnderflow):
@@ -72,8 +76,8 @@ def test_ghost_cancel_requires_a_pair():
 def test_ghost_steps_touch_only_the_stepped_thread():
     pool = ThreadPool.of(
         {
-            0: AnnotatedThread(bundle((0,), 0), LOOP_CONT),
-            1: AnnotatedThread(bundle((1,), 2), LOOP_CONT),
+            0: AnnotatedThread(0, 0, LOOP_SKIP),
+            1: AnnotatedThread(1, 2, LOOP_SKIP),
         }
     )
     after = ghost_step(pool, 0, GS_INTRO)
@@ -92,29 +96,34 @@ def test_stuckness_triad():
 
 
 def test_term_requires_empty_chunk():
-    pool = ThreadPool.of({0: AnnotatedThread(bundle((1,), 1), DONE)})
+    pool = ThreadPool.of({0: AnnotatedThread(1, 1, DONE)})
     assert real_step(pool, 0) == Stuck(TERM_HOLDS_OBLIGATION)
-    clean = ThreadPool.of({0: AnnotatedThread(bundle((0,), 2), DONE)})
+    clean = ThreadPool.of({0: AnnotatedThread(0, 2, DONE)})
     pool2, step = real_step(clean, 0)
     assert step.rule == RA_THREAD_TERM and pool2.is_empty()
 
 
 def test_fork_splits_the_bundle():
     c = parse("fork { fork { loop skip }; exit }; loop skip")
-    pool = ThreadPool.of({0: AnnotatedThread(bundle((1,), 1), to_continuation(c))})
+    pool = ThreadPool.of({0: AnnotatedThread(1, 1, c)})
     pool2, step = real_step(pool, 0, ForkSplit(1, 0))
     assert step.rule == RA_FORK
-    assert pool2.get(0).bundle == bundle((0,), 1)
-    assert pool2.get(0).cont == LOOP_CONT
-    assert pool2.get(1).bundle == bundle((1,), 0)
-    assert pool2.get(1).cont == to_continuation(parse("fork { loop skip }; exit"))
+    assert _counts(pool2.get(0)) == (0, 1)
+    assert pool2.get(0).cont is c.second
+    assert _counts(pool2.get(1)) == (1, 0)
+    assert pool2.get(1).cont is c.first.body
+    assert c.first.body == parse("fork { loop skip }; exit")
+    with pytest.raises(SplitError):
+        real_step(pool, 0, ForkSplit(2, 0))
+    with pytest.raises(SplitError):
+        real_step(pool, 0, ForkSplit(-1, 0))
 
 
 def test_exit_clears_the_annotated_pool():
     pool = ThreadPool.of(
         {
-            0: AnnotatedThread(bundle((2,), 0), to_continuation(parse("exit"))),
-            1: AnnotatedThread(bundle((0,), 1), LOOP_CONT),
+            0: AnnotatedThread(2, 0, parse("exit")),
+            1: AnnotatedThread(0, 1, LOOP_SKIP),
         }
     )
     pool2, step = real_step(pool, 0)
@@ -138,7 +147,7 @@ def test_run_annotated_replays_the_worked_trace(two_level_fork):
     outcome, trace = run_annotated(pool, WORKED_SCHEDULE, 100)
     assert isinstance(outcome, FuelExhausted)
     bundles = [
-        {tid: (e.bundle.chunks[0], e.bundle.credits) for tid, e in s.after.threads}
+        {tid: _counts(e) for tid, e in s.after.threads}
         for s in trace.steps
     ]
     assert bundles[0] == {0: (1, 1)}
@@ -185,9 +194,9 @@ def test_annotate_waiting_pair_bundles(waiting_pair):
     proof, trace, atrace = _annotated(waiting_pair, tids=[0, 0, 0, 0, 1])
     for step in atrace.steps:
         if step.label.rule == RA_LOOP:
-            assert step.before.get(0).bundle == bundle((0,), 1)
+            assert _counts(step.before.get(0)) == (0, 1)
         if step.label.rule == RA_EXIT:
-            assert step.before.get(1).bundle == bundle((1,), 0)
+            assert _counts(step.before.get(1)) == (1, 0)
 
 
 def test_annotate_reproduces_worked_trace_bundles(two_level_fork):
@@ -201,7 +210,7 @@ def test_annotate_exit_alone_needs_no_ghost_steps():
     c = parse("exit")
     _, trace, atrace = _annotated(c, tids=[0])
     assert [s.label.rule for s in atrace.steps] == [RA_EXIT]
-    assert atrace.steps[0].before.get(0).bundle == bundle((0,), 0)
+    assert _counts(atrace.steps[0].before.get(0)) == (0, 0)
 
 
 def test_annotate_projection(two_level_fork):
@@ -233,11 +242,11 @@ def test_annotate_split_conservation(two_level_fork):
         if step.label.rule != RA_FORK:
             continue
         tid = step.label.tid
-        before = step.before.get(tid).bundle
+        before = step.before.get(tid)
         child_tid = max(step.after.tids())
-        kept = step.after.get(tid).bundle
-        child = step.after.get(child_tid).bundle
-        assert kept.chunks[0] + child.chunks[0] == before.chunks[0]
+        kept = step.after.get(tid)
+        child = step.after.get(child_tid)
+        assert kept.obligations + child.obligations == before.obligations
         assert kept.credits + child.credits == before.credits
 
 
@@ -302,10 +311,11 @@ def test_annotate_checks_every_step_against_the_plain_pool(two_level_fork, index
     proof, trace, _ = _annotated(two_level_fork, tids=[0, 1, 2, 0, 0, 0])
     step = trace[index]
     if step.after.is_empty():
-        wrong = ThreadPool.of({0: LOOP_CONT})
+        wrong = ThreadPool.of({0: LOOP_SKIP})
     else:
         tid = step.after.tids()[-1]
-        wrong = step.after.replace(tid, SeqCont(LOOP_SKIP, step.after.get(tid)))
+        left = step.after.get(tid)
+        wrong = step.after.replace(tid, LOOP_SKIP if left is DONE else Seq(LOOP_SKIP, left))
     trace[index] = TraceStep(step.before, step.label, wrong)
     with pytest.raises(AnnotationError, match="diverged from the plain trace"):
         annotate(two_level_fork, proof, trace)
@@ -357,6 +367,54 @@ def test_ghost_step_rejects_unknown_kind(bare_loop):
         ghost_step(pool, 0, "GS-Borrow")
 
 
-def test_annotated_pool_requires_complete_bundles():
-    with pytest.raises(ValueError):
-        ThreadPool.of({0: AnnotatedThread(ResourceBundle((0, 1), 0), LOOP_CONT)})
+def test_initial_annotated_pool_refuses_negative_obligations(bare_loop):
+    assert _counts(initial_annotated_pool(bare_loop, 2).get(0)) == (2, 0)
+    with pytest.raises(ValueError, match="natural"):
+        initial_annotated_pool(bare_loop, -1)
+
+
+def test_annotate_compares_long_commands_without_recursion():
+    # the program and the proof come from separate parses, so the command
+    # check meets equal commands that share no spine cell
+    text = "fork { exit }; " * 3000 + "loop skip"
+    c = parse(text)
+    proof = verify(parse(text))
+    _, trace = run(initial_pool(c), round_robin(), fuel_bound(c))
+    atrace = annotate(c, proof, trace)
+    assert serialize_trace(project(atrace)) == serialize_trace(trace)
+
+
+def _suffix_ids(c):
+    """Ids of every spine suffix of `c` and of its fork bodies."""
+    ids, bodies = set(), [c]
+    while bodies:
+        k = bodies.pop()
+        while not isinstance(k, Done):
+            ids.add(id(k))
+            if isinstance(k.head, Fork):
+                bodies.append(k.head.body)
+            k = k.tail
+    return ids
+
+
+def test_threads_run_suffixes_of_the_program():
+    # a pool entry is what its thread has left: DONE, or one of the
+    # program's own spine suffix objects; a forked child starts its body
+    runs = 0
+    for index, c in enumerate(enumerate_programs(6)):
+        suffixes = _suffix_ids(c)
+        proof = verify(c)
+        _, plain = run(initial_pool(c), random_fair(index, 4), fuel_bound(c, 4))
+        traces = [(plain, lambda e: e)]
+        if proof is not None:
+            traces.append((annotate(c, proof, plain).steps, lambda e: e.cont))
+        for steps, left in traces:
+            assert left(steps[0].before.get(0)) is c
+            for s in steps:
+                for _, e in s.after.threads:
+                    assert left(e) is DONE or id(left(e)) in suffixes
+                if s.label.rule in (ST_FORK, RA_FORK):
+                    head = left(s.before.get(s.label.tid)).head
+                    assert left(s.after.threads[-1][1]) is head.body
+            runs += 1
+    assert runs > 3000

@@ -12,12 +12,10 @@ from busycheck.lang import (
     ParseError,
     Printer,
     Seq,
-    SeqCont,
     parse,
     pretty,
+    same_command,
     seq_of,
-    spells,
-    to_continuation,
 )
 
 
@@ -34,8 +32,9 @@ def seq_atoms(c):
 
 
 def cont_atoms(k):
+    """The atoms a thread that has `k` left runs, one `head` per `tail` step."""
     out = []
-    while isinstance(k, SeqCont):
+    while not isinstance(k, Done):
         out.append(k.head)
         k = k.tail
     return out
@@ -97,23 +96,18 @@ def test_seq_refuses_a_seq_as_its_first_part():
         Seq(Seq(EXIT, LOOP_SKIP), EXIT)
 
 
-def test_to_continuation_atoms():
-    assert to_continuation(EXIT) == SeqCont(EXIT, DONE)
-    assert to_continuation(Seq(EXIT, LOOP_SKIP)) == SeqCont(EXIT, SeqCont(LOOP_SKIP, DONE))
+def test_head_and_tail_of_atoms_and_seqs():
+    for atom in (EXIT, LOOP_SKIP, Fork(EXIT)):
+        assert atom.head is atom and atom.tail is DONE
+    c = Seq(Fork(EXIT), Seq(EXIT, LOOP_SKIP))
+    assert c.head is c.first and c.tail is c.second
 
 
-def _append(k, tail):
-    if isinstance(k, Done):
-        return tail
-    return SeqCont(k.head, _append(k.tail, tail))
-
-
-def _cont_oracle(c):
-    # structural recursion that appends continuations, independent of the
-    # flattening done by to_continuation
+def _atoms_oracle(c):
+    # structural recursion over the seq tree, independent of head and tail
     if isinstance(c, Seq):
-        return _append(_cont_oracle(c.first), _cont_oracle(c.second))
-    return SeqCont(c, DONE)
+        return _atoms_oracle(c.first) + _atoms_oracle(c.second)
+    return [c]
 
 
 def _generated_commands(seed=0, count=150, max_atoms=9):
@@ -158,7 +152,7 @@ def _subterms(c):
 
 def _suffixes(k):
     out = []
-    while isinstance(k, SeqCont):
+    while not isinstance(k, Done):
         out.append(k)
         k = k.tail
     return out + [k]
@@ -168,7 +162,7 @@ def test_shared_printer_matches_the_unmemoized_printer():
     for seed, c in enumerate(_generated_commands(seed=6)):
         rng = random.Random(seed)
         commands = _subterms(c)
-        conts = [k for d in commands for k in _suffixes(to_continuation(d))]
+        conts = [k for d in commands for k in _suffixes(d)]
         rng.shuffle(commands)
         rng.shuffle(conts)
         printer = Printer()
@@ -178,24 +172,38 @@ def test_shared_printer_matches_the_unmemoized_printer():
             assert printer.continuation(k) == _reference_continuation(k)
 
 
-def test_to_continuation_takes_10000_atom_sequences():
+def test_tail_walk_takes_10000_atom_sequences():
     c = seq_of([EXIT] + [LOOP_SKIP] * 10_000)
-    assert len(cont_atoms(to_continuation(c))) == 10_001
+    assert len(cont_atoms(c)) == 10_001
+    assert Printer().continuation(c) == ";".join(["exit"] + ["loop skip"] * 10_000 + ["done"])
 
 
-def test_spells_agrees_with_building_the_continuation():
+def test_same_command_agrees_with_equality():
     programs = list(enumerate_programs(4))
     rng = random.Random(2)
     for c in programs:
-        k = to_continuation(c)
-        assert spells(k, c)
-        assert spells(to_continuation(parse(pretty(c))), c)  # equal, not shared
+        assert same_command(c, c)
+        twin = parse(pretty(c))  # equal; not shared, but for the atom singletons
+        assert same_command(twin, c)
         other = rng.choice(programs)
-        assert spells(to_continuation(other), c) == (other == c)
+        assert same_command(other, c) == (other == c)
+    assert not same_command(DONE, EXIT) and not same_command(EXIT, DONE)
 
 
-def test_to_continuation_length_matches_atom_count():
+def test_same_command_takes_10000_levels():
+    def nest(inner):
+        c = inner
+        for _ in range(10_000):
+            c = Seq(Fork(c), LOOP_SKIP)
+        return c
+
+    assert same_command(nest(EXIT), nest(EXIT))
+    assert not same_command(nest(EXIT), nest(LOOP_SKIP))
+
+
+def test_head_and_tail_walk_the_spine():
     for c in _generated_commands(seed=5):
-        cont = to_continuation(c)
-        assert len(cont_atoms(cont)) == len(seq_atoms(c))
-        assert cont == _cont_oracle(c)
+        assert cont_atoms(c) == seq_atoms(c) == _atoms_oracle(c)
+        suffixes = _suffixes(c)
+        assert suffixes[0] is c and suffixes[-1] is DONE
+        assert all(s.tail is t for s, t in zip(suffixes, suffixes[1:]))

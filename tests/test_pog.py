@@ -119,10 +119,9 @@ def test_max_loopfree_prefix_boundary_first_step_loop():
     # a trace whose first step is already a loop step keeps only the root
     from busycheck.ghost import AnnotatedThread
     from busycheck.semantics import ThreadPool
-    from busycheck.assertions import bundle
-    from busycheck.lang import DONE, LOOP_SKIP, SeqCont
+    from busycheck.lang import LOOP_SKIP
 
-    pool = ThreadPool.of({0: AnnotatedThread(bundle((0,), 1), SeqCont(LOOP_SKIP, DONE))})
+    pool = ThreadPool.of({0: AnnotatedThread(0, 1, LOOP_SKIP)})
     requests = [StepRequest(0, "real")] * 3
     _, trace = run_annotated(pool, requests, 10)
     g = build_pog(trace)

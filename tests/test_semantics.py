@@ -10,7 +10,6 @@ from busycheck.lang import (
     Fork,
     Printer,
     Seq,
-    SeqCont,
     parse,
     pretty,
     seq_of,
@@ -44,26 +43,23 @@ from busycheck.semantics import (
     step_thread,
 )
 
-LOOP_CONT = SeqCont(LOOP_SKIP, DONE)
-EXIT_CONT = SeqCont(EXIT, DONE)
-
-
 def test_step_thread_loop_self_steps():
-    assert step_thread(LOOP_CONT) == (LOOP_CONT, ())
+    assert step_thread(LOOP_SKIP) == (LOOP_SKIP, ())
 
 
 def test_step_thread_fork_spawns_body():
-    k = SeqCont(Fork(EXIT), LOOP_CONT)
-    assert step_thread(k) == (LOOP_CONT, (EXIT_CONT,))
+    k = Seq(Fork(Seq(EXIT, LOOP_SKIP)), LOOP_SKIP)
+    rest, (child,) = step_thread(k)
+    assert rest is k.second and child is k.first.body
 
 
 def test_step_thread_done_has_no_step():
     assert step_thread(DONE) is None
-    assert step_thread(EXIT_CONT) is None  # exit is a pool-level step
+    assert step_thread(EXIT) is None  # exit is a pool-level step
 
 
 def test_step_pool_exit_clears_everything():
-    pool = ThreadPool.of({0: EXIT_CONT, 3: LOOP_CONT})
+    pool = ThreadPool.of({0: EXIT, 3: LOOP_SKIP})
     pool2, label = step_pool(pool, 0)
     assert pool2.is_empty()
     assert label.rule == TP_EXIT
@@ -80,11 +76,11 @@ def test_step_pool_fork_assigns_fresh_id():
     pool = initial_pool(parse("fork { exit }; loop skip"))
     pool2, label = step_pool(pool, 0)
     assert label.rule == ST_FORK
-    assert pool2 == ThreadPool.of({0: LOOP_CONT, 1: EXIT_CONT})
+    assert pool2 == ThreadPool.of({0: LOOP_SKIP, 1: EXIT})
 
 
 def test_step_pool_fresh_id_is_max_plus_one():
-    pool = ThreadPool.of({2: SeqCont(Fork(EXIT), DONE), 7: LOOP_CONT})
+    pool = ThreadPool.of({2: Fork(EXIT), 7: LOOP_SKIP})
     pool2, _ = step_pool(pool, 2)
     assert pool2.tids() == (2, 7, 8)
 
@@ -119,7 +115,7 @@ def test_run_empty_pool_terminates_immediately():
     assert trace == []
 
 
-TWO_LOOPERS = ThreadPool.of({0: LOOP_CONT, 1: LOOP_CONT})
+TWO_LOOPERS = ThreadPool.of({0: LOOP_SKIP, 1: LOOP_SKIP})
 
 
 def test_fair_prefix_round_robin_window_two():
@@ -139,7 +135,7 @@ def test_fair_prefix_vacuous_past_the_end():
 
 
 def test_round_robin_order():
-    pool = ThreadPool.of({0: LOOP_CONT, 1: LOOP_CONT, 2: LOOP_CONT})
+    pool = ThreadPool.of({0: LOOP_SKIP, 1: LOOP_SKIP, 2: LOOP_SKIP})
     _, trace = run(pool, round_robin(), 6)
     assert [s.label.tid for s in trace] == [0, 1, 2, 0, 1, 2]
 
@@ -150,7 +146,7 @@ def test_rotated_round_robin_order():
 
 
 def test_random_fair_never_starves():
-    pool = ThreadPool.of({0: LOOP_CONT, 1: LOOP_CONT, 2: LOOP_CONT, 3: LOOP_CONT})
+    pool = ThreadPool.of({0: LOOP_SKIP, 1: LOOP_SKIP, 2: LOOP_SKIP, 3: LOOP_SKIP})
     for seed in range(10):
         _, trace = run(pool, random_fair(seed, 8), 120)
         assert is_fair_prefix(trace, 8)
@@ -311,12 +307,12 @@ def test_pool_operations_match_a_dict_reference():
 
 
 def test_pool_replace_with_the_same_entry_is_the_same_pool():
-    assert TWO_LOOPERS.replace(1, LOOP_CONT) is TWO_LOOPERS
-    assert TWO_LOOPERS.replace(1, EXIT_CONT) != TWO_LOOPERS
+    assert TWO_LOOPERS.replace(1, LOOP_SKIP) is TWO_LOOPERS
+    assert TWO_LOOPERS.replace(1, EXIT) != TWO_LOOPERS
 
 
 def test_pool_equality_and_hash_ignore_the_carried_ids():
-    threads = ((0, LOOP_CONT), (3, EXIT_CONT))
+    threads = ((0, LOOP_SKIP), (3, EXIT))
     plain, odd = ThreadPool(threads), ThreadPool(threads, (5, 9))
     assert plain.tids() == (0, 3)
     assert plain == odd and hash(plain) == hash(odd) and repr(plain) == repr(odd)
