@@ -3,7 +3,8 @@
 Exit codes: 0 on success / Verified / Ok, 1 on Rejected / RuleViolation /
 divergence witness, 2 on usage or parse errors, unreadable files, malformed
 certificates and input nested past the recursion limit.  `check-proof` also
-checks the claim: the root triple must be {obs(0)} c {obs(0)}.
+checks the claim: the root triple must be {obs(0)} c {obs(0)}.  A request builds
+only its command's parser; top-level help and errors are those of `build_parser()`.
 """
 
 from __future__ import annotations
@@ -36,27 +37,17 @@ from .semantics import (
 from .semantics import explore  # noqa: F401
 
 
-def _add_program_arg(sub: argparse.ArgumentParser) -> None:
+def _program_args(sub: argparse.ArgumentParser, scheduler: bool = True) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("path", nargs="?", help="program file")
     group.add_argument("-e", "--expr", help="inline program text")
-
-
-def _add_scheduler_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--sched",
-        default="round-robin",
-        help="round-robin | rotated:K | random (default: round-robin)",
-    )
+    if not scheduler:
+        return
+    sub.add_argument("--sched", default="round-robin", help="round-robin | rotated:K | random (default: round-robin)")
     sub.add_argument("--seed", type=int, default=0, help="seed for the random scheduler")
     sub.add_argument("--window", type=int, default=16, help="fairness window for the random scheduler")
-    sub.add_argument(
-        "--fuel",
-        type=int,
-        default=None,
-        help="step budget (default: the size bound (atoms+T)*(W+T+1) with T = forks+1 "
-        "and W = --window for random, 0 otherwise)",
-    )
+    sub.add_argument("--fuel", type=int, help="step budget (default: the size bound (atoms+T)*(W+T+1) with T = forks+1 "
+                     "and W = --window for random, 0 otherwise)")
 
 
 def _load_program(args) -> Command:
@@ -197,13 +188,11 @@ def _cmd_graph(args) -> int:
 def _cmd_fuzz(args) -> int:
     try:
         cfg = GenConfig(
-            max_atoms=args.max_atoms,
-            fork_prob=args.fork_weight,
-            loop_prob=args.loop_weight,
-            exit_prob=args.exit_weight,
-            seed=args.seed,
-            count=args.count,
+            max_atoms=args.max_atoms, fork_prob=args.fork_weight, loop_prob=args.loop_weight,
+            exit_prob=args.exit_weight, seed=args.seed, count=args.count,
         )
+        if args.exhaustive_max < 0:
+            raise ValueError(f"--exhaustive-max must be >= 0, got {args.exhaustive_max}")
     except ValueError as exc:
         raise SystemExit2(f"fuzz: {exc}") from exc
     try:
@@ -215,63 +204,74 @@ def _cmd_fuzz(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="busycheck",
-        description="termination checker for busy-waiting programs with abrupt exit",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("parse", help="echo the program")
-    _add_program_arg(p)
-    p.set_defaults(func=_cmd_parse)
-
-    p = subs.add_parser("run", help="run the plain semantics")
-    _add_program_arg(p)
-    _add_scheduler_args(p)
+def _run_args(p: argparse.ArgumentParser) -> None:
+    _program_args(p)
     p.add_argument("--show-trace", action="store_true", help="print the step trace")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_run)
 
-    p = subs.add_parser("verify", help="build a termination proof")
-    _add_program_arg(p)
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    _program_args(p, scheduler=False)
     p.add_argument("--emit-cert", metavar="FILE", help="write the certificate as JSON")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
-    p = subs.add_parser("check-proof", help="check a proof certificate")
-    p.add_argument("cert", help="certificate file (JSON)")
-    p.set_defaults(func=_cmd_check_proof)
 
-    p = subs.add_parser("trace", help="annotated trace of a verified program")
-    _add_program_arg(p)
-    _add_scheduler_args(p)
-    p.set_defaults(func=_cmd_trace)
-
-    p = subs.add_parser("graph", help="program order graph as DOT")
-    _add_program_arg(p)
-    _add_scheduler_args(p)
+def _graph_args(p: argparse.ArgumentParser) -> None:
+    _program_args(p)
     p.add_argument("--prefix", action="store_true", help="shade the max loop-free sibling-closed prefix")
     p.add_argument("-o", "--out", metavar="FILE", help="write DOT here instead of stdout")
-    p.set_defaults(func=_cmd_graph)
 
-    p = subs.add_parser("fuzz", help="random + exhaustive soundness campaign")
-    p.add_argument("--count", type=int, default=500)
-    p.add_argument("--max-atoms", type=int, default=12)
-    p.add_argument("--seed", type=int, default=42)
+
+def _fuzz_args(p: argparse.ArgumentParser) -> None:
+    for flag, default in (("--count", 500), ("--max-atoms", 12), ("--seed", 42)):
+        p.add_argument(flag, type=int, default=default)
     p.add_argument("--exhaustive-max", type=int, default=6, help="sweep all programs up to this many atoms (0 disables)")
-    p.add_argument("--fork-weight", type=float, default=1.0)
-    p.add_argument("--loop-weight", type=float, default=1.0)
-    p.add_argument("--exit-weight", type=float, default=1.0)
+    for flag in ("--fork-weight", "--loop-weight", "--exit-weight"):
+        p.add_argument(flag, type=float, default=1.0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_fuzz)
 
+
+# name -> (help, handler, setup adding the command's arguments), in `busycheck -h` order
+COMMANDS = {
+    "parse": ("echo the program", _cmd_parse, lambda p: _program_args(p, scheduler=False)),
+    "run": ("run the plain semantics", _cmd_run, _run_args),
+    "verify": ("build a termination proof", _cmd_verify, _verify_args),
+    "check-proof": (
+        "check a proof certificate", _cmd_check_proof, lambda p: p.add_argument("cert", help="certificate file (JSON)")
+    ),
+    "trace": ("annotated trace of a verified program", _cmd_trace, _program_args),
+    "graph": ("program order graph as DOT", _cmd_graph, _graph_args),
+    "fuzz": ("random + exhaustive soundness campaign", _cmd_fuzz, _fuzz_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    description = "termination checker for busy-waiting programs with abrupt exit"
+    parser = argparse.ArgumentParser(prog="busycheck", description=description)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_arguments) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        add_arguments(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # The full parser hands what follows a command's name to its parser in this same call, so
+    # help, errors and namespace agree.  Everything else, leftover strings too, takes the full parser.
+    if argv and argv[0] in COMMANDS:
+        _, func, add_arguments = COMMANDS[argv[0]]
+        sub = argparse.ArgumentParser(prog="busycheck " + argv[0])
+        add_arguments(sub)
+        sub.set_defaults(func=func, command=argv[0])
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ParseError as err:

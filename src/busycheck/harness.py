@@ -55,6 +55,8 @@ class GenConfig:
             raise ValueError("weights must be positive, with a finite sum")
         if self.max_atoms < 1:
             raise ValueError("max_atoms must be >= 1")
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
 
 
 def gen_program(cfg: GenConfig) -> list[Command]:

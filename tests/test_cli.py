@@ -391,6 +391,8 @@ def _not_utf8(tmp_path):
         pytest.param(
             lambda d: ["fuzz", "--fork-weight", "1e308", "--loop-weight", "1e308"], id="fuzz-weights-overflow"
         ),
+        pytest.param(lambda d: ["fuzz", "--count", "-5"], id="fuzz-count-negative"),
+        pytest.param(lambda d: ["fuzz", "--exhaustive-max", "-3"], id="fuzz-exhaustive-max-negative"),
         pytest.param(lambda d: ["parse", str(d)], id="program-is-a-directory"),
         pytest.param(lambda d: ["check-proof", str(d)], id="certificate-is-a-directory"),
         pytest.param(lambda d: ["parse", _not_utf8(d)], id="program-not-utf8"),
@@ -401,3 +403,82 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# every command's -h and --help, then valid input, top-level cases and errors
+PARSER_CORPUS = [[name, flag] for name in busycheck.cli.COMMANDS for flag in ("-h", "--help")] + [
+    ["parse", "-e", "exit"],
+    ["run", "prog.bw", "--sched", "random", "--seed", "3", "--window", "4", "--fuel", "9", "--show-trace", "--json"],
+    ["verify", "-e", "fork { exit }; loop skip", "--emit-cert", "c.json", "--json"],
+    ["check-proof", "c.json"],
+    ["trace", "--expr", "exit", "--sched", "rotated:2"],
+    ["graph", "-e", "exit", "--prefix", "-o", "g.dot"],
+    ["fuzz", "--count", "3", "--max-atoms", "4", "--seed", "1", "--exhaustive-max", "0", "--fork-weight", "2", "--json"],
+    ["fuzz", "--count", "-5", "--exhaustive-max", "-3"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate", "-e", "exit"],
+    ["--json"],
+    ["verify", "prog.bw", "extra"],
+    ["check-proof", "a.json", "b.json"],
+    ["run", "-e", "exit", "--bogus"],
+    ["parse", "-e", "exit", "-h", "extra"],
+    ["graph", "-e", "exit", "--pre"],
+    ["verify", "--e", "exit"],
+    ["verify", "--expr=exit"],
+    ["parse", "-eexit"],
+    ["parse", "--", "prog.bw"],
+    ["--", "parse", "-e", "exit"],
+    ["verify", "prog.bw", "-e", "exit"],
+    ["verify"],
+    ["check-proof"],
+    ["run", "--json"],
+    ["run", "-e", "exit", "--seed", "x"],
+    ["fuzz", "--count", "1.5"],
+    ["fuzz", "--loop-weight", "heavy"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: "_".join(argv).replace(" ", "") or "no-arguments")
+def test_main_parses_as_the_full_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parsed(lambda a: busycheck.cli.build_parser().parse_args(a), list(argv), capsys)
+    assert _parsed(busycheck.cli._parse_args, list(argv), capsys) == full
+
+
+def _answer(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, [line for line in out.splitlines() if "wallTime" not in line], err
+
+
+def test_a_valid_request_never_builds_the_full_parser(tmp_path, monkeypatch, capsys):
+    cert, dot = str(tmp_path / "c.json"), str(tmp_path / "g.dot")
+    requests = [
+        ["parse", "-e", "fork{exit};loop skip"],
+        ["run", "-e", "fork { exit }; loop skip", "--show-trace", "--json"],
+        ["verify", "-e", "fork { exit }; loop skip", "--emit-cert", cert],
+        ["check-proof", cert],
+        ["trace", "-e", "fork { exit }; loop skip", "--sched", "random", "--seed", "3"],
+        ["graph", "-e", "fork { exit }; loop skip", "--prefix", "-o", dot],
+        ["fuzz", "--count", "20", "--max-atoms", "5", "--exhaustive-max", "2", "--json"],
+    ]
+    assert [argv[0] for argv in requests] == list(busycheck.cli.COMMANDS)
+    before = [_answer(argv, capsys) for argv in requests]
+
+    def build_parser():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(busycheck.cli, "build_parser", build_parser)
+    assert [_answer(argv, capsys) for argv in requests] == before
+    assert [code for code, _, _ in before] == [0] * len(requests)
