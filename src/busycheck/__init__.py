@@ -19,7 +19,6 @@ from .assertions import (
     ResourceBundle,
     Star,
     TRUE,
-    entails,
     normalize as normalize_assertion,
     satisfies,
     view_shift,
@@ -33,7 +32,6 @@ from .semantics import (
     round_robin,
     run,
     step_pool,
-    step_thread,
 )
 from .proofs import check_proof, derive, verify
 from .ghost import (
@@ -41,7 +39,6 @@ from .ghost import (
     check_balance,
     ghost_step,
     real_step,
-    run_annotated,
 )
 from .pog import build_pog, check_leaf_balance, max_loopfree_sc_prefix, sibling_closed
 from .harness import GenConfig, gen_program, soundness_campaign

@@ -1,4 +1,4 @@
-"""Ghost-resource assertions: bundles, satisfaction, entailment, view shifts.
+"""Ghost-resource assertions: bundles, satisfaction, view shifts.
 
 A resource bundle is a multiset of obligations-chunk values plus a credit
 count.  `obs(n)` asserts possession of one full chunk holding exactly n exit
@@ -8,8 +8,8 @@ built from `true`, `false`, `*`, `obs(n)`, and `credit` only.
 Satisfaction is the standard separating-conjunction model over bundle union,
 so the model is affine: extra resources never falsify an assertion.  Every
 assertion normalizes to either Bottom (contains `false`) or a flat form
-(multiset of obs atoms, credit-atom count); entailment and view shifts are
-decided on flats.
+(multiset of obs atoms, credit-atom count); view shifts, the logic's only
+implication (weakening included), are decided on flats.
 
 A view shift may (i) trade `obs(n)` for `obs(n+1) * credit` and back (pairs
 are spawned and cancelled together, never one-sided), (ii) weaken
@@ -206,23 +206,6 @@ def flat_add(x: NormalizedAssertion, y: NormalizedAssertion) -> NormalizedAssert
     if isinstance(x, Bottom) or isinstance(y, Bottom):
         return BOTTOM
     return Flat(tuple(sorted(x.obs + y.obs)), x.credits + y.credits)
-
-
-# --- entailment ----------------------------------------------------------------
-
-
-def entails(a: Assertion, b: Assertion) -> bool:
-    """Semantic implication: every bundle satisfying `a` satisfies `b`.
-
-    On flats this is multiset inclusion of obs atoms plus a credit bound; the
-    witness bundle equal to `a`'s own flat makes the criterion complete.
-    """
-    na, nb = normalize(a), normalize(b)
-    if isinstance(na, Bottom):
-        return True
-    if isinstance(nb, Bottom):
-        return False
-    return _multiset_leq(nb.obs, na.obs) and nb.credits <= na.credits
 
 
 def _multiset_leq(small: tuple[int, ...], big: tuple[int, ...]) -> bool:

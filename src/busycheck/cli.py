@@ -193,6 +193,8 @@ def _cmd_fuzz(args) -> int:
         )
         if args.exhaustive_max < 0:
             raise ValueError(f"--exhaustive-max must be >= 0, got {args.exhaustive_max}")
+        if args.count == args.exhaustive_max == 0:
+            raise ValueError("--count and --exhaustive-max are both 0: nothing to check")
     except ValueError as exc:
         raise SystemExit2(f"fuzz: {exc}") from exc
     try:

@@ -5,16 +5,17 @@ An annotated pool is a `semantics.ThreadPool` whose entries are
 labelled with the rules below.  Each thread carries exactly one obligations
 chunk plus credits, two counts next to what it has left to run.  Ghost
 steps spawn or cancel an obligation-credit pair and touch nothing else.
-Real steps mirror the plain semantics but can get stuck: looping demands an
-empty chunk and a credit, and a thread may only terminate without
-obligations.  `exit` clears the pool regardless.
+Real steps mirror the plain semantics but can get stuck (raise `Stuck`):
+looping demands an empty chunk and a credit, and a thread may only terminate
+without obligations.  `exit` clears the pool regardless.
 
-`annotate` implements the constructive direction of the soundness argument:
-given a checked proof of {obs(0)} c {obs(0)} and a plain trace, it inserts
-the proof's ghost moves and fork splits to produce an annotated trace whose
-non-ghost steps project back onto the plain trace step for step.  It checks
-this after every step against an erased pool kept beside the annotated one
-with the same pool operations, so a step costs no Python work per thread.
+`annotate` is the only annotated run, and implements the constructive
+direction of the soundness argument: given a checked proof of
+{obs(0)} c {obs(0)} and a plain trace, it inserts the proof's ghost moves and
+fork splits to produce an annotated trace whose non-ghost steps project back
+onto the plain trace step for step.  It checks this after every step against
+an erased pool kept beside the annotated one with the same pool operations,
+so a step costs no Python work per thread.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .lang import (
     Exit,
     Fork,
     LoopSkip,
-    Printer,
     same_command,
 )
 from .proofs import (
@@ -43,7 +43,6 @@ from .semantics import (
     TraceStep,
     StepLabel,
     ThreadPool,
-    outcome_of,
 )
 
 GS_INTRO = "GS-Intro"
@@ -52,8 +51,6 @@ RA_LOOP = "RA-Loop"
 RA_FORK = "RA-Fork"
 RA_EXIT = "RA-Exit"
 RA_THREAD_TERM = "RA-ThreadTerm"
-
-GHOST_KINDS = frozenset({GS_INTRO, GS_CANCEL})
 
 LOOP_NEEDS_CREDIT = "LoopNeedsCredit"
 LOOP_HOLDS_OBLIGATION = "LoopHoldsObligation"
@@ -72,6 +69,14 @@ class AnnotationError(ValueError):
     pass
 
 
+class Stuck(AnnotationError):
+    """A real step's side condition fails; `reason` names it."""
+
+    def __init__(self, reason: str):
+        super().__init__(f"annotated run got stuck: {reason}")
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class AnnotatedThread:
     """A thread's obligations chunk, its credits, and what it has left to run."""
@@ -79,22 +84,6 @@ class AnnotatedThread:
     obligations: int
     credits: int
     cont: Continuation
-
-
-def erase(pool: ThreadPool) -> ThreadPool:
-    """Forget ghost resources, keeping the plain pool."""
-    return ThreadPool(tuple((t, e.cont) for t, e in pool.threads))
-
-
-@dataclass(frozen=True)
-class Stuck:
-    reason: str
-
-
-@dataclass(frozen=True)
-class StuckAt:
-    step_index: int
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -126,8 +115,8 @@ def ghost_step(pool: ThreadPool, tid: int, kind: str) -> ThreadPool:
 
 def real_step(
     pool: ThreadPool, tid: int, split: ForkSplit | None = None
-) -> tuple[ThreadPool, StepLabel] | Stuck:
-    """Non-ghost step of thread `tid`; Stuck names the violated side condition.
+) -> tuple[ThreadPool, StepLabel]:
+    """Non-ghost step of thread `tid`; raises Stuck naming a violated side condition.
 
     Looping keeps the resources untouched (the credit is held, not consumed).
     Fork splits the resources conservatively per the supplied `split`;
@@ -137,14 +126,14 @@ def real_step(
     value, credits, cont = entry.obligations, entry.credits, entry.cont
     if isinstance(cont, Done):
         if value > 0:
-            return Stuck(TERM_HOLDS_OBLIGATION)
+            raise Stuck(TERM_HOLDS_OBLIGATION)
         return pool.remove(tid), StepLabel(tid, RA_THREAD_TERM)
     head = cont.head
     if isinstance(head, LoopSkip):
         if value > 0:
-            return Stuck(LOOP_HOLDS_OBLIGATION)
+            raise Stuck(LOOP_HOLDS_OBLIGATION)
         if credits < 1:
-            return Stuck(LOOP_NEEDS_CREDIT)
+            raise Stuck(LOOP_NEEDS_CREDIT)
         return pool, StepLabel(tid, RA_LOOP)
     if isinstance(head, Exit):
         return semantics.EMPTY_POOL, StepLabel(tid, RA_EXIT)
@@ -157,42 +146,7 @@ def real_step(
         )
     keep = AnnotatedThread(value - split.child_obs, credits - split.child_credits, cont.tail)
     child = AnnotatedThread(split.child_obs, split.child_credits, head.body)
-    pool2, _ = pool.replace(tid, keep).extend(child)
-    return pool2, StepLabel(tid, RA_FORK)
-
-
-@dataclass(frozen=True)
-class StepRequest:
-    tid: int
-    kind: str  # "intro", "cancel", or "real"
-    split: ForkSplit | None = None
-
-
-def run_annotated(
-    pool: ThreadPool, requests: list[StepRequest], fuel: int
-) -> tuple[object, AnnotatedTrace]:
-    """Execute the requested steps, at most `fuel` of them."""
-    steps: list[TraceStep] = []
-    current = pool
-    for idx, req in enumerate(requests[:fuel]):
-        if current.is_empty():
-            break
-        if req.kind == "intro":
-            nxt = ghost_step(current, req.tid, GS_INTRO)
-            label = StepLabel(req.tid, GS_INTRO)
-        elif req.kind == "cancel":
-            nxt = ghost_step(current, req.tid, GS_CANCEL)
-            label = StepLabel(req.tid, GS_CANCEL)
-        elif req.kind == "real":
-            result = real_step(current, req.tid, req.split)
-            if isinstance(result, Stuck):
-                return StuckAt(idx, result.reason), AnnotatedTrace(pool, tuple(steps))
-            nxt, label = result
-        else:
-            raise ValueError(f"unknown request kind {req.kind!r}")
-        steps.append(TraceStep(current, label, nxt))
-        current = nxt
-    return outcome_of(current, steps, RA_EXIT), AnnotatedTrace(pool, tuple(steps))
+    return pool.replace(tid, keep).extend(child), StepLabel(tid, RA_FORK)
 
 
 def check_balance(pool: ThreadPool) -> bool:
@@ -324,14 +278,11 @@ def annotate(
 
     def emit_real(tid: int, split: ForkSplit | None = None) -> None:
         nonlocal pool, erased
-        result = real_step(pool, tid, split)
-        if isinstance(result, Stuck):
-            raise AnnotationError(f"annotated run got stuck: {result.reason}")
-        nxt, label = result
+        nxt, label = real_step(pool, tid, split)
         steps.append(TraceStep(pool, label, nxt))
         pool = nxt
         if label.rule == RA_FORK:
-            erased, _ = erased.replace(tid, pool.get(tid).cont).extend(pool.threads[-1][1].cont)
+            erased = erased.replace(tid, pool.get(tid).cont).extend(pool.get(steps[-1].child).cont)
         elif label.rule != RA_LOOP:  # an exit empties the pool, an ended thread leaves it
             erased = erased.remove(tid) if pool.threads else semantics.EMPTY_POOL
 
@@ -356,7 +307,7 @@ def annotate(
                 raise AnnotationError("proof has no fork split where the trace forks")
             emit_ghost(tid, slot.ops)
             emit_real(tid, slot.split)
-            cursors[pool.tids()[-1]] = _Cursor(slot.child)  # the child has the new last id
+            cursors[steps[-1].child] = _Cursor(slot.child)
             cursor.index += 1
         elif rule == semantics.TP_EXIT:
             slot = _slot_at(cursor)
@@ -376,44 +327,11 @@ def _slot_at(cursor: _Cursor) -> _Slot:
     return cursor.plan.slots[cursor.index]
 
 
-def project(trace: AnnotatedTrace) -> list[TraceStep]:
-    """Erase ghost resources and ghost steps, recovering the plain trace."""
-    plain_rule = {
-        RA_LOOP: semantics.ST_LOOP,
-        RA_FORK: semantics.ST_FORK,
-        RA_EXIT: semantics.TP_EXIT,
-        RA_THREAD_TERM: semantics.TP_THREAD_TERM,
-    }
-    out = []
-    for step in trace.steps:
-        if step.label.rule in GHOST_KINDS:
-            continue
-        out.append(
-            TraceStep(
-                erase(step.before),
-                StepLabel(step.label.tid, plain_rule[step.label.rule]),
-                erase(step.after),
-            )
-        )
-    return out
-
-
 # --- serialization --------------------------------------------------------------
-
-
-def annotated_pool_str(pool: ThreadPool, printer: Printer) -> str:
-    def entry(pair: tuple[int, AnnotatedThread]) -> str:
-        e = pair[1]
-        return f"{pair[0]}:({e.obligations}|{e.credits}) {printer.continuation(e.cont)}"
-
-    return "{%s}" % ",".join(printer.each(pool.threads, entry))
 
 
 def serialize_annotated_trace(trace: AnnotatedTrace) -> str:
     """Plain trace format plus (obligations|credits) per thread."""
-    printer = Printer()
-    lines = [
-        f"{i}\t{s.label.tid}\t{s.label.rule}\t{annotated_pool_str(s.before, printer)}"
-        for i, s in enumerate(trace.steps)
-    ]
-    return "\n".join(lines)
+    return semantics.serialize_trace(
+        trace.steps, lambda printer, e: f"({e.obligations}|{e.credits}) {printer.continuation(e.cont)}"
+    )

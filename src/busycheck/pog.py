@@ -94,8 +94,9 @@ def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
         if j is not None:
             edges.append(Edge(j, tid, info[j].rule, i))
         last[tid] = i
-        if s.label.rule == RA_FORK:
-            last[s.after.tids()[-1]] = i  # the child has the new last id
+        child = s.child
+        if child is not None:
+            last[child] = i
     edges.sort(key=lambda e: (e.src, e.dst))
     return ProgramOrderGraph(info, edges, (start.obligations, start.credits))
 

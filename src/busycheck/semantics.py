@@ -3,12 +3,14 @@
 A thread pool maps thread ids to entries: here what each thread has left to
 run (a spine suffix of the program or of a fork body, or `DONE`), in `ghost`
 that plus ghost resources; `ghost` reuses the same pool, step record and
-outcome classification.  Single-thread steps are lifted to pool steps;
-`exit` clears the whole pool, a thread at `done` is removed.  Every pool step
-is labeled with the name of the underlying rule.  Pool operations bisect and
-slice a sorted tuple, so a step shares every untouched entry with the pool
-before it and costs no Python work per thread; the random scheduler reads
-thread ages off a run history it updates once per step.
+trace printer, not the outcome classification.  A pool step branches once on
+the thread's head: a loop self-steps, a fork spawns its body under a fresh id
+(the step's `child`), `exit` clears the whole pool, and a thread at `done` is
+removed.  Every pool step is labeled with the name of the underlying rule.
+Pool operations bisect and slice a sorted tuple, so a step shares every
+untouched entry with the pool before it and costs no Python work per thread;
+the random scheduler reads thread ages off a run history it updates once per
+step.
 
 Fairness follows the usual definition: every thread alive at any point is
 eventually scheduled.  On finite prefixes this is approximated by a sliding
@@ -32,11 +34,10 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 from .lang import (
     Command,
-    Continuation,
     Done,
     Exit,
     Fork,
@@ -100,10 +101,10 @@ class ThreadPool:
         i = self._index(tid)
         return ThreadPool(self.threads[:i] + self.threads[i + 1 :], self.ids[:i] + self.ids[i + 1 :])
 
-    def extend(self, entry: Any) -> tuple["ThreadPool", int]:
+    def extend(self, entry: Any) -> "ThreadPool":
         """Add a thread under the fresh id max(dom)+1."""
         new_tid = self.ids[-1] + 1 if self.ids else 0
-        return ThreadPool(self.threads + ((new_tid, entry),), self.ids + (new_tid,)), new_tid
+        return ThreadPool(self.threads + ((new_tid, entry),), self.ids + (new_tid,))
 
 
 EMPTY_POOL = ThreadPool(())
@@ -120,6 +121,12 @@ class TraceStep:
     before: ThreadPool
     label: StepLabel
     after: ThreadPool
+
+    @property
+    def child(self) -> int | None:
+        """The id of the thread this step added to the pool (a fork's), or None."""
+        ids = self.after.ids
+        return ids[-1] if len(ids) > len(self.before.ids) else None
 
 
 @dataclass(frozen=True)
@@ -140,31 +147,6 @@ class FuelExhausted:
 RunOutcome = Terminated | AbruptExit | FuelExhausted
 
 
-def outcome_of(pool: ThreadPool, trace: Sequence[TraceStep], exit_rule: str) -> RunOutcome:
-    """Classify a run that stopped at `pool`; `exit_rule` labels an exit step."""
-    if pool.is_empty():
-        if trace and trace[-1].label.rule == exit_rule:
-            return AbruptExit(len(trace))
-        return Terminated(len(trace))
-    return FuelExhausted(pool)
-
-
-def step_thread(k: Continuation) -> tuple[Continuation, tuple[Command, ...]] | None:
-    """Single-thread step; None when no such step exists (done or exit head).
-
-    A loop head self-steps; a fork head continues with its tail and spawns
-    a thread that runs the body.  At most one thread is forked per step.
-    """
-    if isinstance(k, Done):
-        return None
-    head = k.head
-    if isinstance(head, LoopSkip):
-        return k, ()
-    if isinstance(head, Fork):
-        return k.tail, (head.body,)
-    return None  # Exit is a pool-level step
-
-
 def step_pool(tp: ThreadPool, tid: int) -> tuple[ThreadPool, StepLabel]:
     """Pool step by thread `tid`; total for every tid in the pool's domain."""
     cont = tp.get(tid)
@@ -173,14 +155,9 @@ def step_pool(tp: ThreadPool, tid: int) -> tuple[ThreadPool, StepLabel]:
     head = cont.head
     if isinstance(head, Exit):
         return EMPTY_POOL, StepLabel(tid, TP_EXIT)
-    stepped = step_thread(cont)
-    assert stepped is not None
-    cont2, forked = stepped
-    tp2 = tp.replace(tid, cont2)
-    for child in forked:
-        tp2, _ = tp2.extend(child)
-    rule = ST_LOOP if isinstance(head, LoopSkip) else ST_FORK
-    return tp2, StepLabel(tid, rule)
+    if isinstance(head, LoopSkip):
+        return tp, StepLabel(tid, ST_LOOP)
+    return tp.replace(tid, cont.tail).extend(head.body), StepLabel(tid, ST_FORK)
 
 
 class Scheduler(Protocol):
@@ -226,8 +203,9 @@ class RandomFairScheduler:
         for j in range(self._seen, len(trace)):
             step = trace[j]
             last[step.label.tid] = j
-            if len(step.after.ids) > len(step.before.ids):
-                last[step.after.ids[-1]] = j  # born at a fork step
+            child = step.child
+            if child is not None:
+                last[child] = j  # born at a fork step
         self._seen = len(trace)
         return last
 
@@ -274,7 +252,11 @@ def run(tp: ThreadPool, scheduler: Scheduler, fuel: int) -> tuple[RunOutcome, li
         pool2, label = step_pool(pool, tid)
         trace.append(TraceStep(pool, label, pool2))
         pool = pool2
-    return outcome_of(pool, trace, TP_EXIT), trace
+    if not pool.is_empty():
+        return FuelExhausted(pool), trace
+    if trace and trace[-1].label.rule == TP_EXIT:
+        return AbruptExit(len(trace)), trace
+    return Terminated(len(trace)), trace
 
 
 def run_schedule(tp: ThreadPool, tids: list[int]) -> tuple[RunOutcome, list[TraceStep]]:
@@ -300,11 +282,11 @@ def is_fair_prefix(trace: list[TraceStep], window: int) -> bool:
         tid = step.label.tid
         if j - waiting.pop(tid, j) >= window:
             return False
-        before, after = len(step.before.ids), len(step.after.ids)
-        if after >= before:
+        if len(step.after.ids) >= len(step.before.ids):
             waiting[tid] = j + 1  # the thread outlives its step (no exit, no end)
-        if after > before:
-            waiting[step.after.ids[-1]] = j + 1
+        child = step.child
+        if child is not None:
+            waiting[child] = j + 1
     return all(k + window > len(trace) for k in waiting.values())
 
 
@@ -470,16 +452,21 @@ def fuel_bound(c: Command, window: int = 0) -> int:
 # --- serialization -----------------------------------------------------------
 
 
-def pool_str(pool: ThreadPool, printer: Printer) -> str:
-    texts = printer.each(pool.threads, lambda pair: f"{pair[0]}:{printer.continuation(pair[1])}")
-    return "{%s}" % ",".join(texts)
+def serialize_trace(
+    trace: Sequence[TraceStep], entry: Callable[[Printer, Any], str] = Printer.continuation
+) -> str:
+    """One line per step: index, tid, rule, pool before the step (tab-separated).
 
-
-def serialize_trace(trace: list[TraceStep]) -> str:
-    """One line per step: index, tid, rule, pool before the step (tab-separated)."""
+    `entry(printer, e)` renders a thread's entry `e`; by default `e` is what
+    the thread has left to run.
+    """
     printer = Printer()
+
+    def thread(pair: tuple[int, Any]) -> str:
+        return f"{pair[0]}:{entry(printer, pair[1])}"
+
     lines = [
-        f"{i}\t{s.label.tid}\t{s.label.rule}\t{pool_str(s.before, printer)}"
+        f"{i}\t{s.label.tid}\t{s.label.rule}\t{{{','.join(printer.each(s.before.threads, thread))}}}"
         for i, s in enumerate(trace)
     ]
     return "\n".join(lines)

@@ -11,7 +11,6 @@ from busycheck.assertions import (
     Star,
     TRUE,
     bundle,
-    entails,
     normalize,
     satisfies,
     satisfies_flat,
@@ -75,50 +74,6 @@ def test_normalize_preserves_satisfaction():
         a = _random_assertion(rng)
         b = rng.choice(SMALL_BUNDLES)
         assert satisfies(b, a) == satisfies_flat(b, normalize(a))
-
-
-def _entails_oracle(a, b):
-    return all(satisfies(r, b) for r in SMALL_BUNDLES if satisfies(r, a))
-
-
-def test_entails_examples_against_brute_force():
-    cases = [
-        (Star(Obs(1), CREDIT), Obs(1), True),
-        (FALSE, Obs(0), True),
-        (Obs(1), Obs(0), False),
-    ]
-    for a, b, expected in cases:
-        assert entails(a, b) is expected
-        assert _entails_oracle(a, b) is expected
-
-
-def _within_oracle_domain(a):
-    # the bundle domain can only witness flats with <= 2 chunks and <= 3
-    # credits; larger assertions would make the brute force vacuously true
-    f = normalize(a)
-    return f is BOTTOM or (len(f.obs) <= 2 and f.credits <= 3)
-
-
-def test_entails_agrees_with_brute_force_on_random_pairs():
-    rng = random.Random(82)
-    checked = 0
-    while checked < 300:
-        a = _random_assertion(rng, depth=2)
-        b = _random_assertion(rng, depth=2)
-        if not (_within_oracle_domain(a) and _within_oracle_domain(b)):
-            continue
-        assert entails(a, b) == _entails_oracle(a, b), (a, b)
-        checked += 1
-
-
-def test_entails_is_a_preorder():
-    rng = random.Random(83)
-    samples = [_random_assertion(rng, depth=2) for _ in range(40)]
-    for a in samples:
-        assert entails(a, a)
-    for a, b, c in itertools.islice(itertools.product(samples, repeat=3), 4000):
-        if entails(a, b) and entails(b, c):
-            assert entails(a, c)
 
 
 def test_satisfaction_monotone_under_union():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -7,14 +8,20 @@ import pytest
 import busycheck.cli
 import busycheck.semantics
 from busycheck.cli import main
-from busycheck.lang import parse
+from busycheck.harness import enumerate_programs
+from busycheck.lang import parse, pretty
 from busycheck.proofs import check_proof, load_certificate
 from busycheck.semantics import fuel_bound
 
+
+def _km(k, m, end="exit"):
+    return "; ".join(["fork { " + "fork { loop skip }; " * m + end + " }"] * k) + "; loop skip"
+
+
 # k x m interleaving programs with k = m = 2: the twin ends every thread in
 # `loop skip`, leaving main, 2 forkers and 4 grandchildren busy-waiting
-KM22 = "; ".join(["fork { fork { loop skip }; fork { loop skip }; exit }"] * 2) + "; loop skip"
-KM22_TWIN = KM22.replace("exit", "loop skip")
+KM22 = _km(2, 2)
+KM22_TWIN = _km(2, 2, "loop skip")
 
 
 def test_parse_echoes_normalized_program(capsys):
@@ -393,6 +400,7 @@ def _not_utf8(tmp_path):
         ),
         pytest.param(lambda d: ["fuzz", "--count", "-5"], id="fuzz-count-negative"),
         pytest.param(lambda d: ["fuzz", "--exhaustive-max", "-3"], id="fuzz-exhaustive-max-negative"),
+        pytest.param(lambda d: ["fuzz", "--count", "0", "--exhaustive-max", "0"], id="fuzz-nothing-to-check"),
         pytest.param(lambda d: ["parse", str(d)], id="program-is-a-directory"),
         pytest.param(lambda d: ["check-proof", str(d)], id="certificate-is-a-directory"),
         pytest.param(lambda d: ["parse", _not_utf8(d)], id="program-not-utf8"),
@@ -482,3 +490,64 @@ def test_a_valid_request_never_builds_the_full_parser(tmp_path, monkeypatch, cap
     monkeypatch.setattr(busycheck.cli, "build_parser", build_parser)
     assert [_answer(argv, capsys) for argv in requests] == before
     assert [code for code, _, _ in before] == [0] * len(requests)
+
+
+def _contract_programs():
+    programs = [pretty(c) for c in enumerate_programs(5)]
+    programs += [_km(k, m) for k in (1, 2, 3) for m in (1, 2, 3)] + [KM22_TWIN]
+    programs += [_nest(d) for d in (1, 4, 8)] + [_waiters(n) for n in (4, 20, 60)]
+    return programs + [_long(n) for n in (5, 50, 200)]
+
+
+# argv forms run on every contract program, "{cert}" standing for one certificate path
+CONTRACT_FORMS = {
+    "run --show-trace": ["run", "--show-trace"],
+    "run --json": ["run", "--json"],
+    "run --sched random --seed 3 --show-trace": ["run", "--sched", "random", "--seed", "3", "--show-trace"],
+    "run --sched rotated:2 --show-trace": ["run", "--sched", "rotated:2", "--show-trace"],
+    "trace": ["trace"],
+    "graph --prefix": ["graph", "--prefix"],
+    "verify --emit-cert": ["verify", "--emit-cert", "{cert}"],
+    "check-proof": ["check-proof", "{cert}"],
+}
+# sha256 per argv form of (exit code, stdout, stderr) with temp paths masked; `verify
+# --emit-cert` adds the certificate bytes, `fuzz` drops its wallTime line
+CONTRACT_DIGESTS = {
+    "run --show-trace": "7c74fcf6c14e59cdec3388ab8e865ed2a0a83d886de307cc5bd45874b1e1f531",
+    "run --json": "3ac317dd2e8a15ae68fc17fe8b44dac900211b9d49a8405fc0d475f93fc8c031",
+    "run --sched random --seed 3 --show-trace": "fd0d8ee3c5823167f4ad8a9cdfd73e3fe4e2e1c76a3f0c86c592c6ae9d370ee5",
+    "run --sched rotated:2 --show-trace": "7c74fcf6c14e59cdec3388ab8e865ed2a0a83d886de307cc5bd45874b1e1f531",
+    "trace": "0e91893a0356794ed8cdf13b86e74d1e5a0f0c2513bd4bcdf21a0e9eedb43cd7",
+    "graph --prefix": "b39bdca1809b8a112a9faa8b9301c938d890ddd5f9d82f2cb9297ed4736ea55b",
+    "verify --emit-cert": "822239ab72cb08d9b328822bd2a45f128086699dd73b5aa67ef4edb66e7923c1",
+    "check-proof": "f81c688346a24b851989fd82b03033c5811486fc317f8af9f4df560ac7634322",
+    "fuzz --seed 1 --json": "2f54897d99f1eaee9d5acf5b68a5cf9f18b732d3ce776854e37964eedc9b50eb",
+}
+
+
+def _contract_digests(tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    hashes = {form: hashlib.sha256() for form in CONTRACT_DIGESTS}
+
+    def call(form, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if form.startswith("fuzz"):
+            out = "".join(line + "\n" for line in out.splitlines() if "wallTime" not in line)
+        hashes[form].update(f"{code}\0{out}\0{err}\0".replace(str(tmp_path), "<tmp>").encode())
+
+    for program in _contract_programs():
+        cert.unlink(missing_ok=True)
+        for form, args in CONTRACT_FORMS.items():
+            argv = [str(cert) if a == "{cert}" else a for a in args]
+            call(form, argv if form == "check-proof" else argv + ["-e", program])
+            if form == "verify --emit-cert" and cert.exists():
+                hashes[form].update(cert.read_bytes())
+    call("fuzz --seed 1 --json", ["fuzz", "--seed", "1", "--json"])
+    return {form: h.hexdigest() for form, h in hashes.items()}
+
+
+def test_cli_output_matches_the_pinned_digests(tmp_path, capsys):
+    digests = _contract_digests(tmp_path, capsys)
+    for form, digest in CONTRACT_DIGESTS.items():
+        assert digests[form] == digest, f"output of `busycheck {form}` changed"

@@ -13,17 +13,13 @@ from busycheck.ghost import (
     RA_LOOP,
     RA_THREAD_TERM,
     SplitError,
-    StepRequest,
     Stuck,
-    StuckAt,
     TERM_HOLDS_OBLIGATION,
     annotate,
     check_balance,
     ghost_step,
     initial_annotated_pool,
-    project,
     real_step,
-    run_annotated,
     serialize_annotated_trace,
 )
 from busycheck.harness import enumerate_programs
@@ -31,19 +27,20 @@ from busycheck.lang import DONE, LOOP_SKIP, Done, Fork, Printer, Seq, parse
 from busycheck.proofs import ForkSplit, tree_size, verify
 from busycheck.semantics import (
     ST_FORK,
+    ST_LOOP,
+    TP_EXIT,
+    TP_THREAD_TERM,
     FuelExhausted,
     ThreadPool,
     TraceStep,
     fuel_bound,
     UnknownThreadError,
-    Terminated,
     initial_pool,
     random_fair,
     rotated_round_robin,
     round_robin,
     run,
     run_schedule,
-    serialize_trace,
 )
 
 
@@ -85,19 +82,25 @@ def test_ghost_steps_touch_only_the_stepped_thread():
     assert after.get(0).cont == pool.get(0).cont
 
 
+def _stuck_reason(pool):
+    with pytest.raises(Stuck) as stuck:
+        real_step(pool, 0)
+    assert str(stuck.value) == f"annotated run got stuck: {stuck.value.reason}"
+    return stuck.value.reason
+
+
 def test_stuckness_triad():
-    assert real_step(_single(0, 0), 0) == Stuck(LOOP_NEEDS_CREDIT)
-    assert real_step(_single(1, 1), 0) == Stuck(LOOP_HOLDS_OBLIGATION)
-    result = real_step(_single(0, 1), 0)
-    assert not isinstance(result, Stuck)
-    pool2, step = result
+    assert _stuck_reason(_single(0, 0)) == LOOP_NEEDS_CREDIT
+    assert _stuck_reason(_single(1, 1)) == LOOP_HOLDS_OBLIGATION
+    pool = _single(0, 1)
+    pool2, step = real_step(pool, 0)
     assert step.rule == RA_LOOP
-    assert pool2 == _single(0, 1)  # the credit is held, not consumed
+    assert pool2 is pool  # the credit is held, not consumed
 
 
 def test_term_requires_empty_chunk():
     pool = ThreadPool.of({0: AnnotatedThread(1, 1, DONE)})
-    assert real_step(pool, 0) == Stuck(TERM_HOLDS_OBLIGATION)
+    assert _stuck_reason(pool) == TERM_HOLDS_OBLIGATION
     clean = ThreadPool.of({0: AnnotatedThread(0, 2, DONE)})
     pool2, step = real_step(clean, 0)
     assert step.rule == RA_THREAD_TERM and pool2.is_empty()
@@ -130,22 +133,36 @@ def test_exit_clears_the_annotated_pool():
     assert step.rule == RA_EXIT and pool2.is_empty()
 
 
-WORKED_SCHEDULE = [
-    StepRequest(0, "intro"),
-    StepRequest(0, "real", ForkSplit(1, 0)),
-    StepRequest(1, "intro"),
-    StepRequest(1, "real", ForkSplit(0, 1)),
-    StepRequest(2, "real"),
-    StepRequest(0, "real"),
-    StepRequest(0, "real"),
-    StepRequest(0, "real"),
-]
+def _annotated(c, tids=None, scheduler=None, fuel=2000):
+    proof = verify(c)
+    assert proof is not None
+    if tids is not None:
+        _, trace = run_schedule(initial_pool(c), tids)
+    else:
+        _, trace = run(initial_pool(c), scheduler or round_robin(), fuel)
+    return proof, trace, annotate(c, proof, trace)
 
 
-def test_run_annotated_replays_the_worked_trace(two_level_fork):
-    pool = initial_annotated_pool(two_level_fork)
-    outcome, trace = run_annotated(pool, WORKED_SCHEDULE, 100)
-    assert isinstance(outcome, FuelExhausted)
+PLAIN_RULE = {RA_LOOP: ST_LOOP, RA_FORK: ST_FORK, RA_EXIT: TP_EXIT, RA_THREAD_TERM: TP_THREAD_TERM}
+
+
+def _projects_onto(atrace, trace):
+    """The non-ghost steps of `atrace` are the steps of `trace`, thread and rule."""
+    real = [(s.label.tid, PLAIN_RULE[s.label.rule]) for s in atrace.steps if s.label.rule in PLAIN_RULE]
+    return real == [(s.label.tid, s.label.rule) for s in trace]
+
+
+def _worked_trace(c):
+    """The annotation of the worked schedule of `two_level_fork`."""
+    return annotate(c, verify(c), run_schedule(initial_pool(c), [0, 1, 2, 0, 0, 0])[1])
+
+
+def test_annotate_reproduces_worked_trace_bundles(two_level_fork):
+    trace = _worked_trace(two_level_fork)
+    assert [(s.label.tid, s.label.rule) for s in trace.steps] == [
+        (0, GS_INTRO), (0, RA_FORK), (1, GS_INTRO), (1, RA_FORK),
+        (2, RA_LOOP), (0, RA_LOOP), (0, RA_LOOP), (0, RA_LOOP),
+    ]
     bundles = [
         {tid: _counts(e) for tid, e in s.after.threads}
         for s in trace.steps
@@ -157,36 +174,11 @@ def test_run_annotated_replays_the_worked_trace(two_level_fork):
     assert bundles[4] == bundles[5] == bundles[6] == bundles[7] == bundles[3]
 
 
-def test_run_annotated_empty_pool_terminates():
-    outcome, trace = run_annotated(ThreadPool.of({}), WORKED_SCHEDULE, 10)
-    assert outcome == Terminated(0)
-    assert trace.steps == ()
-
-
-def test_run_annotated_reports_stuck_step_index(bare_loop):
-    pool = initial_annotated_pool(bare_loop)
-    outcome, trace = run_annotated(pool, [StepRequest(0, "real")], 10)
-    assert outcome == StuckAt(0, LOOP_NEEDS_CREDIT)
-    assert trace.steps == ()
-
-
 def test_check_balance_examples(two_level_fork):
-    pool = initial_annotated_pool(two_level_fork)
-    _, trace = run_annotated(pool, WORKED_SCHEDULE, 100)
-    row4 = trace.steps[4].before
+    row4 = _worked_trace(two_level_fork).steps[4].before
     assert check_balance(row4)  # obligations 0+2+0 match credits 1+0+1
     assert check_balance(ThreadPool.of({}))
     assert not check_balance(_single(1, 0))
-
-
-def _annotated(c, tids=None, scheduler=None, fuel=2000):
-    proof = verify(c)
-    assert proof is not None
-    if tids is not None:
-        _, trace = run_schedule(initial_pool(c), tids)
-    else:
-        _, trace = run(initial_pool(c), scheduler or round_robin(), fuel)
-    return proof, trace, annotate(c, proof, trace)
 
 
 def test_annotate_waiting_pair_bundles(waiting_pair):
@@ -199,13 +191,6 @@ def test_annotate_waiting_pair_bundles(waiting_pair):
             assert _counts(step.before.get(1)) == (1, 0)
 
 
-def test_annotate_reproduces_worked_trace_bundles(two_level_fork):
-    _, _, atrace = _annotated(two_level_fork, tids=[0, 1, 2, 0, 0, 0])
-    pool = initial_annotated_pool(two_level_fork)
-    _, replayed = run_annotated(pool, WORKED_SCHEDULE, 100)
-    assert serialize_annotated_trace(atrace) == serialize_annotated_trace(replayed)
-
-
 def test_annotate_exit_alone_needs_no_ghost_steps():
     c = parse("exit")
     _, trace, atrace = _annotated(c, tids=[0])
@@ -216,7 +201,7 @@ def test_annotate_exit_alone_needs_no_ghost_steps():
 def test_annotate_projection(two_level_fork):
     for tids in ([0, 1, 2, 0, 0, 0], [0, 0, 1, 0, 2, 1]):
         _, trace, atrace = _annotated(two_level_fork, tids=tids)
-        assert serialize_trace(project(atrace)) == serialize_trace(trace)
+        assert _projects_onto(atrace, trace)
 
 
 def test_annotate_balance_and_ghost_progress(two_level_fork, waiting_pair):
@@ -243,7 +228,7 @@ def test_annotate_split_conservation(two_level_fork):
             continue
         tid = step.label.tid
         before = step.before.get(tid)
-        child_tid = max(step.after.tids())
+        child_tid = step.child
         kept = step.after.get(tid)
         child = step.after.get(child_tid)
         assert kept.obligations + child.obligations == before.obligations
@@ -275,7 +260,7 @@ def test_annotate_under_randomized_fair_schedules():
         outcome, trace = run(initial_pool(c), sched, fuel_bound(c, window))
         assert not isinstance(outcome, FuelExhausted)
         atrace = annotate(c, proof, trace)
-        assert serialize_trace(project(atrace)) == serialize_trace(trace)
+        assert _projects_onto(atrace, trace)
         assert all(check_balance(s.after) for s in atrace.steps)
         annotated += 1
     assert annotated >= 40
@@ -286,7 +271,7 @@ def test_annotate_supports_nonzero_initial_tid(waiting_pair):
     _, trace = run(initial_pool(waiting_pair, tid0=5), round_robin(), 100)
     atrace = annotate(waiting_pair, proof, trace)
     assert atrace.initial.tids() == (5,)
-    assert serialize_trace(project(atrace)) == serialize_trace(trace)
+    assert _projects_onto(atrace, trace)
 
 
 def test_annotate_rejects_mismatched_trace(waiting_pair, two_level_fork):
@@ -301,7 +286,7 @@ def test_annotate_starts_from_the_traces_own_continuation(waiting_pair):
     _, trace = run(initial_pool(twin), round_robin(), 100)
     atrace = annotate(waiting_pair, verify(waiting_pair), trace)
     assert atrace.initial.get(0).cont is trace[0].before.get(0)
-    assert serialize_trace(project(atrace)) == serialize_trace(trace)
+    assert _projects_onto(atrace, trace)
 
 
 @pytest.mark.parametrize("index", range(6))
@@ -355,10 +340,12 @@ def test_annotate_rejects_unchecked_proof(waiting_pair):
         annotate(waiting_pair, bogus, trace)
 
 
-def test_run_annotated_rejects_unknown_tid(bare_loop):
+def test_ghost_and_real_steps_reject_unknown_tid(bare_loop):
     pool = initial_annotated_pool(bare_loop)
     with pytest.raises(UnknownThreadError):
-        run_annotated(pool, [StepRequest(7, "intro")], 10)
+        ghost_step(pool, 7, GS_INTRO)
+    with pytest.raises(UnknownThreadError):
+        real_step(pool, 7)
 
 
 def test_ghost_step_rejects_unknown_kind(bare_loop):
@@ -381,7 +368,7 @@ def test_annotate_compares_long_commands_without_recursion():
     proof = verify(parse(text))
     _, trace = run(initial_pool(c), round_robin(), fuel_bound(c))
     atrace = annotate(c, proof, trace)
-    assert serialize_trace(project(atrace)) == serialize_trace(trace)
+    assert _projects_onto(atrace, trace)
 
 
 def _suffix_ids(c):
@@ -415,6 +402,23 @@ def test_threads_run_suffixes_of_the_program():
                     assert left(e) is DONE or id(left(e)) in suffixes
                 if s.label.rule in (ST_FORK, RA_FORK):
                     head = left(s.before.get(s.label.tid)).head
-                    assert left(s.after.threads[-1][1]) is head.body
+                    assert left(s.after.get(s.child)) is head.body
             runs += 1
     assert runs > 3000
+
+
+def test_child_is_the_fresh_id_of_exactly_the_fork_steps():
+    forks = 0
+    for c in enumerate_programs(5):
+        proof = verify(c)
+        for scheduler, window in ((round_robin(), 0), (random_fair(1, 4), 4)):
+            _, plain = run(initial_pool(c), scheduler, fuel_bound(c, window))
+            traces = [plain] + ([annotate(c, proof, plain).steps] if proof is not None else [])
+            for steps in traces:
+                for s in steps:
+                    if s.label.rule in (ST_FORK, RA_FORK):
+                        assert s.child == s.before.ids[-1] + 1
+                        forks += 1
+                    else:
+                        assert s.child is None
+    assert forks > 1000

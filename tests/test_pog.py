@@ -6,13 +6,14 @@ from busycheck.ghost import (
     GS_INTRO,
     RA_FORK,
     RA_LOOP,
-    StepRequest,
+    AnnotatedThread,
+    AnnotatedTrace,
     annotate,
     initial_annotated_pool,
-    run_annotated,
+    real_step,
 )
 from busycheck.harness import GenConfig, gen_program
-from busycheck.lang import parse
+from busycheck.lang import LOOP_SKIP, parse
 from busycheck.pog import (
     Edge,
     PrefixError,
@@ -26,7 +27,7 @@ from busycheck.pog import (
     to_dot,
 )
 from busycheck.proofs import verify
-from busycheck.semantics import fuel_bound, initial_pool, round_robin, run, run_schedule
+from busycheck.semantics import ThreadPool, TraceStep, fuel_bound, initial_pool, round_robin, run, run_schedule
 
 
 @pytest.fixture
@@ -117,14 +118,9 @@ def test_max_loopfree_prefix_loop_free_trace_is_everything():
 
 def test_max_loopfree_prefix_boundary_first_step_loop():
     # a trace whose first step is already a loop step keeps only the root
-    from busycheck.ghost import AnnotatedThread
-    from busycheck.semantics import ThreadPool
-    from busycheck.lang import LOOP_SKIP
-
     pool = ThreadPool.of({0: AnnotatedThread(0, 1, LOOP_SKIP)})
-    requests = [StepRequest(0, "real")] * 3
-    _, trace = run_annotated(pool, requests, 10)
-    g = build_pog(trace)
+    after, label = real_step(pool, 0)
+    g = build_pog(AnnotatedTrace(pool, (TraceStep(pool, label, after),) * 3))
     assert max_loopfree_sc_prefix(g) == frozenset({0})
 
 
@@ -151,8 +147,8 @@ def test_leaf_balance_preconditions(worked_graph):
 
 def test_leaf_balance_requires_balanced_start():
     pool = initial_annotated_pool(parse("exit"), obligations=1)
-    _, trace = run_annotated(pool, [StepRequest(0, "real")], 10)
-    g = build_pog(trace)
+    after, label = real_step(pool, 0)
+    g = build_pog(AnnotatedTrace(pool, (TraceStep(pool, label, after),)))
     with pytest.raises(PrefixError):
         check_leaf_balance(g, {0})
 

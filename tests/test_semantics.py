@@ -40,22 +40,26 @@ from busycheck.semantics import (
     serialize_trace,
     spawn_tree,
     step_pool,
-    step_thread,
 )
 
-def test_step_thread_loop_self_steps():
-    assert step_thread(LOOP_SKIP) == (LOOP_SKIP, ())
+def test_step_pool_loop_returns_the_same_pool():
+    pool, label = step_pool(TWO_LOOPERS, 1)
+    assert pool is TWO_LOOPERS and label.rule == ST_LOOP
 
 
-def test_step_thread_fork_spawns_body():
+def test_step_pool_fork_keeps_the_tail_and_spawns_the_body():
     k = Seq(Fork(Seq(EXIT, LOOP_SKIP)), LOOP_SKIP)
-    rest, (child,) = step_thread(k)
-    assert rest is k.second and child is k.first.body
+    pool, label = step_pool(ThreadPool.of({0: k, 1: LOOP_SKIP}), 0)
+    assert label.rule == ST_FORK and pool.tids() == (0, 1, 2)
+    assert pool.get(0) is k.tail and pool.get(2) is k.head.body
 
 
-def test_step_thread_done_has_no_step():
-    assert step_thread(DONE) is None
-    assert step_thread(EXIT) is None  # exit is a pool-level step
+def test_step_pool_done_removes_the_thread_and_exit_empties_the_pool():
+    pool = ThreadPool.of({0: EXIT, 2: DONE, 5: LOOP_SKIP})
+    after, label = step_pool(pool, 2)
+    assert label.rule == TP_THREAD_TERM and after == ThreadPool.of({0: EXIT, 5: LOOP_SKIP})
+    after, label = step_pool(pool, 0)
+    assert label.rule == TP_EXIT and after.is_empty()
 
 
 def test_step_pool_exit_clears_everything():
@@ -280,9 +284,8 @@ def test_pool_operations_match_a_dict_reference():
             tid = rng.randrange(-1, max(ref, default=0) + 3)
             entry = ("entry", step)
             if op == "x":
-                pool, new = pool.extend(entry)
-                assert new == max(ref, default=-1) + 1
-                ref[new] = entry
+                pool = pool.extend(entry)
+                ref[max(ref, default=-1) + 1] = entry
             elif tid not in ref:
                 call = {"g": pool.get, "r": lambda t: pool.replace(t, 0), "e": pool.remove}[op]
                 with pytest.raises(UnknownThreadError):
