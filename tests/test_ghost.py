@@ -163,6 +163,12 @@ def test_annotate_reproduces_worked_trace_bundles(two_level_fork):
         (0, GS_INTRO), (0, RA_FORK), (1, GS_INTRO), (1, RA_FORK),
         (2, RA_LOOP), (0, RA_LOOP), (0, RA_LOOP), (0, RA_LOOP),
     ]
+    assert all(check_balance(s.after) for s in trace.steps)
+
+
+def test_run_annotated_replays_the_worked_trace(two_level_fork):
+    """The bundles of each step of the worked trace, as `annotate` replays it."""
+    trace = _worked_trace(two_level_fork)
     bundles = [
         {tid: _counts(e) for tid, e in s.after.threads}
         for s in trace.steps
