@@ -16,20 +16,15 @@ from .assertions import (
     CREDIT,
     FALSE,
     Obs,
-    ResourceBundle,
     Star,
     TRUE,
     normalize as normalize_assertion,
-    satisfies,
     view_shift,
 )
 from .semantics import (
+    RandomFairScheduler,
+    RoundRobinScheduler,
     initial_pool,
-    is_fair_prefix,
-    oracle_diverges,
-    random_fair,
-    rotated_round_robin,
-    round_robin,
     run,
     step_pool,
 )

@@ -1,13 +1,14 @@
-"""Ghost-resource assertions: bundles, satisfaction, view shifts.
+"""Ghost-resource assertions: terms, normal forms, view shifts.
 
-A resource bundle is a multiset of obligations-chunk values plus a credit
-count.  `obs(n)` asserts possession of one full chunk holding exactly n exit
+`obs(n)` asserts possession of one full chunk holding exactly n exit
 obligations; `credit` asserts at least one busy-wait credit.  Assertions are
 built from `true`, `false`, `*`, `obs(n)`, and `credit` only.
 
-Satisfaction is the standard separating-conjunction model over bundle union,
-so the model is affine: extra resources never falsify an assertion.  Every
-assertion normalizes to either Bottom (contains `false`) or a flat form
+Their meaning is the standard separating-conjunction model over resource
+bundles (multisets of chunk values plus a credit count), so the model is
+affine: extra resources never falsify an assertion.  The tests hold the
+closed forms here to that model (`satisfies` in `tests/reference.py`).
+Every assertion normalizes to either Bottom (contains `false`) or a flat form
 (multiset of obs atoms, credit-atom count); view shifts, the logic's only
 implication (weakening included), are decided on flats.
 
@@ -23,26 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-
-@dataclass(frozen=True)
-class ResourceBundle:
-    """Multiset of obligations-chunk values plus a credit count."""
-
-    chunks: tuple[int, ...]
-    credits: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chunks", tuple(sorted(self.chunks)))
-        if self.credits < 0 or any(v < 0 for v in self.chunks):
-            raise ValueError("bundle components must be naturals")
-
-    def union(self, other: "ResourceBundle") -> "ResourceBundle":
-        return ResourceBundle(self.chunks + other.chunks, self.credits + other.credits)
-
-
-def bundle(chunks: tuple[int, ...] | list[int], credits: int) -> ResourceBundle:
-    return ResourceBundle(tuple(chunks), credits)
 
 
 # --- assertion terms --------------------------------------------------------
@@ -113,36 +94,6 @@ def state_assertion(obs_count: int, credit_count: int) -> Assertion:
     return star(Obs(obs_count), *([CREDIT] * credit_count))
 
 
-# --- satisfaction (model relation) -------------------------------------------
-
-
-def _splits(b: ResourceBundle):
-    n = len(b.chunks)
-    for mask in range(1 << n):
-        left = tuple(v for i, v in enumerate(b.chunks) if mask >> i & 1)
-        right = tuple(v for i, v in enumerate(b.chunks) if not mask >> i & 1)
-        for c in range(b.credits + 1):
-            yield ResourceBundle(left, c), ResourceBundle(right, b.credits - c)
-
-
-def satisfies(b: ResourceBundle, a: Assertion) -> bool:
-    """Model relation: `true` always; `a1 * a2` by existence of a bundle split;
-    `obs(n)` iff some chunk holds exactly n; `credit` iff credits >= 1."""
-    if isinstance(a, TrueA):
-        return True
-    if isinstance(a, FalseA):
-        return False
-    if isinstance(a, Obs):
-        return a.count in b.chunks
-    if isinstance(a, Credit):
-        return b.credits >= 1
-    if isinstance(a, Star):
-        return any(
-            satisfies(b1, a.left) and satisfies(b2, a.right) for b1, b2 in _splits(b)
-        )
-    raise TypeError(f"not an assertion: {a!r}")
-
-
 # --- normal form --------------------------------------------------------------
 
 
@@ -192,29 +143,10 @@ def _flatten(a: Assertion) -> NormalizedAssertion:
     return Flat(tuple(sorted(obs)), credits)
 
 
-def satisfies_flat(b: ResourceBundle, f: NormalizedAssertion) -> bool:
-    if isinstance(f, Bottom):
-        return False
-    return _multiset_leq(f.obs, b.chunks) and b.credits >= f.credits
-
-
-def flat_eq(a: Assertion, b: Assertion) -> bool:
-    return normalize(a) == normalize(b)
-
-
 def flat_add(x: NormalizedAssertion, y: NormalizedAssertion) -> NormalizedAssertion:
     if isinstance(x, Bottom) or isinstance(y, Bottom):
         return BOTTOM
     return Flat(tuple(sorted(x.obs + y.obs)), x.credits + y.credits)
-
-
-def _multiset_leq(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-    remaining = list(big)
-    for v in small:
-        if v not in remaining:
-            return False
-        remaining.remove(v)
-    return True
 
 
 # --- view shifts ----------------------------------------------------------------

@@ -22,12 +22,11 @@ from .proofs import CertificateError, check_proof, load_certificate, save_certif
 from .semantics import (
     AbruptExit,
     FuelExhausted,
+    RandomFairScheduler,
+    RoundRobinScheduler,
     Terminated,
     fuel_bound,
     initial_pool,
-    random_fair,
-    rotated_round_robin,
-    round_robin,
     run,
     serialize_trace,
 )
@@ -67,15 +66,15 @@ def _make_scheduler(args):
         raise SystemExit2(f"--window must be >= 1, got {args.window}")
     name = args.sched
     if name == "round-robin":
-        return round_robin()
+        return RoundRobinScheduler()
     if name.startswith("rotated:"):
         try:
             offset = int(name.split(":", 1)[1])
         except ValueError:
             raise SystemExit2(f"bad rotation offset in {name!r}") from None
-        return rotated_round_robin(offset)
+        return RoundRobinScheduler(offset)
     if name == "random":
-        return random_fair(args.seed, args.window)
+        return RandomFairScheduler(args.seed, args.window)
     raise SystemExit2(f"unknown scheduler {name!r}")
 
 

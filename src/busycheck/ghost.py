@@ -92,12 +92,6 @@ class AnnotatedTrace:
     steps: tuple[TraceStep, ...]
 
 
-def initial_annotated_pool(c: Command, obligations: int = 0) -> ThreadPool:
-    if obligations < 0:
-        raise ValueError("obligations must be a natural")
-    return ThreadPool.of({0: AnnotatedThread(obligations, 0, c)})
-
-
 def ghost_step(pool: ThreadPool, tid: int, kind: str) -> ThreadPool:
     """Spawn (GS-Intro) or cancel (GS-Cancel) an obligation-credit pair of one thread."""
     entry = pool.get(tid)
@@ -256,7 +250,7 @@ def annotate(
         raise AnnotationError("empty trace: nothing to annotate")
     if len(start.threads) != 1:
         raise AnnotationError("trace must start from a singleton pool")
-    tid0 = start.tids()[0]
+    tid0 = start.ids[0]
     start_cont = start.get(tid0)
     if not same_command(start_cont, c):
         raise AnnotationError("trace does not start with {tid0: c}")

@@ -25,9 +25,9 @@ from .pog import build_pog, check_leaf_balance, describe_leaf, random_sc_loopfre
 from .proofs import verify
 from .semantics import (
     FuelExhausted,
+    RoundRobinScheduler,
     fuel_bound,
     initial_pool,
-    round_robin,
     run,
     spawn_tree,
 )
@@ -209,7 +209,7 @@ def _check_one(program: Command, prefix_seed: int, report: CampaignReport) -> No
         report.soundness_violations += 1
         raise CampaignViolation(program, "verified program admits a fair infinite run")
 
-    outcome, trace = run(initial_pool(program), round_robin(), fuel_bound(program))
+    outcome, trace = run(initial_pool(program), RoundRobinScheduler(), fuel_bound(program))
     if isinstance(outcome, FuelExhausted):
         raise CampaignViolation(program, "round-robin run of a verified program ran out of fuel")
     atrace = annotate(program, proof, trace)

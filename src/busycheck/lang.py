@@ -321,8 +321,3 @@ def pretty(c: Command) -> str:
         else:
             raise TypeError(f"not a command: {x!r}")
     return "".join(out)
-
-
-def pretty_continuation(k: Continuation) -> str:
-    """Render what a thread has left with `done` printed explicitly, e.g. `exit;done`."""
-    return Printer().continuation(k)

@@ -25,7 +25,7 @@ from .ghost import (
     RA_FORK,
     RA_LOOP,
 )
-from .lang import Continuation, pretty_continuation
+from .lang import Continuation, Printer
 
 
 class PrefixError(ValueError):
@@ -234,5 +234,5 @@ def describe_leaf(g: ProgramOrderGraph, n: int) -> str:
     info = g.info[n]
     return (
         f"step {n}: thread {info.tid} ({info.obligations}|{info.credits}) "
-        f"{pretty_continuation(info.cont)}"
+        f"{Printer().continuation(info.cont)}"
     )

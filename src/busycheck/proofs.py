@@ -181,16 +181,6 @@ class RuleViolation:
         return f"{where}: {self.reason}"
 
 
-def tree_size(t: ProofTree) -> int:
-    """Nodes of `t`, a premise shared by two nodes counted twice; iterative."""
-    count, todo = 0, [t]
-    while todo:
-        node = todo.pop()
-        count += 1
-        todo.extend(node.premises)
-    return count
-
-
 # --- certificate checking ------------------------------------------------------
 
 

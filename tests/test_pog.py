@@ -9,7 +9,6 @@ from busycheck.ghost import (
     AnnotatedThread,
     AnnotatedTrace,
     annotate,
-    initial_annotated_pool,
     real_step,
 )
 from busycheck.harness import GenConfig, gen_program
@@ -27,7 +26,8 @@ from busycheck.pog import (
     to_dot,
 )
 from busycheck.proofs import verify
-from busycheck.semantics import ThreadPool, TraceStep, fuel_bound, initial_pool, round_robin, run, run_schedule
+from busycheck.semantics import RoundRobinScheduler, ThreadPool, TraceStep, fuel_bound, initial_pool, run
+from reference import initial_annotated_pool, run_schedule
 
 
 @pytest.fixture
@@ -160,7 +160,7 @@ def test_leaf_balance_random_prefixes_on_generated_programs():
         proof = verify(c)
         if proof is None:
             continue
-        outcome, trace = run(initial_pool(c), round_robin(), fuel_bound(c))
+        outcome, trace = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
         g = build_pog(annotate(c, proof, trace))
         for _ in range(3):
             prefix = random_sc_loopfree_prefix(g, rng)
@@ -179,7 +179,7 @@ def test_loop_leaf_has_an_exit_witness():
         proof = verify(c)
         if proof is None:
             continue
-        _, trace = run(initial_pool(c), round_robin(), fuel_bound(c))
+        _, trace = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
         g = build_pog(annotate(c, proof, trace))
         prefix = max_loopfree_sc_prefix(g)
         loop_leaves = [n for n in leaves(g, prefix) if g.info[n].rule == RA_LOOP]

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from busycheck.assertions import (
     OBS_ZERO,
     Obs,
     Star,
-    flat_eq,
+    normalize,
     state_assertion,
     view_shift,
 )
@@ -44,11 +45,11 @@ from busycheck.proofs import (
     load_certificate,
     save_certificate,
     to_json_dict,
-    tree_size,
     verify,
 )
 from busycheck.proofs import _wrap
-from busycheck.semantics import oracle_diverges, spawn_tree
+from busycheck.semantics import explore, spawn_tree
+from reference import tree_size
 
 WAITING_PAIR = parse("fork { exit }; loop skip")
 TWO_LEVEL = parse("fork { fork { loop skip }; exit }; loop skip")
@@ -191,8 +192,8 @@ def test_derive_waiting_pair_certificate_shape():
     tree = derive(WAITING_PAIR, 0)
     assert tree is not None and check_proof(tree) is None
     assert tree.rule is Rule.VIEW_SHIFT
-    assert flat_eq(tree.data.inner_pre, Star(Obs(1), CREDIT))
-    assert flat_eq(tree.data.inner_post, FALSE)
+    assert normalize(tree.data.inner_pre) == normalize(Star(Obs(1), CREDIT))
+    assert normalize(tree.data.inner_post) == normalize(FALSE)
     seq = tree.premises[0]
     assert seq.rule is Rule.SEQ
     fork, loop = seq.premises
@@ -201,7 +202,7 @@ def test_derive_waiting_pair_certificate_shape():
     assert shifted_exit.rule is Rule.VIEW_SHIFT
     assert shifted_exit.premises[0].rule is Rule.EXIT
     assert loop.rule is Rule.LOOP
-    assert flat_eq(loop.conclusion.pre, Star(Obs(0), CREDIT))
+    assert normalize(loop.conclusion.pre) == normalize(Star(Obs(0), CREDIT))
 
 
 def test_derive_rejects_bare_loop():
@@ -217,7 +218,7 @@ def test_derive_two_level_fork():
 def test_derive_with_nonzero_start():
     tree = derive(parse("exit"), 2)
     assert tree is not None and check_proof(tree) is None
-    assert flat_eq(tree.conclusion.pre, Obs(2))
+    assert normalize(tree.conclusion.pre) == normalize(Obs(2))
 
 
 def test_verify_examples():
@@ -236,14 +237,14 @@ def test_every_derived_tree_checks():
         tree = verify(c)
         if tree is not None:
             assert check_proof(tree) is None, pretty(c)
-            assert flat_eq(tree.conclusion.pre, Obs(0))
-            assert flat_eq(tree.conclusion.post, Obs(0))
+            assert normalize(tree.conclusion.pre) == normalize(Obs(0))
+            assert normalize(tree.conclusion.post) == normalize(Obs(0))
 
 
 def test_empirical_soundness_small():
     for c in _sample_programs():
         if verify(c) is not None:
-            assert not oracle_diverges(c), pretty(c)
+            assert not explore(c).diverges, pretty(c)
 
 
 def test_verifier_is_exact_on_small_programs():
@@ -251,7 +252,7 @@ def test_verifier_is_exact_on_small_programs():
     # divergence oracle clears (the proofs module docstring argues why), so
     # the monitored incompleteness fraction stays at zero
     for c in enumerate_programs(5):
-        assert (verify(c) is not None) == (not oracle_diverges(c)), pretty(c)
+        assert (verify(c) is not None) == (not explore(c).diverges), pretty(c)
 
 
 def test_frame_compliance():
@@ -568,7 +569,7 @@ class _ReferenceSearch:
 
     def _finish_atom(self, node1, required):
         post = node1.conclusion.post
-        if flat_eq(post, required):
+        if normalize(post) == normalize(required):
             return node1
         if view_shift(post, required):
             return _wrap(node1, node1.conclusion.pre, required)
@@ -651,7 +652,7 @@ def test_verify_succeeds_exactly_when_the_spawn_tree_does_not_diverge():
 
 
 def test_proofs_imports_nothing_from_semantics():
-    tree = ast.parse(open(busycheck.proofs.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(busycheck.proofs.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             assert node.module is None or "semantics" not in node.module

@@ -16,9 +16,9 @@ from busycheck.lang import (
 )
 from busycheck.semantics import (
     AbruptExit,
-    FixedScheduler,
     FuelExhausted,
     RandomFairScheduler,
+    RoundRobinScheduler,
     ST_FORK,
     ST_LOOP,
     TP_EXIT,
@@ -30,17 +30,13 @@ from busycheck.semantics import (
     explore,
     fuel_bound,
     initial_pool,
-    is_fair_prefix,
-    oracle_diverges,
-    random_fair,
-    rotated_round_robin,
-    round_robin,
     run,
     SpawnTree,
     serialize_trace,
     spawn_tree,
     step_pool,
 )
+from reference import FixedScheduler, is_fair_prefix
 
 def test_step_pool_loop_returns_the_same_pool():
     pool, label = step_pool(TWO_LOOPERS, 1)
@@ -50,7 +46,7 @@ def test_step_pool_loop_returns_the_same_pool():
 def test_step_pool_fork_keeps_the_tail_and_spawns_the_body():
     k = Seq(Fork(Seq(EXIT, LOOP_SKIP)), LOOP_SKIP)
     pool, label = step_pool(ThreadPool.of({0: k, 1: LOOP_SKIP}), 0)
-    assert label.rule == ST_FORK and pool.tids() == (0, 1, 2)
+    assert label.rule == ST_FORK and pool.ids == (0, 1, 2)
     assert pool.get(0) is k.tail and pool.get(2) is k.head.body
 
 
@@ -86,7 +82,7 @@ def test_step_pool_fork_assigns_fresh_id():
 def test_step_pool_fresh_id_is_max_plus_one():
     pool = ThreadPool.of({2: Fork(EXIT), 7: LOOP_SKIP})
     pool2, _ = step_pool(pool, 2)
-    assert pool2.tids() == (2, 7, 8)
+    assert pool2.ids == (2, 7, 8)
 
 
 def test_step_pool_unknown_tid():
@@ -96,25 +92,25 @@ def test_step_pool_unknown_tid():
 
 def test_run_waiting_pair_exits_abruptly():
     c = parse("fork { exit }; loop skip")
-    assert not oracle_diverges(c)  # round-robin is fair, so the run must settle
-    outcome, _ = run(initial_pool(c), round_robin(), 1000)
+    assert not explore(c).diverges  # round-robin is fair, so the run must settle
+    outcome, _ = run(initial_pool(c), RoundRobinScheduler(), 1000)
     assert isinstance(outcome, AbruptExit)
 
 
 def test_run_bare_loop_exhausts_fuel():
-    outcome, trace = run(initial_pool(LOOP_SKIP), round_robin(), 50)
+    outcome, trace = run(initial_pool(LOOP_SKIP), RoundRobinScheduler(), 50)
     assert isinstance(outcome, FuelExhausted)
     assert len(trace) == 50
     assert all(s.label.rule == ST_LOOP for s in trace)
 
 
 def test_run_exit_is_one_step():
-    outcome, _ = run(initial_pool(EXIT), round_robin(), 10)
+    outcome, _ = run(initial_pool(EXIT), RoundRobinScheduler(), 10)
     assert outcome == AbruptExit(1)
 
 
 def test_run_empty_pool_terminates_immediately():
-    outcome, trace = run(ThreadPool.of({}), round_robin(), 10)
+    outcome, trace = run(ThreadPool.of({}), RoundRobinScheduler(), 10)
     assert outcome == Terminated(0)
     assert trace == []
 
@@ -123,7 +119,7 @@ TWO_LOOPERS = ThreadPool.of({0: LOOP_SKIP, 1: LOOP_SKIP})
 
 
 def test_fair_prefix_round_robin_window_two():
-    _, trace = run(TWO_LOOPERS, round_robin(), 20)
+    _, trace = run(TWO_LOOPERS, RoundRobinScheduler(), 20)
     assert is_fair_prefix(trace, 2)
 
 
@@ -134,31 +130,31 @@ def test_fair_prefix_detects_starvation():
 
 
 def test_fair_prefix_vacuous_past_the_end():
-    _, trace = run(initial_pool(EXIT), round_robin(), 10)
+    _, trace = run(initial_pool(EXIT), RoundRobinScheduler(), 10)
     assert is_fair_prefix(trace, 10)
 
 
 def test_round_robin_order():
     pool = ThreadPool.of({0: LOOP_SKIP, 1: LOOP_SKIP, 2: LOOP_SKIP})
-    _, trace = run(pool, round_robin(), 6)
+    _, trace = run(pool, RoundRobinScheduler(), 6)
     assert [s.label.tid for s in trace] == [0, 1, 2, 0, 1, 2]
 
 
 def test_rotated_round_robin_order():
-    _, trace = run(TWO_LOOPERS, rotated_round_robin(1), 4)
+    _, trace = run(TWO_LOOPERS, RoundRobinScheduler(1), 4)
     assert [s.label.tid for s in trace] == [1, 0, 1, 0]
 
 
 def test_random_fair_never_starves():
     pool = ThreadPool.of({0: LOOP_SKIP, 1: LOOP_SKIP, 2: LOOP_SKIP, 3: LOOP_SKIP})
     for seed in range(10):
-        _, trace = run(pool, random_fair(seed, 8), 120)
+        _, trace = run(pool, RandomFairScheduler(seed, 8), 120)
         assert is_fair_prefix(trace, 8)
 
 
 def test_random_fair_is_deterministic_in_seed():
     c = parse("fork { fork { loop skip }; exit }; loop skip")
-    runs = [run(initial_pool(c), random_fair(11, 8), 60) for _ in range(2)]
+    runs = [run(initial_pool(c), RandomFairScheduler(11, 8), 60) for _ in range(2)]
     assert serialize_trace(runs[0][1]) == serialize_trace(runs[1][1])
     assert runs[0][0] == runs[1][0]
 
@@ -167,7 +163,7 @@ def _age_by_scan(trace, tid):
     # steps since `tid` last stepped (or was born), one thread at a time
     age = 0
     for step in reversed(trace):
-        if step.label.tid == tid or tid not in step.before.tids():
+        if step.label.tid == tid or tid not in step.before.ids:
             break
         age += 1
     return age
@@ -184,7 +180,7 @@ def _reference_ages(trace, tids):
     for depth, step in enumerate(reversed(trace)):
         if not pending:
             break
-        present = set(step.before.tids())
+        present = set(step.before.ids)
         for tid in [t for t in pending if t == step.label.tid or t not in present]:
             ages[tid] = depth
             pending.remove(tid)
@@ -199,7 +195,7 @@ class _ReferenceRandomFair:
         self.seed, self.window = seed, window
 
     def pick(self, trace, pool):
-        tids = pool.tids()
+        tids = pool.ids
         deadline = max(1, self.window - len(tids))
         ages = _reference_ages(trace, tids)
         oldest_age, neg_tid = max((ages[t], -t) for t in tids)
@@ -214,7 +210,7 @@ class _UniformScheduler:
         self.rng = random.Random(seed)
 
     def pick(self, trace, pool):
-        return self.rng.choice(pool.tids())
+        return self.rng.choice(pool.ids)
 
 
 def test_random_fair_ages_match_per_thread_scan():
@@ -224,8 +220,8 @@ def test_random_fair_ages_match_per_thread_scan():
         _, trace = run(initial_pool(c), _UniformScheduler(i), 80)
         pools = [s.before for s in trace] + [trace[-1].after]
         for n, pool in enumerate(pools):
-            ages = _reference_ages(trace[:n], pool.tids())
-            assert ages == {t: _age_by_scan(trace[:n], t) for t in pool.tids()}
+            ages = _reference_ages(trace[:n], pool.ids)
+            assert ages == {t: _age_by_scan(trace[:n], t) for t in pool.ids}
             checked += len(ages)
     assert checked > 1000
 
@@ -240,7 +236,7 @@ def test_random_fair_schedules_match_the_reference_on_every_program_of_up_to_5_a
     for c in enumerate_programs(5):
         fuel = fuel_bound(c, window)
         for seed in range(4):
-            got = _schedule(initial_pool(c), random_fair(seed, window), fuel)
+            got = _schedule(initial_pool(c), RandomFairScheduler(seed, window), fuel)
             assert got == _schedule(initial_pool(c), _ReferenceRandomFair(seed, window), fuel), c
             forced += len(got)
     assert forced > 1000
@@ -251,7 +247,7 @@ def test_random_fair_schedules_match_the_reference_on_waiters(window):
     for n in (1, 2, 3, 5, 8, 13, 21, 34, 60):
         c = parse("; ".join(["fork { loop skip }"] * n) + "; exit")
         for seed in range(4):
-            got = _schedule(initial_pool(c), random_fair(seed, window), fuel_bound(c, window))
+            got = _schedule(initial_pool(c), RandomFairScheduler(seed, window), fuel_bound(c, window))
             want = _schedule(initial_pool(c), _ReferenceRandomFair(seed, window), fuel_bound(c, window))
             assert got == want, (n, seed)
 
@@ -260,7 +256,7 @@ def test_random_fair_schedules_match_the_reference_on_waiters(window):
 def test_random_fair_history_is_rebuilt_for_another_or_a_shorter_trace(window):
     # one scheduler, handed prefixes in random order (new lists, and the same
     # list cut short) and other runs' traces, picks what the reference picks
-    sched, rng = random_fair(2, window), random.Random(window)
+    sched, rng = RandomFairScheduler(2, window), random.Random(window)
     for i, c in enumerate(_generated(seed=25, count=30)):
         _, trace = run(initial_pool(c), _UniformScheduler(i), 60)
         cuts = list(range(len(trace)))
@@ -301,11 +297,11 @@ def test_pool_operations_match_a_dict_reference():
                     pool = pool.remove(tid)
                     del ref[tid]
                 # every untouched pair object is shared with the old pool
-                kept = {t: pair for t, pair in zip(old.tids(), old.threads) if t != tid}
-                assert all(pair is kept[t] for t, pair in zip(pool.tids(), pool.threads) if t != tid)
+                kept = {t: pair for t, pair in zip(old.ids, old.threads) if t != tid}
+                assert all(pair is kept[t] for t, pair in zip(pool.ids, pool.threads) if t != tid)
             fresh = ThreadPool.of(ref)
             assert pool == fresh and hash(pool) == hash(fresh)
-            assert pool.tids() == fresh.tids() == tuple(sorted(ref))
+            assert pool.ids == fresh.ids == tuple(sorted(ref))
             assert [pool.get(t) for t in ref] == list(ref.values())
 
 
@@ -317,7 +313,7 @@ def test_pool_replace_with_the_same_entry_is_the_same_pool():
 def test_pool_equality_and_hash_ignore_the_carried_ids():
     threads = ((0, LOOP_SKIP), (3, EXIT))
     plain, odd = ThreadPool(threads), ThreadPool(threads, (5, 9))
-    assert plain.tids() == (0, 3)
+    assert plain.ids == (0, 3)
     assert plain == odd and hash(plain) == hash(odd) and repr(plain) == repr(odd)
     assert {plain: "found"}[odd] == "found"
     assert ThreadPool(threads[:1], (0, 3)) != plain
@@ -330,7 +326,7 @@ def _fair_by_windows(trace, window):
         if k + window > n:
             break
         scheduled = {trace[j].label.tid for j in range(k, k + window)}
-        for tid in trace[k].before.tids():
+        for tid in trace[k].before.ids:
             if tid not in scheduled:
                 return False
     return True
@@ -339,7 +335,7 @@ def _fair_by_windows(trace, window):
 def test_is_fair_prefix_agrees_with_the_windowed_definition():
     verdicts = set()
     for i, c in enumerate(_generated(seed=24, count=80, max_atoms=10)):
-        for sched in (round_robin(), rotated_round_robin(i), random_fair(i, 6), _UniformScheduler(i)):
+        for sched in (RoundRobinScheduler(), RoundRobinScheduler(i), RandomFairScheduler(i, 6), _UniformScheduler(i)):
             _, trace = run(initial_pool(c), sched, 50)
             for n in {len(trace), len(trace) // 2, 7}:
                 for window in range(1, 12):
@@ -357,7 +353,7 @@ def test_trace_printing_renders_each_pool_entry_once(monkeypatch):
     monkeypatch.setattr(Printer, "continuation", lambda self, k: rendered.append(k) or continuation(self, k))
     for n in (10, 40):
         c = parse("; ".join(["fork { loop skip }"] * n) + "; exit")
-        _, trace = run(initial_pool(c), round_robin(), fuel_bound(c))
+        _, trace = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
         rendered.clear()
         text = serialize_trace(trace)
         assert len(rendered) <= len(trace) + 1
@@ -366,13 +362,13 @@ def test_trace_printing_renders_each_pool_entry_once(monkeypatch):
 
 
 def test_oracle_examples():
-    assert not oracle_diverges(parse("fork { exit }; loop skip"))
-    assert oracle_diverges(parse("loop skip"))
-    assert not oracle_diverges(parse("fork { loop skip }; exit"))
+    assert not explore(parse("fork { exit }; loop skip")).diverges
+    assert explore(parse("loop skip")).diverges
+    assert not explore(parse("fork { loop skip }; exit")).diverges
 
 
 def test_oracle_loop_then_dead_exit_diverges():
-    assert oracle_diverges(parse("loop skip; exit"))
+    assert explore(parse("loop skip; exit")).diverges
 
 
 def test_spawn_tree_examples():
@@ -440,7 +436,7 @@ def test_totality_property():
         stack = [pool]
         while stack:
             p = stack.pop()
-            for tid in p.tids():
+            for tid in p.ids:
                 p2, _ = step_pool(p, tid)
                 if p2 not in seen:
                     seen.add(p2)
@@ -449,7 +445,7 @@ def test_totality_property():
 
 def test_pool_growth_property():
     for c in _generated(seed=22, count=60):
-        _, trace = run(initial_pool(c), random_fair(5, 12), 80)
+        _, trace = run(initial_pool(c), RandomFairScheduler(5, 12), 80)
         for s in trace:
             delta = len(s.after.threads) - len(s.before.threads)
             if s.label.rule == TP_EXIT:
@@ -465,8 +461,8 @@ def test_oracle_vs_simulation_property():
         if info.diverges:
             continue
         window = 4 * info.max_threads
-        runs = [(rotated_round_robin(k), fuel_bound(c)) for k in range(info.max_threads)]
-        runs += [(random_fair(seed, window), fuel_bound(c, window)) for seed in range(100)]
+        runs = [(RoundRobinScheduler(k), fuel_bound(c)) for k in range(info.max_threads)]
+        runs += [(RandomFairScheduler(seed, window), fuel_bound(c, window)) for seed in range(100)]
         for sched, fuel in runs:
             outcome, _ = run(initial_pool(c), sched, fuel)
             assert isinstance(outcome, (Terminated, AbruptExit)), (
@@ -518,8 +514,8 @@ def test_fuel_bound_settles_every_small_program_exhaustively():
     for c in enumerate_programs(5):
         info = explore(c)
         threads = _forks(c) + 1
-        runs = [(rotated_round_robin(k), 0) for k in range(info.max_threads)]
-        runs += [(random_fair(seed, window), window) for window in (1, 3, 8) for seed in range(2)]
+        runs = [(RoundRobinScheduler(k), 0) for k in range(info.max_threads)]
+        runs += [(RandomFairScheduler(seed, window), window) for window in (1, 3, 8) for seed in range(2)]
         for sched, window in runs:
             start = initial_pool(c)
             outcome, trace = run(start, sched, fuel_bound(c, window))
@@ -542,7 +538,7 @@ def test_fuel_bound_settles_every_small_program_exhaustively():
 
 def test_trace_serialization_format():
     c = parse("fork { exit }; loop skip")
-    _, trace = run(initial_pool(c), round_robin(), 2)
+    _, trace = run(initial_pool(c), RoundRobinScheduler(), 2)
     lines = serialize_trace(trace).splitlines()
     assert lines[0] == "0\t0\tST-Fork\t{0:fork { exit };loop skip;done}"
     assert lines[1] == "1\t1\tTP-Exit\t{0:loop skip;done,1:exit;done}"

@@ -43,3 +43,20 @@ def test_tracer_counts_the_certificate_path(monkeypatch, tmp_path, capsys):
     # the program text is parsed by `verify`; a certificate holds no program text
     assert calls["proofs.cert_io"] == 2
     assert calls["lang.parse"] == 1
+
+
+def test_tracer_counts_run_annotate_graph_and_campaign(monkeypatch, capsys):
+    tracer = _load_tracing(monkeypatch).Tracer()
+    program = ["-e", "fork { exit }; loop skip"]
+    try:
+        tracer.install()
+        for argv in (["run", *program], ["trace", *program], ["graph", "--prefix", *program]):
+            assert main(argv) == 0, argv
+        assert main(["fuzz", "--count", "3", "--exhaustive-max", "1", "--json"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    counts = tracer.counts
+    # read off the results of `run`, `annotate`, `build_pog` and the campaign
+    for field in ("run_steps", "steps_inserted", "pog_nodes", "pog_edges", "programs"):
+        assert getattr(counts, field) > 0, field
