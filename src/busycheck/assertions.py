@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 
 # --- assertion terms --------------------------------------------------------
@@ -102,8 +103,7 @@ class Bottom:
     pass
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     obs: tuple[int, ...]  # sorted multiset of obs atoms
     credits: int  # number of credit atoms
 

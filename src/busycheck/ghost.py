@@ -21,6 +21,7 @@ so a step costs no Python work per thread.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .assertions import Bottom, Flat, normalize as normalize_assertion
 from .lang import (
@@ -77,8 +78,7 @@ class Stuck(AnnotationError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class AnnotatedThread:
+class AnnotatedThread(NamedTuple):
     """A thread's obligations chunk, its credits, and what it has left to run."""
 
     obligations: int

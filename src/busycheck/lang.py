@@ -17,8 +17,9 @@ Concrete grammar (whitespace-insensitive, ``#`` comments to end of line)::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 
 class Command:
@@ -136,54 +137,44 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'word', 'punct', 'eof'
     text: str
-    line: int
-    col: int
+    offset: int  # where it starts in the program text
 
 
-_PUNCT = {";", "{", "}"}
+def _error_at(message: str, text: str, offset: int) -> ParseError:
+    """The error at `offset` in `text`, by 1-based line and column; only a newline starts a line."""
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
+
+# `finditer` skips the whitespace between lexemes.  `[^\W\d_]` also takes the
+# numerals that are not letters (e.g. `²`), so a word that is not all letters
+# holds an unexpected character.
+_LEXEME = re.compile(r"(?P<comment>#[^\n]*)|(?P<punct>[;{}])|(?P<word>[^\W\d_]+)|(?P<other>\S)")
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            col += 1
-            i += 1
-        elif ch.isalpha():
-            start = i
-            startcol = col
-            while i < n and text[i].isalpha():
-                i += 1
-                col += 1
-            tokens.append(_Token("word", text[start:i], line, startcol))
+    """The tokens of `text`.  End of input after a trailing comment sits at its `#`."""
+    tokens, end = [], len(text)
+    for m in _LEXEME.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "punct" or (kind == "word" and lexeme.isalpha()):
+            tokens.append(_Token(kind, lexeme, m.start()))
+        elif kind == "comment":
+            if m.end() == len(text):
+                end = m.start()
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+            offset = m.start() + next(i for i, ch in enumerate(lexeme) if not ch.isalpha())
+            raise _error_at(f"unexpected character {text[offset]!r}", text, offset)
+    tokens.append(_Token("eof", "", end))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -195,7 +186,7 @@ class _Parser:
     def error(self, expected: str) -> ParseError:
         tok = self.peek()
         shown = tok.text if tok.kind != "eof" else "end of input"
-        return ParseError(f"expected {expected}, found {shown!r}", tok.line, tok.col)
+        return _error_at(f"expected {expected}, found {shown!r}", self.text, tok.offset)
 
     def expect(self, text: str) -> None:
         tok = self.peek()
@@ -240,7 +231,7 @@ class _Parser:
 
 def parse(text: str) -> Command:
     """Parse a program into the command it spells, atoms in source order."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     cmd = parser.command()
     if parser.peek().kind != "eof":
         raise parser.error("end of input")

@@ -18,7 +18,8 @@ resources out of the leaf sums).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 from .ghost import (
     AnnotatedTrace,
@@ -32,16 +33,14 @@ class PrefixError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: int
     tid: int  # thread performing the target step
     rule: str  # rule name of the source step
     dst: int
 
 
-@dataclass(frozen=True)
-class NodeInfo:
+class NodeInfo(NamedTuple):
     tid: int
     rule: str
     obligations: int
@@ -50,26 +49,25 @@ class NodeInfo:
 
 
 class ProgramOrderGraph:
+    """`out[n]` holds node n's out-edges by increasing `dst`, so `edges`, read
+    node by node, is sorted by (src, dst); `pred` maps a node to its source."""
+
     root = 0
 
-    def __init__(self, info: list[NodeInfo], edges: list[Edge], initial_bundle: tuple[int, int]):
+    def __init__(self, info: list[NodeInfo], out: list[tuple[Edge, ...]], pred: dict[int, int],
+                 initial_bundle: tuple[int, int]):
         self.info = tuple(info)
-        self.edges = tuple(edges)
+        self.out = tuple(out)
+        self.pred = pred
+        self.edges = tuple(chain.from_iterable(self.out))
         self.initial_bundle = initial_bundle
-        self.out: dict[int, tuple[Edge, ...]] = {}
-        self.pred: dict[int, int] = {}
-        grouped: dict[int, list[Edge]] = {}
-        for e in self.edges:
-            grouped.setdefault(e.src, []).append(e)
-            self.pred[e.dst] = e.src
-        self.out = {src: tuple(es) for src, es in grouped.items()}
 
     @property
     def nodes(self) -> range:
         return range(len(self.info))
 
     def successors(self, n: int) -> tuple[int, ...]:
-        return tuple(e.dst for e in self.out.get(n, ()))
+        return tuple(e.dst for e in self.out[n])
 
 
 def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
@@ -78,27 +76,28 @@ def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
     if len(trace.initial.threads) != 1:
         raise PrefixError("trace must start from a singleton pool")
     start = trace.initial.threads[0][1]
-    info: list[NodeInfo] = []
-    for s in steps:
-        entry = s.before.get(s.label.tid)
-        info.append(NodeInfo(s.label.tid, s.label.rule, entry.obligations, entry.credits, entry.cont))
     # ids are never reused: a terminating thread forked a strictly higher id
     # first, so the largest id stays live until an exit clears the pool, and
     # a thread's steps are the steps with its tid.  One pass links each step
-    # to the thread's previous step, or to the fork that made the thread.
+    # to the thread's previous step, or to the fork that made the thread, so
+    # a step's successors are met in increasing order.
+    info: list[NodeInfo] = []
+    out: list[tuple[Edge, ...]] = [()] * len(steps)
+    pred: dict[int, int] = {}
     last: dict[int, int] = {}  # tid -> its latest step, or the fork step before its first
-    edges: list[Edge] = []
     for i, s in enumerate(steps):
-        tid = s.label.tid
+        tid, rule = s.label
+        entry = s.before.get(tid)
+        info.append(NodeInfo(tid, rule, entry.obligations, entry.credits, entry.cont))
         j = last.get(tid)
         if j is not None:
-            edges.append(Edge(j, tid, info[j].rule, i))
+            out[j] += (Edge(j, tid, info[j].rule, i),)
+            pred[i] = j
         last[tid] = i
         child = s.child
         if child is not None:
             last[child] = i
-    edges.sort(key=lambda e: (e.src, e.dst))
-    return ProgramOrderGraph(info, edges, (start.obligations, start.credits))
+    return ProgramOrderGraph(info, out, pred, (start.obligations, start.credits))
 
 
 def downward_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> bool:
@@ -106,7 +105,7 @@ def downward_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> 
 
 
 def _truncated_fork(g: ProgramOrderGraph, n: int) -> bool:
-    return g.info[n].rule == RA_FORK and len(g.out.get(n, ())) < 2
+    return g.info[n].rule == RA_FORK and len(g.out[n]) < 2
 
 
 def sibling_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> bool:
@@ -119,7 +118,7 @@ def sibling_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> b
         p = g.pred.get(n)
         if p is None:
             continue
-        if not {e.dst for e in g.out.get(p, ())} <= pset:
+        if not {e.dst for e in g.out[p]} <= pset:
             return False
     for n in pset:
         if _truncated_fork(g, n) and any(d in pset for d in g.successors(n)):
@@ -132,7 +131,7 @@ def _expandable(g: ProgramOrderGraph, n: int) -> bool:
         return False  # expanding a loop step makes a loop-labeled edge internal
     if _truncated_fork(g, n):
         return False
-    return bool(g.out.get(n))
+    return bool(g.out[n])
 
 
 def max_loopfree_sc_prefix(g: ProgramOrderGraph) -> frozenset[int]:
@@ -177,8 +176,7 @@ def leaves(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) -> frozenset
     return frozenset(n for n in pset if not any(d in pset for d in g.successors(n)))
 
 
-@dataclass(frozen=True)
-class LeafBalance:
+class LeafBalance(NamedTuple):
     obligations: int
     credits: int
     equal: bool

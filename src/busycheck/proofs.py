@@ -79,6 +79,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 from .assertions import (
     FALSE,
@@ -116,8 +117,7 @@ from .lang import parse  # noqa: F401
 view_shift_status = view_shift
 
 
-@dataclass(frozen=True)
-class HoareTriple:
+class HoareTriple(NamedTuple):
     pre: Assertion
     cmd: Command
     post: Assertion
@@ -142,29 +142,25 @@ _PREMISE_COUNT = {
 }
 
 
-@dataclass(frozen=True)
-class ForkSplit:
+class ForkSplit(NamedTuple):
     """Resources handed to the forked thread."""
 
     child_obs: int
     child_credits: int
 
 
-@dataclass(frozen=True)
-class ShiftData:
+class ShiftData(NamedTuple):
     """Intermediate pre'/post' of a ViewShift node."""
 
     inner_pre: Assertion
     inner_post: Assertion
 
 
-@dataclass(frozen=True)
-class FrameData:
+class FrameData(NamedTuple):
     frame: Assertion
 
 
-@dataclass(frozen=True)
-class ProofTree:
+class ProofTree(NamedTuple):
     conclusion: HoareTriple
     rule: Rule
     premises: tuple["ProofTree", ...] = ()
@@ -214,6 +210,12 @@ def check_proof(t: ProofTree) -> RuleViolation | None:
     return None
 
 
+# The normal forms of obs(0) * credit, the Loop rule's precondition, and of
+# obs(0), the postcondition a forked thread ends with.
+_LOOP_PRE = Flat((0,), 1)
+_THREAD_END = Flat((0,), 0)
+
+
 def _single_chunk(f) -> bool:
     return isinstance(f, Flat) and len(f.obs) == 1
 
@@ -240,7 +242,7 @@ def _node_fault(t: ProofTree) -> str | None:
     elif t.rule is Rule.LOOP:
         if not isinstance(c.cmd, LoopSkip):
             return "Loop rule applied to a non-loop command"
-        if npre != Flat((0,), 1):
+        if npre != _LOOP_PRE:
             return "Loop precondition must be obs(0) * credit"
         if not isinstance(npost, Bottom):
             return "Loop postcondition must be false"
@@ -254,7 +256,7 @@ def _node_fault(t: ProofTree) -> str | None:
             return "Fork premise command is not the fork body"
         if normalize_assertion(p.conclusion.pre) != Flat((t.data.child_obs,), t.data.child_credits):
             return "Fork premise precondition does not match the split"
-        if normalize_assertion(p.conclusion.post) != Flat((0,), 0):
+        if normalize_assertion(p.conclusion.post) != _THREAD_END:
             return "forked thread must end with obs(0)"
         if not _single_chunk(npost):
             return "Fork postcondition must be obs(n) * credit^k"

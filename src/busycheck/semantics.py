@@ -4,9 +4,11 @@ A thread pool maps thread ids to entries: here what each thread has left to
 run (a spine suffix of the program or of a fork body, or `DONE`), in `ghost`
 that plus ghost resources; `ghost` reuses the same pool, step record and
 trace printer, not the outcome classification.  A pool step branches once on
-the thread's head: a loop self-steps, a fork spawns its body under a fresh id
-(the step's `child`), `exit` clears the whole pool, and a thread at `done` is
-removed.  Every pool step is labeled with the name of the underlying rule.
+the thread's head: a loop self-steps, returning the very pool it was given,
+a fork spawns its body under a fresh id (the step's `child`), `exit` clears
+the whole pool, and a thread at `done` is removed.  Every pool step is
+labeled with the name of the underlying rule, and the trace printer renders
+a pool once for each run of steps that share it.
 Pool operations bisect and slice a sorted tuple, so a step shares every
 untouched entry with the pool before it and costs no Python work per thread;
 the random scheduler reads thread ages off a run history it updates once per
@@ -34,7 +36,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
 from .lang import (
     Command,
@@ -107,14 +109,14 @@ class ThreadPool:
 EMPTY_POOL = ThreadPool(())
 
 
-@dataclass(frozen=True)
-class StepLabel:
+# Records built per step or proof node are NamedTuples, built in about half the
+# time of a frozen dataclass; a class whose `==` must tell types apart stays one.
+class StepLabel(NamedTuple):
     tid: int
     rule: str
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     before: ThreadPool
     label: StepLabel
     after: ThreadPool
@@ -407,15 +409,18 @@ def serialize_trace(
     """One line per step: index, tid, rule, pool before the step (tab-separated).
 
     `entry(printer, e)` renders a thread's entry `e`; by default `e` is what
-    the thread has left to run.
+    the thread has left to run.  A run of steps whose `before` is one pool
+    object (a loop step returns the pool it was given) renders it once.
     """
     printer = Printer()
 
     def thread(pair: tuple[int, Any]) -> str:
         return f"{pair[0]}:{entry(printer, pair[1])}"
 
-    lines = [
-        f"{i}\t{s.label.tid}\t{s.label.rule}\t{{{','.join(printer.each(s.before.threads, thread))}}}"
-        for i, s in enumerate(trace)
-    ]
+    lines, pool, text = [], None, ""
+    for i, s in enumerate(trace):
+        if s.before is not pool:
+            pool = s.before
+            text = ",".join(printer.each(pool.threads, thread))
+        lines.append(f"{i}\t{s.label.tid}\t{s.label.rule}\t{{{text}}}")
     return "\n".join(lines)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from busycheck.assertions import BOTTOM, CREDIT, FALSE, TRUE
 from busycheck.harness import GenConfig, enumerate_programs, gen_program
 from busycheck.lang import (
     DONE,
@@ -17,6 +18,7 @@ from busycheck.lang import (
     same_command,
     seq_of,
 )
+from busycheck.semantics import AbruptExit, Terminated
 
 
 def seq_atoms(c):
@@ -71,6 +73,13 @@ def test_parse_ignores_whitespace_and_comments():
         ("exit; loop slip", 1, 12),
         ("exit exit", 1, 6),
         ("fork { } ", 1, 8),
+        ("exit; 5", 1, 7),  # a character outside the grammar
+        ("ex\u00b2t", 1, 3),  # a numeral that is not a letter, inside a word
+        ("fork { exit }; \u03bb\u03cc\u03b3\u03bf\u03c2", 1, 16),  # a word of non-ASCII letters
+        ("exit \u00a0 exit", 1, 8),  # NBSP counts one column
+        ("loop\u2003skip;\u00a0\u00a0exi", 1, 13),
+        ("exit;\r\nloop slip", 2, 6),  # `\r` is whitespace, `\n` starts line 2
+        ("fork { exit # c", 1, 13),  # end of input after a comment sits at its `#`
     ],
 )
 def test_parse_errors_carry_position(text, line, col):
@@ -83,6 +92,8 @@ def test_parse_errors_carry_position(text, line, col):
 def test_parse_error_reports_offending_token():
     with pytest.raises(ParseError, match="'slip'"):
         parse("loop slip")
+    with pytest.raises(ParseError, match="^1:3: unexpected character '\u00b2'$"):
+        parse("ex\u00b2t")
 
 
 def test_pretty_round_trips_the_examples():
@@ -188,6 +199,11 @@ def test_same_command_agrees_with_equality():
         other = rng.choice(programs)
         assert same_command(other, c) == (other == c)
     assert not same_command(DONE, EXIT) and not same_command(EXIT, DONE)
+    # commands, assertions and run outcomes stay dataclasses: as tuples, the
+    # fieldless ones would all equal (), and Terminated(3) would equal AbruptExit(3)
+    assert EXIT != LOOP_SKIP and EXIT != DONE and LOOP_SKIP != ()
+    assert TRUE != FALSE != CREDIT != TRUE and BOTTOM != ()
+    assert Terminated(3) != AbruptExit(3)
 
 
 def test_same_command_takes_10000_levels():

@@ -64,7 +64,7 @@ def test_single_thread_trace_is_a_path():
     proof2 = verify(c2)
     _, trace2 = run_schedule(initial_pool(c2), [0, 0])
     g2 = build_pog(annotate(c2, proof2, trace2))
-    assert [e.dst for e in g2.out.get(0, ())] == [1]
+    assert [e.dst for e in g2.out[0]] == [1]
 
 
 def test_edge_minimality(worked_graph):
