@@ -15,15 +15,16 @@ direction of the soundness argument: given a checked proof of
 fork splits to produce an annotated trace whose non-ghost steps project back
 onto the plain trace step for step.  It checks this after every step against
 an erased pool kept beside the annotated one with the same pool operations,
-so a step costs no Python work per thread.
+so a step costs no Python work per thread; after a loop step, which leaves
+both pools the very objects last found equal, the check is two identity tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .assertions import Bottom, Flat, normalize as normalize_assertion
+from .assertions import Bottom, Flat, NormalizedAssertion, normalize as normalize_assertion
 from .lang import (
     Command,
     Continuation,
@@ -41,6 +42,11 @@ from .proofs import (
 )
 from . import semantics
 from .semantics import (
+    EMPTY_POOL,
+    ST_FORK,
+    ST_LOOP,
+    TP_EXIT,
+    TP_THREAD_TERM,
     TraceStep,
     StepLabel,
     ThreadPool,
@@ -130,7 +136,7 @@ def real_step(
             raise Stuck(LOOP_NEEDS_CREDIT)
         return pool, StepLabel(tid, RA_LOOP)
     if isinstance(head, Exit):
-        return semantics.EMPTY_POOL, StepLabel(tid, RA_EXIT)
+        return EMPTY_POOL, StepLabel(tid, RA_EXIT)
     assert isinstance(head, Fork)
     split = split or ForkSplit(0, 0)
     if not (0 <= split.child_obs <= value and 0 <= split.child_credits <= credits):
@@ -153,21 +159,28 @@ def check_balance(pool: ThreadPool) -> bool:
 # --- trace annotation guided by a proof tree ----------------------------------
 
 
-@dataclass
 class _Slot:
-    ops: list[str] = field(default_factory=list)
-    split: ForkSplit | None = None
-    child: "_Plan | None" = None
+    """The ghost steps due before one Exit, Loop or Fork leaf of a thread's
+    proof, and a Fork's split and child plan."""
+
+    __slots__ = ("ops", "split", "child")
+
+    def __init__(self, ops: list[str], split: ForkSplit | None = None, child: _Plan | None = None):
+        self.ops = ops
+        self.split = split
+        self.child = child
 
 
-@dataclass
 class _Plan:
-    slots: list[_Slot]
-    final_ops: list[str]
+    __slots__ = ("slots", "final_ops")
+
+    def __init__(self) -> None:
+        self.slots: list[_Slot] = []
+        self.final_ops: list[str] = []
 
 
-def _flat_state(a) -> tuple[int, int] | None:
-    f = normalize_assertion(a)
+def _chunk(f: NormalizedAssertion) -> tuple[int, int] | None:
+    """The (obligations, credits) state a normal form describes; None for false."""
     if isinstance(f, Bottom):
         return None
     if not (isinstance(f, Flat) and len(f.obs) == 1):
@@ -175,9 +188,9 @@ def _flat_state(a) -> tuple[int, int] | None:
     return f.obs[0], f.credits
 
 
-def _ops_between(src, dst) -> list[str]:
-    a = _flat_state(src)
-    b = _flat_state(dst)
+def _ops_between(src: NormalizedAssertion, dst: NormalizedAssertion) -> list[str]:
+    a = _chunk(src)
+    b = _chunk(dst)
     if a is None or b is None:
         return []  # dead code never executes
     delta = b[0] - a[0]
@@ -194,17 +207,22 @@ def _extract_plan(t: ProofTree) -> _Plan:
 
     Iterative: `todo` holds the nodes still to visit and the post-side steps
     of the view shifts being visited, each with the plan it adds to, and
-    `plan.final_ops` collects the steps ahead of the next slot.
+    `plan.final_ops` collects the steps ahead of the next slot.  `t` has
+    passed `check_proof`, which normalized every assertion in it, so the
+    view shifts read the normal forms kept on the assertions.
     """
-    root = _Plan([], [])
+    root = _Plan()
     todo: list[tuple[ProofTree | list[str], _Plan]] = [(t, root)]
     while todo:
         node, plan = todo.pop()
         if isinstance(node, list):
             plan.final_ops += node
         elif node.rule is Rule.VIEW_SHIFT:
-            plan.final_ops += _ops_between(node.conclusion.pre, node.data.inner_pre)
-            todo.append((_ops_between(node.data.inner_post, node.conclusion.post), plan))
+            c, data = node.conclusion, node.data
+            plan.final_ops += _ops_between(c.pre.normal_form, data.inner_pre.normal_form)
+            post_ops = _ops_between(data.inner_post.normal_form, c.post.normal_form)
+            if post_ops:
+                todo.append((post_ops, plan))
             todo.append((node.premises[0], plan))
         elif node.rule is Rule.FRAME:
             todo.append((node.premises[0], plan))
@@ -215,16 +233,20 @@ def _extract_plan(t: ProofTree) -> _Plan:
             plan.final_ops = []
             plan.slots.append(slot)
             if node.rule is Rule.FORK:
-                slot.split, slot.child = node.data, _Plan([], [])
+                slot.split, slot.child = node.data, _Plan()
                 todo.append((node.premises[0], slot.child))
     return root
 
 
-@dataclass
 class _Cursor:
-    plan: _Plan
-    index: int = 0
-    loop_entered: bool = False
+    """How far a thread has run through its plan."""
+
+    __slots__ = ("plan", "index", "loop_entered")
+
+    def __init__(self, plan: _Plan):
+        self.plan = plan
+        self.index = 0
+        self.loop_entered = False
 
 
 def annotate(
@@ -241,7 +263,8 @@ def annotate(
         raise AnnotationError(f"proof does not check: {violation}")
     if not same_command(proof.conclusion.cmd, c):
         raise AnnotationError("proof concludes a different command")
-    if _flat_state(proof.conclusion.pre) != (0, 0) or _flat_state(proof.conclusion.post) != (0, 0):
+    ends = proof.conclusion
+    if _chunk(normalize_assertion(ends.pre)) != (0, 0) or _chunk(normalize_assertion(ends.post)) != (0, 0):
         raise AnnotationError("annotation needs a proof of {obs(0)} c {obs(0)}")
 
     if plain_trace:
@@ -262,55 +285,53 @@ def annotate(
     erased = start
     cursors: dict[int, _Cursor] = {tid0: _Cursor(_extract_plan(proof))}
     steps: list[TraceStep] = []
-
-    def emit_ghost(tid: int, ops: list[str]) -> None:
-        nonlocal pool
-        for op in ops:
-            nxt = ghost_step(pool, tid, op)
-            steps.append(TraceStep(pool, StepLabel(tid, op), nxt))
-            pool = nxt
-
-    def emit_real(tid: int, split: ForkSplit | None = None) -> None:
-        nonlocal pool, erased
-        nxt, label = real_step(pool, tid, split)
-        steps.append(TraceStep(pool, label, nxt))
-        pool = nxt
-        if label.rule == RA_FORK:
-            erased = erased.replace(tid, pool.get(tid).cont).extend(pool.get(steps[-1].child).cont)
-        elif label.rule != RA_LOOP:  # an exit empties the pool, an ended thread leaves it
-            erased = erased.remove(tid) if pool.threads else semantics.EMPTY_POOL
+    # the erased and plain pools last found equal: while both are still those
+    # very objects (a loop step returns the pool it was given, on either
+    # side), they are still equal and the comparison is skipped
+    same_erased, same_plain = erased, start
 
     for plain in plain_trace:
-        tid = plain.label.tid
-        rule = plain.label.rule
+        tid, rule = plain.label
         cursor = cursors.get(tid)
         if cursor is None:
             raise AnnotationError(f"trace steps unknown thread {tid}")
-        if rule == semantics.TP_THREAD_TERM:
-            emit_ghost(tid, cursor.plan.final_ops)
-            emit_real(tid)
-        elif rule == semantics.ST_LOOP:
-            slot = _slot_at(cursor)
+        slot = split = None
+        if rule == ST_LOOP:
+            ops: tuple[str, ...] | list[str] = ()
             if not cursor.loop_entered:
-                emit_ghost(tid, slot.ops)
+                ops = _slot_at(cursor).ops
                 cursor.loop_entered = True
-            emit_real(tid)
-        elif rule == semantics.ST_FORK:
+        elif rule == ST_FORK:
             slot = _slot_at(cursor)
             if slot.split is None or slot.child is None:
                 raise AnnotationError("proof has no fork split where the trace forks")
-            emit_ghost(tid, slot.ops)
-            emit_real(tid, slot.split)
-            cursors[steps[-1].child] = _Cursor(slot.child)
-            cursor.index += 1
-        elif rule == semantics.TP_EXIT:
-            slot = _slot_at(cursor)
-            emit_ghost(tid, slot.ops)
-            emit_real(tid)
+            ops, split = slot.ops, slot.split
+        elif rule == TP_EXIT:
+            ops = _slot_at(cursor).ops
+        elif rule == TP_THREAD_TERM:
+            ops = cursor.plan.final_ops
         else:
             raise AnnotationError(f"unknown plain rule {rule!r}")
-        if erased != plain.after:
-            raise AnnotationError("annotated run diverged from the plain trace")
+        for op in ops:  # the thread's ghost steps, right before its real step
+            nxt = ghost_step(pool, tid, op)
+            steps.append(TraceStep(pool, StepLabel(tid, op), nxt))
+            pool = nxt
+        nxt, label = real_step(pool, tid, split)
+        step = TraceStep(pool, label, nxt)
+        steps.append(step)
+        pool = nxt
+        if label.rule == RA_FORK:
+            erased = erased.replace(tid, pool.get(tid).cont).extend(pool.get(step.child).cont)
+        elif label.rule != RA_LOOP:  # an exit empties the pool, an ended thread leaves it
+            erased = erased.remove(tid) if pool.threads else EMPTY_POOL
+        if slot is not None:
+            cursors[step.child] = _Cursor(slot.child)
+            cursor.index += 1
+        after = plain.after
+        if erased is not same_erased or after is not same_plain:
+            if erased != after:
+                raise AnnotationError("annotated run diverged from the plain trace")
+            same_erased, same_plain = erased, after
 
     return AnnotatedTrace(initial, tuple(steps))
 

@@ -18,6 +18,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .ghost import annotate, check_balance
 from .lang import Command, EXIT, Fork, LOOP_SKIP, Seq, pretty
@@ -62,26 +63,31 @@ class GenConfig:
 def gen_program(cfg: GenConfig) -> list[Command]:
     """Deterministic in the seed; every program has <= max_atoms atoms."""
     rng = random.Random(cfg.seed)
-    return [_gen_command(rng, cfg, rng.randint(1, cfg.max_atoms)) for _ in range(cfg.count)]
+    # the cumulative weights `choices` would sum from the plain ones: the same
+    # draws, without summing again for every atom
+    cum_weights = list(accumulate((cfg.exit_prob, cfg.loop_prob, cfg.fork_prob)))
+    return [_gen_command(rng, cum_weights, rng.randint(1, cfg.max_atoms)) for _ in range(cfg.count)]
 
 
-def _gen_command(rng: random.Random, cfg: GenConfig, atoms: int) -> Command:
-    kinds = ["exit", "loop"]
-    weights = [cfg.exit_prob, cfg.loop_prob]
+_KINDS = ("exit", "loop", "fork")
+
+
+def _gen_command(rng: random.Random, cum_weights: list[float], atoms: int) -> Command:
+    """`cum_weights` are those of `_KINDS`; a single atom cannot fork."""
     if atoms >= 2:
-        kinds.append("fork")
-        weights.append(cfg.fork_prob)
-    kind = rng.choices(kinds, weights)[0]
+        kind = rng.choices(_KINDS, cum_weights=cum_weights)[0]
+    else:
+        kind = rng.choices(_KINDS[:2], cum_weights=cum_weights[:2])[0]
     if kind == "fork":
         body_atoms = rng.randint(1, atoms - 1)
-        first: Command = Fork(_gen_command(rng, cfg, body_atoms))
+        first: Command = Fork(_gen_command(rng, cum_weights, body_atoms))
         used = 1 + body_atoms
     else:
         first = EXIT if kind == "exit" else LOOP_SKIP
         used = 1
     if used == atoms:
         return first
-    return Seq(first, _gen_command(rng, cfg, atoms - used))
+    return Seq(first, _gen_command(rng, cum_weights, atoms - used))
 
 
 def enumerate_programs(max_atoms: int):

@@ -22,34 +22,54 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
 
+# --- threads ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Done:
+    """What a thread has left to run once it has run all its atoms."""
+
+
+DONE = Done()
+
+
+# --- commands ---------------------------------------------------------------
+
+
 class Command:
-    """Base class of command AST nodes."""
+    """Base class of command AST nodes.
+
+    `head` is the atom that runs first and `tail` what is left to run after
+    it.  An atom is its own head and leaves `DONE`; a `Seq`'s are its two
+    parts.  Every step and every proof node reads them.
+    """
 
     __slots__ = ()
+    head: Command
+    tail: Continuation
+
+
+class _Atom(Command):
+    __slots__ = ()
+    tail = DONE
 
     @property
-    def head(self) -> Command:
-        """The atom that runs first: an atom is its own head."""
+    def head(self) -> Command:  # type: ignore[override]
         return self
 
-    @property
-    def tail(self) -> Continuation:
-        """What is left to run after the head: `DONE` after an atom."""
-        return DONE
-
 
 @dataclass(frozen=True)
-class Exit(Command):
+class Exit(_Atom):
     pass
 
 
 @dataclass(frozen=True)
-class LoopSkip(Command):
+class LoopSkip(_Atom):
     pass
 
 
 @dataclass(frozen=True)
-class Fork(Command):
+class Fork(_Atom):
     body: Command
 
 
@@ -57,6 +77,7 @@ class Fork(Command):
 class Seq(Command):
     """`first; second`, right-associated: `first` is an atom."""
 
+    __slots__ = ("first", "second")
     first: Command
     second: Command
 
@@ -64,13 +85,11 @@ class Seq(Command):
         if isinstance(self.first, Seq):
             raise ValueError("the first part of a seq is a seq")
 
-    @property
-    def head(self) -> Command:
-        return self.first
 
-    @property
-    def tail(self) -> Command:
-        return self.second
+# The slots' own descriptors read `first` and `second` under the names `head`
+# and `tail` too, at the cost of a plain attribute; they are not fields, so
+# equality, hashing, `repr` and the certificate writer see only the two parts.
+Seq.head, Seq.tail = Seq.first, Seq.second  # type: ignore[attr-defined]
 
 
 EXIT = Exit()
@@ -87,22 +106,14 @@ def seq_of(atoms: list[Command]) -> Command:
     return cmd
 
 
-# --- threads ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Done:
-    """What a thread has left to run once it has run all its atoms."""
-
-
-DONE = Done()
-
 Continuation = Command | Done  # what a thread has left to run
 
 
 def same_command(a: Continuation, b: Continuation) -> bool:
     """`a == b` without recursion.  A pair of one object is equal at once, so
     two loaded (interned) commands that differ walk one path to a difference."""
+    if a is b:
+        return True
     todo = [(a, b)]
     while todo:
         x, y = todo.pop()

@@ -66,9 +66,6 @@ class ProgramOrderGraph:
     def nodes(self) -> range:
         return range(len(self.info))
 
-    def successors(self, n: int) -> tuple[int, ...]:
-        return tuple(e.dst for e in self.out[n])
-
 
 def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
     """Graph over the steps of a finite annotated trace prefix."""
@@ -111,7 +108,7 @@ def _truncated_fork(g: ProgramOrderGraph, n: int) -> bool:
 def sibling_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> bool:
     """All siblings of every prefix node are in the prefix; at the trace
     boundary, a fork node with a missing successor must have none inside."""
-    pset = set(prefix)
+    pset = frozenset(prefix)  # a frozenset is not copied
     for n in pset:
         if n == g.root:
             continue
@@ -121,7 +118,7 @@ def sibling_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> b
         if not {e.dst for e in g.out[p]} <= pset:
             return False
     for n in pset:
-        if _truncated_fork(g, n) and any(d in pset for d in g.successors(n)):
+        if _truncated_fork(g, n) and any(e.dst in pset for e in g.out[n]):
             return False
     return True
 
@@ -145,7 +142,8 @@ def max_loopfree_sc_prefix(g: ProgramOrderGraph) -> frozenset[int]:
         n = frontier.pop()
         if not _expandable(g, n):
             continue
-        for d in g.successors(n):
+        for e in g.out[n]:
+            d = e.dst
             if d not in admitted:
                 admitted.add(d)
                 frontier.append(d)
@@ -153,27 +151,39 @@ def max_loopfree_sc_prefix(g: ProgramOrderGraph) -> frozenset[int]:
 
 
 def random_sc_loopfree_prefix(g: ProgramOrderGraph, rng: random.Random) -> frozenset[int]:
-    """A random sibling-closed downward-closed loop-edge-free prefix."""
+    """A random sibling-closed downward-closed loop-edge-free prefix.
+
+    Each round expands one admitted node, drawn from those that are
+    expandable and have a successor outside the prefix.  Every node but the
+    root has one predecessor, so a node's successors enter the prefix only
+    when it is expanded: the nodes expanded, or found not expandable, are
+    `closed`, and the rest of `admitted`, in its own order, are the draw.
+    """
     if not len(g.info):
         return frozenset()
     admitted = {g.root}
+    closed: set[int] = set()
     while True:
-        candidates = [
-            n
-            for n in admitted
-            if _expandable(g, n) and any(d not in admitted for d in g.successors(n))
-        ]
+        candidates = []
+        for n in admitted:
+            if n in closed:
+                continue
+            if _expandable(g, n):
+                candidates.append(n)
+            else:
+                closed.add(n)
         if not candidates or rng.random() < 0.25:
             break
         n = rng.choice(candidates)
-        admitted.update(g.successors(n))
+        closed.add(n)
+        admitted.update(e.dst for e in g.out[n])
     return frozenset(admitted)
 
 
 def leaves(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) -> frozenset[int]:
     """Nodes of the prefix with no outgoing edge inside the prefix."""
-    pset = set(prefix)
-    return frozenset(n for n in pset if not any(d in pset for d in g.successors(n)))
+    pset = frozenset(prefix)  # a frozenset is not copied
+    return frozenset(n for n in pset if not any(e.dst in pset for e in g.out[n]))
 
 
 class LeafBalance(NamedTuple):
@@ -191,8 +201,10 @@ def check_leaf_balance(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) 
     obligations matching credits (runs of verified programs start from
     (0|0)).
     """
-    pset = set(prefix)
-    if not pset <= set(g.nodes):
+    pset = frozenset(prefix)  # a frozenset is not copied
+    # membership in the range answers as membership in a set of its values
+    # would, without building one per call
+    if not all(map(g.nodes.__contains__, pset)):
         raise PrefixError("prefix contains unknown nodes")
     if not downward_closed(pset, g):
         raise PrefixError("prefix is not downward-closed")

@@ -221,87 +221,93 @@ def _single_chunk(f) -> bool:
 
 
 def _node_fault(t: ProofTree) -> str | None:
-    """Why `t` does not instantiate its rule given its premises' conclusions, or None."""
+    """Why `t` does not instantiate its rule given its premises' conclusions, or None.
+
+    A conclusion is read by its node and by its node's parent, so its normal
+    forms are read where `normalize` keeps them (`Assertion.normal_form`);
+    the rule data, read once, go through `normalize` itself.
+    """
     c = t.conclusion
-    want = _PREMISE_COUNT.get(t.rule)
+    rule = t.rule
+    want = _PREMISE_COUNT.get(rule)
     if want is None:
-        return f"unknown rule {t.rule!r}"
-    if len(t.premises) != want:
-        return f"{t.rule.value} takes {want} premises, got {len(t.premises)}"
+        return f"unknown rule {rule!r}"
+    premises = t.premises
+    if len(premises) != want:
+        return f"{rule.value} takes {want} premises, got {len(premises)}"
 
-    npre = normalize_assertion(c.pre)
-    npost = normalize_assertion(c.post)
-
-    if t.rule is Rule.EXIT:
+    if rule is Rule.EXIT:
         if not isinstance(c.cmd, Exit):
             return "Exit rule applied to a non-exit command"
+        npre = c.pre.normal_form
         if not (_single_chunk(npre) and npre.credits == 0):
             return "Exit precondition must be obs(n)"
-        if not isinstance(npost, Bottom):
+        if not isinstance(c.post.normal_form, Bottom):
             return "Exit postcondition must be false"
-    elif t.rule is Rule.LOOP:
+    elif rule is Rule.LOOP:
         if not isinstance(c.cmd, LoopSkip):
             return "Loop rule applied to a non-loop command"
-        if npre != _LOOP_PRE:
+        if c.pre.normal_form != _LOOP_PRE:
             return "Loop precondition must be obs(0) * credit"
-        if not isinstance(npost, Bottom):
+        if not isinstance(c.post.normal_form, Bottom):
             return "Loop postcondition must be false"
-    elif t.rule is Rule.FORK:
+    elif rule is Rule.FORK:
         if not isinstance(c.cmd, Fork):
             return "Fork rule applied to a non-fork command"
-        if not isinstance(t.data, ForkSplit):
+        split = t.data
+        if not isinstance(split, ForkSplit):
             return "Fork node carries no resource split"
-        p = t.premises[0]
-        if not same_command(p.conclusion.cmd, c.cmd.body):
+        p = premises[0].conclusion
+        if not same_command(p.cmd, c.cmd.body):
             return "Fork premise command is not the fork body"
-        if normalize_assertion(p.conclusion.pre) != Flat((t.data.child_obs,), t.data.child_credits):
+        if p.pre.normal_form != Flat((split.child_obs,), split.child_credits):
             return "Fork premise precondition does not match the split"
-        if normalize_assertion(p.conclusion.post) != _THREAD_END:
+        if p.post.normal_form != _THREAD_END:
             return "forked thread must end with obs(0)"
+        npost = c.post.normal_form
         if not _single_chunk(npost):
             return "Fork postcondition must be obs(n) * credit^k"
-        if npre != Flat(
-            (t.data.child_obs + npost.obs[0],), t.data.child_credits + npost.credits
-        ):
+        if c.pre.normal_form != Flat((split.child_obs + npost.obs[0],), split.child_credits + npost.credits):
             return "Fork precondition must be the sum of split and remainder"
-    elif t.rule is Rule.SEQ:
+    elif rule is Rule.SEQ:
         if not isinstance(c.cmd, Seq):
             return "Seq rule applied to a non-sequence command"
-        p1, p2 = t.premises
-        if not (same_command(p1.conclusion.cmd, c.cmd.first) and same_command(p2.conclusion.cmd, c.cmd.second)):
+        c1, c2 = premises[0].conclusion, premises[1].conclusion
+        if not (same_command(c1.cmd, c.cmd.first) and same_command(c2.cmd, c.cmd.second)):
             return "Seq premise commands do not match the sequence"
-        if normalize_assertion(p1.conclusion.pre) != npre:
+        if c1.pre.normal_form != c.pre.normal_form:
             return "Seq precondition does not match first premise"
-        if normalize_assertion(p1.conclusion.post) != normalize_assertion(p2.conclusion.pre):
+        if c1.post.normal_form != c2.pre.normal_form:
             return "Seq middle assertion mismatch"
-        if normalize_assertion(p2.conclusion.post) != npost:
+        if c2.post.normal_form != c.post.normal_form:
             return "Seq postcondition does not match second premise"
-    elif t.rule is Rule.VIEW_SHIFT:
-        if not isinstance(t.data, ShiftData):
+    elif rule is Rule.VIEW_SHIFT:
+        data = t.data
+        if not isinstance(data, ShiftData):
             return "ViewShift node carries no intermediate assertions"
-        p = t.premises[0]
-        if not same_command(p.conclusion.cmd, c.cmd):
+        p = premises[0].conclusion
+        if not same_command(p.cmd, c.cmd):
             return "ViewShift premise command differs from conclusion"
-        if normalize_assertion(p.conclusion.pre) != normalize_assertion(t.data.inner_pre):
+        if p.pre.normal_form != normalize_assertion(data.inner_pre):
             return "ViewShift premise precondition mismatch"
-        if normalize_assertion(p.conclusion.post) != normalize_assertion(t.data.inner_post):
+        if p.post.normal_form != normalize_assertion(data.inner_post):
             return "ViewShift premise postcondition mismatch"
-        if not view_shift(c.pre, t.data.inner_pre):
+        if not view_shift(c.pre, data.inner_pre):
             return "pre-side view shift invalid"
-        if not view_shift(t.data.inner_post, c.post):
+        if not view_shift(data.inner_post, c.post):
             return "post-side view shift invalid"
-    elif t.rule is Rule.FRAME:
+    elif rule is Rule.FRAME:
         if not isinstance(t.data, FrameData):
             return "Frame node carries no frame assertion"
         frame = normalize_assertion(t.data.frame)
         if isinstance(frame, Flat) and frame.obs:
             return "frames must not contain obs atoms"
-        p = t.premises[0]
-        if not same_command(p.conclusion.cmd, c.cmd):
+        p = premises[0].conclusion
+        if not same_command(p.cmd, c.cmd):
             return "Frame premise command differs from conclusion"
-        if npre != flat_add(normalize_assertion(p.conclusion.pre), frame):
+        if c.pre.normal_form != flat_add(p.pre.normal_form, frame):
             return "Frame precondition is not premise * frame"
-        if npost != flat_add(normalize_assertion(p.conclusion.post), frame):
+        if c.post.normal_form != flat_add(p.post.normal_form, frame):
             return "Frame postcondition is not premise * frame"
     return None
 
@@ -415,8 +421,12 @@ def derive(c: Command, n: int) -> ProofTree | None:
 
 
 def _wrap(t: ProofTree, pre: Assertion, post: Assertion) -> ProofTree:
-    """View-shift wrapper around `t`, merging nested shifts into one node."""
-    if pre == t.conclusion.pre and post == t.conclusion.post:
+    """View-shift wrapper around `t`, merging nested shifts into one node.
+
+    `state_assertion` hands out one object per recent state, so the ends are
+    compared by identity first."""
+    c = t.conclusion
+    if (pre is c.pre or pre == c.pre) and (post is c.post or post == c.post):
         return t
     inner = t.premises[0] if t.rule is Rule.VIEW_SHIFT else t
     return ProofTree(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
@@ -58,21 +58,41 @@ class UnknownThreadError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
 class ThreadPool:
     """Finite map from thread id to entry, stored sorted by id.
 
     An entry is what a thread has left to run, or a `ghost.AnnotatedThread`
     in annotated runs.
-    `ids` caches the ids in order and takes no part in equality or hashing.
+    `ids` caches the ids in order and takes no part in equality, hashing or
+    `repr`.  A pool is immutable: `__init__` sets its two slots through the
+    slots' own setters, and `__setattr__` refuses every later write; built
+    once per step, it costs less than a frozen dataclass.
     """
 
+    __slots__ = ("threads", "ids")
     threads: tuple[tuple[int, Any], ...]
-    ids: tuple[int, ...] = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    ids: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.ids is None:
-            object.__setattr__(self, "ids", tuple(t for t, _ in self.threads))
+    def __init__(self, threads: tuple[tuple[int, Any], ...], ids: tuple[int, ...] | None = None):
+        _set_threads(self, threads)
+        _set_ids(self, tuple(t for t, _ in threads) if ids is None else ids)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"a ThreadPool is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a ThreadPool is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ThreadPool:
+            return NotImplemented
+        return self.threads == other.threads
+
+    def __hash__(self) -> int:
+        return hash(self.threads)
+
+    def __repr__(self) -> str:
+        return f"ThreadPool(threads={self.threads!r})"
 
     @staticmethod
     def of(mapping: dict[int, Any]) -> "ThreadPool":
@@ -105,6 +125,10 @@ class ThreadPool:
         new_tid = self.ids[-1] + 1 if self.ids else 0
         return ThreadPool(self.threads + ((new_tid, entry),), self.ids + (new_tid,))
 
+
+# the slots' own setters, which the immutable class's `__setattr__` would refuse
+_set_threads = ThreadPool.threads.__set__  # type: ignore[attr-defined]
+_set_ids = ThreadPool.ids.__set__  # type: ignore[attr-defined]
 
 EMPTY_POOL = ThreadPool(())
 

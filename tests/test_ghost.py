@@ -309,6 +309,36 @@ def test_annotate_checks_every_step_against_the_plain_pool(two_level_fork, index
     with pytest.raises(AnnotationError, match="diverged from the plain trace"):
         annotate(two_level_fork, proof, trace)
 
+    # on waiters most steps are loop steps, after which both pools are the
+    # very objects last found equal and the comparison is skipped; a loop
+    # step deep in the run whose `after` is another pool is compared again
+    waiters = parse("; ".join(["fork { loop skip }"] * 6) + "; exit")
+    proof, trace, _ = _annotated(waiters, fuel=fuel_bound(waiters))
+    loops = [i for i, s in enumerate(trace) if s.label.rule == ST_LOOP]
+    deep = loops[-1 - index]
+    assert deep > len(trace) // 2
+    step = trace[deep]
+    assert step.after is step.before
+    differs = step.after.replace(step.label.tid, Seq(LOOP_SKIP, LOOP_SKIP))
+    equal = ThreadPool(step.after.threads)
+    assert equal == step.after and equal is not step.after
+    for after, accepted in ((differs, False), (equal, True)):
+        tampered = list(trace)
+        tampered[deep] = TraceStep(step.before, step.label, after)
+        if accepted:
+            assert _projects_onto(annotate(waiters, proof, tampered), trace)
+        else:
+            with pytest.raises(AnnotationError, match="diverged from the plain trace"):
+                annotate(waiters, proof, tampered)
+    # a fork step whose `after` is the very pool last found equal, while the
+    # erased pool has moved on, is compared too
+    forks = [i for i, s in enumerate(trace) if s.label.rule == ST_FORK and i > 0]
+    fork = forks[index % len(forks)]
+    tampered = list(trace)
+    tampered[fork] = TraceStep(trace[fork].before, trace[fork].label, trace[fork - 1].after)
+    with pytest.raises(AnnotationError, match="diverged from the plain trace"):
+        annotate(waiters, proof, tampered)
+
 
 def test_annotated_trace_printing_renders_each_pool_entry_once(monkeypatch):
     # a cost count: rendered entries grow with the steps, not with the steps

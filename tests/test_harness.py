@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import busycheck.harness
@@ -37,6 +39,25 @@ def test_generation_is_deterministic():
 def test_generation_respects_budget():
     for c in gen_program(GenConfig(max_atoms=7, seed=5, count=200)):
         assert 1 <= _atom_count(c) <= 7
+
+
+# sha256 of the pretty-printed programs, one per line, of
+# GenConfig(seed=7, count=500, max_atoms=M, **weights): a campaign is
+# reproducible from its seed, so these never change with the generator's code
+GENERATED_DIGESTS = {
+    ("default", 1): "a76647fbb34226323e774da340d275770d852267ff4f7579bd72f5cd6e5a013c",
+    ("default", 12): "e35574ff5701e7cfb5eac8b2e4191af8a0e0d7f6c519b552ec778bce772c656d",
+    ("skewed", 1): "d62ac4320f3d58653c1b6f138d3666cbd26bf889e2dd17e8ef524aa8bd9c3757",
+    ("skewed", 12): "7fd4183e6795b47c5f97698d56dd287979d6b8d1dcc10125f1a93efec202f556",
+}
+WEIGHTS = {"default": {}, "skewed": {"fork_prob": 5.0, "loop_prob": 0.25, "exit_prob": 0.5}}
+
+
+@pytest.mark.parametrize("weights, max_atoms", sorted(GENERATED_DIGESTS))
+def test_generated_programs_are_pinned_by_digest(weights, max_atoms):
+    cfg = GenConfig(max_atoms=max_atoms, seed=7, count=500, **WEIGHTS[weights])
+    text = "\n".join(pretty(c) for c in gen_program(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_DIGESTS[weights, max_atoms]
 
 
 def test_single_atom_config_yields_only_atoms():

@@ -143,6 +143,10 @@ def test_leaf_balance_preconditions(worked_graph):
         check_leaf_balance(g, {0, 1, 2})  # not sibling closed
     with pytest.raises(PrefixError):
         check_leaf_balance(g, {99})
+    # membership is tested in the range of node ids, for any kind of value
+    for unknown in (-1, len(g.info), "x"):
+        with pytest.raises(PrefixError, match="prefix contains unknown nodes"):
+            check_leaf_balance(g, {0, unknown})
 
 
 def test_leaf_balance_requires_balanced_start():

@@ -317,6 +317,17 @@ def test_pool_equality_and_hash_ignore_the_carried_ids():
     assert plain == odd and hash(plain) == hash(odd) and repr(plain) == repr(odd)
     assert {plain: "found"}[odd] == "found"
     assert ThreadPool(threads[:1], (0, 3)) != plain
+    # pools carrying wrong ids are still one key, whichever came first
+    wrong = ThreadPool(threads, (1, 2))
+    assert len({plain, odd, wrong}) == 1 and {odd: 1, wrong: 2} == {plain: 2}
+    assert plain != threads and plain != (threads, (0, 3))
+    # and a pool is immutable
+    for name in ("threads", "ids", "other"):
+        with pytest.raises(AttributeError):
+            setattr(plain, name, ())
+        with pytest.raises(AttributeError):
+            delattr(plain, name)
+    assert plain.threads == threads and plain.ids == (0, 3)
 
 
 def _fair_by_windows(trace, window):
