@@ -3,13 +3,15 @@
 Exit codes: 0 on success / Verified / Ok, 1 on Rejected / RuleViolation /
 divergence witness, 2 on usage or parse errors, unreadable files, malformed
 certificates and input nested past the recursion limit.  `check-proof` also
-checks the claim: the root triple must be {obs(0)} c {obs(0)}.  A request builds
-only its command's parser; top-level help and errors are those of `build_parser()`.
+checks the claim: the root triple must be {obs(0)} c {obs(0)}.  A command's parser
+is built on its first request and reused by later requests in the same process;
+help and error text are unchanged, the top-level ones coming from `build_parser()`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -257,15 +259,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    # One per command, kept for the process: parsing makes a fresh namespace per call, argparse looks up
+    # sys.stdout and sys.stderr when it prints, and reads COLUMNS when it formats help.
+    _, func, add_arguments = COMMANDS[name]
+    sub = argparse.ArgumentParser(prog="busycheck " + name)
+    add_arguments(sub)
+    sub.set_defaults(func=func, command=name)
+    return sub
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     # The full parser hands what follows a command's name to its parser in this same call, so
     # help, errors and namespace agree.  Everything else, leftover strings too, takes the full parser.
     if argv and argv[0] in COMMANDS:
-        _, func, add_arguments = COMMANDS[argv[0]]
-        sub = argparse.ArgumentParser(prog="busycheck " + argv[0])
-        add_arguments(sub)
-        sub.set_defaults(func=func, command=argv[0])
-        args, rest = sub.parse_known_args(argv[1:])
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             return args
     return build_parser().parse_args(argv)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -457,16 +459,42 @@ def _parsed(parse, argv, capsys):
     return result, out, err
 
 
-@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: "_".join(argv).replace(" ", "") or "no-arguments")
-def test_main_parses_as_the_full_parser(monkeypatch, capsys, argv):
+# request sequences whose later requests meet parsers that earlier ones built: the corpus
+# twice over, and requests after one with every run option set, and after an error
+PARSER_SEQUENCES = {
+    "corpus-twice": PARSER_CORPUS * 2,
+    "run-after-run": [
+        ["run", "-e", KM22, "--sched", "random", "--seed", "3", "--window", "4", "--json"],
+        ["run", "-e", KM22],
+        ["run", "-e", "exit", "--bogus"],
+        ["run", "-e", KM22],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "requests",
+    [pytest.param([argv], id="_".join(argv).replace(" ", "") or "no-arguments") for argv in PARSER_CORPUS]
+    + [pytest.param(requests, id=name) for name, requests in PARSER_SEQUENCES.items()],
+)
+def test_main_parses_as_the_full_parser(monkeypatch, capsys, requests):
     monkeypatch.setenv("COLUMNS", "80")
-    full = _parsed(lambda a: busycheck.cli.build_parser().parse_args(a), list(argv), capsys)
-    assert _parsed(busycheck.cli._parse_args, list(argv), capsys) == full
+    full = [_parsed(lambda a: busycheck.cli.build_parser().parse_args(a), list(argv), capsys) for argv in requests]
+    busycheck.cli._command_parser.cache_clear()
+    assert [_parsed(busycheck.cli._parse_args, list(argv), capsys) for argv in requests] == full
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def _answer(argv, capsys):
-    code = main(argv)
-    out, err = capsys.readouterr()
+    code, out, err = _in_process(argv, capsys)
     return code, [line for line in out.splitlines() if "wallTime" not in line], err
 
 
@@ -482,14 +510,41 @@ def test_a_valid_request_never_builds_the_full_parser(tmp_path, monkeypatch, cap
         ["fuzz", "--count", "20", "--max-atoms", "5", "--exhaustive-max", "2", "--json"],
     ]
     assert [argv[0] for argv in requests] == list(busycheck.cli.COMMANDS)
-    before = [_answer(argv, capsys) for argv in requests]
 
     def build_parser():
         raise AssertionError("the full parser was built")
 
     monkeypatch.setattr(busycheck.cli, "build_parser", build_parser)
+    busycheck.cli._command_parser.cache_clear()
+    before = [_answer(argv, capsys) for argv in requests]
     assert [_answer(argv, capsys) for argv in requests] == before
     assert [code for code, _, _ in before] == [0] * len(requests)
+    assert busycheck.cli._command_parser.cache_info().misses == len(requests)
+
+
+def test_one_request_per_process_answers_as_in_process(tmp_path, monkeypatch, capsys):
+    # `python -m busycheck` runs __main__.py and entry(), and builds its one parser cold
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(busycheck.cli.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    flags = (["-X", "dev"] if sys.flags.dev_mode else []) + [f"-W{option}" for option in sys.warnoptions]
+    cert = tmp_path / "c.json"
+    requests = [
+        ["-h"],
+        ["verify", "-h"],
+        ["verify", "-e", "exit", "extra"],
+        ["verify", "-e", "fork { exit }; loop skip", "--emit-cert", str(cert)],
+        ["check-proof", str(cert)],
+    ]
+    answers = []
+    for argv in requests:
+        cold = subprocess.run([sys.executable, *flags, "-m", "busycheck", *argv], capture_output=True, text=True)
+        written = cert.read_bytes() if cert.exists() else None
+        answers.append(_in_process(argv, capsys))
+        assert (cold.returncode, cold.stdout, cold.stderr) == answers[-1], argv
+        assert (cert.read_bytes() if cert.exists() else None) == written, argv
+    assert [code for code, _, _ in answers] == [0, 0, 2, 0, 0]
+    assert answers[0][1].startswith("usage: busycheck [-h]") and answers[-1][1] == "Ok\n"
 
 
 def _contract_programs():
