@@ -12,15 +12,7 @@ from .lang import (
     parse,
     pretty,
 )
-from .assertions import (
-    CREDIT,
-    FALSE,
-    Obs,
-    Star,
-    TRUE,
-    normalize as normalize_assertion,
-    view_shift,
-)
+from .assertions import BOTTOM, Flat, view_shift
 from .semantics import (
     RandomFairScheduler,
     RoundRobinScheduler,

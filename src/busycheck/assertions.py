@@ -1,101 +1,24 @@
-"""Ghost-resource assertions: terms, normal forms, view shifts.
+"""Ghost-resource assertions as their normal forms, and view shifts.
 
-`obs(n)` asserts possession of one full chunk holding exactly n exit
-obligations; `credit` asserts at least one busy-wait credit.  Assertions are
-built from `true`, `false`, `*`, `obs(n)`, and `credit` only.
+`obs(n)` asserts one full chunk holding exactly n exit obligations and
+`credit` at least one busy-wait credit; assertions join them with `*`, `true`
+and `false`.  The verifier holds only their normal forms: Bottom when `false`
+occurs, else a flat form, the multiset of obs atoms and the count of credit
+atoms.  Terms exist only in certificates, whose tables `normalize` reads.
+Their meaning is the separating-conjunction model over resource bundles
+(chunk values plus a credit count), which is affine; the tests hold the forms
+here to it (`satisfies` in `tests/reference.py`).
 
-Their meaning is the standard separating-conjunction model over resource
-bundles (multisets of chunk values plus a credit count), so the model is
-affine: extra resources never falsify an assertion.  The tests hold the
-closed forms here to that model (`satisfies` in `tests/reference.py`).
-Every assertion normalizes to either Bottom (contains `false`) or a flat form
-(multiset of obs atoms, credit-atom count); view shifts, the logic's only
-implication (weakening included), are decided on flats.
-
-A view shift may (i) trade `obs(n)` for `obs(n+1) * credit` and back (pairs
-are spawned and cancelled together, never one-sided), (ii) weaken
-semantically, and (iii) chain transitively.  On flats this relation has an
-exact closed form (`view_shift`): a target with fewer obs atoms is always
-reached, one with more never, and with equal counts the shift holds iff
-sum(obs) - k <= sum(obs') - k'.
+A view shift, the logic's only implication, may trade `obs(n)` for
+`obs(n+1) * credit` and back (pairs are spawned and cancelled together),
+weaken, and chain.  On flats it has an exact closed form (`view_shift`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
-
-
-# --- assertion terms --------------------------------------------------------
-
-
-class Assertion:
-    __slots__ = ()
-
-    @cached_property
-    def normal_form(self) -> "NormalizedAssertion":
-        """`normalize(self)`, computed on first use and kept on the object.
-
-        Assertions are frozen, so the kept form never goes stale, and an
-        assertion shared by many proof nodes is flattened once.
-        """
-        return _flatten(self)
-
-
-@dataclass(frozen=True)
-class TrueA(Assertion):
-    pass
-
-
-@dataclass(frozen=True)
-class FalseA(Assertion):
-    pass
-
-
-@dataclass(frozen=True)
-class Obs(Assertion):
-    count: int
-
-
-@dataclass(frozen=True)
-class Credit(Assertion):
-    pass
-
-
-@dataclass(frozen=True)
-class Star(Assertion):
-    left: Assertion
-    right: Assertion
-
-
-TRUE = TrueA()
-FALSE = FalseA()
-CREDIT = Credit()
-OBS_ZERO = Obs(0)
-
-
-def star(*parts: Assertion) -> Assertion:
-    """Left-associated separating conjunction of the given parts."""
-    if not parts:
-        return TRUE
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = Star(acc, p)
-    return acc
-
-
-@lru_cache(maxsize=1024)
-def state_assertion(obs_count: int, credit_count: int) -> Assertion:
-    """Canonical rendering of a single-chunk ghost state: obs(n) * credit^k.
-
-    The recently used states are kept, so the proof nodes built for one state
-    share one assertion object and its normal form.
-    """
-    return star(Obs(obs_count), *([CREDIT] * credit_count))
-
-
-# --- normal form --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -109,51 +32,55 @@ class Flat(NamedTuple):
 
 
 BOTTOM = Bottom()
+OBS_ZERO = Flat((0,), 0)
 
-NormalizedAssertion = Bottom | Flat
-
-
-def normalize(a: Assertion) -> NormalizedAssertion:
-    """Flatten stars; `true` is the unit, any `false` collapses to Bottom.
-
-    Computed once per assertion object (`Assertion.normal_form`).
-    """
-    if not isinstance(a, Assertion):
-        raise TypeError(f"not an assertion: {a!r}")
-    return a.normal_form
+Assertion = Flat | Bottom
 
 
-def _flatten(a: Assertion) -> NormalizedAssertion:
-    obs: list[int] = []
-    credits = 0
-    stack = [a]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Star):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Obs):
-            obs.append(node.count)
-        elif isinstance(node, Credit):
-            credits += 1
-        elif isinstance(node, FalseA):
-            return BOTTOM
-        elif not isinstance(node, TrueA):
-            raise TypeError(f"not an assertion: {node!r}")
-    return Flat(tuple(sorted(obs)), credits)
+@lru_cache(maxsize=1024)
+def state_assertion(obs_count: int, credit_count: int) -> Flat:
+    """obs(n) * credit^k; proof nodes built for one recent state share one object."""
+    return Flat((obs_count,), credit_count)
 
 
-def flat_add(x: NormalizedAssertion, y: NormalizedAssertion) -> NormalizedAssertion:
+def flat_add(x: Assertion, y: Assertion) -> Assertion:
     if isinstance(x, Bottom) or isinstance(y, Bottom):
         return BOTTOM
     return Flat(tuple(sorted(x.obs + y.obs)), x.credits + y.credits)
 
 
-# --- view shifts ----------------------------------------------------------------
+def normalize(table: list[tuple], i: int, memo: dict[int, Assertion]) -> Assertion:
+    """The normal form of entry `i` of a certificate's `asserts` table.
+
+    The entries are as `proofs` reads them: `("true",)`, `("false",)`,
+    `("credit",)`, `("obs", n)` or `("star", j, k)` with j, k < i.  One walk
+    over indices flattens the stars, `true` being the unit and any `false`
+    collapsing to Bottom; `memo` keeps the form of each entry walked from,
+    and a walk that meets such an entry takes its form instead.
+    """
+    f = memo.get(i)
+    if f is None:
+        obs, credits, todo = [], 0, [i]
+        while todo and f is None:
+            j = todo.pop()
+            entry = memo.get(j) or table[j]
+            if isinstance(entry, Flat):
+                obs += entry.obs
+                credits += entry.credits
+            elif entry is BOTTOM or entry[0] == "false":
+                f = BOTTOM
+            elif entry[0] == "star":
+                todo += entry[1:]
+            elif entry[0] == "obs":
+                obs.append(entry[1])
+            elif entry[0] == "credit":
+                credits += 1
+        memo[i] = f = f or Flat(tuple(sorted(obs)), credits)
+    return f
 
 
 def view_shift(a: Assertion, b: Assertion) -> bool:
-    """Exact view-shift decision on normalized flats.
+    """Exact view-shift decision on normal forms.
 
     A pair move turns `obs(n)` into `obs(n+1) * credit` or back, so it keeps
     the sum of obs atoms minus credits; no move creates or merges obs atoms.
@@ -163,11 +90,10 @@ def view_shift(a: Assertion, b: Assertion) -> bool:
     credits.  A target with more atoms is out of reach, and one with fewer is
     always reached: inflate a spare atom to mint the credits, then drop it.
     """
-    na, nb = normalize(a), normalize(b)
-    if isinstance(na, Bottom):
+    if isinstance(a, Bottom):
         return True
-    if isinstance(nb, Bottom):
+    if isinstance(b, Bottom):
         return False
-    if len(nb.obs) != len(na.obs):
-        return len(nb.obs) < len(na.obs)
-    return sum(na.obs) - na.credits <= sum(nb.obs) - nb.credits
+    if len(b.obs) != len(a.obs):
+        return len(b.obs) < len(a.obs)
+    return sum(a.obs) - a.credits <= sum(b.obs) - b.credits

@@ -24,7 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .assertions import Bottom, Flat, NormalizedAssertion, normalize as normalize_assertion
+from .assertions import Assertion, Bottom, Flat
+
+# Not called here: the proof's assertions are normal forms already.  The name
+# stays importable from this module because perfbench/tracing.py wraps it.
+from .assertions import normalize as normalize_assertion  # noqa: F401
 from .lang import (
     Command,
     Continuation,
@@ -179,7 +183,7 @@ class _Plan:
         self.final_ops: list[str] = []
 
 
-def _chunk(f: NormalizedAssertion) -> tuple[int, int] | None:
+def _chunk(f: Assertion) -> tuple[int, int] | None:
     """The (obligations, credits) state a normal form describes; None for false."""
     if isinstance(f, Bottom):
         return None
@@ -188,7 +192,7 @@ def _chunk(f: NormalizedAssertion) -> tuple[int, int] | None:
     return f.obs[0], f.credits
 
 
-def _ops_between(src: NormalizedAssertion, dst: NormalizedAssertion) -> list[str]:
+def _ops_between(src: Assertion, dst: Assertion) -> list[str]:
     a = _chunk(src)
     b = _chunk(dst)
     if a is None or b is None:
@@ -207,9 +211,7 @@ def _extract_plan(t: ProofTree) -> _Plan:
 
     Iterative: `todo` holds the nodes still to visit and the post-side steps
     of the view shifts being visited, each with the plan it adds to, and
-    `plan.final_ops` collects the steps ahead of the next slot.  `t` has
-    passed `check_proof`, which normalized every assertion in it, so the
-    view shifts read the normal forms kept on the assertions.
+    `plan.final_ops` collects the steps ahead of the next slot.
     """
     root = _Plan()
     todo: list[tuple[ProofTree | list[str], _Plan]] = [(t, root)]
@@ -219,8 +221,8 @@ def _extract_plan(t: ProofTree) -> _Plan:
             plan.final_ops += node
         elif node.rule is Rule.VIEW_SHIFT:
             c, data = node.conclusion, node.data
-            plan.final_ops += _ops_between(c.pre.normal_form, data.inner_pre.normal_form)
-            post_ops = _ops_between(data.inner_post.normal_form, c.post.normal_form)
+            plan.final_ops += _ops_between(c.pre, data.inner_pre)
+            post_ops = _ops_between(data.inner_post, c.post)
             if post_ops:
                 todo.append((post_ops, plan))
             todo.append((node.premises[0], plan))
@@ -264,7 +266,7 @@ def annotate(
     if not same_command(proof.conclusion.cmd, c):
         raise AnnotationError("proof concludes a different command")
     ends = proof.conclusion
-    if _chunk(normalize_assertion(ends.pre)) != (0, 0) or _chunk(normalize_assertion(ends.post)) != (0, 0):
+    if _chunk(ends.pre) != (0, 0) or _chunk(ends.post) != (0, 0):
         raise AnnotationError("annotation needs a proof of {obs(0)} c {obs(0)}")
 
     if plain_trace:

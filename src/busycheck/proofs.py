@@ -64,9 +64,13 @@ nesting depth is constant.  `cmds` holds commands, each `"exit"`,
 `"loop skip"`, `{"fork": i}` or `{"seq": [i, j]}`; `asserts` holds
 assertions, each `"true"`, `"false"`, `"credit"`, `{"obs": n}` or
 `{"star": [i, j]}`.  Both tables are hash-consed (Filliâtre & Conchon, ML
-2006): a term occurs once.  The `Seq` constructor refuses a seq as first
-part, and as `star` builds them no star's right part is a star, so an
-assertion has at most twice as many nodes as its table has entries.
+2006): a term occurs once.  The checker holds an assertion only as its
+normal form, which the writer renders as `obs(n1) * ... * credit * ...`,
+left-associated.  Reading is linear in the file: one pass checks every
+entry, refusing a seq as first part of a seq and a star as right part of a
+star, so an entry adds at most one atom to the assertion it builds; then
+only the entries the nodes name are normalized, each by one walk and once.
+(Normalizing every entry would copy each prefix of a long chain of stars.)
 `nodes` lists the proof nodes in post-order, as LRAT numbers its steps;
 each has its `rule`, the indices of its `pre`, `cmd` and `post` and of its
 `premises`, and its rule data: `childObs` and `childCredits` (Fork),
@@ -82,16 +86,11 @@ from enum import Enum
 from typing import NamedTuple
 
 from .assertions import (
-    FALSE,
+    BOTTOM,
+    OBS_ZERO,
     Assertion,
     Bottom,
-    Credit,
-    FalseA,
     Flat,
-    Obs,
-    OBS_ZERO,
-    Star,
-    TrueA,
     flat_add,
     normalize as normalize_assertion,
     state_assertion,
@@ -210,10 +209,7 @@ def check_proof(t: ProofTree) -> RuleViolation | None:
     return None
 
 
-# The normal forms of obs(0) * credit, the Loop rule's precondition, and of
-# obs(0), the postcondition a forked thread ends with.
-_LOOP_PRE = Flat((0,), 1)
-_THREAD_END = Flat((0,), 0)
+_LOOP_PRE = Flat((0,), 1)  # obs(0) * credit
 
 
 def _single_chunk(f) -> bool:
@@ -221,12 +217,7 @@ def _single_chunk(f) -> bool:
 
 
 def _node_fault(t: ProofTree) -> str | None:
-    """Why `t` does not instantiate its rule given its premises' conclusions, or None.
-
-    A conclusion is read by its node and by its node's parent, so its normal
-    forms are read where `normalize` keeps them (`Assertion.normal_form`);
-    the rule data, read once, go through `normalize` itself.
-    """
+    """Why `t` does not instantiate its rule given its premises' conclusions, or None."""
     c = t.conclusion
     rule = t.rule
     want = _PREMISE_COUNT.get(rule)
@@ -239,17 +230,16 @@ def _node_fault(t: ProofTree) -> str | None:
     if rule is Rule.EXIT:
         if not isinstance(c.cmd, Exit):
             return "Exit rule applied to a non-exit command"
-        npre = c.pre.normal_form
-        if not (_single_chunk(npre) and npre.credits == 0):
+        if not (_single_chunk(c.pre) and c.pre.credits == 0):
             return "Exit precondition must be obs(n)"
-        if not isinstance(c.post.normal_form, Bottom):
+        if not isinstance(c.post, Bottom):
             return "Exit postcondition must be false"
     elif rule is Rule.LOOP:
         if not isinstance(c.cmd, LoopSkip):
             return "Loop rule applied to a non-loop command"
-        if c.pre.normal_form != _LOOP_PRE:
+        if c.pre != _LOOP_PRE:
             return "Loop precondition must be obs(0) * credit"
-        if not isinstance(c.post.normal_form, Bottom):
+        if not isinstance(c.post, Bottom):
             return "Loop postcondition must be false"
     elif rule is Rule.FORK:
         if not isinstance(c.cmd, Fork):
@@ -260,14 +250,13 @@ def _node_fault(t: ProofTree) -> str | None:
         p = premises[0].conclusion
         if not same_command(p.cmd, c.cmd.body):
             return "Fork premise command is not the fork body"
-        if p.pre.normal_form != Flat((split.child_obs,), split.child_credits):
+        if p.pre != Flat((split.child_obs,), split.child_credits):
             return "Fork premise precondition does not match the split"
-        if p.post.normal_form != _THREAD_END:
+        if p.post != OBS_ZERO:
             return "forked thread must end with obs(0)"
-        npost = c.post.normal_form
-        if not _single_chunk(npost):
+        if not _single_chunk(c.post):
             return "Fork postcondition must be obs(n) * credit^k"
-        if c.pre.normal_form != Flat((split.child_obs + npost.obs[0],), split.child_credits + npost.credits):
+        if c.pre != Flat((split.child_obs + c.post.obs[0],), split.child_credits + c.post.credits):
             return "Fork precondition must be the sum of split and remainder"
     elif rule is Rule.SEQ:
         if not isinstance(c.cmd, Seq):
@@ -275,11 +264,11 @@ def _node_fault(t: ProofTree) -> str | None:
         c1, c2 = premises[0].conclusion, premises[1].conclusion
         if not (same_command(c1.cmd, c.cmd.first) and same_command(c2.cmd, c.cmd.second)):
             return "Seq premise commands do not match the sequence"
-        if c1.pre.normal_form != c.pre.normal_form:
+        if c1.pre != c.pre:
             return "Seq precondition does not match first premise"
-        if c1.post.normal_form != c2.pre.normal_form:
+        if c1.post != c2.pre:
             return "Seq middle assertion mismatch"
-        if c2.post.normal_form != c.post.normal_form:
+        if c2.post != c.post:
             return "Seq postcondition does not match second premise"
     elif rule is Rule.VIEW_SHIFT:
         data = t.data
@@ -288,9 +277,9 @@ def _node_fault(t: ProofTree) -> str | None:
         p = premises[0].conclusion
         if not same_command(p.cmd, c.cmd):
             return "ViewShift premise command differs from conclusion"
-        if p.pre.normal_form != normalize_assertion(data.inner_pre):
+        if p.pre != data.inner_pre:
             return "ViewShift premise precondition mismatch"
-        if p.post.normal_form != normalize_assertion(data.inner_post):
+        if p.post != data.inner_post:
             return "ViewShift premise postcondition mismatch"
         if not view_shift(c.pre, data.inner_pre):
             return "pre-side view shift invalid"
@@ -299,15 +288,15 @@ def _node_fault(t: ProofTree) -> str | None:
     elif rule is Rule.FRAME:
         if not isinstance(t.data, FrameData):
             return "Frame node carries no frame assertion"
-        frame = normalize_assertion(t.data.frame)
+        frame = t.data.frame
         if isinstance(frame, Flat) and frame.obs:
             return "frames must not contain obs atoms"
         p = premises[0].conclusion
         if not same_command(p.cmd, c.cmd):
             return "Frame premise command differs from conclusion"
-        if c.pre.normal_form != flat_add(p.pre.normal_form, frame):
+        if c.pre != flat_add(p.pre, frame):
             return "Frame precondition is not premise * frame"
-        if c.post.normal_form != flat_add(p.post.normal_form, frame):
+        if c.post != flat_add(p.post, frame):
             return "Frame postcondition is not premise * frame"
     return None
 
@@ -398,24 +387,24 @@ def derive(c: Command, n: int) -> ProofTree | None:
 
     proofs: list[ProofTree | None] = [None] * len(threads)
     for i in reversed(range(len(threads))):
-        required = OBS_ZERO if isinstance(walks[i][-1][1], Fork) else FALSE
+        required = OBS_ZERO if isinstance(walks[i][-1][1], Fork) else BOTTOM
         t = None
         for suffix, atom, state, start, after, dead, child in reversed(walks[i]):
             pre = state_assertion(*start)
             if child is None:
                 rule = Rule.EXIT if isinstance(atom, Exit) else Rule.LOOP
-                node = ProofTree(HoareTriple(pre, atom, FALSE), rule)
+                node = ProofTree(HoareTriple(pre, atom, BOTTOM), rule)
             else:
                 post, split = state_assertion(*after), ForkSplit(*threads[child][1])
                 node = ProofTree(HoareTriple(pre, atom, post), Rule.FORK, (proofs[child],), split)
             if t is None:  # the last atom; a trailing fork shifts to obs(0)
-                t = node if required is FALSE or after == (0, 0) else _wrap(node, pre, required)
+                t = node if required is BOTTOM or after == (0, 0) else _wrap(node, pre, required)
             else:
                 t = ProofTree(HoareTriple(pre, suffix, required), Rule.SEQ, (node, t))
             if start != state:
                 t = _wrap(t, state_assertion(*state), required)
             if dead:
-                t = _wrap(t, FALSE, required)
+                t = _wrap(t, BOTTOM, required)
         proofs[i] = t if required is OBS_ZERO else _wrap(t, t.conclusion.pre, OBS_ZERO)
     return proofs[0]
 
@@ -444,44 +433,71 @@ def verify(c: Command) -> ProofTree | None:
 
 # --- certificates -----------------------------------------------------------------
 
-# The classes of each table by tag, and the tag of each class.
+# The tags of each table and the number of parts each takes; the class of
+# each command tag, and the tag of each command class.
+_COMMAND_PARTS = {"exit": 0, "loop skip": 0, "fork": 1, "seq": 2}
+_ASSERTION_PARTS = {"true": 0, "false": 0, "credit": 0, "obs": 1, "star": 2}
 _COMMANDS = {"exit": Exit, "loop skip": LoopSkip, "fork": Fork, "seq": Seq}
-_ASSERTIONS = {"true": TrueA, "false": FalseA, "credit": Credit, "obs": Obs, "star": Star}
-_TAGS = {cls: tag for table in (_COMMANDS, _ASSERTIONS) for tag, cls in table.items()}
-_TERMS = (Command, Assertion)
+_TAGS = {cls: tag for tag, cls in _COMMANDS.items()}
 
 
 def to_json_dict(t: ProofTree) -> dict:
     """The certificate of `t` (the module docstring has the format).
 
     One iterative walk writes the nodes in post-order, the root last, and
-    interns every term they name into its table, fields first, so equal
-    terms get one entry.  Proof nodes are not interned.
+    interns every term they name into its table, parts first, the right part
+    before the left, so equal terms get one entry.  An assertion is written
+    as the term `obs(n1) * ... * credit * ...`, left-associated, or `true`
+    when it has no atoms and `false` for Bottom.  Proof nodes are not
+    interned.
     """
     cmds: list = []
     asserts: list = []
-    by_id: dict[int, int] = {}  # id of a term of `t` -> its entry
-    by_key: dict[tuple, int] = {}  # (class, field values) -> entry
+    by_id: dict[int, int] = {}  # id of a command of `t` -> its entry
+    by_key: dict[tuple, int] = {}  # (class, entries of its parts) -> entry
+    by_flat: dict[Assertion, int] = {}  # assertion of `t` -> its entry
+    by_part: dict = {}  # n of obs(n), a fieldless tag, or (i, j) of a star -> entry
 
-    def intern(term) -> int:
+    def command(term: Command) -> int:
         todo = [term]
         while id(term) not in by_id:
             x = todo[-1]
             parts = [getattr(x, f.name) for f in fields(x)]
-            missing = [p for p in parts if isinstance(p, _TERMS) and id(p) not in by_id]
+            missing = [p for p in parts if id(p) not in by_id]
             if missing:
                 todo += missing
                 continue
             todo.pop()
-            values = [by_id[id(p)] if isinstance(p, _TERMS) else p for p in parts]
+            values = [by_id[id(p)] for p in parts]
             key = (type(x), *values)
             if key not in by_key:
-                table = cmds if isinstance(x, Command) else asserts
-                by_key[key] = len(table)
+                by_key[key] = len(cmds)
                 tag = _TAGS[type(x)]
-                table.append({tag: values if len(values) > 1 else values[0]} if values else tag)
+                cmds.append({tag: values if len(values) > 1 else values[0]} if values else tag)
             by_id[id(x)] = by_key[key]
         return by_id[id(term)]
+
+    def put(key, entry) -> int:
+        i = by_part.get(key)
+        if i is None:
+            i = by_part[key] = len(asserts)
+            asserts.append(entry)
+        return i
+
+    def assertion(f: Assertion) -> int:
+        i = by_flat.get(f)
+        if i is None:
+            if isinstance(f, Bottom):
+                i = put("false", "false")
+            else:
+                atoms = [(n, {"obs": n}) for n in f.obs] + [("credit", "credit")] * f.credits
+                parts = [put(*atom) for atom in reversed(atoms)] or [put("true", "true")]
+                i = parts.pop()
+                while parts:
+                    j = parts.pop()
+                    i = put((i, j), {"star": [i, j]})
+            by_flat[f] = i
+        return i
 
     nodes: list[dict] = []
     done: list[int] = []  # written nodes whose parent is not written yet
@@ -495,18 +511,18 @@ def to_json_dict(t: ProofTree) -> dict:
         c, data, cut = node.conclusion, node.data, len(done) - len(node.premises)
         entry = {
             "rule": node.rule.value,
-            "pre": intern(c.pre),
-            "cmd": intern(c.cmd),
-            "post": intern(c.post),
+            "pre": assertion(c.pre),
+            "cmd": command(c.cmd),
+            "post": assertion(c.post),
             "premises": done[cut:],
         }
         del done[cut:]
         if isinstance(data, ForkSplit):
             entry.update(childObs=data.child_obs, childCredits=data.child_credits)
         elif isinstance(data, ShiftData):
-            entry.update(innerPre=intern(data.inner_pre), innerPost=intern(data.inner_post))
+            entry.update(innerPre=assertion(data.inner_pre), innerPost=assertion(data.inner_post))
         elif isinstance(data, FrameData):
-            entry.update(frame=intern(data.frame))
+            entry.update(frame=assertion(data.frame))
         done.append(len(nodes))
         nodes.append(entry)
     return {"format": 2, "cmds": cmds, "asserts": asserts, "nodes": nodes, "root": len(nodes) - 1}
@@ -519,18 +535,24 @@ class CertificateError(ValueError):
 def from_json_dict(data: dict) -> ProofTree:
     """The proof tree a certificate describes.
 
-    One forward loop per table builds each entry from the entries before it
-    and interns it, so equal terms load as one object.  CertificateError
-    names the fault: a format other than 2, an index of no earlier entry, a
-    seq or star not in the form the module docstring gives, or a node that is
-    the premise of two nodes (so `check_proof` walks a tree no larger than
-    the file).
+    One forward pass checks each table (`_read_table`); equal commands load
+    as one object, and only the assertions the nodes name are normalized,
+    each once.  CertificateError names the fault: a format other than 2, an
+    index of no earlier entry, an entry not in the form the module docstring
+    gives, or a node that is the premise of two nodes (so `check_proof`
+    walks a tree no larger than the file).
     """
     if not isinstance(data, dict) or data.get("format") != 2:
         raise CertificateError('unsupported certificate format: expected an object with "format": 2')
     try:
-        cmds = _read_table(data["cmds"], _COMMANDS)
-        asserts = _read_table(data["asserts"], _ASSERTIONS)
+        cmds = _commands(_read_table(data["cmds"], "cmds", _COMMAND_PARTS))
+        asserts = _read_table(data["asserts"], "asserts", _ASSERTION_PARTS)
+        flats: dict[int, Assertion] = {}
+
+        def assertion(i) -> Assertion:
+            _at(asserts, i)
+            return normalize_assertion(asserts, i, flats)
+
         nodes: list[ProofTree] = []
         used: list[int] = []  # the premise indices of every node
         for e in data["nodes"]:
@@ -541,10 +563,10 @@ def from_json_dict(data: dict) -> ProofTree:
             if rule is Rule.FORK:
                 extra = ForkSplit(_count(e["childObs"]), _count(e["childCredits"]))
             elif rule is Rule.VIEW_SHIFT:
-                extra = ShiftData(_at(asserts, e["innerPre"]), _at(asserts, e["innerPost"]))
+                extra = ShiftData(assertion(e["innerPre"]), assertion(e["innerPost"]))
             elif rule is Rule.FRAME:
-                extra = FrameData(_at(asserts, e["frame"]))
-            triple = HoareTriple(_at(asserts, e["pre"]), _at(cmds, e["cmd"]), _at(asserts, e["post"]))
+                extra = FrameData(assertion(e["frame"]))
+            triple = HoareTriple(assertion(e["pre"]), _at(cmds, e["cmd"]), assertion(e["post"]))
             nodes.append(ProofTree(triple, rule, premises, extra))
         if len(set(used)) < len(used):
             raise CertificateError("malformed certificate: a node is the premise of two nodes")
@@ -555,22 +577,54 @@ def from_json_dict(data: dict) -> ProofTree:
         raise CertificateError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
 
 
-def _read_table(entries: list, classes: dict[str, type]) -> list:
-    """The terms of one table, each interned on its class and field values."""
-    terms: list = []
-    interned: dict[tuple, object] = {}
-    for entry in entries:
-        [(tag, value)] = [(entry, [])] if isinstance(entry, str) else entry.items()
-        cls = classes[tag]
-        values = value if isinstance(value, list) else [value]
-        args = [_count(v) for v in values] if cls is Obs else [_at(terms, v) for v in values]
-        key = (cls, *args) if cls is Obs else (cls, *map(id, args))
-        if key not in interned:
-            interned[key] = cls(*args)
-        term = interned[key]
-        if isinstance(term, Star) and isinstance(term.right, Star):
+def _read_table(entries: list, name: str, arity: dict[str, int]) -> list[tuple]:
+    """The entries of table `name`, each as (tag, *parts), checked in one pass.
+
+    Each entry is a tag of the table or an object of one such tag, with as
+    many parts as `arity` gives, each the index of an earlier entry (a count
+    for `obs`).  The first part of a seq is no seq and the right part of a
+    star no star, so a star adds at most one atom to the assertion it builds.
+    """
+    if not isinstance(entries, list):
+        raise CertificateError(f"malformed certificate: {name} is not a list")
+    table: list[tuple] = []
+    for at, entry in enumerate(entries):
+        if isinstance(entry, str):
+            tag, parts = entry, []
+        elif isinstance(entry, dict) and len(entry) == 1:
+            [(tag, parts)] = entry.items()
+            parts = parts if isinstance(parts, list) else [parts]
+        else:
+            raise CertificateError(f"malformed certificate: {name}[{at}] is not a tag or an object of one tag")
+        want = arity.get(tag)
+        if want is None:
+            raise CertificateError(f"malformed certificate: {name}[{at}] has the unknown tag {tag!r}")
+        if len(parts) != want:
+            noun = "part" if want == 1 else "parts"
+            raise CertificateError(f"malformed certificate: {name}[{at}]: {tag!r} takes {want} {noun}, not {len(parts)}")
+        if tag == "obs":
+            parts = [_count(parts[0])]
+        else:
+            for i in parts:
+                _at(table, i)
+        if tag == "seq" and table[parts[0]][0] == "seq":
+            raise CertificateError("malformed certificate: the first part of a seq is a seq")
+        if tag == "star" and table[parts[1]][0] == "star":
             raise CertificateError("malformed certificate: the right part of a star is a star")
-        terms.append(term)
+        table.append((tag, *parts))
+    return table
+
+
+def _commands(table: list[tuple]) -> list[Command]:
+    """The commands of a checked `cmds` table, equal commands as one object."""
+    terms: list[Command] = []
+    interned: dict[tuple, Command] = {}
+    for tag, *parts in table:
+        args = [terms[i] for i in parts]
+        key = (tag, *map(id, args))
+        if key not in interned:
+            interned[key] = _COMMANDS[tag](*args)
+        terms.append(interned[key])
     return terms
 
 

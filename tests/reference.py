@@ -1,8 +1,11 @@
 """References the tests hold busycheck to, kept out of the package.
 
-- The resource-bundle model of assertions: `satisfies` is the
-  separating-conjunction model that `assertions.normalize` and
-  `assertions.view_shift` are closed forms of.
+- The assertion terms (`true`, `false`, `obs(n)`, `credit` and `*`) that
+  busycheck holds only as normal forms, with `flat_of`, a term's normal form
+  read back from the certificate table the term makes, and the
+  resource-bundle model: `satisfies` is the separating-conjunction model of
+  terms that `satisfies_flat` on normal forms and `assertions.view_shift`
+  are held to.
 - `is_fair_prefix`, the sliding-window fairness check on finite traces that
   the schedulers must pass.
 - `FixedScheduler` and `run_schedule`, which replay a scripted tid sequence.
@@ -15,22 +18,78 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from busycheck.assertions import (
-    Assertion,
-    Bottom,
-    Credit,
-    FalseA,
-    NormalizedAssertion,
-    Obs,
-    Star,
-    TrueA,
-)
+from busycheck.assertions import Assertion, Bottom, normalize
 from busycheck.ghost import AnnotatedThread
 from busycheck.lang import Command
 from busycheck.proofs import ProofTree
 from busycheck.semantics import RunOutcome, ThreadPool, TraceStep, run
 
-# --- the bundle model of assertions --------------------------------------------
+# --- assertion terms and their bundle model --------------------------------------
+
+
+class Term:
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class TrueA(Term):
+    pass
+
+
+@dataclass(frozen=True)
+class FalseA(Term):
+    pass
+
+
+@dataclass(frozen=True)
+class Obs(Term):
+    count: int
+
+
+@dataclass(frozen=True)
+class Credit(Term):
+    pass
+
+
+@dataclass(frozen=True)
+class Star(Term):
+    left: Term
+    right: Term
+
+
+TRUE = TrueA()
+FALSE = FalseA()
+CREDIT = Credit()
+
+
+def star(*parts: Term) -> Term:
+    """Left-associated separating conjunction of the given parts."""
+    if not parts:
+        return TRUE
+    acc = parts[0]
+    for p in parts[1:]:
+        acc = Star(acc, p)
+    return acc
+
+
+_TAGS = {TrueA: "true", FalseA: "false", Credit: "credit"}
+
+
+def flat_of(a: Term) -> Assertion:
+    """The normal form of `a`, written as a certificate's `asserts` table, one
+    entry per subterm, in the form `proofs` reads it, and normalized there."""
+    table: list[tuple] = []
+
+    def entry(x: Term) -> int:
+        if isinstance(x, Star):
+            table.append(("star", entry(x.left), entry(x.right)))
+        elif isinstance(x, Obs):
+            table.append(("obs", x.count))
+        else:
+            table.append((_TAGS[type(x)],))
+        return len(table) - 1
+
+    return normalize(table, entry(a), {})
 
 
 @dataclass(frozen=True)
@@ -58,7 +117,7 @@ def _splits(b: ResourceBundle):
             yield ResourceBundle(left, c), ResourceBundle(right, b.credits - c)
 
 
-def satisfies(b: ResourceBundle, a: Assertion) -> bool:
+def satisfies(b: ResourceBundle, a: Term) -> bool:
     """Model relation: `true` always; `a1 * a2` by existence of a bundle split;
     `obs(n)` iff some chunk holds exactly n; `credit` iff credits >= 1."""
     if isinstance(a, TrueA):
@@ -76,7 +135,7 @@ def satisfies(b: ResourceBundle, a: Assertion) -> bool:
     raise TypeError(f"not an assertion: {a!r}")
 
 
-def satisfies_flat(b: ResourceBundle, f: NormalizedAssertion) -> bool:
+def satisfies_flat(b: ResourceBundle, f: Assertion) -> bool:
     if isinstance(f, Bottom):
         return False
     return _multiset_leq(f.obs, b.chunks) and b.credits >= f.credits

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from busycheck.assertions import CREDIT, FALSE, Obs, Star, normalize, state_assertion, view_shift
+from busycheck.assertions import BOTTOM, Flat, state_assertion, view_shift
 from busycheck.cli import main
 from busycheck.ghost import (
     LOOP_HOLDS_OBLIGATION,
@@ -91,10 +91,10 @@ def test_criterion_1_certificate_regression(tmp_path, capsys):
         # and a shift-free Loop with pre obs(0) * credit; the same root node
         # carries the final false-to-obs(0) shift
         assert tree.rule is Rule.VIEW_SHIFT
-        assert normalize(tree.conclusion.pre) == normalize(Obs(0))
-        assert normalize(tree.conclusion.post) == normalize(Obs(0))
-        assert normalize(tree.data.inner_pre) == normalize(Star(Obs(1), CREDIT))  # pair intro
-        assert normalize(tree.data.inner_post) == normalize(FALSE)  # final shift source
+        assert tree.conclusion.pre == Flat((0,), 0)
+        assert tree.conclusion.post == Flat((0,), 0)
+        assert tree.data.inner_pre == Flat((1,), 1)  # pair intro
+        assert tree.data.inner_post == BOTTOM  # final shift source
 
         seq = tree.premises[0]
         assert seq.rule is Rule.SEQ
@@ -104,10 +104,10 @@ def test_criterion_1_certificate_regression(tmp_path, capsys):
         child = fork.premises[0]
         assert child.rule is Rule.VIEW_SHIFT
         assert child.premises[0].rule is Rule.EXIT
-        assert normalize(child.premises[0].conclusion.pre) == normalize(Obs(1))
-        assert normalize(child.data.inner_post) == normalize(FALSE)
+        assert child.premises[0].conclusion.pre == Flat((1,), 0)
+        assert child.data.inner_post == BOTTOM
         assert loop.rule is Rule.LOOP  # no ViewShift wrapper around the loop
-        assert normalize(loop.conclusion.pre) == normalize(Star(Obs(0), CREDIT))
+        assert loop.conclusion.pre == Flat((0,), 1)
 
         assert check_proof(tree) is None
 

@@ -2,20 +2,19 @@ import itertools
 import random
 from collections import Counter, deque
 
-from busycheck.assertions import (
-    BOTTOM,
+from busycheck.assertions import BOTTOM, Flat, normalize, state_assertion, view_shift
+from reference import (
     CREDIT,
     FALSE,
-    Flat,
-    Obs,
-    Star,
     TRUE,
-    normalize,
+    Obs,
+    ResourceBundle,
+    Star,
+    flat_of,
+    satisfies,
+    satisfies_flat,
     star,
-    state_assertion,
-    view_shift,
 )
-from reference import ResourceBundle, satisfies, satisfies_flat
 
 # bundles with chunk values in 0..3, multiplicity <= 2, credits <= 3
 SMALL_BUNDLES = [
@@ -61,9 +60,17 @@ def test_bundle_union_is_commutative_monoid():
 
 
 def test_normalize_examples():
-    assert normalize(Star(CREDIT, Star(Obs(2), CREDIT))) == Flat((2,), 2)
-    assert normalize(Star(TRUE, Obs(0))) == Flat((0,), 0)
-    assert normalize(Star(FALSE, CREDIT)) is BOTTOM
+    # entries as `proofs` reads an `asserts` table
+    table = [("credit",), ("obs", 2), ("star", 0, 1), ("star", 2, 0), ("true",), ("star", 4, 1), ("false",)]
+    table.append(("star", 6, 0))
+    memo = {}
+    assert normalize(table, 3, memo) == Flat((2,), 2)  # (credit * obs(2)) * credit
+    assert normalize(table, 5, memo) == Flat((2,), 0)  # true * obs(2)
+    assert normalize(table, 7, memo) is BOTTOM  # false * credit
+    assert normalize(table, 4, memo) == Flat((), 0)
+    assert sorted(memo) == [3, 4, 5, 7]  # only the entries asked for
+    assert normalize(table, 3, {2: Flat((5,), 0)}) == Flat((5,), 1)  # a kept form is not walked again
+    assert flat_of(Star(CREDIT, Star(Obs(2), CREDIT))) == Flat((2,), 2)
 
 
 def test_normalize_preserves_satisfaction():
@@ -71,7 +78,7 @@ def test_normalize_preserves_satisfaction():
     for _ in range(1000):
         a = _random_assertion(rng)
         b = rng.choice(SMALL_BUNDLES)
-        assert satisfies(b, a) == satisfies_flat(b, normalize(a))
+        assert satisfies(b, a) == satisfies_flat(b, flat_of(a))
 
 
 def test_satisfaction_monotone_under_union():
@@ -84,23 +91,41 @@ def test_satisfaction_monotone_under_union():
             assert satisfies(b.union(extra), a)
 
 
+def _shift(a, b):
+    """`view_shift` between the normal forms of two terms."""
+    return view_shift(flat_of(a), flat_of(b))
+
+
 def test_view_shift_examples():
-    assert view_shift(Obs(0), Star(Obs(1), CREDIT))
-    assert view_shift(FALSE, Obs(0))
-    assert not view_shift(Obs(0), Star(Obs(0), Obs(0)))
+    assert _shift(Obs(0), Star(Obs(1), CREDIT))
+    assert _shift(FALSE, Obs(0))
+    assert not _shift(Obs(0), Star(Obs(0), Obs(0)))
 
 
 def test_view_shift_cancellation_direction():
-    assert view_shift(Star(Obs(1), CREDIT), Obs(0))
-    assert not view_shift(Obs(1), Obs(0))
+    assert _shift(Star(Obs(1), CREDIT), Obs(0))
+    assert not _shift(Obs(1), Obs(0))
 
 
 def test_view_shift_cannot_mint_a_lone_credit():
-    assert not view_shift(Obs(0), Star(Obs(0), CREDIT))
+    assert not _shift(Obs(0), Star(Obs(0), CREDIT))
 
 
-def _as_assertion(f: Flat):
+def _term(f: Flat):
     return star(*map(Obs, f.obs), *[CREDIT] * f.credits)
+
+
+def test_view_shift_includes_entailment_in_the_bundle_model():
+    # weakening: when every small bundle that satisfies the term of `src`
+    # satisfies the term of `dst`, `src` shifts to `dst` (the least bundle
+    # of each `src` here is a small bundle, so no `src` holds vacuously)
+    flats = [Flat(chunks, k) for chunks in {b.chunks for b in SMALL_BUNDLES} for k in range(3)]
+    models = {f: {b for b in SMALL_BUNDLES if satisfies(b, _term(f))} for f in flats}
+    for src in flats:
+        assert models[src] and not view_shift(src, BOTTOM)
+        for dst in flats:
+            if models[src] <= models[dst]:
+                assert view_shift(src, dst), (src, dst)
 
 
 def _shift_reference(src: Flat, dst: Flat) -> bool:
@@ -134,8 +159,8 @@ def _shift_reference(src: Flat, dst: Flat) -> bool:
 
 
 def test_view_shift_decides_multi_chunk_examples():
-    assert view_shift(FALSE, Obs(3)) is True
-    assert view_shift(Obs(0), Star(Obs(0), Obs(0))) is False
+    assert _shift(FALSE, Obs(3)) is True
+    assert _shift(Obs(0), Star(Obs(0), Obs(0))) is False
     # multi-chunk shifts are decided, never left open
     for src, dst, expected in [
         (Flat((1, 2), 0), Flat((1, 2), 0), True),
@@ -145,7 +170,7 @@ def test_view_shift_decides_multi_chunk_examples():
         (Flat((1, 2), 0), Flat((0, 0), 3), False),
         (Flat((1, 2), 3), Flat((0, 0), 0), True),
     ]:
-        assert view_shift(_as_assertion(src), _as_assertion(dst)) is expected, (src, dst)
+        assert view_shift(src, dst) is expected, (src, dst)
         assert _shift_reference(src, dst) is expected, (src, dst)
 
 
@@ -153,16 +178,16 @@ def test_view_shift_matches_brute_force_on_single_chunks():
     for n, n2, k, k2 in itertools.product(range(4), repeat=4):
         left = Flat((n,), k)
         right = Flat((n2,), k2)
-        decided = view_shift(_as_assertion(left), _as_assertion(right))
+        decided = view_shift(left, right)
         assert decided == _shift_reference(left, right)
         assert decided == (n - k <= n2 - k2)
 
 
 def test_view_shift_acts_under_star_context():
     # pair moves apply to one obs atom inside a larger conjunction
-    assert view_shift(star(Obs(0), Obs(1)), star(Obs(1), Obs(1), CREDIT))
-    assert view_shift(star(Obs(2), Obs(0), CREDIT), star(Obs(1), Obs(0)))
-    assert not view_shift(star(Obs(0), Obs(0)), star(Obs(0), Obs(0), CREDIT))
+    assert _shift(star(Obs(0), Obs(1)), star(Obs(1), Obs(1), CREDIT))
+    assert _shift(star(Obs(2), Obs(0), CREDIT), star(Obs(1), Obs(0)))
+    assert not _shift(star(Obs(0), Obs(0)), star(Obs(0), Obs(0), CREDIT))
 
 
 def test_saturation_agrees_with_reference_on_two_chunk_flats():
@@ -177,15 +202,15 @@ def test_saturation_agrees_with_reference_on_two_chunk_flats():
     for src in flats:
         for dst in flats + singles + empties:
             expected = _shift_reference(src, dst)
-            assert view_shift(_as_assertion(src), _as_assertion(dst)) is expected, (src, dst)
+            assert view_shift(src, dst) is expected, (src, dst)
 
 
 def test_view_shift_never_reaches_bottom_from_satisfiable():
     rng = random.Random(85)
     for _ in range(200):
-        a = _random_assertion(rng, depth=2)
-        if normalize(a) is not BOTTOM:
-            assert view_shift(a, FALSE) is False
+        a = flat_of(_random_assertion(rng, depth=2))
+        if a is not BOTTOM:
+            assert view_shift(a, BOTTOM) is False
 
 
 def test_view_shift_ledger_quantity_never_decreases():

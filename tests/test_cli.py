@@ -221,9 +221,31 @@ def test_check_proof_checks_the_claim_not_only_the_rules(tmp_path, capsys):
     cert.write_text(_v2(["loop skip"], ["false", {"obs": 0}, "credit", {"star": [1, 2]}], [loop, shift], 1))
     assert check_proof(load_certificate(str(cert))) is None  # the library checks rules only
     assert main(["check-proof", str(cert)]) == 1
-    assert capsys.readouterr().out == (
-        "RuleViolation root: certificate does not prove {obs(0)} c {obs(0)}\n"
-    )
+    unproved = "RuleViolation root: certificate does not prove {obs(0)} c {obs(0)}\n"
+    assert capsys.readouterr().out == unproved
+    # a hand-written root pre that `verify` would write otherwise answers as
+    # its normal form does; `written` follows the two entries of EXIT_TABLES
+    for written, code, out in [
+        (["credit", {"star": [2, 0]}], 1, unproved),  # credit * obs(0)
+        (["true", {"star": [2, 0]}], 0, "Ok\n"),  # true * obs(0)
+        (["true", {"star": [2, 0]}, {"star": [3, 2]}, {"star": [4, 2]}], 0, "Ok\n"),  # ((true * obs(0)) * true) * true
+        (["credit", {"star": [2, 0]}, {"star": [3, 2]}], 1, unproved),  # (credit * obs(0)) * credit
+    ]:
+        root = {**EXIT_SHIFT, "pre": 1 + len(written)}
+        cert.write_text(_v2(["exit"], [*EXIT_TABLES[1], *written], [EXIT_LEAF, root], 1))
+        assert check_proof(load_certificate(str(cert))) is None, written
+        assert main(["check-proof", str(cert)]) == code, written
+        assert capsys.readouterr().out == out, written
+
+
+def test_check_proof_reads_a_50000_entry_star_chain_in_linear_time(tmp_path, capsys):
+    # entry k + 1 is entry k * obs(0), and only the last is named: the reader
+    # flattens that entry alone, in one walk, never each entry of the chain
+    cert = tmp_path / "chain.json"
+    chain = [{"obs": 0}] + [{"star": [k, 0]} for k in range(50_000)] + ["false"]
+    cert.write_text(_v2(["exit"], chain, [{**EXIT_LEAF, "pre": 50_000, "post": 50_001}], 0))
+    assert main(["check-proof", str(cert)]) == 1
+    assert capsys.readouterr() == ("RuleViolation root: Exit precondition must be obs(n)\n", "")
 
 
 def test_check_proof_compares_deep_commands_without_recursion(tmp_path, capsys):

@@ -364,11 +364,9 @@ def test_annotate_rejects_a_trace_of_another_program(waiting_pair):
 
 def test_annotate_rejects_unchecked_proof(waiting_pair):
     from busycheck.proofs import HoareTriple, ProofTree, Rule
-    from busycheck.assertions import FALSE, Obs, Star, CREDIT
+    from busycheck.assertions import BOTTOM, Flat
 
-    bogus = ProofTree(
-        HoareTriple(Star(Obs(1), CREDIT), LOOP_SKIP, FALSE), Rule.LOOP
-    )
+    bogus = ProofTree(HoareTriple(Flat((1,), 1), LOOP_SKIP, BOTTOM), Rule.LOOP)
     _, trace = run_schedule(initial_pool(waiting_pair), [0, 1])
     with pytest.raises(AnnotationError):
         annotate(waiting_pair, bogus, trace)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from busycheck.assertions import BOTTOM, CREDIT, FALSE, TRUE
+from busycheck.assertions import BOTTOM, Flat
 from busycheck.harness import GenConfig, enumerate_programs, gen_program
 from busycheck.lang import (
     DONE,
@@ -199,10 +199,10 @@ def test_same_command_agrees_with_equality():
         other = rng.choice(programs)
         assert same_command(other, c) == (other == c)
     assert not same_command(DONE, EXIT) and not same_command(EXIT, DONE)
-    # commands, assertions and run outcomes stay dataclasses: as tuples, the
+    # commands, Bottom and run outcomes stay dataclasses: as tuples, the
     # fieldless ones would all equal (), and Terminated(3) would equal AbruptExit(3)
     assert EXIT != LOOP_SKIP and EXIT != DONE and LOOP_SKIP != ()
-    assert TRUE != FALSE != CREDIT != TRUE and BOTTOM != ()
+    assert BOTTOM != () and BOTTOM != Flat((), 0)
     assert Terminated(3) != AbruptExit(3)
 
 

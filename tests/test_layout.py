@@ -17,6 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "busycheck"
 # where it stands; nothing in the package calls them.
 EXEMPT = {
     "cli.explore": "the tracer wraps it to count explored states under `cli`",
+    "ghost.normalize_assertion": "the tracer wraps it as `assertions.normalize`",
     "harness.explore": "the tracer wraps it to count explored states under `harness`",
     "proofs.parse": "the tracer wraps it to count parsed atoms under `proofs`",
     "proofs.view_shift_status": "the tracer wraps it as `assertions.view_shift`",

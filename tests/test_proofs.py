@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,16 +9,7 @@ import pytest
 import busycheck.assertions
 import busycheck.lang
 import busycheck.proofs
-from busycheck.assertions import (
-    CREDIT,
-    FALSE,
-    OBS_ZERO,
-    Obs,
-    Star,
-    normalize,
-    state_assertion,
-    view_shift,
-)
+from busycheck.assertions import BOTTOM, OBS_ZERO, Flat, flat_add, state_assertion, view_shift
 from busycheck.harness import GenConfig, enumerate_programs, gen_program
 from busycheck.lang import (
     EXIT,
@@ -57,30 +49,30 @@ TWO_LEVEL = parse("fork { fork { loop skip }; exit }; loop skip")
 
 def _waiting_pair_tree():
     """The waiting-pair derivation written out by hand."""
-    exit_leaf = ProofTree(HoareTriple(Obs(1), EXIT, FALSE), Rule.EXIT)
+    exit_leaf = ProofTree(HoareTriple(Flat((1,), 0), EXIT, BOTTOM), Rule.EXIT)
     child = ProofTree(
-        HoareTriple(Obs(1), EXIT, Obs(0)),
+        HoareTriple(Flat((1,), 0), EXIT, OBS_ZERO),
         Rule.VIEW_SHIFT,
         (exit_leaf,),
-        ShiftData(Obs(1), FALSE),
+        ShiftData(Flat((1,), 0), BOTTOM),
     )
     fork = ProofTree(
-        HoareTriple(Star(Obs(1), CREDIT), Fork(EXIT), Star(Obs(0), CREDIT)),
+        HoareTriple(Flat((1,), 1), Fork(EXIT), Flat((0,), 1)),
         Rule.FORK,
         (child,),
         ForkSplit(1, 0),
     )
-    loop = ProofTree(HoareTriple(Star(Obs(0), CREDIT), LOOP_SKIP, FALSE), Rule.LOOP)
+    loop = ProofTree(HoareTriple(Flat((0,), 1), LOOP_SKIP, BOTTOM), Rule.LOOP)
     seq = ProofTree(
-        HoareTriple(Star(Obs(1), CREDIT), WAITING_PAIR, FALSE),
+        HoareTriple(Flat((1,), 1), WAITING_PAIR, BOTTOM),
         Rule.SEQ,
         (fork, loop),
     )
     return ProofTree(
-        HoareTriple(Obs(0), WAITING_PAIR, Obs(0)),
+        HoareTriple(OBS_ZERO, WAITING_PAIR, OBS_ZERO),
         Rule.VIEW_SHIFT,
         (seq,),
-        ShiftData(Star(Obs(1), CREDIT), FALSE),
+        ShiftData(Flat((1,), 1), BOTTOM),
     )
 
 
@@ -94,7 +86,7 @@ def test_check_accepts_identity_shift_around_loop():
     seq = tree.premises[0]
     fork, loop = seq.premises
     wrapped_loop = ProofTree(
-        loop.conclusion, Rule.VIEW_SHIFT, (loop,), ShiftData(loop.conclusion.pre, FALSE)
+        loop.conclusion, Rule.VIEW_SHIFT, (loop,), ShiftData(loop.conclusion.pre, BOTTOM)
     )
     rebuilt = ProofTree(
         tree.conclusion,
@@ -106,7 +98,7 @@ def test_check_accepts_identity_shift_around_loop():
 
 
 def test_check_rejects_loop_holding_an_obligation():
-    leaf = ProofTree(HoareTriple(Star(Obs(1), CREDIT), LOOP_SKIP, FALSE), Rule.LOOP)
+    leaf = ProofTree(HoareTriple(Flat((1,), 1), LOOP_SKIP, BOTTOM), Rule.LOOP)
     violation = check_proof(leaf)
     assert isinstance(violation, RuleViolation)
     assert violation.path == ()
@@ -114,24 +106,24 @@ def test_check_rejects_loop_holding_an_obligation():
 
 
 def test_check_accepts_exit_with_any_chunk():
-    leaf = ProofTree(HoareTriple(Obs(2), EXIT, FALSE), Rule.EXIT)
+    leaf = ProofTree(HoareTriple(Flat((2,), 0), EXIT, BOTTOM), Rule.EXIT)
     assert check_proof(leaf) is None
 
 
 def test_check_rejects_exit_with_credits_attached():
-    leaf = ProofTree(HoareTriple(Star(Obs(2), CREDIT), EXIT, FALSE), Rule.EXIT)
+    leaf = ProofTree(HoareTriple(Flat((2,), 1), EXIT, BOTTOM), Rule.EXIT)
     assert check_proof(leaf) is not None
 
 
 def test_check_reports_path_to_deep_violation():
     tree = _waiting_pair_tree()
     # corrupt the exit leaf: posts must be false
-    bad_leaf = ProofTree(HoareTriple(Obs(1), EXIT, Obs(0)), Rule.EXIT)
+    bad_leaf = ProofTree(HoareTriple(Flat((1,), 0), EXIT, OBS_ZERO), Rule.EXIT)
     bad_child = ProofTree(
-        HoareTriple(Obs(1), EXIT, Obs(0)),
+        HoareTriple(Flat((1,), 0), EXIT, OBS_ZERO),
         Rule.VIEW_SHIFT,
         (bad_leaf,),
-        ShiftData(Obs(1), Obs(0)),
+        ShiftData(Flat((1,), 0), OBS_ZERO),
     )
     bad_fork = ProofTree(
         tree.premises[0].premises[0].conclusion,
@@ -152,24 +144,24 @@ def test_check_reports_path_to_deep_violation():
 
 def _shifted_exit(*shifts):
     """`{obs(0)} exit {false}` under nested ViewShift nodes, innermost last."""
-    tree = ProofTree(HoareTriple(Obs(0), EXIT, FALSE), Rule.EXIT)
+    tree = ProofTree(HoareTriple(OBS_ZERO, EXIT, BOTTOM), Rule.EXIT)
     for pre in reversed(shifts):
         tree = ProofTree(
-            HoareTriple(pre, EXIT, FALSE),
+            HoareTriple(pre, EXIT, BOTTOM),
             Rule.VIEW_SHIFT,
             (tree,),
-            ShiftData(tree.conclusion.pre, FALSE),
+            ShiftData(tree.conclusion.pre, BOTTOM),
         )
     return tree
 
 
 def test_check_accepts_multi_chunk_view_shifts():
-    assert check_proof(_shifted_exit(Star(Obs(30), Obs(30)))) is None
-    assert check_proof(_shifted_exit(Star(Obs(0), Obs(30)), Star(Obs(30), Obs(30)))) is None
+    assert check_proof(_shifted_exit(Flat((30, 30), 0))) is None
+    assert check_proof(_shifted_exit(Flat((0, 30), 0), Flat((30, 30), 0))) is None
 
 
 def test_check_rejects_an_invalid_multi_chunk_view_shift():
-    tampered = _shifted_exit(Star(Obs(1), Obs(2)), Star(Obs(0), Obs(0)))
+    tampered = _shifted_exit(Flat((1, 2), 0), Flat((0, 0), 0))
     assert str(check_proof(tampered)) == "root: pre-side view shift invalid"
 
 
@@ -192,8 +184,8 @@ def test_derive_waiting_pair_certificate_shape():
     tree = derive(WAITING_PAIR, 0)
     assert tree is not None and check_proof(tree) is None
     assert tree.rule is Rule.VIEW_SHIFT
-    assert normalize(tree.data.inner_pre) == normalize(Star(Obs(1), CREDIT))
-    assert normalize(tree.data.inner_post) == normalize(FALSE)
+    assert tree.data.inner_pre == Flat((1,), 1)
+    assert tree.data.inner_post == BOTTOM
     seq = tree.premises[0]
     assert seq.rule is Rule.SEQ
     fork, loop = seq.premises
@@ -202,7 +194,7 @@ def test_derive_waiting_pair_certificate_shape():
     assert shifted_exit.rule is Rule.VIEW_SHIFT
     assert shifted_exit.premises[0].rule is Rule.EXIT
     assert loop.rule is Rule.LOOP
-    assert normalize(loop.conclusion.pre) == normalize(Star(Obs(0), CREDIT))
+    assert loop.conclusion.pre == Flat((0,), 1)
 
 
 def test_derive_rejects_bare_loop():
@@ -218,7 +210,7 @@ def test_derive_two_level_fork():
 def test_derive_with_nonzero_start():
     tree = derive(parse("exit"), 2)
     assert tree is not None and check_proof(tree) is None
-    assert normalize(tree.conclusion.pre) == normalize(Obs(2))
+    assert tree.conclusion.pre == Flat((2,), 0)
 
 
 def test_verify_examples():
@@ -237,8 +229,8 @@ def test_every_derived_tree_checks():
         tree = verify(c)
         if tree is not None:
             assert check_proof(tree) is None, pretty(c)
-            assert normalize(tree.conclusion.pre) == normalize(Obs(0))
-            assert normalize(tree.conclusion.post) == normalize(Obs(0))
+            assert tree.conclusion.pre == OBS_ZERO
+            assert tree.conclusion.post == OBS_ZERO
 
 
 def test_empirical_soundness_small():
@@ -260,13 +252,13 @@ def test_frame_compliance():
         tree = verify(c)
         framed = ProofTree(
             HoareTriple(
-                Star(tree.conclusion.pre, CREDIT),
+                flat_add(tree.conclusion.pre, Flat((), 1)),
                 tree.conclusion.cmd,
-                Star(tree.conclusion.post, CREDIT),
+                flat_add(tree.conclusion.post, Flat((), 1)),
             ),
             Rule.FRAME,
             (tree,),
-            FrameData(CREDIT),
+            FrameData(Flat((), 1)),
         )
         assert check_proof(framed) is None
 
@@ -275,13 +267,13 @@ def test_frame_must_be_obligation_free():
     tree = verify(parse("exit"))
     framed = ProofTree(
         HoareTriple(
-            Star(tree.conclusion.pre, Obs(0)),
+            flat_add(tree.conclusion.pre, OBS_ZERO),
             tree.conclusion.cmd,
-            Star(tree.conclusion.post, Obs(0)),
+            flat_add(tree.conclusion.post, OBS_ZERO),
         ),
         Rule.FRAME,
         (tree,),
-        FrameData(Obs(0)),
+        FrameData(OBS_ZERO),
     )
     violation = check_proof(framed)
     assert violation is not None and "obs" in violation.reason
@@ -343,6 +335,21 @@ def test_certificate_round_trip(tmp_path):
     assert check_proof(loaded) is None
 
 
+def test_certificates_up_to_6_atoms_are_pinned_and_round_trip():
+    # sha256 over the text `save_certificate` writes for every Verified
+    # program of up to 6 atoms, in enumeration order; the same loop over 7
+    # atoms gives 5cb01b9170bd47b6303824c5708b3cfdfd52067e2aad7fae0c336db82a6a0a6b
+    digest = hashlib.sha256()
+    for c in enumerate_programs(6):
+        tree = verify(c)
+        if tree is None:
+            continue
+        cert = to_json_dict(tree)
+        digest.update((json.dumps(cert, separators=(",", ":")) + "\n").encode())
+        assert to_json_dict(from_json_dict(cert)) == cert, pretty(c)
+    assert digest.hexdigest() == "3359f0d7c5517d863a24f20bed1955d2f1865e96494275391848b3120988a58d"
+
+
 def test_certificate_is_single_line_and_linear_in_size(tmp_path):
     sizes = []
     for n in (400, 800):
@@ -355,17 +362,17 @@ def test_certificate_is_single_line_and_linear_in_size(tmp_path):
     assert sizes[0] < 200_000 and sizes[1] <= 2.1 * sizes[0]
 
 
-def _subterms(term):
-    stack = [term]
+def _subterms(cmd):
+    stack = [cmd]
     while stack:
         x = stack.pop()
         yield x
-        stack += [getattr(x, f.name) for f in dataclasses.fields(x) if f.name != "count"]
+        stack += [getattr(x, f.name) for f in dataclasses.fields(x)]
 
 
 def test_loaded_premises_reuse_the_conclusions_subterms():
-    # equal terms load as one object, so a premise's command is the very
-    # sub-command its rule names
+    # equal commands load as one object, so a premise's command is the very
+    # sub-command its rule names; an assertion entry loads as one normal form
     tree = from_json_dict(to_json_dict(verify(TWO_LEVEL)))
     objects, stack = {}, [tree]
     while stack:
@@ -375,12 +382,11 @@ def test_loaded_premises_reuse_the_conclusions_subterms():
             first, second = t.premises
             assert first.conclusion.cmd is t.conclusion.cmd.first
             assert second.conclusion.cmd is t.conclusion.cmd.second
-        terms = [t.conclusion.pre, t.conclusion.cmd, t.conclusion.post]
+        terms = [t.conclusion.pre, *_subterms(t.conclusion.cmd), t.conclusion.post]
         if isinstance(t.data, ShiftData):
             terms += [t.data.inner_pre, t.data.inner_post]
-        for term in terms:
-            for x in _subterms(term):
-                assert objects.setdefault(x, x) is x
+        for x in terms:
+            assert objects.setdefault(x, x) is x
 
 
 def test_loading_parses_nothing(monkeypatch, tmp_path):
@@ -461,6 +467,64 @@ def test_certificate_rejects_garbage(tmp_path):
         from_json_dict({"rule": "Exit"})
 
 
+_EXIT_LEAF = {"rule": "Exit", "pre": 0, "cmd": 0, "post": 1, "premises": []}
+
+
+def _with_tables(cmds=("exit",), asserts=({"obs": 0}, "false")):
+    """A certificate of one Exit leaf whose tables are `cmds` and `asserts`."""
+    return {"format": 2, "cmds": list(cmds), "asserts": list(asserts), "nodes": [_EXIT_LEAF], "root": 0}
+
+
+def _cmds(*extra):
+    return _with_tables(cmds=["exit", *extra])
+
+
+def _asserts(*extra):
+    return _with_tables(asserts=[{"obs": 0}, "false", *extra])
+
+
+@pytest.mark.parametrize(
+    "cert, message",
+    [
+        (_cmds({"exit": 0}), "cmds[1]: 'exit' takes 0 parts, not 1"),
+        (_cmds({"loop skip": [0]}), "cmds[1]: 'loop skip' takes 0 parts, not 1"),
+        (_cmds("fork"), "cmds[1]: 'fork' takes 1 part, not 0"),
+        (_cmds({"fork": [0, 0]}), "cmds[1]: 'fork' takes 1 part, not 2"),
+        (_cmds({"seq": 0}), "cmds[1]: 'seq' takes 2 parts, not 1"),
+        (_cmds({"seq": [0, 0, 0]}), "cmds[1]: 'seq' takes 2 parts, not 3"),
+        (_cmds("seq"), "cmds[1]: 'seq' takes 2 parts, not 0"),
+        (_cmds("bogus"), "cmds[1] has the unknown tag 'bogus'"),
+        (_cmds({"obs": 0}), "cmds[1] has the unknown tag 'obs'"),
+        (_cmds(5), "cmds[1] is not a tag or an object of one tag"),
+        (_cmds({"fork": 0, "seq": [0, 0]}), "cmds[1] is not a tag or an object of one tag"),
+        (_cmds({}), "cmds[1] is not a tag or an object of one tag"),
+        (_cmds({"fork": 1}), "1 is not the index of an earlier entry"),
+        (_cmds({"fork": "0"}), "'0' is not the index of an earlier entry"),
+        (_cmds({"seq": [0, 0]}, {"seq": [1, 0]}), "the first part of a seq is a seq"),
+        ({**_with_tables(), "cmds": {"exit": 0}}, "cmds is not a list"),
+        (_with_tables(asserts=[{"credit": 0}, {"obs": 0}, "false"]), "asserts[0]: 'credit' takes 0 parts, not 1"),
+        (_asserts({"true": 0}), "asserts[2]: 'true' takes 0 parts, not 1"),
+        (_asserts({"false": [0]}), "asserts[2]: 'false' takes 0 parts, not 1"),
+        (_asserts("obs"), "asserts[2]: 'obs' takes 1 part, not 0"),
+        (_asserts({"obs": [1, 2]}), "asserts[2]: 'obs' takes 1 part, not 2"),
+        (_asserts({"obs": -1}), "-1 is not a count"),
+        (_asserts({"obs": True}), "True is not a count"),
+        (_asserts({"star": [0]}), "asserts[2]: 'star' takes 2 parts, not 1"),
+        (_asserts("star"), "asserts[2]: 'star' takes 2 parts, not 0"),
+        (_asserts({"star": [0, 1, 0]}), "asserts[2]: 'star' takes 2 parts, not 3"),
+        (_asserts({"star": [0, 1]}, {"star": [0, 2]}), "the right part of a star is a star"),
+        (_asserts({"star": [0, 3]}), "3 is not the index of an earlier entry"),
+        (_asserts("exit"), "asserts[2] has the unknown tag 'exit'"),
+        (_asserts(["obs", 0]), "asserts[2] is not a tag or an object of one tag"),
+        ({**_with_tables(), "asserts": None}, "asserts is not a list"),
+    ],
+)
+def test_malformed_table_entries_are_refused_with_a_message(cert, message):
+    with pytest.raises(CertificateError) as caught:
+        from_json_dict(cert)
+    assert str(caught.value) == "malformed certificate: " + message
+
+
 def test_tree_size_counts_nodes():
     # root shift, seq, fork, child shift, exit leaf, loop leaf
     assert tree_size(_waiting_pair_tree()) == 6
@@ -531,15 +595,15 @@ class _ReferenceSearch:
         last = cmd
         while isinstance(last, Seq):
             last = last.second
-        required = FALSE if isinstance(last, (Exit, LoopSkip)) else OBS_ZERO
+        required = BOTTOM if isinstance(last, (Exit, LoopSkip)) else OBS_ZERO
         t = self.seq((obs_count, credit_count), cmd, required)
-        if t is not None and required is FALSE:
+        if t is not None and required is BOTTOM:
             t = _wrap(t, t.conclusion.pre, OBS_ZERO)
         self.memo[key] = t
         return t
 
     def seq(self, state, cmd, required):
-        key = (id(cmd), state, required is FALSE)
+        key = (id(cmd), state, required is BOTTOM)
         if key not in self.memo:
             self.memo[key] = self._seq_uncached(state, cmd, required)
         return self.memo[key]
@@ -548,7 +612,7 @@ class _ReferenceSearch:
         if state is None:  # dead code after exit or loop skip
             absorbing, need = self._features(cmd)
             t = self.seq((0, 0 if absorbing else need), cmd, required)
-            return None if t is None else _wrap(t, FALSE, required)
+            return None if t is None else _wrap(t, BOTTOM, required)
         if not self.feasible(cmd, *state):
             return None
         first, rest = (cmd.first, cmd.second) if isinstance(cmd, Seq) else (cmd, None)
@@ -569,7 +633,7 @@ class _ReferenceSearch:
 
     def _finish_atom(self, node1, required):
         post = node1.conclusion.post
-        if normalize(post) == normalize(required):
+        if post == required:
             return node1
         if view_shift(post, required):
             return _wrap(node1, node1.conclusion.pre, required)
@@ -578,12 +642,12 @@ class _ReferenceSearch:
     def _atom_options(self, state, atom, rest):
         o, c = state
         if isinstance(atom, Exit):
-            node = ProofTree(HoareTriple(state_assertion(o, 0), atom, FALSE), Rule.EXIT)
+            node = ProofTree(HoareTriple(state_assertion(o, 0), atom, BOTTOM), Rule.EXIT)
             yield (o, 0), node, None
             return
         if isinstance(atom, LoopSkip):
             if c >= o + 1:
-                node = ProofTree(HoareTriple(state_assertion(0, 1), atom, FALSE), Rule.LOOP)
+                node = ProofTree(HoareTriple(state_assertion(0, 1), atom, BOTTOM), Rule.LOOP)
                 yield (0, 1), node, None
             return
         for delta in _ghost_deltas(o, c, self.intro_budget):
