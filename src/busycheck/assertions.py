@@ -4,10 +4,10 @@
 `credit` at least one busy-wait credit; assertions join them with `*`, `true`
 and `false`.  The verifier holds only their normal forms: Bottom when `false`
 occurs, else a flat form, the multiset of obs atoms and the count of credit
-atoms.  Terms exist only in certificates, whose tables `normalize` reads.
-Their meaning is the separating-conjunction model over resource bundles
-(chunk values plus a credit count), which is affine; the tests hold the forms
-here to it (`satisfies` in `tests/reference.py`).
+atoms.  Terms exist only in certificates, whose tables `summarize` and
+`normalize` read.  Their meaning is the separating-conjunction model over
+resource bundles (chunk values plus a credit count), which is affine; the
+tests hold the forms here to it (`satisfies` in `tests/reference.py`).
 
 A view shift, the logic's only implication, may trade `obs(n)` for
 `obs(n+1) * credit` and back (pairs are spawned and cancelled together),
@@ -49,34 +49,47 @@ def flat_add(x: Assertion, y: Assertion) -> Assertion:
     return Flat(tuple(sorted(x.obs + y.obs)), x.credits + y.credits)
 
 
-def normalize(table: list[tuple], i: int, memo: dict[int, Assertion]) -> Assertion:
-    """The normal form of entry `i` of a certificate's `asserts` table.
+# What `summarize` gives for each entry tag that takes no parts.
+_LEAVES = {"true": (0, ()), "credit": (1, ()), "false": BOTTOM}
 
-    The entries are as `proofs` reads them: `("true",)`, `("false",)`,
-    `("credit",)`, `("obs", n)` or `("star", j, k)` with j, k < i.  One walk
-    over indices flattens the stars, `true` being the unit and any `false`
-    collapsing to Bottom; `memo` keeps the form of each entry walked from,
-    and a walk that meets such an entry takes its form instead.
+
+def summarize(table: list, tag: str, parts: list):
+    """The summary of a certificate's `asserts` entry, from its tag and parts
+    (`[n]` for `obs(n)`, the indices of the two sides for `star`) and the
+    summaries of the earlier entries in `table`.
+
+    A summary is Bottom when `false` occurs, else (credits, obs): the number
+    of credit atoms and the obs atoms as a linked list (n, rest) or ().  A
+    star shares its left side's list and adds its right side's atoms to it,
+    one step when the right side is no star, so a table is summarized in
+    one pass however many entries name one another.
     """
-    f = memo.get(i)
-    if f is None:
-        obs, credits, todo = [], 0, [i]
-        while todo and f is None:
-            j = todo.pop()
-            entry = memo.get(j) or table[j]
-            if isinstance(entry, Flat):
-                obs += entry.obs
-                credits += entry.credits
-            elif entry is BOTTOM or entry[0] == "false":
-                f = BOTTOM
-            elif entry[0] == "star":
-                todo += entry[1:]
-            elif entry[0] == "obs":
-                obs.append(entry[1])
-            elif entry[0] == "credit":
-                credits += 1
-        memo[i] = f = f or Flat(tuple(sorted(obs)), credits)
-    return f
+    if tag == "obs":
+        return 0, (parts[0], ())
+    if tag != "star":
+        return _LEAVES[tag]
+    left, right = table[parts[0]], table[parts[1]]
+    if left is BOTTOM or right is BOTTOM:
+        return BOTTOM
+    obs, rest = left[1], right[1]
+    while rest:
+        n, rest = rest
+        obs = (n, obs)
+    return left[0] + right[0], obs
+
+
+def normalize(table: list, i: int) -> Assertion:
+    """The normal form of entry `i` of a table of `summarize`d entries: `true`
+    is the unit of `*`, and any `false` collapses it to Bottom."""
+    summary = table[i]
+    if summary is BOTTOM:
+        return BOTTOM
+    credits, rest = summary
+    obs = []
+    while rest:
+        n, rest = rest
+        obs.append(n)
+    return Flat(tuple(sorted(obs)), credits)
 
 
 def view_shift(a: Assertion, b: Assertion) -> bool:

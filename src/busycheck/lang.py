@@ -13,13 +13,16 @@ Concrete grammar (whitespace-insensitive, ``#`` comments to end of line)::
 
     cmd  ::= atom (";" cmd)?
     atom ::= "exit" | "loop" "skip" | "fork" "{" cmd "}"
+
+`parse` lexes the text with one `findall` and reads the tokens' texts in one
+loop, without recursion; only an error works out where it stands.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 
 # --- threads ---------------------------------------------------------------
@@ -148,105 +151,81 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str  # 'word', 'punct', 'eof'
-    text: str
-    offset: int  # where it starts in the program text
-
-
 def _error_at(message: str, text: str, offset: int) -> ParseError:
     """The error at `offset` in `text`, by 1-based line and column; only a newline starts a line."""
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
-# `finditer` skips the whitespace between lexemes.  `[^\W\d_]` also takes the
-# numerals that are not letters (e.g. `²`), so a word that is not all letters
-# holds an unexpected character.
-_LEXEME = re.compile(r"(?P<comment>#[^\n]*)|(?P<punct>[;{}])|(?P<word>[^\W\d_]+)|(?P<other>\S)")
+# `findall` skips the whitespace between lexemes and gives each comment as ''.
+# `[^\W\d_]` also takes the numerals that are not letters (e.g. `²`), so a
+# word that is not all letters holds an unexpected character.
+_LEXEME = re.compile(r"#[^\n]*|([;{}]|[^\W\d_]+|\S)")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of `text`.  End of input after a trailing comment sits at its `#`."""
-    tokens, end = [], len(text)
+def _error(text: str, at: int, expected: str) -> ParseError:
+    """The error `parse` raises on token number `at`, comments not counted.
+
+    A character outside the grammar anywhere in `text` is reported first, as
+    if the text were lexed before it is parsed.  End of input after a
+    trailing comment sits at its `#`.
+    """
+    offset, found, count = len(text), "end of input", 0
     for m in _LEXEME.finditer(text):
-        kind, lexeme = m.lastgroup, m.group()
-        if kind == "punct" or (kind == "word" and lexeme.isalpha()):
-            tokens.append(_Token(kind, lexeme, m.start()))
-        elif kind == "comment":
-            if m.end() == len(text):
-                end = m.start()
+        lexeme = m.group()
+        if lexeme[0] == "#":
+            if m.end() == len(text) and count == at:
+                offset = m.start()
+        elif lexeme in ";{}" or lexeme.isalpha():
+            if count == at:
+                offset, found = m.start(), lexeme
+            count += 1
         else:
             offset = m.start() + next(i for i, ch in enumerate(lexeme) if not ch.isalpha())
-            raise _error_at(f"unexpected character {text[offset]!r}", text, offset)
-    tokens.append(_Token("eof", "", end))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> None:
-        self.pos += 1
-
-    def error(self, expected: str) -> ParseError:
-        tok = self.peek()
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        return _error_at(f"expected {expected}, found {shown!r}", self.text, tok.offset)
-
-    def expect(self, text: str) -> None:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            raise self.error(f"'{text}'")
-        self.next()
-
-    def command(self) -> Command:
-        """`cmd`, read without recursion: `open_seqs` holds, for each fork
-        whose body is being read, the atoms read so far around that fork."""
-        open_seqs: list[list[Command]] = []
-        atoms: list[Command] = []
-        while True:
-            if self.peek().text == "fork":
-                self.next()
-                self.expect("{")
-                open_seqs.append(atoms)
-                atoms = []
-                continue
-            atoms.append(self.atom())
-            while self.peek().text != ";":
-                if not open_seqs:
-                    return seq_of(atoms)
-                self.expect("}")
-                body = seq_of(atoms)
-                atoms = open_seqs.pop()
-                atoms.append(Fork(body))
-            self.next()
-
-    def atom(self) -> Command:
-        """An atom other than a fork, which `command` reads."""
-        tok = self.peek()
-        if tok.text == "exit":
-            self.next()
-            return EXIT
-        if tok.text == "loop":
-            self.next()
-            self.expect("skip")
-            return LOOP_SKIP
-        raise self.error("'exit', 'loop skip', or 'fork'")
+            return _error_at(f"unexpected character {text[offset]!r}", text, offset)
+    return _error_at(f"expected {expected}, found {found!r}", text, offset)
 
 
 def parse(text: str) -> Command:
-    """Parse a program into the command it spells, atoms in source order."""
-    parser = _Parser(text)
-    cmd = parser.command()
-    if parser.peek().kind != "eof":
-        raise parser.error("end of input")
-    return cmd
+    """Parse a program into the command it spells, atoms in source order.
+
+    `open_seqs` holds, for each fork whose body is being read, the atoms read
+    so far around that fork."""
+    tokens = list(filter(None, _LEXEME.findall(text)))
+    tokens.append("")  # end of input
+    open_seqs: list[list[Command]] = []
+    atoms: list[Command] = []
+    at = 0
+    while True:
+        token = tokens[at]
+        if token == "fork":
+            if tokens[at + 1] != "{":
+                raise _error(text, at + 1, "'{'")
+            open_seqs.append(atoms)
+            atoms = []
+            at += 2
+            continue
+        if token == "exit":
+            atoms.append(EXIT)
+            at += 1
+        elif token == "loop":
+            if tokens[at + 1] != "skip":
+                raise _error(text, at + 1, "'skip'")
+            atoms.append(LOOP_SKIP)
+            at += 2
+        else:
+            raise _error(text, at, "'exit', 'loop skip', or 'fork'")
+        while tokens[at] != ";":
+            if not open_seqs:
+                if tokens[at]:
+                    raise _error(text, at, "end of input")
+                return seq_of(atoms)
+            if tokens[at] != "}":
+                raise _error(text, at, "'}'")
+            at += 1
+            body = seq_of(atoms)
+            atoms = open_seqs.pop()
+            atoms.append(Fork(body))
+        at += 1
 
 
 # --- printer ---------------------------------------------------------------

@@ -66,11 +66,17 @@ assertions, each `"true"`, `"false"`, `"credit"`, `{"obs": n}` or
 `{"star": [i, j]}`.  Both tables are hash-consed (Filliâtre & Conchon, ML
 2006): a term occurs once.  The checker holds an assertion only as its
 normal form, which the writer renders as `obs(n1) * ... * credit * ...`,
-left-associated.  Reading is linear in the file: one pass checks every
-entry, refusing a seq as first part of a seq and a star as right part of a
-star, so an entry adds at most one atom to the assertion it builds; then
-only the entries the nodes name are normalized, each by one walk and once.
-(Normalizing every entry would copy each prefix of a long chain of stars.)
+left-associated.  `certificate_text` writes the text in one walk of the
+proof, byte for byte what `json.dumps` writes with separators "," and ":".
+Reading is linear in the file: one pass checks every entry, refusing a seq
+as first part of a seq and a star as right part of a star, so an entry adds
+at most one atom to the assertion it builds, and summarizes it in constant
+time (`assertions.summarize`); an entry is normalized only when a node first
+names it, and the entries the nodes name may hold no more obs atoms in all
+than `asserts` has entries.  (Normalizing every entry would copy each prefix
+of a long chain of stars, and naming every entry of one would too.)  The
+writer gives each assertion at most one obs atom, so it never meets that
+bound.
 `nodes` lists the proof nodes in post-order, as LRAT numbers its steps;
 each has its `rule`, the indices of its `pre`, `cmd` and `post` and of its
 `premises`, and its rule data: `childObs` and `childCredits` (Fork),
@@ -81,7 +87,7 @@ index of the conclusion's node.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -94,6 +100,7 @@ from .assertions import (
     flat_add,
     normalize as normalize_assertion,
     state_assertion,
+    summarize,
     view_shift,
 )
 from .lang import (
@@ -433,99 +440,102 @@ def verify(c: Command) -> ProofTree | None:
 
 # --- certificates -----------------------------------------------------------------
 
-# The tags of each table and the number of parts each takes; the class of
-# each command tag, and the tag of each command class.
+# The tags of each table and the number of parts each takes; the text of each
+# command class's entry, and of each rule's node up to its `pre`.
 _COMMAND_PARTS = {"exit": 0, "loop skip": 0, "fork": 1, "seq": 2}
 _ASSERTION_PARTS = {"true": 0, "false": 0, "credit": 0, "obs": 1, "star": 2}
 _COMMANDS = {"exit": Exit, "loop skip": LoopSkip, "fork": Fork, "seq": Seq}
-_TAGS = {cls: tag for tag, cls in _COMMANDS.items()}
+_COMMAND_TEXT = {Exit: '"exit"', LoopSkip: '"loop skip"', Fork: '{"fork":%s}', Seq: '{"seq":[%s,%s]}'}
+_NODE_HEAD = {rule: '{"rule":"%s","pre":' % rule.value for rule in Rule}
+_RULES = {rule.value: rule for rule in Rule}
 
 
-def to_json_dict(t: ProofTree) -> dict:
-    """The certificate of `t` (the module docstring has the format).
+def certificate_text(t: ProofTree) -> str:
+    """The certificate of `t` as one line of JSON (the module docstring has
+    the format), as `json.dumps` writes it with separators "," and ":".
 
-    One iterative walk writes the nodes in post-order, the root last, and
-    interns every term they name into its table, parts first, the right part
-    before the left, so equal terms get one entry.  An assertion is written
-    as the term `obs(n1) * ... * credit * ...`, left-associated, or `true`
-    when it has no atoms and `false` for Bottom.  Proof nodes are not
-    interned.
+    The nodes are listed in pre-order, premises right to left, and written
+    in the reverse of that order, which is post-order, the root last.  Each
+    term they name is interned into its table the first time it is met, parts
+    first, the right part before the left, so equal terms get one entry, and
+    is found again by its object's id.  An assertion is written as the term
+    `obs(n1) * ... * credit * ...`, left-associated, or `true` when it has no
+    atoms and `false` for Bottom.  Proof nodes are not interned.
     """
-    cmds: list = []
-    asserts: list = []
-    by_id: dict[int, int] = {}  # id of a command of `t` -> its entry
-    by_key: dict[tuple, int] = {}  # (class, entries of its parts) -> entry
-    by_flat: dict[Assertion, int] = {}  # assertion of `t` -> its entry
+    cmds: list[str] = []
+    asserts: list[str] = []
+    known: dict[int, str] = {}  # id of a term of `t` -> its entry, as text
+    by_key: dict[tuple, str] = {}  # (class, entries of its parts) -> entry, as text
+    by_flat: dict[Assertion, str] = {}  # assertion -> its entry, as text
     by_part: dict = {}  # n of obs(n), a fieldless tag, or (i, j) of a star -> entry
 
-    def command(term: Command) -> int:
+    def command(term: Command) -> str:
         todo = [term]
-        while id(term) not in by_id:
+        while id(term) not in known:
             x = todo[-1]
-            parts = [getattr(x, f.name) for f in fields(x)]
-            missing = [p for p in parts if id(p) not in by_id]
+            parts = (x.first, x.second) if type(x) is Seq else (x.body,) if type(x) is Fork else ()
+            missing = [p for p in parts if id(p) not in known]
             if missing:
                 todo += missing
                 continue
             todo.pop()
-            values = [by_id[id(p)] for p in parts]
-            key = (type(x), *values)
+            key = (type(x), *[known[id(p)] for p in parts])
             if key not in by_key:
-                by_key[key] = len(cmds)
-                tag = _TAGS[type(x)]
-                cmds.append({tag: values if len(values) > 1 else values[0]} if values else tag)
-            by_id[id(x)] = by_key[key]
-        return by_id[id(term)]
+                by_key[key] = str(len(cmds))
+                cmds.append(_COMMAND_TEXT[type(x)] % key[1:])
+            known[id(x)] = by_key[key]
+        return known[id(term)]
 
-    def put(key, entry) -> int:
+    def put(key, text: str) -> int:
         i = by_part.get(key)
         if i is None:
             i = by_part[key] = len(asserts)
-            asserts.append(entry)
+            asserts.append(text)
         return i
 
-    def assertion(f: Assertion) -> int:
+    def assertion(f: Assertion) -> str:
         i = by_flat.get(f)
         if i is None:
             if isinstance(f, Bottom):
-                i = put("false", "false")
+                i = put("false", '"false"')
             else:
-                atoms = [(n, {"obs": n}) for n in f.obs] + [("credit", "credit")] * f.credits
-                parts = [put(*atom) for atom in reversed(atoms)] or [put("true", "true")]
+                atoms = [(n, '{"obs":%d}' % n) for n in f.obs] + [("credit", '"credit"')] * f.credits
+                parts = [put(*atom) for atom in reversed(atoms)] or [put("true", '"true"')]
                 i = parts.pop()
                 while parts:
                     j = parts.pop()
-                    i = put((i, j), {"star": [i, j]})
-            by_flat[f] = i
+                    i = put((i, j), '{"star":[%d,%d]}' % (i, j))
+            i = by_flat[f] = str(i)
+        known[id(f)] = i
         return i
 
-    nodes: list[dict] = []
-    done: list[int] = []  # written nodes whose parent is not written yet
-    todo: list[tuple[ProofTree, bool]] = [(t, False)]
+    order, todo = [], [t]  # the nodes in pre-order, premises right to left
     while todo:
-        node, ready = todo.pop()
-        if not ready:
-            todo.append((node, True))
-            todo += ((p, False) for p in reversed(node.premises))
-            continue
+        node = todo.pop()
+        order.append(node)
+        todo += node.premises
+    get = known.get
+    nodes: list[str] = []
+    done: list[str] = []  # written nodes whose parent is not written yet
+    for node in reversed(order):
         c, data, cut = node.conclusion, node.data, len(done) - len(node.premises)
-        entry = {
-            "rule": node.rule.value,
-            "pre": assertion(c.pre),
-            "cmd": command(c.cmd),
-            "post": assertion(c.post),
-            "premises": done[cut:],
-        }
+        text = (
+            f'{_NODE_HEAD[node.rule]}{get(id(c.pre)) or assertion(c.pre)},"cmd":{get(id(c.cmd)) or command(c.cmd)},'
+            f'"post":{get(id(c.post)) or assertion(c.post)},"premises":[{",".join(done[cut:])}]'
+        )
         del done[cut:]
-        if isinstance(data, ForkSplit):
-            entry.update(childObs=data.child_obs, childCredits=data.child_credits)
-        elif isinstance(data, ShiftData):
-            entry.update(innerPre=assertion(data.inner_pre), innerPost=assertion(data.inner_post))
-        elif isinstance(data, FrameData):
-            entry.update(frame=assertion(data.frame))
-        done.append(len(nodes))
-        nodes.append(entry)
-    return {"format": 2, "cmds": cmds, "asserts": asserts, "nodes": nodes, "root": len(nodes) - 1}
+        if type(data) is ForkSplit:
+            text += f',"childObs":{data.child_obs},"childCredits":{data.child_credits}'
+        elif type(data) is ShiftData:
+            pre, post = data
+            text += f',"innerPre":{get(id(pre)) or assertion(pre)},"innerPost":{get(id(post)) or assertion(post)}'
+        elif type(data) is FrameData:
+            text += f',"frame":{assertion(data.frame)}'
+        done.append(str(len(nodes)))
+        nodes.append(text + "}")
+    return '{"format":2,"cmds":[%s],"asserts":[%s],"nodes":[%s],"root":%d}' % (
+        ",".join(cmds), ",".join(asserts), ",".join(nodes), len(nodes) - 1
+    )
 
 
 class CertificateError(ValueError):
@@ -536,38 +546,67 @@ def from_json_dict(data: dict) -> ProofTree:
     """The proof tree a certificate describes.
 
     One forward pass checks each table (`_read_table`); equal commands load
-    as one object, and only the assertions the nodes name are normalized,
-    each once.  CertificateError names the fault: a format other than 2, an
-    index of no earlier entry, an entry not in the form the module docstring
-    gives, or a node that is the premise of two nodes (so `check_proof`
-    walks a tree no larger than the file).
+    as one object, and each assertion entry is summarized from the entries
+    it names (`summarize`).  One loop then checks and builds the nodes; an
+    entry a node names is normalized the first time it is named.
+    CertificateError names the fault: a format other than 2, an index of no
+    earlier entry, an entry not in the form the module docstring gives, named
+    assertions that hold more obs atoms in all than `asserts` has entries (so
+    reading stays linear in the file), or a node that is the premise of two
+    nodes (so `check_proof` walks a tree no larger than the file).
     """
     if not isinstance(data, dict) or data.get("format") != 2:
         raise CertificateError('unsupported certificate format: expected an object with "format": 2')
     try:
         cmds = _commands(_read_table(data["cmds"], "cmds", _COMMAND_PARTS))
-        asserts = _read_table(data["asserts"], "asserts", _ASSERTION_PARTS)
-        flats: dict[int, Assertion] = {}
+        asserts: list = []
+        for tag, parts in _read_table(data["asserts"], "asserts", _ASSERTION_PARTS):
+            asserts.append(summarize(asserts, tag, parts))
+        flats: dict[int, Assertion] = {}  # entry -> its normal form, once a node names it
+        room = len(asserts)  # obs atoms the named entries may still hold
 
         def assertion(i) -> Assertion:
+            nonlocal room
             _at(asserts, i)
-            return normalize_assertion(asserts, i, flats)
+            f = flats[i] = normalize_assertion(asserts, i)
+            room -= 0 if f is BOTTOM else len(f.obs)
+            if room < 0:
+                raise CertificateError(
+                    "malformed certificate: the assertions the nodes name hold more obs atoms than asserts has entries"
+                )
+            return f
 
+        # local names, since a global or an Enum member costs a lookup per node; records are
+        # built by `tuple.__new__`, as NamedTuple's generated `__new__` is a Python call
+        new, rules, fork, view_shift_rule, frame = tuple.__new__, _RULES, Rule.FORK, Rule.VIEW_SHIFT, Rule.FRAME
         nodes: list[ProofTree] = []
         used: list[int] = []  # the premise indices of every node
         for e in data["nodes"]:
-            premises = tuple(_at(nodes, i) for i in e["premises"])
-            used += e["premises"]
-            rule = Rule(e["rule"])
+            ps = e["premises"]
+            premises = tuple([nodes[i] for i in ps if type(i) is int and 0 <= i < len(nodes)])
+            if len(premises) != len(ps):
+                _at(nodes, next(i for i in ps if type(i) is not int or not 0 <= i < len(nodes)))
+            used += ps
+            r = e["rule"]
+            rule = type(r) is str and rules.get(r) or Rule(r)
             extra: ForkSplit | ShiftData | FrameData | None = None
-            if rule is Rule.FORK:
-                extra = ForkSplit(_count(e["childObs"]), _count(e["childCredits"]))
-            elif rule is Rule.VIEW_SHIFT:
-                extra = ShiftData(assertion(e["innerPre"]), assertion(e["innerPost"]))
-            elif rule is Rule.FRAME:
-                extra = FrameData(assertion(e["frame"]))
-            triple = HoareTriple(assertion(e["pre"]), _at(cmds, e["cmd"]), assertion(e["post"]))
-            nodes.append(ProofTree(triple, rule, premises, extra))
+            if rule is fork:
+                extra = new(ForkSplit, (_count(e["childObs"]), _count(e["childCredits"])))
+            elif rule is view_shift_rule:
+                x = e["innerPre"]
+                x = type(x) is int and flats.get(x) or assertion(x)
+                y = e["innerPost"]
+                extra = new(ShiftData, (x, type(y) is int and flats.get(y) or assertion(y)))
+            elif rule is frame:
+                x = e["frame"]
+                extra = new(FrameData, (type(x) is int and flats.get(x) or assertion(x),))
+            x = e["pre"]
+            pre = type(x) is int and flats.get(x) or assertion(x)
+            x = e["cmd"]
+            cmd = cmds[x] if type(x) is int and 0 <= x < len(cmds) else _at(cmds, x)
+            x = e["post"]
+            post = type(x) is int and flats.get(x) or assertion(x)
+            nodes.append(new(ProofTree, (new(HoareTriple, (pre, cmd, post)), rule, premises, extra)))
         if len(set(used)) < len(used):
             raise CertificateError("malformed certificate: a node is the premise of two nodes")
         return _at(nodes, data["root"])
@@ -577,8 +616,9 @@ def from_json_dict(data: dict) -> ProofTree:
         raise CertificateError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
 
 
-def _read_table(entries: list, name: str, arity: dict[str, int]) -> list[tuple]:
-    """The entries of table `name`, each as (tag, *parts), checked in one pass.
+def _read_table(entries: list, name: str, arity: dict[str, int]):
+    """The entries of table `name`, each as (tag, parts), checked one by one
+    as the caller takes them.
 
     Each entry is a tag of the table or an object of one such tag, with as
     many parts as `arity` gives, each the index of an earlier entry (a count
@@ -587,7 +627,7 @@ def _read_table(entries: list, name: str, arity: dict[str, int]) -> list[tuple]:
     """
     if not isinstance(entries, list):
         raise CertificateError(f"malformed certificate: {name} is not a list")
-    table: list[tuple] = []
+    tags: list[str] = []
     for at, entry in enumerate(entries):
         if isinstance(entry, str):
             tag, parts = entry, []
@@ -606,20 +646,20 @@ def _read_table(entries: list, name: str, arity: dict[str, int]) -> list[tuple]:
             parts = [_count(parts[0])]
         else:
             for i in parts:
-                _at(table, i)
-        if tag == "seq" and table[parts[0]][0] == "seq":
+                _at(tags, i)
+        if tag == "seq" and tags[parts[0]] == "seq":
             raise CertificateError("malformed certificate: the first part of a seq is a seq")
-        if tag == "star" and table[parts[1]][0] == "star":
+        if tag == "star" and tags[parts[1]] == "star":
             raise CertificateError("malformed certificate: the right part of a star is a star")
-        table.append((tag, *parts))
-    return table
+        tags.append(tag)
+        yield tag, parts
 
 
-def _commands(table: list[tuple]) -> list[Command]:
-    """The commands of a checked `cmds` table, equal commands as one object."""
+def _commands(table) -> list[Command]:
+    """The commands of a `cmds` table read by `_read_table`, equal commands as one object."""
     terms: list[Command] = []
     interned: dict[tuple, Command] = {}
-    for tag, *parts in table:
+    for tag, parts in table:
         args = [terms[i] for i in parts]
         key = (tag, *map(id, args))
         if key not in interned:
@@ -642,9 +682,8 @@ def _count(n) -> int:
 
 def save_certificate(t: ProofTree, path: str) -> None:
     """Write the certificate as single-line JSON."""
-    text = json.dumps(to_json_dict(t), separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(certificate_text(t) + "\n")
 
 
 def load_certificate(path: str) -> ProofTree:

@@ -12,16 +12,33 @@
 - `tree_size`, the node count of a proof tree.
 - `initial_annotated_pool`, a singleton annotated pool with chosen
   obligations.
+- The program-text and certificate codecs that `lang.parse`,
+  `proofs.certificate_text` and `proofs.from_json_dict` replaced:
+  `reference_parse` (a tokenizer with one record per lexeme, then a reader of
+  the records), `reference_to_json_dict` (the certificate as a JSON value,
+  which `json.dumps` writes) and `reference_from_json_dict` (a reader that
+  checks each field with a call and normalizes by walking the table).  The
+  tests hold the replacements to them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
-from busycheck.assertions import Assertion, Bottom, normalize
+from busycheck.assertions import BOTTOM, Assertion, Bottom, Flat, normalize, summarize
 from busycheck.ghost import AnnotatedThread
-from busycheck.lang import Command
-from busycheck.proofs import ProofTree
+from busycheck.lang import EXIT, LOOP_SKIP, Command, Exit, Fork, LoopSkip, ParseError, Seq, seq_of
+from busycheck.proofs import (
+    CertificateError,
+    ForkSplit,
+    FrameData,
+    HoareTriple,
+    ProofTree,
+    Rule,
+    ShiftData,
+)
 from busycheck.semantics import RunOutcome, ThreadPool, TraceStep, run
 
 # --- assertion terms and their bundle model --------------------------------------
@@ -77,19 +94,20 @@ _TAGS = {TrueA: "true", FalseA: "false", Credit: "credit"}
 
 def flat_of(a: Term) -> Assertion:
     """The normal form of `a`, written as a certificate's `asserts` table, one
-    entry per subterm, in the form `proofs` reads it, and normalized there."""
-    table: list[tuple] = []
+    entry per subterm, summarized and normalized as `proofs` reads it."""
+    table: list = []
 
     def entry(x: Term) -> int:
         if isinstance(x, Star):
-            table.append(("star", entry(x.left), entry(x.right)))
+            parts, tag = [entry(x.left), entry(x.right)], "star"
         elif isinstance(x, Obs):
-            table.append(("obs", x.count))
+            parts, tag = [x.count], "obs"
         else:
-            table.append((_TAGS[type(x)],))
+            parts, tag = [], _TAGS[type(x)]
+        table.append(summarize(table, tag, parts))
         return len(table) - 1
 
-    return normalize(table, entry(a), {})
+    return normalize(table, entry(a))
 
 
 @dataclass(frozen=True)
@@ -208,3 +226,340 @@ def initial_annotated_pool(c: Command, obligations: int = 0) -> ThreadPool:
     if obligations < 0:
         raise ValueError("obligations must be a natural")
     return ThreadPool.of({0: AnnotatedThread(obligations, 0, c)})
+
+
+# --- the program-text and certificate codecs busycheck replaced ---------------------
+
+
+class _Token(NamedTuple):
+    kind: str  # 'word', 'punct', 'eof'
+    text: str
+    offset: int  # where it starts in the program text
+
+
+def _error_at(message: str, text: str, offset: int) -> ParseError:
+    """The error at `offset` in `text`, by 1-based line and column; only a newline starts a line."""
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
+
+# `finditer` skips the whitespace between lexemes.  `[^\W\d_]` also takes the
+# numerals that are not letters (e.g. `²`), so a word that is not all letters
+# holds an unexpected character.
+_LEXEME = re.compile(r"(?P<comment>#[^\n]*)|(?P<punct>[;{}])|(?P<word>[^\W\d_]+)|(?P<other>\S)")
+
+
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of `text`.  End of input after a trailing comment sits at its `#`."""
+    tokens, end = [], len(text)
+    for m in _LEXEME.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "punct" or (kind == "word" and lexeme.isalpha()):
+            tokens.append(_Token(kind, lexeme, m.start()))
+        elif kind == "comment":
+            if m.end() == len(text):
+                end = m.start()
+        else:
+            offset = m.start() + next(i for i, ch in enumerate(lexeme) if not ch.isalpha())
+            raise _error_at(f"unexpected character {text[offset]!r}", text, offset)
+    tokens.append(_Token("eof", "", end))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> None:
+        self.pos += 1
+
+    def error(self, expected: str) -> ParseError:
+        tok = self.peek()
+        shown = tok.text if tok.kind != "eof" else "end of input"
+        return _error_at(f"expected {expected}, found {shown!r}", self.text, tok.offset)
+
+    def expect(self, text: str) -> None:
+        tok = self.peek()
+        if tok.text != text or tok.kind == "eof":
+            raise self.error(f"'{text}'")
+        self.next()
+
+    def command(self) -> Command:
+        """`cmd`, read without recursion: `open_seqs` holds, for each fork
+        whose body is being read, the atoms read so far around that fork."""
+        open_seqs: list[list[Command]] = []
+        atoms: list[Command] = []
+        while True:
+            if self.peek().text == "fork":
+                self.next()
+                self.expect("{")
+                open_seqs.append(atoms)
+                atoms = []
+                continue
+            atoms.append(self.atom())
+            while self.peek().text != ";":
+                if not open_seqs:
+                    return seq_of(atoms)
+                self.expect("}")
+                body = seq_of(atoms)
+                atoms = open_seqs.pop()
+                atoms.append(Fork(body))
+            self.next()
+
+    def atom(self) -> Command:
+        """An atom other than a fork, which `command` reads."""
+        tok = self.peek()
+        if tok.text == "exit":
+            self.next()
+            return EXIT
+        if tok.text == "loop":
+            self.next()
+            self.expect("skip")
+            return LOOP_SKIP
+        raise self.error("'exit', 'loop skip', or 'fork'")
+
+
+def reference_parse(text: str) -> Command:
+    """`lang.parse` as a tokenizer, one record per lexeme, and a reader of the record list."""
+    parser = _Parser(text)
+    cmd = parser.command()
+    if parser.peek().kind != "eof":
+        raise parser.error("end of input")
+    return cmd
+
+
+# The tags of each table and the number of parts each takes; the class of
+# each command tag, and the tag of each command class.
+_COMMAND_PARTS = {"exit": 0, "loop skip": 0, "fork": 1, "seq": 2}
+_ASSERTION_PARTS = {"true": 0, "false": 0, "credit": 0, "obs": 1, "star": 2}
+_COMMANDS = {"exit": Exit, "loop skip": LoopSkip, "fork": Fork, "seq": Seq}
+_COMMAND_TAGS = {cls: tag for tag, cls in _COMMANDS.items()}
+
+
+def reference_to_json_dict(t: ProofTree) -> dict:
+    """The certificate of `t` as a JSON value (the `proofs` docstring has the format).
+
+    One iterative walk writes the nodes in post-order, the root last, and
+    interns every term they name into its table, parts first, the right part
+    before the left, so equal terms get one entry.  An assertion is written
+    as the term `obs(n1) * ... * credit * ...`, left-associated, or `true`
+    when it has no atoms and `false` for Bottom.  Proof nodes are not
+    interned.
+    """
+    cmds: list = []
+    asserts: list = []
+    by_id: dict[int, int] = {}  # id of a command of `t` -> its entry
+    by_key: dict[tuple, int] = {}  # (class, entries of its parts) -> entry
+    by_flat: dict[Assertion, int] = {}  # assertion of `t` -> its entry
+    by_part: dict = {}  # n of obs(n), a fieldless tag, or (i, j) of a star -> entry
+
+    def command(term: Command) -> int:
+        todo = [term]
+        while id(term) not in by_id:
+            x = todo[-1]
+            parts = [getattr(x, f.name) for f in fields(x)]
+            missing = [p for p in parts if id(p) not in by_id]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            values = [by_id[id(p)] for p in parts]
+            key = (type(x), *values)
+            if key not in by_key:
+                by_key[key] = len(cmds)
+                tag = _COMMAND_TAGS[type(x)]
+                cmds.append({tag: values if len(values) > 1 else values[0]} if values else tag)
+            by_id[id(x)] = by_key[key]
+        return by_id[id(term)]
+
+    def put(key, entry) -> int:
+        i = by_part.get(key)
+        if i is None:
+            i = by_part[key] = len(asserts)
+            asserts.append(entry)
+        return i
+
+    def assertion(f: Assertion) -> int:
+        i = by_flat.get(f)
+        if i is None:
+            if isinstance(f, Bottom):
+                i = put("false", "false")
+            else:
+                atoms = [(n, {"obs": n}) for n in f.obs] + [("credit", "credit")] * f.credits
+                parts = [put(*atom) for atom in reversed(atoms)] or [put("true", "true")]
+                i = parts.pop()
+                while parts:
+                    j = parts.pop()
+                    i = put((i, j), {"star": [i, j]})
+            by_flat[f] = i
+        return i
+
+    nodes: list[dict] = []
+    done: list[int] = []  # written nodes whose parent is not written yet
+    todo: list[tuple[ProofTree, bool]] = [(t, False)]
+    while todo:
+        node, ready = todo.pop()
+        if not ready:
+            todo.append((node, True))
+            todo += ((p, False) for p in reversed(node.premises))
+            continue
+        c, data, cut = node.conclusion, node.data, len(done) - len(node.premises)
+        entry = {
+            "rule": node.rule.value,
+            "pre": assertion(c.pre),
+            "cmd": command(c.cmd),
+            "post": assertion(c.post),
+            "premises": done[cut:],
+        }
+        del done[cut:]
+        if isinstance(data, ForkSplit):
+            entry.update(childObs=data.child_obs, childCredits=data.child_credits)
+        elif isinstance(data, ShiftData):
+            entry.update(innerPre=assertion(data.inner_pre), innerPost=assertion(data.inner_post))
+        elif isinstance(data, FrameData):
+            entry.update(frame=assertion(data.frame))
+        done.append(len(nodes))
+        nodes.append(entry)
+    return {"format": 2, "cmds": cmds, "asserts": asserts, "nodes": nodes, "root": len(nodes) - 1}
+
+
+def reference_from_json_dict(data: dict) -> ProofTree:
+    """The proof tree a certificate describes.
+
+    One forward pass checks each table (`_reference_read_table`); equal commands load
+    as one object, and only the assertions the nodes name are normalized,
+    each once.  CertificateError names the fault: a format other than 2, an
+    index of no earlier entry, an entry not in the form the module docstring
+    gives, or a node that is the premise of two nodes (so `check_proof`
+    walks a tree no larger than the file).
+    """
+    if not isinstance(data, dict) or data.get("format") != 2:
+        raise CertificateError('unsupported certificate format: expected an object with "format": 2')
+    try:
+        cmds = _reference_commands(_reference_read_table(data["cmds"], "cmds", _COMMAND_PARTS))
+        asserts = _reference_read_table(data["asserts"], "asserts", _ASSERTION_PARTS)
+        flats: dict[int, Assertion] = {}
+
+        def assertion(i) -> Assertion:
+            _at(asserts, i)
+            return _walk_normalize(asserts, i, flats)
+
+        nodes: list[ProofTree] = []
+        used: list[int] = []  # the premise indices of every node
+        for e in data["nodes"]:
+            premises = tuple(_at(nodes, i) for i in e["premises"])
+            used += e["premises"]
+            rule = Rule(e["rule"])
+            extra: ForkSplit | ShiftData | FrameData | None = None
+            if rule is Rule.FORK:
+                extra = ForkSplit(_count(e["childObs"]), _count(e["childCredits"]))
+            elif rule is Rule.VIEW_SHIFT:
+                extra = ShiftData(assertion(e["innerPre"]), assertion(e["innerPost"]))
+            elif rule is Rule.FRAME:
+                extra = FrameData(assertion(e["frame"]))
+            triple = HoareTriple(assertion(e["pre"]), _at(cmds, e["cmd"]), assertion(e["post"]))
+            nodes.append(ProofTree(triple, rule, premises, extra))
+        if len(set(used)) < len(used):
+            raise CertificateError("malformed certificate: a node is the premise of two nodes")
+        return _at(nodes, data["root"])
+    except CertificateError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CertificateError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
+
+
+def _reference_read_table(entries: list, name: str, arity: dict[str, int]) -> list[tuple]:
+    """The entries of table `name`, each as (tag, *parts), checked in one pass.
+
+    Each entry is a tag of the table or an object of one such tag, with as
+    many parts as `arity` gives, each the index of an earlier entry (a count
+    for `obs`).  The first part of a seq is no seq and the right part of a
+    star no star, so a star adds at most one atom to the assertion it builds.
+    """
+    if not isinstance(entries, list):
+        raise CertificateError(f"malformed certificate: {name} is not a list")
+    table: list[tuple] = []
+    for at, entry in enumerate(entries):
+        if isinstance(entry, str):
+            tag, parts = entry, []
+        elif isinstance(entry, dict) and len(entry) == 1:
+            [(tag, parts)] = entry.items()
+            parts = parts if isinstance(parts, list) else [parts]
+        else:
+            raise CertificateError(f"malformed certificate: {name}[{at}] is not a tag or an object of one tag")
+        want = arity.get(tag)
+        if want is None:
+            raise CertificateError(f"malformed certificate: {name}[{at}] has the unknown tag {tag!r}")
+        if len(parts) != want:
+            noun = "part" if want == 1 else "parts"
+            raise CertificateError(f"malformed certificate: {name}[{at}]: {tag!r} takes {want} {noun}, not {len(parts)}")
+        if tag == "obs":
+            parts = [_count(parts[0])]
+        else:
+            for i in parts:
+                _at(table, i)
+        if tag == "seq" and table[parts[0]][0] == "seq":
+            raise CertificateError("malformed certificate: the first part of a seq is a seq")
+        if tag == "star" and table[parts[1]][0] == "star":
+            raise CertificateError("malformed certificate: the right part of a star is a star")
+        table.append((tag, *parts))
+    return table
+
+
+def _reference_commands(table: list[tuple]) -> list[Command]:
+    """The commands of a checked `cmds` table, equal commands as one object."""
+    terms: list[Command] = []
+    interned: dict[tuple, Command] = {}
+    for tag, *parts in table:
+        args = [terms[i] for i in parts]
+        key = (tag, *map(id, args))
+        if key not in interned:
+            interned[key] = _COMMANDS[tag](*args)
+        terms.append(interned[key])
+    return terms
+
+
+def _at(entries: list, i):
+    if type(i) is not int or not 0 <= i < len(entries):
+        raise CertificateError(f"malformed certificate: {i!r} is not the index of an earlier entry")
+    return entries[i]
+
+
+def _count(n) -> int:
+    if type(n) is not int or n < 0:
+        raise CertificateError(f"malformed certificate: {n!r} is not a count")
+    return n
+
+
+def _walk_normalize(table: list[tuple], i: int, memo: dict[int, Assertion]) -> Assertion:
+    """The normal form of entry `i` of an `asserts` table as `_reference_read_table` reads it.
+
+    The entries are as `proofs` reads them: `("true",)`, `("false",)`,
+    `("credit",)`, `("obs", n)` or `("star", j, k)` with j, k < i.  One walk
+    over indices flattens the stars, `true` being the unit and any `false`
+    collapsing to Bottom; `memo` keeps the form of each entry walked from,
+    and a walk that meets such an entry takes its form instead.
+    """
+    f = memo.get(i)
+    if f is None:
+        obs, credits, todo = [], 0, [i]
+        while todo and f is None:
+            j = todo.pop()
+            entry = memo.get(j) or table[j]
+            if isinstance(entry, Flat):
+                obs += entry.obs
+                credits += entry.credits
+            elif entry is BOTTOM or entry[0] == "false":
+                f = BOTTOM
+            elif entry[0] == "star":
+                todo += entry[1:]
+            elif entry[0] == "obs":
+                obs.append(entry[1])
+            elif entry[0] == "credit":
+                credits += 1
+        memo[i] = f = f or Flat(tuple(sorted(obs)), credits)
+    return f

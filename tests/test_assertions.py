@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter, deque
 
-from busycheck.assertions import BOTTOM, Flat, normalize, state_assertion, view_shift
+from busycheck.assertions import BOTTOM, Flat, normalize, state_assertion, summarize, view_shift
 from reference import (
     CREDIT,
     FALSE,
@@ -60,16 +60,18 @@ def test_bundle_union_is_commutative_monoid():
 
 
 def test_normalize_examples():
-    # entries as `proofs` reads an `asserts` table
-    table = [("credit",), ("obs", 2), ("star", 0, 1), ("star", 2, 0), ("true",), ("star", 4, 1), ("false",)]
-    table.append(("star", 6, 0))
-    memo = {}
-    assert normalize(table, 3, memo) == Flat((2,), 2)  # (credit * obs(2)) * credit
-    assert normalize(table, 5, memo) == Flat((2,), 0)  # true * obs(2)
-    assert normalize(table, 7, memo) is BOTTOM  # false * credit
-    assert normalize(table, 4, memo) == Flat((), 0)
-    assert sorted(memo) == [3, 4, 5, 7]  # only the entries asked for
-    assert normalize(table, 3, {2: Flat((5,), 0)}) == Flat((5,), 1)  # a kept form is not walked again
+    # entries as `proofs` reads an `asserts` table, each summarized in turn
+    entries = [("credit", []), ("obs", [2]), ("star", [0, 1]), ("star", [2, 0]), ("true", []), ("star", [4, 1])]
+    entries += [("false", []), ("star", [6, 0]), ("obs", [1]), ("star", [3, 8])]
+    table = []
+    for tag, parts in entries:
+        table.append(summarize(table, tag, parts))
+    assert normalize(table, 3) == Flat((2,), 2)  # (credit * obs(2)) * credit
+    assert normalize(table, 5) == Flat((2,), 0)  # true * obs(2)
+    assert normalize(table, 7) is BOTTOM  # false * credit
+    assert normalize(table, 4) == Flat((), 0)
+    assert normalize(table, 9) == Flat((1, 2), 2)  # sorted obs atoms
+    assert table[3][1] is table[2][1]  # a star shares its left side's obs atoms
     assert flat_of(Star(CREDIT, Star(Obs(2), CREDIT))) == Flat((2,), 2)
 
 

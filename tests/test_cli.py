@@ -194,6 +194,17 @@ EXIT_TABLES = (["exit"], [{"obs": 0}, "false"])
             _v2(["exit"], [{"obs": 0}] + [{"star": [k, k]} for k in range(60)], [{**EXIT_LEAF, "pre": 60}], 0),
             id="doubling-star",
         ),
+        # entry k + 1 is entry k * obs(0), and one Exit node names each entry of
+        # the chain, last first: 32 million obs atoms named by a 0.7 MB file
+        pytest.param(
+            _v2(
+                ["exit"],
+                [{"obs": 0}] + [{"star": [k, 0]} for k in range(8000)] + ["false"],
+                [{**EXIT_LEAF, "pre": 8000 - k, "post": 8001} for k in range(8001)],
+                0,
+            ),
+            id="named-star-chain",
+        ),
     ],
 )
 def test_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, text):

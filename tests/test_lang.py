@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from busycheck.lang import (
     seq_of,
 )
 from busycheck.semantics import AbruptExit, Terminated
+from reference import reference_parse
 
 
 def seq_atoms(c):
@@ -94,6 +96,59 @@ def test_parse_error_reports_offending_token():
         parse("loop slip")
     with pytest.raises(ParseError, match="^1:3: unexpected character '\u00b2'$"):
         parse("ex\u00b2t")
+
+
+# Pieces the corpus splices into program text: keywords, punctuation, line
+# breaks and other whitespace, characters outside the grammar (a numeral that
+# is not a letter, a digit that is not ASCII, `_`, an emoji), a non-ASCII
+# word, and comments.
+_PIECES = [
+    "exit", "loop", "skip", "fork", "{", "}", ";", " ", "\n", "\r\n", "\t", "\u00a0", "\u2028",
+    "\u00b2", "\u0663", "_", "\U0001f600", "\u03bb\u03cc\u03b3\u03bf\u03c2", "x", "# c", "#", "# c\n",
+]
+
+
+def _parser_corpus():
+    """Program texts, most of them one to three edits away from a valid program."""
+    rng = random.Random(18)
+    yield from ["", "#", "# c", "exit # c", "exit # c\n", "fork { exit # c", "fork { exit #", "loop # c\nskip"]
+    for c in gen_program(GenConfig(max_atoms=6, fork_prob=2.0, seed=18, count=300)):
+        text = pretty(c)
+        yield text
+        for _ in range(4):
+            edited = text
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randint(0, len(edited))
+                cut = rng.choice([0, 0, 1, rng.randint(1, 6)])
+                edited = edited[:at] + rng.choice(_PIECES + [""]) + edited[at + cut :]
+            yield edited
+    for _ in range(1000):
+        yield "".join(rng.choice(_PIECES) for _ in range(rng.randint(1, 12)))
+
+
+# what a ParseError says, without the token it found
+_ERROR_KIND = re.compile(
+    r"\d+:\d+: (unexpected character|expected (?:'exit', 'loop skip', or 'fork'|'.*?'|end of input))"
+)
+
+
+def _parsed(parser, text):
+    try:
+        return parser(text)
+    except ParseError as err:
+        return str(err), err.line, err.col
+
+
+def test_parse_agrees_with_the_reference_parser():
+    # the same command, or the same error text, line and column
+    seen = {}
+    for text in _parser_corpus():
+        got = _parsed(parse, text)
+        assert got == _parsed(reference_parse, text), repr(text)
+        kind = _ERROR_KIND.match(got[0]).group(1) if isinstance(got, tuple) else "parsed"
+        seen[kind] = seen.get(kind, 0) + 1
+    # a character outside the grammar, and each token the parser expects
+    assert len(seen) == 7 and min(seen.values()) >= 20, seen
 
 
 def test_pretty_round_trips_the_examples():

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -31,20 +32,25 @@ from busycheck.proofs import (
     Rule,
     RuleViolation,
     ShiftData,
+    certificate_text,
     check_proof,
     derive,
     from_json_dict,
     load_certificate,
     save_certificate,
-    to_json_dict,
     verify,
 )
 from busycheck.proofs import _wrap
 from busycheck.semantics import explore, spawn_tree
-from reference import tree_size
+from reference import reference_from_json_dict, reference_to_json_dict, tree_size
 
 WAITING_PAIR = parse("fork { exit }; loop skip")
 TWO_LEVEL = parse("fork { fork { loop skip }; exit }; loop skip")
+
+
+def to_json_dict(tree):
+    """The certificate `save_certificate` writes for `tree`, as a JSON value."""
+    return json.loads(certificate_text(tree))
 
 
 def _waiting_pair_tree():
@@ -323,7 +329,7 @@ def test_certificate_round_trip(tmp_path):
             continue
         save_certificate(tree, path)
         with open(path, encoding="utf-8") as fh:
-            assert json.load(fh) == to_json_dict(tree), pretty(c)
+            assert fh.read() == json.dumps(reference_to_json_dict(tree), separators=(",", ":")) + "\n", pretty(c)
         loaded = load_certificate(path)
         assert loaded == tree, pretty(c)
         assert check_proof(loaded) is None, pretty(c)
@@ -348,6 +354,53 @@ def test_certificates_up_to_6_atoms_are_pinned_and_round_trip():
         digest.update((json.dumps(cert, separators=(",", ":")) + "\n").encode())
         assert to_json_dict(from_json_dict(cert)) == cert, pretty(c)
     assert digest.hexdigest() == "3359f0d7c5517d863a24f20bed1955d2f1865e96494275391848b3120988a58d"
+
+
+def _written(tree, path):
+    save_certificate(tree, path)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_written_certificate_is_the_reference_writers_json(tmp_path):
+    # every Verified program of up to 6 atoms, and seeded random ones of up to
+    # 40; and some of their proofs under a Frame node, which `verify` never writes
+    path = str(tmp_path / "cert.json")
+    programs = [*enumerate_programs(6), *gen_program(GenConfig(max_atoms=40, seed=18, count=300))]
+    trees = [tree for tree in map(verify, programs) if tree is not None]
+    for tree in trees[:100]:
+        (pre, c, post), frame = tree.conclusion, Flat((), 1)
+        framed = HoareTriple(flat_add(pre, frame), c, flat_add(post, frame))
+        trees.append(ProofTree(framed, Rule.FRAME, (tree,), FrameData(frame)))
+    for tree in trees:
+        assert _written(tree, path) == json.dumps(reference_to_json_dict(tree), separators=(",", ":")) + "\n"
+    assert len(trees) > 1500
+
+
+@pytest.mark.parametrize(
+    "program, sizes, digest",
+    [
+        (
+            lambda n: "fork { loop skip }; " * n + "exit",
+            range(10, 61, 10),
+            "6ccded0c88e985270f15f8738925e1f47d971619455e19c9b4806da62672facd",
+        ),
+        (
+            lambda n: "fork { exit }; " * n + "loop skip",
+            range(50, 201, 50),
+            "cf768a85589b34f5de1c4183d28b1d42cd9b15c040c7f4592d4e0c70e99abe5f",
+        ),
+    ],
+    ids=["waiters", "flats"],
+)
+def test_certificates_of_the_large_families_are_pinned(tmp_path, program, sizes, digest):
+    # sha256 over the written certificates of the benchmark's `large` programs,
+    # whose long credit chains no program of up to 6 atoms reaches
+    path = str(tmp_path / "cert.json")
+    text = hashlib.sha256()
+    for n in sizes:
+        text.update(_written(verify(parse(program(n))), path).encode())
+    assert text.hexdigest() == digest
 
 
 def test_certificate_is_single_line_and_linear_in_size(tmp_path):
@@ -458,6 +511,83 @@ def test_every_single_field_tamper_is_caught(c):
     assert tampers > 100
 
 
+# What a mutation puts in place of a value: indices and counts one off or out
+# of range, a value of every JSON type, the tags and rules of the format.
+_ODD_VALUES = [
+    -1, 0, 1, 2, 99, True, False, 1.0, 2.5, "0", "", "Exit", "ViewShift", "Frame", "exit", "star", "bogus",
+    None, [], [0], [0, 1], [True], {}, {"exit": 0}, {"obs": 0}, {"star": [0, 0]},
+]
+_DROP = object()  # a mutation that deletes the key or the list item
+
+
+def _json_values(value, path=()):
+    """(path, value) of a JSON value and of everything inside it."""
+    yield path, value
+    if isinstance(value, (list, dict)):
+        for key, item in enumerate(value) if isinstance(value, list) else value.items():
+            yield from _json_values(item, path + (key,))
+
+
+def _mutation(cert, changes):
+    cert = json.loads(json.dumps(cert))
+    for path, value in changes:
+        if not path:
+            return value
+        target = cert
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    return cert
+
+
+def _mutated_certificates():
+    """Derived certificates with one value replaced or dropped, or two at once."""
+    rng = random.Random(18)
+    leaf = verify(parse("exit")).premises[0]  # {obs(0)} exit {false}
+    framed = ProofTree(HoareTriple(Flat((0,), 1), EXIT, BOTTOM), Rule.FRAME, (leaf,), FrameData(Flat((), 1)))
+    trees = [verify(WAITING_PAIR), verify(TWO_LEVEL), derive(parse("fork { loop skip }; exit"), 2), framed]
+    for tree in trees:
+        cert = to_json_dict(tree)
+        yield cert
+        paths = []
+        for path, old in _json_values(cert):
+            paths.append(path)
+            near = [old - 1, old + 1] if type(old) is int else []
+            for value in rng.sample(_ODD_VALUES, 6) + near + [_DROP] * bool(path):
+                yield _mutation(cert, [(path, value)])
+        for _ in range(300):
+            changes = [(rng.choice(paths[1:]), rng.choice(_ODD_VALUES + [_DROP])) for _ in range(2)]
+            try:
+                yield _mutation(cert, changes)
+            except (IndexError, KeyError, TypeError):  # the first change removed the second's place
+                continue
+
+
+def _read(reader, cert):
+    try:
+        return reader(cert)
+    except CertificateError as err:
+        return str(err)
+
+
+def test_reading_agrees_with_the_reference_reader():
+    # the same tree, which checks the same, or the same one-line error
+    read, errors = 0, set()
+    for cert in _mutated_certificates():
+        got = _read(from_json_dict, cert)
+        assert got == _read(reference_from_json_dict, cert), cert
+        if isinstance(got, str):
+            assert "\n" not in got
+            errors.add(got)
+        else:
+            assert check_proof(got) == check_proof(reference_from_json_dict(cert)), cert
+            read += 1
+    assert read > 300 and len(errors) > 100, (read, len(errors))
+
+
 def test_certificate_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -517,6 +647,13 @@ def _asserts(*extra):
         (_asserts("exit"), "asserts[2] has the unknown tag 'exit'"),
         (_asserts(["obs", 0]), "asserts[2] is not a tag or an object of one tag"),
         ({**_with_tables(), "asserts": None}, "asserts is not a list"),
+        (
+            {
+                **_asserts({"star": [0, 0]}, {"star": [2, 0]}),
+                "nodes": [{**_EXIT_LEAF, "pre": 3}, {**_EXIT_LEAF, "pre": 2}],
+            },
+            "the assertions the nodes name hold more obs atoms than asserts has entries",  # 3 + 2 atoms, 4 entries
+        ),
     ],
 )
 def test_malformed_table_entries_are_refused_with_a_message(cert, message):
