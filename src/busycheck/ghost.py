@@ -52,7 +52,6 @@ from .semantics import (
     TP_EXIT,
     TP_THREAD_TERM,
     TraceStep,
-    StepLabel,
     ThreadPool,
 )
 
@@ -119,8 +118,8 @@ def ghost_step(pool: ThreadPool, tid: int, kind: str) -> ThreadPool:
 
 def real_step(
     pool: ThreadPool, tid: int, split: ForkSplit | None = None
-) -> tuple[ThreadPool, StepLabel]:
-    """Non-ghost step of thread `tid`; raises Stuck naming a violated side condition.
+) -> tuple[ThreadPool, str]:
+    """Non-ghost step of thread `tid`, with its rule; raises Stuck naming a violated side condition.
 
     Looping keeps the resources untouched (the credit is held, not consumed).
     Fork splits the resources conservatively per the supplied `split`;
@@ -131,16 +130,16 @@ def real_step(
     if isinstance(cont, Done):
         if value > 0:
             raise Stuck(TERM_HOLDS_OBLIGATION)
-        return pool.remove(tid), StepLabel(tid, RA_THREAD_TERM)
+        return pool.remove(tid), RA_THREAD_TERM
     head = cont.head
     if isinstance(head, LoopSkip):
         if value > 0:
             raise Stuck(LOOP_HOLDS_OBLIGATION)
         if credits < 1:
             raise Stuck(LOOP_NEEDS_CREDIT)
-        return pool, StepLabel(tid, RA_LOOP)
+        return pool, RA_LOOP
     if isinstance(head, Exit):
-        return EMPTY_POOL, StepLabel(tid, RA_EXIT)
+        return EMPTY_POOL, RA_EXIT
     assert isinstance(head, Fork)
     split = split or ForkSplit(0, 0)
     if not (0 <= split.child_obs <= value and 0 <= split.child_credits <= credits):
@@ -150,7 +149,7 @@ def real_step(
         )
     keep = AnnotatedThread(value - split.child_obs, credits - split.child_credits, cont.tail)
     child = AnnotatedThread(split.child_obs, split.child_credits, head.body)
-    return pool.replace(tid, keep).extend(child), StepLabel(tid, RA_FORK)
+    return pool.replace(tid, keep).extend(child), RA_FORK
 
 
 def check_balance(pool: ThreadPool) -> bool:
@@ -292,8 +291,7 @@ def annotate(
     # side), they are still equal and the comparison is skipped
     same_erased, same_plain = erased, start
 
-    for plain in plain_trace:
-        tid, rule = plain.label
+    for _, tid, rule, after in plain_trace:
         cursor = cursors.get(tid)
         if cursor is None:
             raise AnnotationError(f"trace steps unknown thread {tid}")
@@ -316,20 +314,19 @@ def annotate(
             raise AnnotationError(f"unknown plain rule {rule!r}")
         for op in ops:  # the thread's ghost steps, right before its real step
             nxt = ghost_step(pool, tid, op)
-            steps.append(TraceStep(pool, StepLabel(tid, op), nxt))
+            steps.append(TraceStep(pool, tid, op, nxt))
             pool = nxt
-        nxt, label = real_step(pool, tid, split)
-        step = TraceStep(pool, label, nxt)
+        nxt, rule = real_step(pool, tid, split)
+        step = TraceStep(pool, tid, rule, nxt)
         steps.append(step)
         pool = nxt
-        if label.rule == RA_FORK:
+        if rule == RA_FORK:
             erased = erased.replace(tid, pool.get(tid).cont).extend(pool.get(step.child).cont)
-        elif label.rule != RA_LOOP:  # an exit empties the pool, an ended thread leaves it
+        elif rule != RA_LOOP:  # an exit empties the pool, an ended thread leaves it
             erased = erased.remove(tid) if pool.threads else EMPTY_POOL
         if slot is not None:
             cursors[step.child] = _Cursor(slot.child)
             cursor.index += 1
-        after = plain.after
         if erased is not same_erased or after is not same_plain:
             if erased != after:
                 raise AnnotationError("annotated run diverged from the plain trace")

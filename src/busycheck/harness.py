@@ -20,9 +20,9 @@ import time
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .ghost import annotate, check_balance
+from .ghost import AnnotationError, CancelUnderflow, SplitError, annotate, check_balance
 from .lang import Command, EXIT, Fork, LOOP_SKIP, Seq, pretty
-from .pog import build_pog, check_leaf_balance, describe_leaf, random_sc_loopfree_prefix
+from .pog import PrefixError, build_pog, check_leaf_balance, describe_leaf, random_sc_loopfree_prefix
 from .proofs import verify
 from .semantics import (
     FuelExhausted,
@@ -218,7 +218,10 @@ def _check_one(program: Command, prefix_seed: int, report: CampaignReport) -> No
     outcome, trace = run(initial_pool(program), RoundRobinScheduler(), fuel_bound(program))
     if isinstance(outcome, FuelExhausted):
         raise CampaignViolation(program, "round-robin run of a verified program ran out of fuel")
-    atrace = annotate(program, proof, trace)
+    try:
+        atrace = annotate(program, proof, trace)
+    except (AnnotationError, SplitError, CancelUnderflow) as exc:  # Stuck is an AnnotationError
+        raise CampaignViolation(program, f"annotating the verified program's run failed: {exc}") from exc
     for step in atrace.steps:
         report.balance_checks += 1
         if not check_balance(step.after):
@@ -228,7 +231,10 @@ def _check_one(program: Command, prefix_seed: int, report: CampaignReport) -> No
     rng = random.Random(prefix_seed)
     for _ in range(PREFIXES_PER_TRACE):
         prefix = random_sc_loopfree_prefix(graph, rng)
-        balance = check_leaf_balance(graph, prefix)
+        try:
+            balance = check_leaf_balance(graph, prefix)
+        except PrefixError as exc:
+            raise CampaignViolation(program, f"leaf-balance check refused prefix {sorted(prefix)}: {exc}") from exc
         report.leaf_balance_checks += 1
         if not balance.equal:
             report.leaf_balance_failures += 1

@@ -2,7 +2,7 @@
 
 Node i is the i-th step of the trace.  Each node is linked to the next step
 of the same thread and, for fork steps, to the forked thread's first step;
-edges carry the rule name of their source step.  Node 0 is the root.
+an edge is labelled with the rule of its source step.  Node 0 is the root.
 
 A prefix (downward-closed node set) is sibling-closed when, for every fork
 node, either both successor steps are included or neither is.  Leaves of a
@@ -18,53 +18,45 @@ resources out of the leaf sums).
 from __future__ import annotations
 
 import random
-from itertools import chain
 from typing import NamedTuple
 
 from .ghost import (
+    AnnotatedThread,
     AnnotatedTrace,
     RA_FORK,
     RA_LOOP,
 )
-from .lang import Continuation, Printer
+from .lang import Printer
+from .semantics import TraceStep
 
 
 class PrefixError(ValueError):
     pass
 
 
-class Edge(NamedTuple):
-    src: int
-    tid: int  # thread performing the target step
-    rule: str  # rule name of the source step
-    dst: int
-
-
-class NodeInfo(NamedTuple):
-    tid: int
-    rule: str
-    obligations: int
-    credits: int
-    cont: Continuation
-
-
 class ProgramOrderGraph:
-    """`out[n]` holds node n's out-edges by increasing `dst`, so `edges`, read
-    node by node, is sorted by (src, dst); `pred` maps a node to its source."""
+    """`info[n]` is annotated step n; `out[n]` holds node n's successors in
+    increasing order, so `edges`, the (src, dst) pairs read node by node, is
+    sorted; `pred` maps a node to its predecessor."""
 
     root = 0
 
-    def __init__(self, info: list[NodeInfo], out: list[tuple[Edge, ...]], pred: dict[int, int],
+    def __init__(self, info: tuple[TraceStep, ...], out: list[tuple[int, ...]], pred: dict[int, int],
                  initial_bundle: tuple[int, int]):
-        self.info = tuple(info)
+        self.info = info
         self.out = tuple(out)
         self.pred = pred
-        self.edges = tuple(chain.from_iterable(self.out))
+        self.edges = tuple((src, dst) for src, dsts in enumerate(self.out) for dst in dsts)
         self.initial_bundle = initial_bundle
 
     @property
     def nodes(self) -> range:
         return range(len(self.info))
+
+    def entry(self, n: int) -> AnnotatedThread:
+        """The thread that step n steps, as it stands before the step."""
+        step = self.info[n]
+        return step.before.get(step.tid)
 
 
 def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
@@ -78,23 +70,20 @@ def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
     # a thread's steps are the steps with its tid.  One pass links each step
     # to the thread's previous step, or to the fork that made the thread, so
     # a step's successors are met in increasing order.
-    info: list[NodeInfo] = []
-    out: list[tuple[Edge, ...]] = [()] * len(steps)
+    out: list[tuple[int, ...]] = [()] * len(steps)
     pred: dict[int, int] = {}
     last: dict[int, int] = {}  # tid -> its latest step, or the fork step before its first
     for i, s in enumerate(steps):
-        tid, rule = s.label
-        entry = s.before.get(tid)
-        info.append(NodeInfo(tid, rule, entry.obligations, entry.credits, entry.cont))
+        tid = s.tid
         j = last.get(tid)
         if j is not None:
-            out[j] += (Edge(j, tid, info[j].rule, i),)
+            out[j] += (i,)
             pred[i] = j
         last[tid] = i
         child = s.child
         if child is not None:
             last[child] = i
-    return ProgramOrderGraph(info, out, pred, (start.obligations, start.credits))
+    return ProgramOrderGraph(steps, out, pred, (start.obligations, start.credits))
 
 
 def downward_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> bool:
@@ -115,10 +104,10 @@ def sibling_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> b
         p = g.pred.get(n)
         if p is None:
             continue
-        if not {e.dst for e in g.out[p]} <= pset:
+        if not pset.issuperset(g.out[p]):
             return False
     for n in pset:
-        if _truncated_fork(g, n) and any(e.dst in pset for e in g.out[n]):
+        if _truncated_fork(g, n) and not pset.isdisjoint(g.out[n]):
             return False
     return True
 
@@ -142,8 +131,7 @@ def max_loopfree_sc_prefix(g: ProgramOrderGraph) -> frozenset[int]:
         n = frontier.pop()
         if not _expandable(g, n):
             continue
-        for e in g.out[n]:
-            d = e.dst
+        for d in g.out[n]:
             if d not in admitted:
                 admitted.add(d)
                 frontier.append(d)
@@ -176,14 +164,14 @@ def random_sc_loopfree_prefix(g: ProgramOrderGraph, rng: random.Random) -> froze
             break
         n = rng.choice(candidates)
         closed.add(n)
-        admitted.update(e.dst for e in g.out[n])
+        admitted.update(g.out[n])
     return frozenset(admitted)
 
 
 def leaves(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) -> frozenset[int]:
     """Nodes of the prefix with no outgoing edge inside the prefix."""
     pset = frozenset(prefix)  # a frozenset is not copied
-    return frozenset(n for n in pset if not any(e.dst in pset for e in g.out[n]))
+    return frozenset(n for n in pset if pset.isdisjoint(g.out[n]))
 
 
 class LeafBalance(NamedTuple):
@@ -214,8 +202,9 @@ def check_leaf_balance(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) 
     if o0 != c0:
         raise PrefixError("initial bundle is not balanced")
     leaf_nodes = tuple(sorted(leaves(g, pset)))
-    total_o = sum(g.info[n].obligations for n in leaf_nodes)
-    total_c = sum(g.info[n].credits for n in leaf_nodes)
+    entries = [g.entry(n) for n in leaf_nodes]
+    total_o = sum(e.obligations for e in entries)
+    total_c = sum(e.credits for e in entries)
     return LeafBalance(total_o, total_c, total_o == total_c, leaf_nodes)
 
 
@@ -230,19 +219,19 @@ def to_dot(g: ProgramOrderGraph, prefix: set[int] | frozenset[int] | None = None
         for n in sorted(prefix):
             lines.append(f"    n{n};")
         lines.append("  }")
-    for n in g.nodes:
-        info = g.info[n]
-        lines.append(f'  n{n} [label="{n}: {info.tid}/{info.rule}"];')
-    for e in g.edges:
-        style = ' [style=dashed, label="%s"]' if e.rule == RA_LOOP else ' [label="%s"]'
-        lines.append(f"  n{e.src} -> n{e.dst}" + style % e.rule + ";")
+    for n, step in enumerate(g.info):
+        lines.append(f'  n{n} [label="{n}: {step.tid}/{step.rule}"];')
+    for src, dst in g.edges:
+        rule = g.info[src].rule
+        style = ' [style=dashed, label="%s"]' if rule == RA_LOOP else ' [label="%s"]'
+        lines.append(f"  n{src} -> n{dst}" + style % rule + ";")
     lines.append("}")
     return "\n".join(lines)
 
 
 def describe_leaf(g: ProgramOrderGraph, n: int) -> str:
-    info = g.info[n]
+    e = g.entry(n)
     return (
-        f"step {n}: thread {info.tid} ({info.obligations}|{info.credits}) "
-        f"{Printer().continuation(info.cont)}"
+        f"step {n}: thread {g.info[n].tid} ({e.obligations}|{e.credits}) "
+        f"{Printer().continuation(e.cont)}"
     )

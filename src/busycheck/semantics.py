@@ -6,9 +6,10 @@ that plus ghost resources; `ghost` reuses the same pool, step record and
 trace printer, not the outcome classification.  A pool step branches once on
 the thread's head: a loop self-steps, returning the very pool it was given,
 a fork spawns its body under a fresh id (the step's `child`), `exit` clears
-the whole pool, and a thread at `done` is removed.  Every pool step is
-labeled with the name of the underlying rule, and the trace printer renders
-a pool once for each run of steps that share it.
+the whole pool, and a thread at `done` is removed.  A trace step is one
+flat record of the pools around it, the stepped thread and the name of the
+underlying rule, and the trace printer renders a pool once for each run of
+steps that share it.
 Pool operations bisect and slice a sorted tuple, so a step shares every
 untouched entry with the pool before it and costs no Python work per thread;
 the random scheduler reads thread ages off a run history it updates once per
@@ -135,14 +136,12 @@ EMPTY_POOL = ThreadPool(())
 
 # Records built per step or proof node are NamedTuples, built in about half the
 # time of a frozen dataclass; a class whose `==` must tell types apart stays one.
-class StepLabel(NamedTuple):
+class TraceStep(NamedTuple):
+    """Thread `tid` steps by `rule` from pool `before` to pool `after`."""
+
+    before: ThreadPool
     tid: int
     rule: str
-
-
-class TraceStep(NamedTuple):
-    before: ThreadPool
-    label: StepLabel
     after: ThreadPool
 
     @property
@@ -170,17 +169,17 @@ class FuelExhausted:
 RunOutcome = Terminated | AbruptExit | FuelExhausted
 
 
-def step_pool(tp: ThreadPool, tid: int) -> tuple[ThreadPool, StepLabel]:
-    """Pool step by thread `tid`; total for every tid in the pool's domain."""
+def step_pool(tp: ThreadPool, tid: int) -> tuple[ThreadPool, str]:
+    """Pool step by thread `tid` and its rule; total for every tid in the pool's domain."""
     cont = tp.get(tid)
     if isinstance(cont, Done):
-        return tp.remove(tid), StepLabel(tid, TP_THREAD_TERM)
+        return tp.remove(tid), TP_THREAD_TERM
     head = cont.head
     if isinstance(head, Exit):
-        return EMPTY_POOL, StepLabel(tid, TP_EXIT)
+        return EMPTY_POOL, TP_EXIT
     if isinstance(head, LoopSkip):
-        return tp, StepLabel(tid, ST_LOOP)
-    return tp.replace(tid, cont.tail).extend(head.body), StepLabel(tid, ST_FORK)
+        return tp, ST_LOOP
+    return tp.replace(tid, cont.tail).extend(head.body), ST_FORK
 
 
 class Scheduler(Protocol):
@@ -203,7 +202,7 @@ class RoundRobinScheduler:
         tids = pool.ids
         if not trace:
             return tids[self.offset % len(tids)]
-        i = bisect_right(tids, trace[-1].label.tid)
+        i = bisect_right(tids, trace[-1].tid)
         return tids[i] if i < len(tids) else tids[0]
 
 
@@ -231,7 +230,7 @@ class RandomFairScheduler:
         last = self._last
         for j in range(self._seen, len(trace)):
             step = trace[j]
-            last[step.label.tid] = j
+            last[step.tid] = j
             child = step.child
             if child is not None:
                 last[child] = j  # born at a fork step
@@ -256,12 +255,12 @@ def run(tp: ThreadPool, scheduler: Scheduler, fuel: int) -> tuple[RunOutcome, li
         if pool.is_empty():
             break
         tid = scheduler.pick(trace, pool)
-        pool2, label = step_pool(pool, tid)
-        trace.append(TraceStep(pool, label, pool2))
+        pool2, rule = step_pool(pool, tid)
+        trace.append(TraceStep(pool, tid, rule, pool2))
         pool = pool2
     if not pool.is_empty():
         return FuelExhausted(pool), trace
-    if trace and trace[-1].label.rule == TP_EXIT:
+    if trace and trace[-1].rule == TP_EXIT:
         return AbruptExit(len(trace)), trace
     return Terminated(len(trace)), trace
 
@@ -446,5 +445,5 @@ def serialize_trace(
         if s.before is not pool:
             pool = s.before
             text = ",".join(printer.each(pool.threads, thread))
-        lines.append(f"{i}\t{s.label.tid}\t{s.label.rule}\t{{{text}}}")
+        lines.append(f"{i}\t{s.tid}\t{s.rule}\t{{{text}}}")
     return "\n".join(lines)

@@ -183,7 +183,7 @@ def is_fair_prefix(trace: list[TraceStep], window: int) -> bool:
         raise ValueError("window must be >= 1")
     waiting = dict.fromkeys(trace[0].before.ids, 0) if trace else {}
     for j, step in enumerate(trace):
-        tid = step.label.tid
+        tid = step.tid
         if j - waiting.pop(tid, j) >= window:
             return False
         if len(step.after.ids) >= len(step.before.ids):

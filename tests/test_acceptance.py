@@ -164,7 +164,7 @@ def test_criterion_6_stuckness_triad():
             with pytest.raises(Stuck) as stuck:
                 real_step(looping(*bundle), 0)
             assert stuck.value.reason == reason
-        assert real_step(looping(0, 1), 0)[1].rule == RA_LOOP
+        assert real_step(looping(0, 1), 0)[1] == RA_LOOP
 
 
 def test_criterion_7_negative_control():

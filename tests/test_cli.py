@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import busycheck.cli
+import busycheck.proofs
 import busycheck.semantics
 from busycheck.cli import main
 from busycheck.harness import enumerate_programs
@@ -121,6 +122,15 @@ def test_readme_golden_trace_is_the_trace_output(capsys):
     assert main(["trace", "-e", "fork { exit }; loop skip"]) == 0
     assert capsys.readouterr().out.splitlines() == golden
     assert len(golden) == 3 and all(line.count("\t") == 3 for line in golden)
+
+
+def test_readme_golden_graph_is_the_graph_output(capsys):
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index('$ busycheck graph --prefix -e "fork { exit }; loop skip"') + 1
+    golden = lines[start : lines.index("```", start)]
+    assert main(["graph", "--prefix", "-e", "fork { exit }; loop skip"]) == 0
+    assert capsys.readouterr().out.splitlines() == golden
+    assert len(golden) == 14
 
 
 def test_run_json(capsys):
@@ -395,6 +405,23 @@ def test_fuzz_small_campaign(capsys):
     assert 0 < payload["multiThread"] < 38
     assert payload["soundnessViolations"] == 0
     assert payload["leafBalanceFailures"] == 0
+
+
+def test_fuzz_reports_a_proof_that_annotate_refuses_as_a_violation(monkeypatch, capsys):
+    # a mutant proof constructor that hands each fork's child one credit too few
+    fork_choice = busycheck.proofs._fork_choice
+
+    def short_of_a_credit(o, k, body, rest):
+        delta, child_obs, child_credits = fork_choice(o, k, body, rest)
+        return delta, child_obs, max(0, child_credits - 1)
+
+    monkeypatch.setattr(busycheck.proofs, "_fork_choice", short_of_a_credit)
+    assert main(["fuzz", "--count", "50", "--exhaustive-max", "3"]) == 1
+    err = capsys.readouterr().err
+    violations = [line for line in err.splitlines() if line.startswith("violation:")]
+    assert len(violations) == 1, err
+    assert "annotating the verified program's run failed: proof does not check" in violations[0]
+    assert "Traceback" not in err
 
 
 def test_trace_with_named_schedulers(capsys):

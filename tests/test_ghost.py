@@ -33,7 +33,6 @@ from busycheck.semantics import (
     RandomFairScheduler,
     RoundRobinScheduler,
     ThreadPool,
-    TraceStep,
     fuel_bound,
     UnknownThreadError,
     initial_pool,
@@ -91,8 +90,8 @@ def test_stuckness_triad():
     assert _stuck_reason(_single(0, 0)) == LOOP_NEEDS_CREDIT
     assert _stuck_reason(_single(1, 1)) == LOOP_HOLDS_OBLIGATION
     pool = _single(0, 1)
-    pool2, step = real_step(pool, 0)
-    assert step.rule == RA_LOOP
+    pool2, rule = real_step(pool, 0)
+    assert rule == RA_LOOP
     assert pool2 is pool  # the credit is held, not consumed
 
 
@@ -100,15 +99,15 @@ def test_term_requires_empty_chunk():
     pool = ThreadPool.of({0: AnnotatedThread(1, 1, DONE)})
     assert _stuck_reason(pool) == TERM_HOLDS_OBLIGATION
     clean = ThreadPool.of({0: AnnotatedThread(0, 2, DONE)})
-    pool2, step = real_step(clean, 0)
-    assert step.rule == RA_THREAD_TERM and pool2.is_empty()
+    pool2, rule = real_step(clean, 0)
+    assert rule == RA_THREAD_TERM and pool2.is_empty()
 
 
 def test_fork_splits_the_bundle():
     c = parse("fork { fork { loop skip }; exit }; loop skip")
     pool = ThreadPool.of({0: AnnotatedThread(1, 1, c)})
-    pool2, step = real_step(pool, 0, ForkSplit(1, 0))
-    assert step.rule == RA_FORK
+    pool2, rule = real_step(pool, 0, ForkSplit(1, 0))
+    assert rule == RA_FORK
     assert _counts(pool2.get(0)) == (0, 1)
     assert pool2.get(0).cont is c.second
     assert _counts(pool2.get(1)) == (1, 0)
@@ -127,8 +126,8 @@ def test_exit_clears_the_annotated_pool():
             1: AnnotatedThread(0, 1, LOOP_SKIP),
         }
     )
-    pool2, step = real_step(pool, 0)
-    assert step.rule == RA_EXIT and pool2.is_empty()
+    pool2, rule = real_step(pool, 0)
+    assert rule == RA_EXIT and pool2.is_empty()
 
 
 def _annotated(c, tids=None, scheduler=None, fuel=2000):
@@ -146,8 +145,8 @@ PLAIN_RULE = {RA_LOOP: ST_LOOP, RA_FORK: ST_FORK, RA_EXIT: TP_EXIT, RA_THREAD_TE
 
 def _projects_onto(atrace, trace):
     """The non-ghost steps of `atrace` are the steps of `trace`, thread and rule."""
-    real = [(s.label.tid, PLAIN_RULE[s.label.rule]) for s in atrace.steps if s.label.rule in PLAIN_RULE]
-    return real == [(s.label.tid, s.label.rule) for s in trace]
+    real = [(s.tid, PLAIN_RULE[s.rule]) for s in atrace.steps if s.rule in PLAIN_RULE]
+    return real == [(s.tid, s.rule) for s in trace]
 
 
 def _worked_trace(c):
@@ -157,7 +156,7 @@ def _worked_trace(c):
 
 def test_annotate_reproduces_worked_trace_bundles(two_level_fork):
     trace = _worked_trace(two_level_fork)
-    assert [(s.label.tid, s.label.rule) for s in trace.steps] == [
+    assert [(s.tid, s.rule) for s in trace.steps] == [
         (0, GS_INTRO), (0, RA_FORK), (1, GS_INTRO), (1, RA_FORK),
         (2, RA_LOOP), (0, RA_LOOP), (0, RA_LOOP), (0, RA_LOOP),
     ]
@@ -189,16 +188,16 @@ def test_annotate_waiting_pair_bundles(waiting_pair):
     # let the waiter spin a few times before the exiting thread runs
     proof, trace, atrace = _annotated(waiting_pair, tids=[0, 0, 0, 0, 1])
     for step in atrace.steps:
-        if step.label.rule == RA_LOOP:
+        if step.rule == RA_LOOP:
             assert _counts(step.before.get(0)) == (0, 1)
-        if step.label.rule == RA_EXIT:
+        if step.rule == RA_EXIT:
             assert _counts(step.before.get(1)) == (1, 0)
 
 
 def test_annotate_exit_alone_needs_no_ghost_steps():
     c = parse("exit")
     _, trace, atrace = _annotated(c, tids=[0])
-    assert [s.label.rule for s in atrace.steps] == [RA_EXIT]
+    assert [s.rule for s in atrace.steps] == [RA_EXIT]
     assert _counts(atrace.steps[0].before.get(0)) == (0, 0)
 
 
@@ -218,19 +217,19 @@ def test_annotate_balance_and_ghost_progress(two_level_fork, waiting_pair):
         bound = tree_size(proof)
         streak: dict[int, int] = {}
         for step in atrace.steps:
-            if step.label.rule in (GS_INTRO, GS_CANCEL):
-                streak[step.label.tid] = streak.get(step.label.tid, 0) + 1
-                assert streak[step.label.tid] <= bound
+            if step.rule in (GS_INTRO, GS_CANCEL):
+                streak[step.tid] = streak.get(step.tid, 0) + 1
+                assert streak[step.tid] <= bound
             else:
-                streak[step.label.tid] = 0
+                streak[step.tid] = 0
 
 
 def test_annotate_split_conservation(two_level_fork):
     _, _, atrace = _annotated(two_level_fork, tids=[0, 1, 2, 0, 0, 0])
     for step in atrace.steps:
-        if step.label.rule != RA_FORK:
+        if step.rule != RA_FORK:
             continue
-        tid = step.label.tid
+        tid = step.tid
         before = step.before.get(tid)
         child_tid = step.child
         kept = step.after.get(tid)
@@ -305,7 +304,7 @@ def test_annotate_checks_every_step_against_the_plain_pool(two_level_fork, index
         tid = step.after.ids[-1]
         left = step.after.get(tid)
         wrong = step.after.replace(tid, LOOP_SKIP if left is DONE else Seq(LOOP_SKIP, left))
-    trace[index] = TraceStep(step.before, step.label, wrong)
+    trace[index] = step._replace(after=wrong)
     with pytest.raises(AnnotationError, match="diverged from the plain trace"):
         annotate(two_level_fork, proof, trace)
 
@@ -314,17 +313,17 @@ def test_annotate_checks_every_step_against_the_plain_pool(two_level_fork, index
     # step deep in the run whose `after` is another pool is compared again
     waiters = parse("; ".join(["fork { loop skip }"] * 6) + "; exit")
     proof, trace, _ = _annotated(waiters, fuel=fuel_bound(waiters))
-    loops = [i for i, s in enumerate(trace) if s.label.rule == ST_LOOP]
+    loops = [i for i, s in enumerate(trace) if s.rule == ST_LOOP]
     deep = loops[-1 - index]
     assert deep > len(trace) // 2
     step = trace[deep]
     assert step.after is step.before
-    differs = step.after.replace(step.label.tid, Seq(LOOP_SKIP, LOOP_SKIP))
+    differs = step.after.replace(step.tid, Seq(LOOP_SKIP, LOOP_SKIP))
     equal = ThreadPool(step.after.threads)
     assert equal == step.after and equal is not step.after
     for after, accepted in ((differs, False), (equal, True)):
         tampered = list(trace)
-        tampered[deep] = TraceStep(step.before, step.label, after)
+        tampered[deep] = step._replace(after=after)
         if accepted:
             assert _projects_onto(annotate(waiters, proof, tampered), trace)
         else:
@@ -332,10 +331,10 @@ def test_annotate_checks_every_step_against_the_plain_pool(two_level_fork, index
                 annotate(waiters, proof, tampered)
     # a fork step whose `after` is the very pool last found equal, while the
     # erased pool has moved on, is compared too
-    forks = [i for i, s in enumerate(trace) if s.label.rule == ST_FORK and i > 0]
+    forks = [i for i, s in enumerate(trace) if s.rule == ST_FORK and i > 0]
     fork = forks[index % len(forks)]
     tampered = list(trace)
-    tampered[fork] = TraceStep(trace[fork].before, trace[fork].label, trace[fork - 1].after)
+    tampered[fork] = trace[fork]._replace(after=trace[fork - 1].after)
     with pytest.raises(AnnotationError, match="diverged from the plain trace"):
         annotate(waiters, proof, tampered)
 
@@ -432,8 +431,8 @@ def test_threads_run_suffixes_of_the_program():
             for s in steps:
                 for _, e in s.after.threads:
                     assert left(e) is DONE or id(left(e)) in suffixes
-                if s.label.rule in (ST_FORK, RA_FORK):
-                    head = left(s.before.get(s.label.tid)).head
+                if s.rule in (ST_FORK, RA_FORK):
+                    head = left(s.before.get(s.tid)).head
                     assert left(s.after.get(s.child)) is head.body
             runs += 1
     assert runs > 3000
@@ -448,7 +447,7 @@ def test_child_is_the_fresh_id_of_exactly_the_fork_steps():
             traces = [plain] + ([annotate(c, proof, plain).steps] if proof is not None else [])
             for steps in traces:
                 for s in steps:
-                    if s.label.rule in (ST_FORK, RA_FORK):
+                    if s.rule in (ST_FORK, RA_FORK):
                         assert s.child == s.before.ids[-1] + 1
                         forks += 1
                     else:

@@ -14,7 +14,6 @@ from busycheck.ghost import (
 from busycheck.harness import GenConfig, gen_program
 from busycheck.lang import LOOP_SKIP, parse
 from busycheck.pog import (
-    Edge,
     PrefixError,
     build_pog,
     check_leaf_balance,
@@ -39,14 +38,16 @@ def worked_graph(two_level_fork):
 
 def test_worked_trace_edges(worked_graph):
     g = worked_graph
-    assert set(g.edges) == {
-        Edge(0, 0, GS_INTRO, 1),
-        Edge(1, 1, RA_FORK, 2),  # forked thread's first step is its ghost intro
-        Edge(1, 0, RA_FORK, 5),
-        Edge(2, 1, GS_INTRO, 3),
-        Edge(3, 2, RA_FORK, 4),
-        Edge(5, 0, RA_LOOP, 6),
-        Edge(6, 0, RA_LOOP, 7),
+    assert g.edges == ((0, 1), (1, 2), (1, 5), (2, 3), (3, 4), (5, 6), (6, 7))
+    # (src, thread of the target step, rule of the source step, dst)
+    assert {(src, g.info[dst].tid, g.info[src].rule, dst) for src, dst in g.edges} == {
+        (0, 0, GS_INTRO, 1),
+        (1, 1, RA_FORK, 2),  # forked thread's first step is its ghost intro
+        (1, 0, RA_FORK, 5),
+        (2, 1, GS_INTRO, 3),
+        (3, 2, RA_FORK, 4),
+        (5, 0, RA_LOOP, 6),
+        (6, 0, RA_LOOP, 7),
     }
     assert list(g.nodes) == list(range(8))
     assert g.root == 0
@@ -64,14 +65,14 @@ def test_single_thread_trace_is_a_path():
     proof2 = verify(c2)
     _, trace2 = run_schedule(initial_pool(c2), [0, 0])
     g2 = build_pog(annotate(c2, proof2, trace2))
-    assert [e.dst for e in g2.out[0]] == [1]
+    assert g2.out[0] == (1,)
 
 
 def test_edge_minimality(worked_graph):
     g = worked_graph
-    for e in g.edges:
-        for k in range(e.src + 1, e.dst):
-            assert g.info[k].tid != e.tid
+    for src, dst in g.edges:
+        for k in range(src + 1, dst):
+            assert g.info[k].tid != g.info[dst].tid
 
 
 def test_sibling_closed_examples(worked_graph):
@@ -90,9 +91,9 @@ def test_max_loopfree_prefix_on_worked_trace(worked_graph):
     assert prefix == frozenset({0, 1, 2, 3, 5})
     assert sibling_closed(prefix, g) and downward_closed(prefix, g)
     # no internal edge comes off a loop step
-    for e in g.edges:
-        if e.src in prefix and e.dst in prefix:
-            assert e.rule != RA_LOOP
+    for src, dst in g.edges:
+        if src in prefix and dst in prefix:
+            assert g.info[src].rule != RA_LOOP
     # maximality: adding any single admissible node breaks a requirement
     for extra in set(g.nodes) - prefix:
         bigger = prefix | {extra}
@@ -100,9 +101,9 @@ def test_max_loopfree_prefix_on_worked_trace(worked_graph):
             downward_closed(bigger, g)
             and sibling_closed(bigger, g)
             and all(
-                g.info[e.src].rule != RA_LOOP
-                for e in g.edges
-                if e.src in bigger and e.dst in bigger
+                g.info[src].rule != RA_LOOP
+                for src, dst in g.edges
+                if src in bigger and dst in bigger
             )
         )
         assert not ok
@@ -119,8 +120,8 @@ def test_max_loopfree_prefix_loop_free_trace_is_everything():
 def test_max_loopfree_prefix_boundary_first_step_loop():
     # a trace whose first step is already a loop step keeps only the root
     pool = ThreadPool.of({0: AnnotatedThread(0, 1, LOOP_SKIP)})
-    after, label = real_step(pool, 0)
-    g = build_pog(AnnotatedTrace(pool, (TraceStep(pool, label, after),) * 3))
+    after, rule = real_step(pool, 0)
+    g = build_pog(AnnotatedTrace(pool, (TraceStep(pool, 0, rule, after),) * 3))
     assert max_loopfree_sc_prefix(g) == frozenset({0})
 
 
@@ -151,8 +152,8 @@ def test_leaf_balance_preconditions(worked_graph):
 
 def test_leaf_balance_requires_balanced_start():
     pool = initial_annotated_pool(parse("exit"), obligations=1)
-    after, label = real_step(pool, 0)
-    g = build_pog(AnnotatedTrace(pool, (TraceStep(pool, label, after),)))
+    after, rule = real_step(pool, 0)
+    g = build_pog(AnnotatedTrace(pool, (TraceStep(pool, 0, rule, after),)))
     with pytest.raises(PrefixError):
         check_leaf_balance(g, {0})
 
@@ -166,6 +167,9 @@ def test_leaf_balance_random_prefixes_on_generated_programs():
             continue
         outcome, trace = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
         g = build_pog(annotate(c, proof, trace))
+        # `edges`, `out` and `pred` describe one relation
+        assert g.edges == tuple((src, dst) for src in g.nodes for dst in g.out[src])
+        assert list(g.edges) == sorted((src, dst) for dst, src in g.pred.items())
         for _ in range(3):
             prefix = random_sc_loopfree_prefix(g, rng)
             result = check_leaf_balance(g, prefix)
@@ -192,7 +196,7 @@ def test_loop_leaf_has_an_exit_witness():
         others = [
             n
             for n in leaves(g, prefix)
-            if n not in loop_leaves and g.info[n].obligations >= 1
+            if n not in loop_leaves and g.entry(n).obligations >= 1
         ]
         assert others, c
 

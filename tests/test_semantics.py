@@ -39,43 +39,43 @@ from busycheck.semantics import (
 from reference import FixedScheduler, is_fair_prefix
 
 def test_step_pool_loop_returns_the_same_pool():
-    pool, label = step_pool(TWO_LOOPERS, 1)
-    assert pool is TWO_LOOPERS and label.rule == ST_LOOP
+    pool, rule = step_pool(TWO_LOOPERS, 1)
+    assert pool is TWO_LOOPERS and rule == ST_LOOP
 
 
 def test_step_pool_fork_keeps_the_tail_and_spawns_the_body():
     k = Seq(Fork(Seq(EXIT, LOOP_SKIP)), LOOP_SKIP)
-    pool, label = step_pool(ThreadPool.of({0: k, 1: LOOP_SKIP}), 0)
-    assert label.rule == ST_FORK and pool.ids == (0, 1, 2)
+    pool, rule = step_pool(ThreadPool.of({0: k, 1: LOOP_SKIP}), 0)
+    assert rule == ST_FORK and pool.ids == (0, 1, 2)
     assert pool.get(0) is k.tail and pool.get(2) is k.head.body
 
 
 def test_step_pool_done_removes_the_thread_and_exit_empties_the_pool():
     pool = ThreadPool.of({0: EXIT, 2: DONE, 5: LOOP_SKIP})
-    after, label = step_pool(pool, 2)
-    assert label.rule == TP_THREAD_TERM and after == ThreadPool.of({0: EXIT, 5: LOOP_SKIP})
-    after, label = step_pool(pool, 0)
-    assert label.rule == TP_EXIT and after.is_empty()
+    after, rule = step_pool(pool, 2)
+    assert rule == TP_THREAD_TERM and after == ThreadPool.of({0: EXIT, 5: LOOP_SKIP})
+    after, rule = step_pool(pool, 0)
+    assert rule == TP_EXIT and after.is_empty()
 
 
 def test_step_pool_exit_clears_everything():
     pool = ThreadPool.of({0: EXIT, 3: LOOP_SKIP})
-    pool2, label = step_pool(pool, 0)
+    pool2, rule = step_pool(pool, 0)
     assert pool2.is_empty()
-    assert label.rule == TP_EXIT
+    assert rule == TP_EXIT
 
 
 def test_step_pool_removes_finished_thread():
     pool = ThreadPool.of({0: DONE})
-    pool2, label = step_pool(pool, 0)
+    pool2, rule = step_pool(pool, 0)
     assert pool2.is_empty()
-    assert label.rule == TP_THREAD_TERM
+    assert rule == TP_THREAD_TERM
 
 
 def test_step_pool_fork_assigns_fresh_id():
     pool = initial_pool(parse("fork { exit }; loop skip"))
-    pool2, label = step_pool(pool, 0)
-    assert label.rule == ST_FORK
+    pool2, rule = step_pool(pool, 0)
+    assert rule == ST_FORK
     assert pool2 == ThreadPool.of({0: LOOP_SKIP, 1: EXIT})
 
 
@@ -101,7 +101,7 @@ def test_run_bare_loop_exhausts_fuel():
     outcome, trace = run(initial_pool(LOOP_SKIP), RoundRobinScheduler(), 50)
     assert isinstance(outcome, FuelExhausted)
     assert len(trace) == 50
-    assert all(s.label.rule == ST_LOOP for s in trace)
+    assert all(s.rule == ST_LOOP for s in trace)
 
 
 def test_run_exit_is_one_step():
@@ -137,12 +137,12 @@ def test_fair_prefix_vacuous_past_the_end():
 def test_round_robin_order():
     pool = ThreadPool.of({0: LOOP_SKIP, 1: LOOP_SKIP, 2: LOOP_SKIP})
     _, trace = run(pool, RoundRobinScheduler(), 6)
-    assert [s.label.tid for s in trace] == [0, 1, 2, 0, 1, 2]
+    assert [s.tid for s in trace] == [0, 1, 2, 0, 1, 2]
 
 
 def test_rotated_round_robin_order():
     _, trace = run(TWO_LOOPERS, RoundRobinScheduler(1), 4)
-    assert [s.label.tid for s in trace] == [1, 0, 1, 0]
+    assert [s.tid for s in trace] == [1, 0, 1, 0]
 
 
 def test_random_fair_never_starves():
@@ -163,7 +163,7 @@ def _age_by_scan(trace, tid):
     # steps since `tid` last stepped (or was born), one thread at a time
     age = 0
     for step in reversed(trace):
-        if step.label.tid == tid or tid not in step.before.ids:
+        if step.tid == tid or tid not in step.before.ids:
             break
         age += 1
     return age
@@ -181,7 +181,7 @@ def _reference_ages(trace, tids):
         if not pending:
             break
         present = set(step.before.ids)
-        for tid in [t for t in pending if t == step.label.tid or t not in present]:
+        for tid in [t for t in pending if t == step.tid or t not in present]:
             ages[tid] = depth
             pending.remove(tid)
     ages.update(dict.fromkeys(pending, len(trace)))
@@ -227,7 +227,7 @@ def test_random_fair_ages_match_per_thread_scan():
 
 
 def _schedule(pool, scheduler, fuel):
-    return [s.label.tid for s in run(pool, scheduler, fuel)[1]]
+    return [s.tid for s in run(pool, scheduler, fuel)[1]]
 
 
 @pytest.mark.parametrize("window", [1, 3, 16])
@@ -336,7 +336,7 @@ def _fair_by_windows(trace, window):
     for k in range(n):
         if k + window > n:
             break
-        scheduled = {trace[j].label.tid for j in range(k, k + window)}
+        scheduled = {trace[j].tid for j in range(k, k + window)}
         for tid in trace[k].before.ids:
             if tid not in scheduled:
                 return False
@@ -459,7 +459,7 @@ def test_pool_growth_property():
         _, trace = run(initial_pool(c), RandomFairScheduler(5, 12), 80)
         for s in trace:
             delta = len(s.after.threads) - len(s.before.threads)
-            if s.label.rule == TP_EXIT:
+            if s.rule == TP_EXIT:
                 assert delta == -len(s.before.threads)
             else:
                 assert delta in (-1, 0, 1)
@@ -533,7 +533,7 @@ def test_fuel_bound_settles_every_small_program_exhaustively():
             progress = stalled = 0
             waiting = _all_waiting(start)  # a loop step leaves the pool as it was
             for step in trace:
-                if step.label.rule != ST_LOOP:
+                if step.rule != ST_LOOP:
                     progress, stalled = progress + 1, 0
                     waiting = _all_waiting(step.after)
                 elif not waiting:

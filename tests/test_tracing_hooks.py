@@ -57,6 +57,8 @@ def test_tracer_counts_run_annotate_graph_and_campaign(monkeypatch, capsys):
         tracer.uninstall()
     capsys.readouterr()
     counts = tracer.counts
-    # read off the results of `run`, `annotate`, `build_pog` and the campaign
-    for field in ("run_steps", "steps_inserted", "pog_nodes", "pog_edges", "programs"):
-        assert getattr(counts, field) > 0, field
+    # read off the results of `run`, `annotate`, `build_pog` and the campaign;
+    # the traced benchmark's per-layer counts are these sums, so they are pinned
+    assert (counts.run_steps, counts.steps_inserted, counts.pog_nodes, counts.pog_edges, counts.programs) == (
+        8, 2, 5, 2, 5
+    )
