@@ -27,7 +27,7 @@ from .ghost import (
     ghost_step,
     real_step,
 )
-from .pog import build_pog, check_leaf_balance, max_loopfree_sc_prefix, sibling_closed
+from .pog import build_pog, check_leaf_balance, max_loopfree_sc_prefix
 from .harness import GenConfig, gen_program, soundness_campaign
 
 __version__ = "0.1.0"

@@ -41,7 +41,10 @@ from .lang import (
 from .proofs import (
     ForkSplit,
     ProofTree,
-    Rule,
+    RULE_FORK,
+    RULE_FRAME,
+    RULE_SEQ,
+    RULE_VIEW_SHIFT,
     check_proof,
 )
 from . import semantics
@@ -218,22 +221,24 @@ def _extract_plan(t: ProofTree) -> _Plan:
         node, plan = todo.pop()
         if isinstance(node, list):
             plan.final_ops += node
-        elif node.rule is Rule.VIEW_SHIFT:
+            continue
+        rule = node.rule
+        if rule is RULE_VIEW_SHIFT:
             c, data = node.conclusion, node.data
             plan.final_ops += _ops_between(c.pre, data.inner_pre)
             post_ops = _ops_between(data.inner_post, c.post)
             if post_ops:
                 todo.append((post_ops, plan))
             todo.append((node.premises[0], plan))
-        elif node.rule is Rule.FRAME:
+        elif rule is RULE_FRAME:
             todo.append((node.premises[0], plan))
-        elif node.rule is Rule.SEQ:
+        elif rule is RULE_SEQ:
             todo += [(node.premises[1], plan), (node.premises[0], plan)]
         else:
             slot = _Slot(plan.final_ops)
             plan.final_ops = []
             plan.slots.append(slot)
-            if node.rule is Rule.FORK:
+            if rule is RULE_FORK:
                 slot.split, slot.child = node.data, _Plan()
                 todo.append((node.premises[0], slot.child))
     return root

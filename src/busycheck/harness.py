@@ -9,6 +9,11 @@ executed, annotated with their proof (which `annotate` checks), and checked
 for ghost balance after every step plus the leaf-sum equality on random
 sibling-closed loop-edge-free prefixes.  The same walk counts the programs
 that reach a second thread (`multi_thread`).
+
+A campaign draws every prefix from one `random.Random` seeded from
+`GenConfig.seed`, so it is reproducible from its seed.  The exhaustive sweep
+builds the commands of each size once and shares them as the fork bodies
+and suffixes of larger commands.
 """
 
 from __future__ import annotations
@@ -91,26 +96,17 @@ def _gen_command(rng: random.Random, cum_weights: list[float], atoms: int) -> Co
 
 
 def enumerate_programs(max_atoms: int):
-    """All commands with at most max_atoms atoms."""
+    """All commands with at most max_atoms atoms, by size: a size's atoms (the
+    forks of the size below), then each smaller atom before each command of
+    the size left.  The lists of each size are shared by larger sizes."""
+    atoms: list[list[Command]] = [[]]
+    commands: list[list[Command]] = [[]]
     for n in range(1, max_atoms + 1):
-        yield from _commands_of_size(n)
-
-
-def _atoms_of_size(n: int):
-    if n == 1:
-        yield EXIT
-        yield LOOP_SKIP
-    else:
-        for body in _commands_of_size(n - 1):
-            yield Fork(body)
-
-
-def _commands_of_size(n: int):
-    yield from _atoms_of_size(n)
-    for first_size in range(1, n):
-        for first in _atoms_of_size(first_size):
-            for rest in _commands_of_size(n - first_size):
-                yield Seq(first, rest)
+        atoms.append([EXIT, LOOP_SKIP] if n == 1 else [Fork(body) for body in commands[n - 1]])
+        commands.append(
+            atoms[n] + [Seq(first, rest) for size in range(1, n) for first in atoms[size] for rest in commands[n - size]]
+        )
+        yield from commands[n]
 
 
 class CampaignViolation(AssertionError):
@@ -191,13 +187,14 @@ def soundness_campaign(
     programs = gen_program(cfg)
     if exhaustive_max_atoms:
         programs.extend(enumerate_programs(exhaustive_max_atoms))
-    for index, program in enumerate(programs):
-        _check_one(program, cfg.seed * 7919 + index, report)
+    rng = random.Random(cfg.seed)  # draws every prefix the campaign checks
+    for program in programs:
+        _check_one(program, rng, report)
     report.wall_time = time.perf_counter() - started
     return report
 
 
-def _check_one(program: Command, prefix_seed: int, report: CampaignReport) -> None:
+def _check_one(program: Command, rng: random.Random, report: CampaignReport) -> None:
     report.total += 1
     proof = verify(program)
     tree = spawn_tree(program)
@@ -228,7 +225,6 @@ def _check_one(program: Command, prefix_seed: int, report: CampaignReport) -> No
             report.balance_failures += 1
             raise CampaignViolation(program, "ghost balance broken along the annotated trace")
     graph = build_pog(atrace)
-    rng = random.Random(prefix_seed)
     for _ in range(PREFIXES_PER_TRACE):
         prefix = random_sc_loopfree_prefix(graph, rng)
         try:

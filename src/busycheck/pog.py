@@ -7,7 +7,10 @@ an edge is labelled with the rule of its source step.  Node 0 is the root.
 A prefix (downward-closed node set) is sibling-closed when, for every fork
 node, either both successor steps are included or neither is.  Leaves of a
 sibling-closed prefix satisfy the obligation/credit sum equality when the
-run starts with as many obligations as credits.
+run starts with as many obligations as credits.  `check_leaf_balance`
+validates a prefix and sums its leaves in one pass over its nodes; it
+refuses an unknown node first, then a prefix not downward-closed, then one
+not sibling-closed, then an unbalanced initial bundle.
 
 Built over finite prefixes only: a node whose successors lie beyond the
 trace is a leaf, and a fork node missing one of its two successors must stay
@@ -86,30 +89,8 @@ def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
     return ProgramOrderGraph(steps, out, pred, (start.obligations, start.credits))
 
 
-def downward_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> bool:
-    return all(n == g.root or g.pred.get(n) in prefix for n in prefix)
-
-
 def _truncated_fork(g: ProgramOrderGraph, n: int) -> bool:
     return g.info[n].rule == RA_FORK and len(g.out[n]) < 2
-
-
-def sibling_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> bool:
-    """All siblings of every prefix node are in the prefix; at the trace
-    boundary, a fork node with a missing successor must have none inside."""
-    pset = frozenset(prefix)  # a frozenset is not copied
-    for n in pset:
-        if n == g.root:
-            continue
-        p = g.pred.get(n)
-        if p is None:
-            continue
-        if not pset.issuperset(g.out[p]):
-            return False
-    for n in pset:
-        if _truncated_fork(g, n) and not pset.isdisjoint(g.out[n]):
-            return False
-    return True
 
 
 def _expandable(g: ProgramOrderGraph, n: int) -> bool:
@@ -168,12 +149,6 @@ def random_sc_loopfree_prefix(g: ProgramOrderGraph, rng: random.Random) -> froze
     return frozenset(admitted)
 
 
-def leaves(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) -> frozenset[int]:
-    """Nodes of the prefix with no outgoing edge inside the prefix."""
-    pset = frozenset(prefix)  # a frozenset is not copied
-    return frozenset(n for n in pset if pset.isdisjoint(g.out[n]))
-
-
 class LeafBalance(NamedTuple):
     obligations: int
     credits: int
@@ -187,25 +162,42 @@ def check_leaf_balance(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) 
     Preconditions are reported, not silently computed: the prefix must be a
     sibling-closed downward-closed subset and the run must start with
     obligations matching credits (runs of verified programs start from
-    (0|0)).
+    (0|0)).  A refusal names the first of the module docstring's failures
+    that any node shows.
+
+    Sibling closure is asked of each node's successors: all or none inside,
+    and none for a fork whose other successor lies beyond the trace.  On a
+    downward-closed prefix that is closure under siblings.
     """
     pset = frozenset(prefix)  # a frozenset is not copied
-    # membership in the range answers as membership in a set of its values
-    # would, without building one per call
-    if not all(map(g.nodes.__contains__, pset)):
-        raise PrefixError("prefix contains unknown nodes")
-    if not downward_closed(pset, g):
+    nodes, out, pred, root = g.nodes, g.out, g.pred, g.root
+    disjoint, superset = pset.isdisjoint, pset.issuperset
+    downward = sibling = True
+    leaf_nodes = []
+    total_o = total_c = 0
+    for n in pset:
+        # membership in the range answers as membership in a set of its values
+        # would, without building one per call
+        if n not in nodes:
+            raise PrefixError("prefix contains unknown nodes")
+        if n != root and pred.get(n) not in pset:
+            downward = False
+        if disjoint(out[n]):
+            e = g.entry(n)
+            total_o += e.obligations
+            total_c += e.credits
+            leaf_nodes.append(n)
+        elif not superset(out[n]) or _truncated_fork(g, n):
+            sibling = False
+    if not downward:
         raise PrefixError("prefix is not downward-closed")
-    if not sibling_closed(pset, g):
+    if not sibling:
         raise PrefixError("prefix is not sibling-closed")
     o0, c0 = g.initial_bundle
     if o0 != c0:
         raise PrefixError("initial bundle is not balanced")
-    leaf_nodes = tuple(sorted(leaves(g, pset)))
-    entries = [g.entry(n) for n in leaf_nodes]
-    total_o = sum(e.obligations for e in entries)
-    total_c = sum(e.credits for e in entries)
-    return LeafBalance(total_o, total_c, total_o == total_c, leaf_nodes)
+    leaf_nodes.sort()
+    return LeafBalance(total_o, total_c, total_o == total_c, tuple(leaf_nodes))
 
 
 def to_dot(g: ProgramOrderGraph, prefix: set[int] | frozenset[int] | None = None) -> str:

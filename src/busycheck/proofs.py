@@ -138,6 +138,9 @@ class Rule(str, Enum):
     VIEW_SHIFT = "ViewShift"
 
 
+# The members in definition order, each one global lookup where `Rule.X` is two.
+RULE_FRAME, RULE_EXIT, RULE_LOOP, RULE_FORK, RULE_SEQ, RULE_VIEW_SHIFT = Rule
+
 _PREMISE_COUNT = {
     Rule.EXIT: 0,
     Rule.LOOP: 0,
@@ -234,21 +237,21 @@ def _node_fault(t: ProofTree) -> str | None:
     if len(premises) != want:
         return f"{rule.value} takes {want} premises, got {len(premises)}"
 
-    if rule is Rule.EXIT:
+    if rule is RULE_EXIT:
         if not isinstance(c.cmd, Exit):
             return "Exit rule applied to a non-exit command"
         if not (_single_chunk(c.pre) and c.pre.credits == 0):
             return "Exit precondition must be obs(n)"
         if not isinstance(c.post, Bottom):
             return "Exit postcondition must be false"
-    elif rule is Rule.LOOP:
+    elif rule is RULE_LOOP:
         if not isinstance(c.cmd, LoopSkip):
             return "Loop rule applied to a non-loop command"
         if c.pre != _LOOP_PRE:
             return "Loop precondition must be obs(0) * credit"
         if not isinstance(c.post, Bottom):
             return "Loop postcondition must be false"
-    elif rule is Rule.FORK:
+    elif rule is RULE_FORK:
         if not isinstance(c.cmd, Fork):
             return "Fork rule applied to a non-fork command"
         split = t.data
@@ -265,7 +268,7 @@ def _node_fault(t: ProofTree) -> str | None:
             return "Fork postcondition must be obs(n) * credit^k"
         if c.pre != Flat((split.child_obs + c.post.obs[0],), split.child_credits + c.post.credits):
             return "Fork precondition must be the sum of split and remainder"
-    elif rule is Rule.SEQ:
+    elif rule is RULE_SEQ:
         if not isinstance(c.cmd, Seq):
             return "Seq rule applied to a non-sequence command"
         c1, c2 = premises[0].conclusion, premises[1].conclusion
@@ -277,7 +280,7 @@ def _node_fault(t: ProofTree) -> str | None:
             return "Seq middle assertion mismatch"
         if c2.post != c.post:
             return "Seq postcondition does not match second premise"
-    elif rule is Rule.VIEW_SHIFT:
+    elif rule is RULE_VIEW_SHIFT:
         data = t.data
         if not isinstance(data, ShiftData):
             return "ViewShift node carries no intermediate assertions"
@@ -292,7 +295,7 @@ def _node_fault(t: ProofTree) -> str | None:
             return "pre-side view shift invalid"
         if not view_shift(data.inner_post, c.post):
             return "post-side view shift invalid"
-    elif rule is Rule.FRAME:
+    elif rule is RULE_FRAME:
         if not isinstance(t.data, FrameData):
             return "Frame node carries no frame assertion"
         frame = t.data.frame
@@ -399,15 +402,15 @@ def derive(c: Command, n: int) -> ProofTree | None:
         for suffix, atom, state, start, after, dead, child in reversed(walks[i]):
             pre = state_assertion(*start)
             if child is None:
-                rule = Rule.EXIT if isinstance(atom, Exit) else Rule.LOOP
+                rule = RULE_EXIT if isinstance(atom, Exit) else RULE_LOOP
                 node = ProofTree(HoareTriple(pre, atom, BOTTOM), rule)
             else:
                 post, split = state_assertion(*after), ForkSplit(*threads[child][1])
-                node = ProofTree(HoareTriple(pre, atom, post), Rule.FORK, (proofs[child],), split)
+                node = ProofTree(HoareTriple(pre, atom, post), RULE_FORK, (proofs[child],), split)
             if t is None:  # the last atom; a trailing fork shifts to obs(0)
                 t = node if required is BOTTOM or after == (0, 0) else _wrap(node, pre, required)
             else:
-                t = ProofTree(HoareTriple(pre, suffix, required), Rule.SEQ, (node, t))
+                t = ProofTree(HoareTriple(pre, suffix, required), RULE_SEQ, (node, t))
             if start != state:
                 t = _wrap(t, state_assertion(*state), required)
             if dead:
@@ -424,10 +427,10 @@ def _wrap(t: ProofTree, pre: Assertion, post: Assertion) -> ProofTree:
     c = t.conclusion
     if (pre is c.pre or pre == c.pre) and (post is c.post or post == c.post):
         return t
-    inner = t.premises[0] if t.rule is Rule.VIEW_SHIFT else t
+    inner = t.premises[0] if t.rule is RULE_VIEW_SHIFT else t
     return ProofTree(
         HoareTriple(pre, t.conclusion.cmd, post),
-        Rule.VIEW_SHIFT,
+        RULE_VIEW_SHIFT,
         (inner,),
         ShiftData(inner.conclusion.pre, inner.conclusion.post),
     )

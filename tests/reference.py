@@ -12,6 +12,13 @@
 - `tree_size`, the node count of a proof tree.
 - `initial_annotated_pool`, a singleton annotated pool with chosen
   obligations.
+- The multi-pass prefix checks that `pog.check_leaf_balance` replaced:
+  `downward_closed`, `sibling_closed` (closure asked of each node's
+  siblings), `leaves`, and `reference_check_leaf_balance`, which runs them
+  in turn before it sums.
+- `reference_enumerate_programs`, the recursive sweep that rebuilds every
+  command of a size each time a larger size uses it, which
+  `harness.enumerate_programs` replaced.
 - The program-text and certificate codecs that `lang.parse`,
   `proofs.certificate_text` and `proofs.from_json_dict` replaced:
   `reference_parse` (a tokenizer with one record per lexeme, then a reader of
@@ -28,7 +35,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from busycheck.assertions import BOTTOM, Assertion, Bottom, Flat, normalize, summarize
-from busycheck.ghost import AnnotatedThread
+from busycheck.ghost import RA_FORK, AnnotatedThread
 from busycheck.lang import EXIT, LOOP_SKIP, Command, Exit, Fork, LoopSkip, ParseError, Seq, seq_of
 from busycheck.proofs import (
     CertificateError,
@@ -39,6 +46,7 @@ from busycheck.proofs import (
     Rule,
     ShiftData,
 )
+from busycheck.pog import LeafBalance, PrefixError, ProgramOrderGraph
 from busycheck.semantics import RunOutcome, ThreadPool, TraceStep, run
 
 # --- assertion terms and their bundle model --------------------------------------
@@ -226,6 +234,83 @@ def initial_annotated_pool(c: Command, obligations: int = 0) -> ThreadPool:
     if obligations < 0:
         raise ValueError("obligations must be a natural")
     return ThreadPool.of({0: AnnotatedThread(obligations, 0, c)})
+
+
+# --- prefix checks and the program sweep busycheck replaced --------------------------
+
+
+def downward_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> bool:
+    return all(n == g.root or g.pred.get(n) in prefix for n in prefix)
+
+
+def _truncated_fork(g: ProgramOrderGraph, n: int) -> bool:
+    return g.info[n].rule == RA_FORK and len(g.out[n]) < 2
+
+
+def sibling_closed(prefix: set[int] | frozenset[int], g: ProgramOrderGraph) -> bool:
+    """All siblings of every prefix node are in the prefix; at the trace
+    boundary, a fork node with a missing successor must have none inside."""
+    pset = frozenset(prefix)
+    for n in pset:
+        if n == g.root:
+            continue
+        p = g.pred.get(n)
+        if p is None:
+            continue
+        if not pset.issuperset(g.out[p]):
+            return False
+    for n in pset:
+        if _truncated_fork(g, n) and not pset.isdisjoint(g.out[n]):
+            return False
+    return True
+
+
+def leaves(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) -> frozenset[int]:
+    """Nodes of the prefix with no outgoing edge inside the prefix."""
+    pset = frozenset(prefix)
+    return frozenset(n for n in pset if pset.isdisjoint(g.out[n]))
+
+
+def reference_check_leaf_balance(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) -> LeafBalance:
+    """One pass per precondition, in the order of their refusals, then the sums."""
+    pset = frozenset(prefix)
+    if not all(map(g.nodes.__contains__, pset)):
+        raise PrefixError("prefix contains unknown nodes")
+    if not downward_closed(pset, g):
+        raise PrefixError("prefix is not downward-closed")
+    if not sibling_closed(pset, g):
+        raise PrefixError("prefix is not sibling-closed")
+    o0, c0 = g.initial_bundle
+    if o0 != c0:
+        raise PrefixError("initial bundle is not balanced")
+    leaf_nodes = tuple(sorted(leaves(g, pset)))
+    entries = [g.entry(n) for n in leaf_nodes]
+    total_o = sum(e.obligations for e in entries)
+    total_c = sum(e.credits for e in entries)
+    return LeafBalance(total_o, total_c, total_o == total_c, leaf_nodes)
+
+
+def reference_enumerate_programs(max_atoms: int):
+    """All commands with at most max_atoms atoms."""
+    for n in range(1, max_atoms + 1):
+        yield from _commands_of_size(n)
+
+
+def _atoms_of_size(n: int):
+    if n == 1:
+        yield EXIT
+        yield LOOP_SKIP
+    else:
+        for body in _commands_of_size(n - 1):
+            yield Fork(body)
+
+
+def _commands_of_size(n: int):
+    yield from _atoms_of_size(n)
+    for first_size in range(1, n):
+        for first in _atoms_of_size(first_size):
+            for rest in _commands_of_size(n - first_size):
+                yield Seq(first, rest)
 
 
 # --- the program-text and certificate codecs busycheck replaced ---------------------

@@ -13,8 +13,10 @@ from busycheck.harness import (
     soundness_campaign,
 )
 from busycheck.lang import EXIT, LOOP_SKIP, Fork, Seq, parse, pretty
+from busycheck.pog import check_leaf_balance
 from busycheck.proofs import verify
 from busycheck.semantics import explore, spawn_tree
+from reference import reference_enumerate_programs
 
 
 def _atom_count(c):
@@ -76,6 +78,22 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_programs(3)) == 2 + 6 + 22
 
 
+def test_enumeration_matches_the_recursive_reference():
+    # 2 + 6 + 22 + 90 + 394 + 1,806 + 8,558 programs, in the same order
+    programs = list(enumerate_programs(7))
+    assert programs == list(reference_enumerate_programs(7))
+    sizes = [_atom_count(c) for c in programs]
+    assert len(sizes) == 10_878 and sizes == sorted(sizes)
+    # a size's atoms A(n) are exit and loop skip, or the forks of size n - 1;
+    # its commands C(n) are its atoms, then each atom of size f before each
+    # command of size n - f
+    atoms, commands = {1: 2}, {}
+    for n in range(1, 8):
+        atoms[n] = atoms.get(n) or commands[n - 1]
+        commands[n] = atoms[n] + sum(atoms[f] * commands[n - f] for f in range(1, n))
+        assert sizes.count(n) == commands[n]
+
+
 def test_enumeration_is_duplicate_free():
     programs = list(enumerate_programs(4))
     assert len(programs) == len(set(programs))
@@ -106,6 +124,26 @@ def test_small_campaign_is_clean():
     assert report.leaf_balance_failures == 0
     assert report.balance_failures == 0
     assert report.leaf_balance_checks == 3 * report.verified
+
+
+def test_prefix_draws_depend_on_the_seed_alone(monkeypatch):
+    drawn: list[frozenset[int]] = []
+
+    def recording(graph, prefix):
+        drawn.append(prefix)
+        return check_leaf_balance(graph, prefix)
+
+    monkeypatch.setattr(busycheck.harness, "check_leaf_balance", recording)
+
+    def draws(seed):
+        # the sweep alone, so every seed checks the same programs
+        drawn.clear()
+        report = soundness_campaign(GenConfig(seed=seed, count=0), exhaustive_max_atoms=4)
+        assert report.leaf_balance_checks == 3 * report.verified == len(drawn) > 0
+        return list(drawn)
+
+    assert draws(5) == draws(5)
+    assert draws(5) != draws(6)
 
 
 def test_campaign_determinism():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,22 +12,35 @@ from busycheck.ghost import (
     annotate,
     real_step,
 )
-from busycheck.harness import GenConfig, gen_program
+from busycheck.harness import GenConfig, enumerate_programs, gen_program
 from busycheck.lang import LOOP_SKIP, parse
 from busycheck.pog import (
     PrefixError,
+    ProgramOrderGraph,
     build_pog,
     check_leaf_balance,
-    downward_closed,
-    leaves,
     max_loopfree_sc_prefix,
     random_sc_loopfree_prefix,
-    sibling_closed,
     to_dot,
 )
 from busycheck.proofs import verify
-from busycheck.semantics import RoundRobinScheduler, ThreadPool, TraceStep, fuel_bound, initial_pool, run
-from reference import initial_annotated_pool, run_schedule
+from busycheck.semantics import (
+    RandomFairScheduler,
+    RoundRobinScheduler,
+    ThreadPool,
+    TraceStep,
+    fuel_bound,
+    initial_pool,
+    run,
+)
+from reference import (
+    downward_closed,
+    initial_annotated_pool,
+    leaves,
+    reference_check_leaf_balance,
+    run_schedule,
+    sibling_closed,
+)
 
 
 @pytest.fixture
@@ -178,6 +192,74 @@ def test_leaf_balance_random_prefixes_on_generated_programs():
         if checked >= 200:
             break
     assert checked >= 200
+
+
+def _outcome(check, g, prefix):
+    """What `check` answers on `prefix`: its LeafBalance, or its refusal's message."""
+    try:
+        return check(g, prefix)
+    except PrefixError as exc:
+        return str(exc)
+
+
+def _sweep_graphs():
+    """The graphs of every Verified program of up to 5 atoms, run round-robin
+    and under two seeded random schedulers."""
+    for c in enumerate_programs(5):
+        proof = verify(c)
+        if proof is None:
+            continue
+        for scheduler in (RoundRobinScheduler(), RandomFairScheduler(3, 4), RandomFairScheduler(8, 4)):
+            _, trace = run(initial_pool(c), scheduler, fuel_bound(c, 4))
+            yield build_pog(annotate(c, proof, trace))
+
+
+def _prefixes_to_check(g, rng):
+    """Every node subset of a graph of up to 10 nodes; 300 seeded random
+    subsets of a larger one, each also with a node added and with one dropped.
+    Half of the random subsets grow from the root, so most are downward-closed."""
+    nodes = list(g.nodes)
+    if len(nodes) <= 10:
+        yield from (frozenset(n for n in nodes if mask >> n & 1) for mask in range(1 << len(nodes)))
+        return
+    for i in range(300):
+        if i % 2:
+            prefix = {n for n in nodes if rng.random() < 0.5}
+        else:
+            prefix, frontier = {g.root}, [g.root]
+            while frontier and rng.random() < 0.9:
+                prefix.update(g.out[frontier.pop(rng.randrange(len(frontier)))])
+                frontier = [n for n in prefix if not prefix.issuperset(g.out[n])]
+        yield frozenset(prefix)
+        yield frozenset(prefix) | {rng.choice(nodes)}
+        yield frozenset(prefix) - {rng.choice(nodes)}
+
+
+def test_one_pass_leaf_balance_matches_the_multi_pass_reference():
+    rng = random.Random(20)
+    graphs = large = 0
+    answers = Counter()
+    for balanced in _sweep_graphs():
+        graphs += 1
+        large += len(balanced.info) > 10
+        # the same graph with a run that starts owing an obligation
+        unbalanced = ProgramOrderGraph(balanced.info, balanced.out, balanced.pred, (1, 0))
+        for i, prefix in enumerate(_prefixes_to_check(balanced, rng)):
+            for g in (balanced, unbalanced):
+                want = _outcome(reference_check_leaf_balance, g, prefix)
+                assert _outcome(check_leaf_balance, g, prefix) == want, (g.info, sorted(prefix))
+                answers[want if isinstance(want, str) else "answered"] += 1
+            # a node outside the graph is refused first, whatever else is wrong
+            unknown = prefix | {(-1, len(balanced.info), "x")[i % 3]}
+            for check in (check_leaf_balance, reference_check_leaf_balance):
+                assert _outcome(check, balanced, unknown) == "prefix contains unknown nodes"
+    assert graphs > 500 and large > 0
+    assert set(answers) == {
+        "answered",
+        "prefix is not downward-closed",
+        "prefix is not sibling-closed",
+        "initial bundle is not balanced",
+    }
 
 
 def test_loop_leaf_has_an_exit_witness():

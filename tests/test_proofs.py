@@ -29,6 +29,12 @@ from busycheck.proofs import (
     FrameData,
     HoareTriple,
     ProofTree,
+    RULE_EXIT,
+    RULE_FORK,
+    RULE_FRAME,
+    RULE_LOOP,
+    RULE_SEQ,
+    RULE_VIEW_SHIFT,
     Rule,
     RuleViolation,
     ShiftData,
@@ -891,3 +897,10 @@ def test_derive_check_and_size_take_10000_atoms_or_levels(build):
     assert tree is not None
     assert check_proof(tree) is None
     assert tree_size(tree) > 10_000
+
+
+def test_rule_constants_are_the_members_they_name():
+    # bound by unpacking `Rule`, so a reordered member list would swap them
+    constants = (RULE_FRAME, RULE_EXIT, RULE_LOOP, RULE_FORK, RULE_SEQ, RULE_VIEW_SHIFT)
+    members = (Rule.FRAME, Rule.EXIT, Rule.LOOP, Rule.FORK, Rule.SEQ, Rule.VIEW_SHIFT)
+    assert all(c is m for c, m in zip(constants, members, strict=True))
