@@ -2,10 +2,12 @@
 
 Exit codes: 0 on success / Verified / Ok, 1 on Rejected / RuleViolation /
 divergence witness, 2 on usage or parse errors, unreadable files, malformed
-certificates and input nested past the recursion limit.  `check-proof` also
-checks the claim: the root triple must be {obs(0)} c {obs(0)}.  A command's parser
-is built on its first request and reused by later requests in the same process;
-help and error text are unchanged, the top-level ones coming from `build_parser()`.
+certificates and input nested past the recursion limit: every layer is
+iterative, so only a certificate's JSON, which `json` decodes recursively, still
+gets there.  `check-proof` also checks the claim: the root triple must be
+{obs(0)} c {obs(0)}.  A command's parser is built on its first request and
+reused by later requests in the same process; help and error text are
+unchanged, the top-level ones coming from `build_parser()`.
 """
 
 from __future__ import annotations

@@ -29,15 +29,7 @@ from .assertions import Assertion, Bottom, Flat
 # Not called here: the proof's assertions are normal forms already.  The name
 # stays importable from this module because perfbench/tracing.py wraps it.
 from .assertions import normalize as normalize_assertion  # noqa: F401
-from .lang import (
-    Command,
-    Continuation,
-    Done,
-    Exit,
-    Fork,
-    LoopSkip,
-    same_command,
-)
+from .lang import EXIT, LOOP_SKIP, Command, Continuation, Done, Fork
 from .proofs import (
     ForkSplit,
     ProofTree,
@@ -135,13 +127,13 @@ def real_step(
             raise Stuck(TERM_HOLDS_OBLIGATION)
         return pool.remove(tid), RA_THREAD_TERM
     head = cont.head
-    if isinstance(head, LoopSkip):
+    if head is LOOP_SKIP:
         if value > 0:
             raise Stuck(LOOP_HOLDS_OBLIGATION)
         if credits < 1:
             raise Stuck(LOOP_NEEDS_CREDIT)
         return pool, RA_LOOP
-    if isinstance(head, Exit):
+    if head is EXIT:
         return EMPTY_POOL, RA_EXIT
     assert isinstance(head, Fork)
     split = split or ForkSplit(0, 0)
@@ -267,7 +259,7 @@ def annotate(
     violation = check_proof(proof)
     if violation is not None:
         raise AnnotationError(f"proof does not check: {violation}")
-    if not same_command(proof.conclusion.cmd, c):
+    if proof.conclusion.cmd is not c:
         raise AnnotationError("proof concludes a different command")
     ends = proof.conclusion
     if _chunk(ends.pre) != (0, 0) or _chunk(ends.post) != (0, 0):
@@ -281,7 +273,7 @@ def annotate(
         raise AnnotationError("trace must start from a singleton pool")
     tid0 = start.ids[0]
     start_cont = start.get(tid0)
-    if not same_command(start_cont, c):
+    if start_cont is not c:
         raise AnnotationError("trace does not start with {tid0: c}")
 
     # the annotated run starts from the trace's own command, so the erased

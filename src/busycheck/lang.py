@@ -9,6 +9,14 @@ is again a command.  A running thread is what is left of its command: such a
 suffix, whose `head` atom runs next and whose `tail` is the rest, or `DONE`
 once nothing is left.
 
+Commands are immutable and hash-consed (Filliâtre & Conchon, ML Workshop
+2006): `Fork(b)` and `Seq(a, b)` return the live command with those parts if
+there is one, and `Exit()` and `LoopSkip()` the singletons.  So equal commands
+are one object, and `==` and `hash` are `object`'s, O(1) at any depth.  The
+intern table keys a command by the ids of its parts, which it keeps alive, and
+holds it by weak reference: a dead entry costs what a missing one does, and is
+replaced or swept once the table has doubled.  It takes no lock.
+
 Concrete grammar (whitespace-insensitive, ``#`` comments to end of line)::
 
     cmd  ::= atom (";" cmd)?
@@ -21,16 +29,18 @@ loop, without recursion; only an error works out where it stands.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from itertools import compress
 from typing import Any, Callable, Sequence
 
 
 # --- threads ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Done:
     """What a thread has left to run once it has run all its atoms."""
+
+    __slots__ = ()
 
 
 DONE = Done()
@@ -51,52 +61,92 @@ class Command:
     head: Command
     tail: Continuation
 
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"parse({pretty(self)!r})"
+
 
 class _Atom(Command):
     __slots__ = ()
     tail = DONE
+
+    def __new__(cls) -> _Atom:  # `Exit()` and `LoopSkip()`: their singletons
+        return _SINGLETONS[cls]
 
     @property
     def head(self) -> Command:  # type: ignore[override]
         return self
 
 
-@dataclass(frozen=True)
 class Exit(_Atom):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class LoopSkip(_Atom):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+_SINGLETONS = {cls: object.__new__(cls) for cls in (Exit, LoopSkip)}
+EXIT, LOOP_SKIP = _SINGLETONS.values()
+
+# id(body) of a fork, id(first) << 64 | id(second) of a seq (ids are below 2**64,
+# so no two keys meet) -> a weak reference to it
+_table: dict[int, weakref.ref] = {}
+_DEAD = weakref.ref(set())  # its set is gone: calling it gives None, as for a missing key
+_limit = 1024  # the size past which the next new entry sweeps the table
+
+
+def _sweep() -> None:
+    """Keep the entries of live commands only, in C loops, and allow twice as many."""
+    global _table, _limit
+    _table = dict(compress(_table.items(), map(weakref.ref.__call__, _table.values())))
+    _limit = max(1024, 2 * len(_table))
+
+
 class Fork(_Atom):
-    body: Command
+    __slots__ = ("body", "__weakref__")
+
+    def __new__(cls, body: Command) -> Fork:
+        key = id(body)
+        self = _table.get(key, _DEAD)()
+        if self is None:
+            self = object.__new__(cls)
+            _set_body(self, body)
+            _table[key] = weakref.ref(self)
+            if len(_table) > _limit:
+                _sweep()
+        return self
 
 
-@dataclass(frozen=True)
 class Seq(Command):
     """`first; second`, right-associated: `first` is an atom."""
 
-    __slots__ = ("first", "second")
-    first: Command
-    second: Command
+    __slots__ = ("first", "second", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.first, Seq):
-            raise ValueError("the first part of a seq is a seq")
+    def __new__(cls, first: Command, second: Command) -> Seq:
+        key = id(first) << 64 | id(second)
+        self = _table.get(key, _DEAD)()
+        if self is None:
+            if isinstance(first, Seq):
+                raise ValueError("the first part of a seq is a seq")
+            self = object.__new__(cls)
+            _set_first(self, first)
+            _set_second(self, second)
+            _table[key] = weakref.ref(self)
+            if len(_table) > _limit:
+                _sweep()
+        return self
 
 
+_set_body = Fork.body.__set__  # type: ignore[attr-defined]
+_set_first, _set_second = Seq.first.__set__, Seq.second.__set__  # type: ignore[attr-defined]
 # The slots' own descriptors read `first` and `second` under the names `head`
-# and `tail` too, at the cost of a plain attribute; they are not fields, so
-# equality, hashing, `repr` and the certificate writer see only the two parts.
+# and `tail` too, at the cost of a plain attribute.
 Seq.head, Seq.tail = Seq.first, Seq.second  # type: ignore[attr-defined]
-
-
-EXIT = Exit()
-LOOP_SKIP = LoopSkip()
 
 
 def seq_of(atoms: list[Command]) -> Command:
@@ -110,27 +160,6 @@ def seq_of(atoms: list[Command]) -> Command:
 
 
 Continuation = Command | Done  # what a thread has left to run
-
-
-def same_command(a: Continuation, b: Continuation) -> bool:
-    """`a == b` without recursion.  A pair of one object is equal at once, so
-    two loaded (interned) commands that differ walk one path to a difference."""
-    if a is b:
-        return True
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Fork):
-            todo.append((x.body, y.body))
-        elif isinstance(x, Seq):
-            todo += [(x.first, y.first), (x.second, y.second)]
-        elif x != y:  # an atom, or not a command at all
-            return False
-    return True
 
 
 def spine(c: Command):
@@ -239,13 +268,12 @@ class Printer:
     Printing a command as a thread records, for every spine suffix on it,
     where its own text starts inside the command's text, so a later print
     of any suffix is one lookup and one slice, and the memo stays linear in
-    the distinct suffixes.  Each memo entry holds its suffix, so no id is
-    reused while the printer lives.  `each` memoizes a trace's
-    `(tid, entry)` pairs the same way.
+    the distinct suffixes.  `each` memoizes a trace's `(tid, entry)` pairs
+    by id, and holds them, so no id is reused while the printer lives.
     """
 
     def __init__(self) -> None:
-        self._memo: dict[int, tuple[object, str, int]] = {}  # id -> (suffix, text, start)
+        self._memo: dict[Continuation, tuple[str, int]] = {DONE: ("done", 0)}  # suffix -> (text, start)
         self._texts: dict[int, str] = {}  # id -> text, for the items `each` rendered
         self._held: list[object] = []  # those items, so their ids stay theirs
 
@@ -262,26 +290,23 @@ class Printer:
     def continuation(self, k: Continuation) -> str:
         """What a thread has left, atoms joined by `;` and an explicit `done`,
         e.g. `exit;done`."""
-        suffixes, parts = [], []
-        while not isinstance(k, Done) and id(k) not in self._memo:
+        suffixes, parts, memo = [], [], self._memo
+        while k not in memo:
             suffixes.append(k)
             parts.append(pretty(k.head))
             k = k.tail
-        if id(k) in self._memo:
-            _, text, start = self._memo[id(k)]
-            parts.append(text[start:])
-        else:
-            parts.append("done")
+        text, start = memo[k]
+        parts.append(text[start:])
         text = ";".join(parts)
         start = 0
         for suffix, part in zip(suffixes, parts):
-            self._memo[id(suffix)] = (suffix, text, start)
+            memo[suffix] = (text, start)
             start += len(part) + 1
         return text
 
 
 def pretty(c: Command) -> str:
-    """Concrete syntax for a command; parse(pretty(c)) == c.
+    """Concrete syntax for a command; parse(pretty(c)) is c.
 
     Iterative: `todo` holds the commands and texts still to print, next last.
     """

@@ -63,11 +63,12 @@ earlier entries by index, so its size is linear in the proof and its
 nesting depth is constant.  `cmds` holds commands, each `"exit"`,
 `"loop skip"`, `{"fork": i}` or `{"seq": [i, j]}`; `asserts` holds
 assertions, each `"true"`, `"false"`, `"credit"`, `{"obs": n}` or
-`{"star": [i, j]}`.  Both tables are hash-consed (Filliâtre & Conchon, ML
-2006): a term occurs once.  The checker holds an assertion only as its
-normal form, which the writer renders as `obs(n1) * ... * credit * ...`,
-left-associated.  `certificate_text` writes the text in one walk of the
-proof, byte for byte what `json.dumps` writes with separators "," and ":".
+`{"star": [i, j]}`.  Both tables are hash-consed: a term occurs once, and the
+commands' sharing comes from their constructors, which `lang` interns.  The
+checker holds an assertion only as its normal form, which the writer renders
+as `obs(n1) * ... * credit * ...`, left-associated.  `certificate_text` writes
+the text in one walk of the proof, byte for byte what `json.dumps` writes with
+separators "," and ":".
 Reading is linear in the file: one pass checks every entry, refusing a seq
 as first part of a seq and a star as right part of a star, so an entry adds
 at most one atom to the assertion it builds, and summarizes it in constant
@@ -103,16 +104,7 @@ from .assertions import (
     summarize,
     view_shift,
 )
-from .lang import (
-    DONE,
-    Command,
-    Done,
-    Exit,
-    Fork,
-    LoopSkip,
-    Seq,
-    same_command,
-)
+from .lang import DONE, Command, Continuation, Done, Exit, Fork, LoopSkip, Seq
 
 # Not called here: certificates carry no program text.  The name stays
 # importable from this module because perfbench/tracing.py wraps it.
@@ -258,7 +250,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if not isinstance(split, ForkSplit):
             return "Fork node carries no resource split"
         p = premises[0].conclusion
-        if not same_command(p.cmd, c.cmd.body):
+        if p.cmd is not c.cmd.body:
             return "Fork premise command is not the fork body"
         if p.pre != Flat((split.child_obs,), split.child_credits):
             return "Fork premise precondition does not match the split"
@@ -272,7 +264,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if not isinstance(c.cmd, Seq):
             return "Seq rule applied to a non-sequence command"
         c1, c2 = premises[0].conclusion, premises[1].conclusion
-        if not (same_command(c1.cmd, c.cmd.first) and same_command(c2.cmd, c.cmd.second)):
+        if c1.cmd is not c.cmd.first or c2.cmd is not c.cmd.second:
             return "Seq premise commands do not match the sequence"
         if c1.pre != c.pre:
             return "Seq precondition does not match first premise"
@@ -285,7 +277,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if not isinstance(data, ShiftData):
             return "ViewShift node carries no intermediate assertions"
         p = premises[0].conclusion
-        if not same_command(p.cmd, c.cmd):
+        if p.cmd is not c.cmd:
             return "ViewShift premise command differs from conclusion"
         if p.pre != data.inner_pre:
             return "ViewShift premise precondition mismatch"
@@ -302,7 +294,7 @@ def _node_fault(t: ProofTree) -> str | None:
         if isinstance(frame, Flat) and frame.obs:
             return "frames must not contain obs atoms"
         p = premises[0].conclusion
-        if not same_command(p.cmd, c.cmd):
+        if p.cmd is not c.cmd:
             return "Frame premise command differs from conclusion"
         if c.pre != flat_add(p.pre, frame):
             return "Frame precondition is not premise * frame"
@@ -314,8 +306,8 @@ def _node_fault(t: ProofTree) -> str | None:
 # --- proof construction ----------------------------------------------------------
 
 
-def _features(c: Command) -> dict[int, tuple[bool, int]]:
-    """(absorbing, need) of every spine suffix of `c` and of its fork bodies, by id.
+def _features(c: Command) -> dict[Continuation, tuple[bool, int]]:
+    """(absorbing, need) of every spine suffix of `c` and of its fork bodies.
 
     Post-order without recursion: every spine is listed before the spines of
     the fork bodies on it, and the list is read back to front, each spine
@@ -331,9 +323,9 @@ def _features(c: Command) -> dict[int, tuple[bool, int]]:
                 todo.append(suffix.head.body)
             suffix = suffix.tail
         spines.append(spine)
-    features = {id(DONE): (False, 0)}  # past the last atom: nothing absorbs, nothing waits
+    features = {DONE: (False, 0)}  # past the last atom: nothing absorbs, nothing waits
     for spine in reversed(spines):
-        rest = features[id(DONE)]
+        rest = features[DONE]
         for suffix in reversed(spine):
             atom = suffix.head
             if isinstance(atom, Exit):
@@ -341,9 +333,9 @@ def _features(c: Command) -> dict[int, tuple[bool, int]]:
             elif isinstance(atom, LoopSkip):
                 rest = (False, 1)
             else:
-                absorbing, need = features[id(atom.body)]
+                absorbing, need = features[atom.body]
                 rest = (absorbing or rest[0], need + rest[1])
-            features[id(suffix)] = rest
+            features[suffix] = rest
     return features
 
 
@@ -369,7 +361,7 @@ def derive(c: Command, n: int) -> ProofTree | None:
     then built back to front, children first.
     """
     features = _features(c)
-    absorbing, need = features[id(c)]
+    absorbing, need = features[c]
     if not absorbing and -n < need:
         return None
     threads = [(c, (n, 0))]  # (body, start state); a fork's child comes later
@@ -380,12 +372,12 @@ def derive(c: Command, n: int) -> ProofTree | None:
             atom, rest = suffix.head, suffix.tail
             dead = state is None  # code after an exit or a loop skip
             if dead:
-                absorbing, need = features[id(suffix)]
+                absorbing, need = features[suffix]
                 state = (0, 0 if absorbing else need)
             o, k = state
             start, after, child = ((o, 0) if isinstance(atom, Exit) else (0, 1)), None, None
             if isinstance(atom, Fork):
-                delta, co, cc = _fork_choice(o, k, features[id(atom.body)], features[id(rest)])
+                delta, co, cc = _fork_choice(o, k, features[atom.body], features[rest])
                 start, after = (o + delta, k + delta), (o + delta - co, k + delta - cc)
                 child = len(threads)
                 threads.append((atom.body, (co, cc)))
@@ -459,16 +451,15 @@ def certificate_text(t: ProofTree) -> str:
 
     The nodes are listed in pre-order, premises right to left, and written
     in the reverse of that order, which is post-order, the root last.  Each
-    term they name is interned into its table the first time it is met, parts
-    first, the right part before the left, so equal terms get one entry, and
-    is found again by its object's id.  An assertion is written as the term
-    `obs(n1) * ... * credit * ...`, left-associated, or `true` when it has no
-    atoms and `false` for Bottom.  Proof nodes are not interned.
+    term they name gets an entry the first time it is met, parts first, the
+    right part before the left, and is found again by its object's id, or an
+    assertion by value, so equal terms get one entry.  An assertion is written
+    as the term `obs(n1) * ... * credit * ...`, left-associated, or `true` when
+    it has no atoms and `false` for Bottom.  Proof nodes are not interned.
     """
     cmds: list[str] = []
     asserts: list[str] = []
     known: dict[int, str] = {}  # id of a term of `t` -> its entry, as text
-    by_key: dict[tuple, str] = {}  # (class, entries of its parts) -> entry, as text
     by_flat: dict[Assertion, str] = {}  # assertion -> its entry, as text
     by_part: dict = {}  # n of obs(n), a fieldless tag, or (i, j) of a star -> entry
 
@@ -482,11 +473,9 @@ def certificate_text(t: ProofTree) -> str:
                 todo += missing
                 continue
             todo.pop()
-            key = (type(x), *[known[id(p)] for p in parts])
-            if key not in by_key:
-                by_key[key] = str(len(cmds))
-                cmds.append(_COMMAND_TEXT[type(x)] % key[1:])
-            known[id(x)] = by_key[key]
+            if id(x) not in known:  # a shared part may be on `todo` twice
+                known[id(x)] = str(len(cmds))
+                cmds.append(_COMMAND_TEXT[type(x)] % tuple(map(known.__getitem__, map(id, parts))))
         return known[id(term)]
 
     def put(key, text: str) -> int:
@@ -561,7 +550,9 @@ def from_json_dict(data: dict) -> ProofTree:
     if not isinstance(data, dict) or data.get("format") != 2:
         raise CertificateError('unsupported certificate format: expected an object with "format": 2')
     try:
-        cmds = _commands(_read_table(data["cmds"], "cmds", _COMMAND_PARTS))
+        cmds: list[Command] = []  # equal entries build one object (`lang` interns)
+        for tag, parts in _read_table(data["cmds"], "cmds", _COMMAND_PARTS):
+            cmds.append(_COMMANDS[tag](*map(cmds.__getitem__, parts)))
         asserts: list = []
         for tag, parts in _read_table(data["asserts"], "asserts", _ASSERTION_PARTS):
             asserts.append(summarize(asserts, tag, parts))
@@ -656,19 +647,6 @@ def _read_table(entries: list, name: str, arity: dict[str, int]):
             raise CertificateError("malformed certificate: the right part of a star is a star")
         tags.append(tag)
         yield tag, parts
-
-
-def _commands(table) -> list[Command]:
-    """The commands of a `cmds` table read by `_read_table`, equal commands as one object."""
-    terms: list[Command] = []
-    interned: dict[tuple, Command] = {}
-    for tag, parts in table:
-        args = [terms[i] for i in parts]
-        key = (tag, *map(id, args))
-        if key not in interned:
-            interned[key] = _COMMANDS[tag](*args)
-        terms.append(interned[key])
-    return terms
 
 
 def _at(entries: list, i):

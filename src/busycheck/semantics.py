@@ -40,6 +40,8 @@ from itertools import repeat
 from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
 from .lang import (
+    EXIT,
+    LOOP_SKIP,
     Command,
     Done,
     Exit,
@@ -175,9 +177,9 @@ def step_pool(tp: ThreadPool, tid: int) -> tuple[ThreadPool, str]:
     if isinstance(cont, Done):
         return tp.remove(tid), TP_THREAD_TERM
     head = cont.head
-    if isinstance(head, Exit):
+    if head is EXIT:
         return EMPTY_POOL, TP_EXIT
-    if isinstance(head, LoopSkip):
+    if head is LOOP_SKIP:
         return tp, ST_LOOP
     return tp.replace(tid, cont.tail).extend(head.body), ST_FORK
 

@@ -16,6 +16,9 @@
   `downward_closed`, `sibling_closed` (closure asked of each node's
   siblings), `leaves`, and `reference_check_leaf_balance`, which runs them
   in turn before it sums.
+- `structurally_equal`, equality of commands by a walk over both terms (the
+  walk `lang.same_command` made before commands were hash-consed, without its
+  identity shortcuts), and `command_parts`, a command's parts in order.
 - `reference_enumerate_programs`, the recursive sweep that rebuilds every
   command of a size each time a larger size uses it, which
   `harness.enumerate_programs` replaced.
@@ -31,7 +34,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from busycheck.assertions import BOTTOM, Assertion, Bottom, Flat, normalize, summarize
@@ -290,6 +293,26 @@ def reference_check_leaf_balance(g: ProgramOrderGraph, prefix: set[int] | frozen
     return LeafBalance(total_o, total_c, total_o == total_c, leaf_nodes)
 
 
+def command_parts(c: Command) -> list[Command]:
+    """The parts of `c`: a seq's first and second, a fork's body, or none."""
+    return [c.first, c.second] if isinstance(c, Seq) else [c.body] if isinstance(c, Fork) else []
+
+
+def structurally_equal(a, b) -> bool:
+    """Whether `a` and `b` spell one command (or are equal non-commands), by
+    a walk over both terms that never compares two commands by identity."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (Fork, Seq)):
+            todo += zip(command_parts(x), command_parts(y))
+        elif not isinstance(x, (Exit, LoopSkip)) and x != y:  # `DONE`, or not a command
+            return False
+    return True
+
+
 def reference_enumerate_programs(max_atoms: int):
     """All commands with at most max_atoms atoms."""
     for n in range(1, max_atoms + 1):
@@ -446,7 +469,7 @@ def reference_to_json_dict(t: ProofTree) -> dict:
         todo = [term]
         while id(term) not in by_id:
             x = todo[-1]
-            parts = [getattr(x, f.name) for f in fields(x)]
+            parts = command_parts(x)
             missing = [p for p in parts if id(p) not in by_id]
             if missing:
                 todo += missing

@@ -299,6 +299,18 @@ def test_recursion_past_the_limit_exits_2_with_one_line(monkeypatch, capsys):
     )
 
 
+def test_check_proof_of_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys):
+    # `json` decodes arrays recursively: the one input left that reaches the handler
+    cert = tmp_path / "deep.json"
+    cert.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["check-proof", str(cert)]) == 2
+    limit = sys.getrecursionlimit()
+    assert capsys.readouterr() == (
+        "",
+        f"check-proof: input too deeply nested or too long (past the recursion limit of {limit})\n",
+    )
+
+
 def _nest(depth):
     return "fork { " * depth + "exit" + " }" * depth + "; loop skip"
 

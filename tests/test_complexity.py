@@ -1,0 +1,88 @@
+"""Complexity contracts: how the cost of each layer grows with its input.
+
+A layer's cost is the number of Python opcodes it executes, counted with
+`sys.settrace` and `f_trace_opcodes`.  Unlike a wall time, the count repeats
+exactly from run to run, so a contract can assert it.  The totals differ
+between Python versions, so the contracts assert growth exponents: the count
+at 2n over the count at n, as a power of 2, must stay within the layer's class.
+Work done inside builtins is not counted.
+
+Each run starts from one state of the intern table of `lang`: the garbage is
+collected and the table swept, so both runs meet the same live commands.  A
+dead entry costs what a missing one does; the one cost that depends on the
+table's history is a sweep, which runs once the table has doubled and costs
+the same few dozen opcodes at any table size (its loops run in C).
+"""
+
+import gc
+import json
+import math
+import sys
+
+import pytest
+
+import busycheck.lang as lang
+from busycheck.lang import parse
+from busycheck.proofs import certificate_text, check_proof, from_json_dict, verify
+
+N = 48  # and 2N: large enough that fixed costs do not hide the growth
+LINEAR = 1.1  # the largest exponent a linear layer may show
+
+
+def waiters(n):
+    return "fork { loop skip }; " * n + "exit"
+
+
+def fork_nest(n):
+    return "fork { " * n + "exit" + " }" * n + "; loop skip"
+
+
+def opcodes(layer, arg) -> int:
+    """The opcodes `layer(arg)` executes, from a swept table, with the collector off."""
+    count = 0
+
+    def trace(frame, event, _):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    gc.collect()
+    lang._sweep()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        layer(arg)
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return count
+
+
+def _inputs(layer: str, text: str):
+    """What `layer` reads for the program `text`; `from_json_dict` reads a
+    certificate whose program is gone, as `check-proof` does."""
+    if layer == "parse":
+        return parse, text
+    if layer == "from_json_dict":
+        return from_json_dict, json.loads(certificate_text(verify(parse(text))))
+    program = parse(text)
+    return {
+        "verify": (verify, program),
+        "certificate_text": (certificate_text, verify(program)),
+        "check_proof": (check_proof, verify(program)),
+    }[layer]
+
+
+@pytest.mark.parametrize("family", [waiters, fork_nest], ids=["waiters", "fork-nest"])
+@pytest.mark.parametrize("layer", ["parse", "verify", "certificate_text", "from_json_dict", "check_proof"])
+def test_layer_cost_is_linear_and_repeats_exactly(layer, family):
+    counts = []
+    for n in (N, 2 * N):
+        fn, arg = _inputs(layer, family(n))
+        opcodes(fn, arg)  # Python 3.12.1 counts no opcode in the first traced call of a process
+        first = opcodes(fn, arg)
+        assert opcodes(fn, arg) == first, "the count of a run does not repeat"
+        counts.append(first)
+    exponent = math.log2(counts[1] / counts[0])
+    assert exponent <= LINEAR, f"{layer} grows as n^{exponent:.2f} ({counts})"

@@ -1,26 +1,30 @@
+import gc
 import random
 import re
+import weakref
 
 import pytest
 
 from busycheck.assertions import BOTTOM, Flat
-from busycheck.harness import GenConfig, enumerate_programs, gen_program
+import busycheck.lang as lang
+from busycheck.harness import GenConfig, enumerate_programs, gen_program, soundness_campaign
 from busycheck.lang import (
     DONE,
     EXIT,
     Done,
+    Exit,
     Fork,
     LOOP_SKIP,
+    LoopSkip,
     ParseError,
     Printer,
     Seq,
     parse,
     pretty,
-    same_command,
     seq_of,
 )
 from busycheck.semantics import AbruptExit, Terminated
-from reference import reference_parse
+from reference import reference_parse, structurally_equal
 
 
 def seq_atoms(c):
@@ -182,11 +186,11 @@ def _generated_commands(seed=0, count=150, max_atoms=9):
 
 def test_round_trip_property():
     for c in _generated_commands(seed=3):
-        assert parse(pretty(c)) == c
+        assert parse(pretty(c)) is c
     small = list(enumerate_programs(5))
     assert len(small) == 514
     for c in small:
-        assert parse(pretty(c)) == c
+        assert parse(pretty(c)) is c
 
 
 def _reference_atom(a):
@@ -244,32 +248,79 @@ def test_tail_walk_takes_10000_atom_sequences():
     assert Printer().continuation(c) == ";".join(["exit"] + ["loop skip"] * 10_000 + ["done"])
 
 
-def test_same_command_agrees_with_equality():
-    programs = list(enumerate_programs(4))
+def test_identity_is_structural_equality():
+    # every pair of programs of up to 5 atoms, and generated programs against
+    # a random one of those and against their twins read back by the tests'
+    # own parser, which builds its own commands
+    small = list(enumerate_programs(5))
+    for a in small:
+        for b in small:
+            assert (a is b) == structurally_equal(a, b)
     rng = random.Random(2)
-    for c in programs:
-        assert same_command(c, c)
-        twin = parse(pretty(c))  # equal; not shared, but for the atom singletons
-        assert same_command(twin, c)
-        other = rng.choice(programs)
-        assert same_command(other, c) == (other == c)
-    assert not same_command(DONE, EXIT) and not same_command(EXIT, DONE)
-    # commands, Bottom and run outcomes stay dataclasses: as tuples, the
-    # fieldless ones would all equal (), and Terminated(3) would equal AbruptExit(3)
+    for seed in range(4):
+        for c in _generated_commands(seed=seed, count=60):
+            twin = reference_parse(pretty(c))
+            assert twin is c and twin == c and hash(twin) == hash(c)
+            other = rng.choice(small)
+            assert (other is c) == structurally_equal(other, c) == (other == c)
+    assert Exit() is EXIT and LoopSkip() is LOOP_SKIP and Fork(EXIT) is Fork(Exit())
+    assert not structurally_equal(DONE, EXIT) and not structurally_equal(EXIT, DONE)
+
+
+def test_commands_and_records_tell_types_apart():
+    # commands compare by identity, and Bottom and run outcomes stay
+    # dataclasses: as tuples, the fieldless ones would all equal (), and
+    # Terminated(3) would equal AbruptExit(3)
     assert EXIT != LOOP_SKIP and EXIT != DONE and LOOP_SKIP != ()
     assert BOTTOM != () and BOTTOM != Flat((), 0)
     assert Terminated(3) != AbruptExit(3)
 
 
-def test_same_command_takes_10000_levels():
-    def nest(inner):
-        c = inner
-        for _ in range(10_000):
-            c = Seq(Fork(c), LOOP_SKIP)
-        return c
+def test_commands_are_immutable():
+    c = Seq(Fork(EXIT), LOOP_SKIP)
+    for name in ("first", "second", "head", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, EXIT)
+        with pytest.raises(AttributeError):
+            delattr(c, name)
+    assert c.first is Fork(EXIT) and c.second is LOOP_SKIP
 
-    assert same_command(nest(EXIT), nest(EXIT))
-    assert not same_command(nest(EXIT), nest(LOOP_SKIP))
+
+def _fork_nest(depth):
+    c = EXIT
+    for _ in range(depth):
+        c = Fork(c)
+    return c
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _fork_nest(100_000), lambda: seq_of([Fork(EXIT)] * 99_999 + [LOOP_SKIP])],
+    ids=["fork-nest", "spine"],
+)
+def test_hash_equality_and_repr_take_100000_levels_or_atoms(build):
+    c = build()
+    assert hash(c) == hash(build()) and c == build()
+    assert c != _fork_nest(3) and hash(c) != hash(_fork_nest(3))
+    text = repr(c)
+    assert text == f"parse({pretty(c)!r})" and eval(text, {"parse": parse}) is c
+
+
+def _live_table_size():
+    gc.collect()
+    lang._sweep()
+    return len(lang._table)
+
+
+def test_the_intern_table_holds_its_commands_weakly():
+    before = _live_table_size()
+    program = parse("; ".join(["fork { exit }", "loop skip"] * 5_000))  # 10,000 atoms
+    assert _live_table_size() > before + 9_900  # its 9,999 seqs, but for those other tests hold
+    dropped = weakref.ref(program)
+    del program
+    soundness_campaign(GenConfig(count=50), 3)
+    assert dropped() is None
+    assert _live_table_size() == before
 
 
 def test_head_and_tail_walk_the_spine():

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import json
 import random
@@ -13,6 +12,7 @@ import busycheck.proofs
 from busycheck.assertions import BOTTOM, OBS_ZERO, Flat, flat_add, state_assertion, view_shift
 from busycheck.harness import GenConfig, enumerate_programs, gen_program
 from busycheck.lang import (
+    Command,
     EXIT,
     Exit,
     Fork,
@@ -48,7 +48,7 @@ from busycheck.proofs import (
 )
 from busycheck.proofs import _wrap
 from busycheck.semantics import explore, spawn_tree
-from reference import reference_from_json_dict, reference_to_json_dict, tree_size
+from reference import command_parts, reference_from_json_dict, reference_to_json_dict, tree_size
 
 WAITING_PAIR = parse("fork { exit }; loop skip")
 TWO_LEVEL = parse("fork { fork { loop skip }; exit }; loop skip")
@@ -426,7 +426,7 @@ def _subterms(cmd):
     while stack:
         x = stack.pop()
         yield x
-        stack += [getattr(x, f.name) for f in dataclasses.fields(x)]
+        stack += command_parts(x)
 
 
 def test_loaded_premises_reuse_the_conclusions_subterms():
@@ -444,8 +444,21 @@ def test_loaded_premises_reuse_the_conclusions_subterms():
         terms = [t.conclusion.pre, *_subterms(t.conclusion.cmd), t.conclusion.post]
         if isinstance(t.data, ShiftData):
             terms += [t.data.inner_pre, t.data.inner_post]
-        for x in terms:
-            assert objects.setdefault(x, x) is x
+        for x in terms:  # a command by its text: its `==` is identity
+            assert objects.setdefault(pretty(x) if isinstance(x, Command) else x, x) is x
+
+
+def test_a_loaded_certificate_concludes_the_program_itself():
+    # while the program lives, the reader's constructors hand back its very
+    # commands; once it is gone, they build one equal to it
+    for c in [*enumerate_programs(4), *gen_program(GenConfig(seed=8, count=40))]:
+        tree = verify(c)
+        if tree is not None:
+            assert from_json_dict(to_json_dict(tree)).conclusion.cmd is c
+    text = "fork { fork { loop skip }; exit }; " * 30 + "exit"
+    payload = to_json_dict(verify(parse(text)))
+    loaded = from_json_dict(payload).conclusion.cmd
+    assert pretty(loaded) == text and parse(text) is loaded
 
 
 def test_loading_parses_nothing(monkeypatch, tmp_path):
