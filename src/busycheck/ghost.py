@@ -201,13 +201,15 @@ def _extract_plan(t: ProofTree) -> _Plan:
     """The plan of the thread `t` proves: one slot per Exit, Loop or Fork
     leaf, left to right, each with the ghost steps that the view shifts met
     since the leaf before put ahead of it; the steps met after the last leaf
-    are the final ops.  A Fork's slot holds the plan of its premise.
+    are the final ops.  A Fork's slot holds the plan of its premise, one
+    per premise object, which cursors only read.
 
     Iterative: `todo` holds the nodes still to visit and the post-side steps
     of the view shifts being visited, each with the plan it adds to, and
     `plan.final_ops` collects the steps ahead of the next slot.
     """
     root = _Plan()
+    plans: dict[int, _Plan] = {}  # id of a Fork premise -> its plan
     todo: list[tuple[ProofTree | list[str], _Plan]] = [(t, root)]
     while todo:
         node, plan = todo.pop()
@@ -231,8 +233,12 @@ def _extract_plan(t: ProofTree) -> _Plan:
             plan.final_ops = []
             plan.slots.append(slot)
             if rule is RULE_FORK:
-                slot.split, slot.child = node.data, _Plan()
-                todo.append((node.premises[0], slot.child))
+                premise = node.premises[0]
+                child = plans.get(id(premise))
+                if child is None:
+                    child = plans[id(premise)] = _Plan()
+                    todo.append((premise, child))
+                slot.split, slot.child = node.data, child
     return root
 
 

@@ -22,8 +22,9 @@ Concrete grammar (whitespace-insensitive, ``#`` comments to end of line)::
     cmd  ::= atom (";" cmd)?
     atom ::= "exit" | "loop" "skip" | "fork" "{" cmd "}"
 
-`parse` lexes the text with one `findall` and reads the tokens' texts in one
-loop, without recursion; only an error works out where it stands.
+`parse` lexes text of ASCII letters, `{};`, spaces, tabs and line ends by
+splitting it, any other text with one `findall`, and reads the tokens' texts
+in one loop, without recursion; only an error works out where it stands.
 """
 
 from __future__ import annotations
@@ -189,6 +190,8 @@ def _error_at(message: str, text: str, offset: int) -> ParseError:
 # `[^\W\d_]` also takes the numerals that are not letters (e.g. `²`), so a
 # word that is not all letters holds an unexpected character.
 _LEXEME = re.compile(r"#[^\n]*|([;{}]|[^\W\d_]+|\S)")
+# Text that `findall` and `str.split`, once `{};` are spaced out, lex alike.
+_PLAIN = re.compile(r"[A-Za-z{}; \t\r\n]*")
 
 
 def _error(text: str, at: int, expected: str) -> ParseError:
@@ -219,7 +222,10 @@ def parse(text: str) -> Command:
 
     `open_seqs` holds, for each fork whose body is being read, the atoms read
     so far around that fork."""
-    tokens = list(filter(None, _LEXEME.findall(text)))
+    if _PLAIN.fullmatch(text):
+        tokens = text.replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
+    else:
+        tokens = list(filter(None, _LEXEME.findall(text)))
     tokens.append("")  # end of input
     open_seqs: list[list[Command]] = []
     atoms: list[Command] = []

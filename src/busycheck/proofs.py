@@ -49,6 +49,9 @@ third by the choice of D.  So a trailing fork (r = (False, 0)) shifts to
 obs(0).  By induction over the
 spine and the spawn tree, a feasible start always yields a proof.
 
+Equal threads, by (body, co, cc), share one proof object within a call,
+which `check_proof` and `ghost` visit once.
+
 It is also the smallest choice: in the order ghost delta 0, 1, -1, 2, -2,
 ..., then splits by ascending co + cc, then ascending co, it is the first
 with feasible successors.  The child's need fixes cc - co >= N_b, or the
@@ -60,15 +63,16 @@ that order as a reference, and their certificates agree byte for byte.
 Certificates.  A certificate is one JSON object, `{"format": 2, "cmds":
 [...], "asserts": [...], "nodes": [...], "root": i}`, whose entries name
 earlier entries by index, so its size is linear in the proof and its
-nesting depth is constant.  `cmds` holds commands, each `"exit"`,
-`"loop skip"`, `{"fork": i}` or `{"seq": [i, j]}`; `asserts` holds
-assertions, each `"true"`, `"false"`, `"credit"`, `{"obs": n}` or
-`{"star": [i, j]}`.  Both tables are hash-consed: a term occurs once, and the
-commands' sharing comes from their constructors, which `lang` interns.  The
-checker holds an assertion only as its normal form, which the writer renders
-as `obs(n1) * ... * credit * ...`, left-associated.  `certificate_text` writes
-the text in one walk of the proof, byte for byte what `json.dumps` writes with
-separators "," and ":".
+nesting depth is constant.  It is a tree: a shared premise is written
+where it occurs.  `cmds` holds commands, each `"exit"`, `"loop skip"`,
+`{"fork": i}` or `{"seq": [i, j]}`; `asserts` holds assertions, each
+`"true"`, `"false"`, `"credit"`, `{"obs": n}` or `{"star": [i, j]}`.  Both
+tables are hash-consed: a term occurs once, and the commands' sharing comes
+from their constructors, which `lang` interns.  The checker holds an
+assertion only as its normal form, which the writer renders as
+`obs(n1) * ... * credit * ...`, left-associated.  `certificate_text` writes
+the text in one walk of the proof, byte for byte what `json.dumps` writes
+with separators "," and ":".
 Reading is linear in the file: one pass checks every entry, refusing a seq
 as first part of a seq and a star as right part of a star, so an entry adds
 at most one atom to the assertion it builds, and summarizes it in constant
@@ -104,7 +108,7 @@ from .assertions import (
     summarize,
     view_shift,
 )
-from .lang import DONE, Command, Continuation, Done, Exit, Fork, LoopSkip, Seq
+from .lang import DONE, EXIT, LOOP_SKIP, Command, Continuation, Exit, Fork, LoopSkip, Seq
 
 # Not called here: certificates carry no program text.  The name stays
 # importable from this module because perfbench/tracing.py wraps it.
@@ -185,19 +189,21 @@ def check_proof(t: ProofTree) -> RuleViolation | None:
     """None when every node instantiates its rule schema; first failure otherwise.
 
     Nodes are checked in pre-order (a node, then its premises left to right),
-    iteratively, so any depth works.  `open_nodes[d]` is the node at depth d
-    of the current path and `next_premise[d]` the index of its premise to
-    visit next; the path is read off them only when a node fails.
+    iteratively, so any depth works.  `open_premises[d]` holds the premises
+    of the node at depth d of the current path and `next_premise[d]` the
+    index of the one to visit next; the path is read off them only when a
+    node fails.  A Fork premise object that passed is not opened again.
     """
     reason = _node_fault(t)
     if reason is not None:
         return RuleViolation((), reason)
-    open_nodes, next_premise = [t], [0]
-    while open_nodes:
-        premises = open_nodes[-1].premises
+    open_premises, next_premise = [t.premises], [0]
+    opened: set[int] = set()  # ids of the premises of the Fork nodes opened
+    while open_premises:
+        premises = open_premises[-1]
         i = next_premise[-1]
         if i == len(premises):
-            open_nodes.pop()
+            open_premises.pop()
             next_premise.pop()
             continue
         next_premise[-1] = i + 1
@@ -205,8 +211,13 @@ def check_proof(t: ProofTree) -> RuleViolation | None:
         reason = _node_fault(p)
         if reason is not None:
             return RuleViolation(tuple(j - 1 for j in next_premise), reason)
-        if p.premises:
-            open_nodes.append(p)
+        premises = p.premises
+        if premises:
+            if p.rule is RULE_FORK:
+                if id(premises[0]) in opened:
+                    continue
+                opened.add(id(premises[0]))
+            open_premises.append(premises)
             next_premise.append(0)
     return None
 
@@ -317,7 +328,7 @@ def _features(c: Command) -> dict[Continuation, tuple[bool, int]]:
     todo = [c]
     while todo:
         suffix, spine = todo.pop(), []
-        while not isinstance(suffix, Done):
+        while suffix is not DONE:
             spine.append(suffix)
             if isinstance(suffix.head, Fork):
                 todo.append(suffix.head.body)
@@ -328,9 +339,9 @@ def _features(c: Command) -> dict[Continuation, tuple[bool, int]]:
         rest = features[DONE]
         for suffix in reversed(spine):
             atom = suffix.head
-            if isinstance(atom, Exit):
+            if atom is EXIT:
                 rest = (True, 0)
-            elif isinstance(atom, LoopSkip):
+            elif atom is LOOP_SKIP:
                 rest = (False, 1)
             else:
                 absorbing, need = features[atom.body]
@@ -356,59 +367,57 @@ def derive(c: Command, n: int) -> ProofTree | None:
     """The proof of {obs(n)} c {obs(0)} built in one pass, or None when the
     start state (n, 0) is infeasible for `c` and so no proof exists.
 
-    Iterative at any depth and length.  A forward walk fixes every thread's
-    states and every fork's choice, parents before children; the trees are
-    then built back to front, children first.
+    Iterative at any depth and length.  A thread's forward walk fixes its
+    states and its forks' choices, and stops at a fork whose child (body,
+    co, cc) has no proof yet to walk the child first; its proof is then
+    built back to front, and every fork with that child names it.
     """
     features = _features(c)
     absorbing, need = features[c]
     if not absorbing and -n < need:
         return None
-    threads = [(c, (n, 0))]  # (body, start state); a fork's child comes later
-    walks = []
-    for body, state in threads:  # grows while it is walked
-        walk, suffix = [], body
-        while True:
+    proofs: dict[tuple | None, ProofTree] = {}  # (body, co, cc) of a thread, None for the root -> its proof
+    todo = [(None, c, (n, 0), [])]  # threads walked: (key, next suffix, its state, walk so far)
+    while todo:
+        key, suffix, state, walk = todo.pop()
+        while suffix is not DONE:
             atom, rest = suffix.head, suffix.tail
             dead = state is None  # code after an exit or a loop skip
             if dead:
                 absorbing, need = features[suffix]
                 state = (0, 0 if absorbing else need)
             o, k = state
-            start, after, child = ((o, 0) if isinstance(atom, Exit) else (0, 1)), None, None
+            start, after, child = ((o, 0) if atom is EXIT else (0, 1)), None, None
             if isinstance(atom, Fork):
                 delta, co, cc = _fork_choice(o, k, features[atom.body], features[rest])
                 start, after = (o + delta, k + delta), (o + delta - co, k + delta - cc)
-                child = len(threads)
-                threads.append((atom.body, (co, cc)))
+                child = (atom.body, co, cc)
             walk.append((suffix, atom, state, start, after, dead, child))
-            if isinstance(rest, Done):
-                break
             suffix, state = rest, after
-        walks.append(walk)
-
-    proofs: list[ProofTree | None] = [None] * len(threads)
-    for i in reversed(range(len(threads))):
-        required = OBS_ZERO if isinstance(walks[i][-1][1], Fork) else BOTTOM
-        t = None
-        for suffix, atom, state, start, after, dead, child in reversed(walks[i]):
-            pre = state_assertion(*start)
-            if child is None:
-                rule = RULE_EXIT if isinstance(atom, Exit) else RULE_LOOP
-                node = ProofTree(HoareTriple(pre, atom, BOTTOM), rule)
-            else:
-                post, split = state_assertion(*after), ForkSplit(*threads[child][1])
-                node = ProofTree(HoareTriple(pre, atom, post), RULE_FORK, (proofs[child],), split)
-            if t is None:  # the last atom; a trailing fork shifts to obs(0)
-                t = node if required is BOTTOM or after == (0, 0) else _wrap(node, pre, required)
-            else:
-                t = ProofTree(HoareTriple(pre, suffix, required), RULE_SEQ, (node, t))
-            if start != state:
-                t = _wrap(t, state_assertion(*state), required)
-            if dead:
-                t = _wrap(t, BOTTOM, required)
-        proofs[i] = t if required is OBS_ZERO else _wrap(t, t.conclusion.pre, OBS_ZERO)
-    return proofs[0]
+            if child is not None and child not in proofs:
+                todo += ((key, suffix, state, walk), (child, atom.body, (co, cc), []))
+                break
+        else:  # the thread is walked: its proof, from its last atom back
+            required = OBS_ZERO if isinstance(walk[-1][1], Fork) else BOTTOM
+            t = None
+            for suffix, atom, state, start, after, dead, child in reversed(walk):
+                pre = state_assertion(*start)
+                if child is None:
+                    rule = RULE_EXIT if atom is EXIT else RULE_LOOP
+                    node = ProofTree(HoareTriple(pre, atom, BOTTOM), rule)
+                else:
+                    post, split = state_assertion(*after), ForkSplit(child[1], child[2])
+                    node = ProofTree(HoareTriple(pre, atom, post), RULE_FORK, (proofs[child],), split)
+                if t is None:  # the last atom; a trailing fork shifts to obs(0)
+                    t = node if required is BOTTOM or after == (0, 0) else _wrap(node, pre, required)
+                else:
+                    t = ProofTree(HoareTriple(pre, suffix, required), RULE_SEQ, (node, t))
+                if start != state:
+                    t = _wrap(t, state_assertion(*state), required)
+                if dead:
+                    t = _wrap(t, BOTTOM, required)
+            proofs[key] = t if required is OBS_ZERO else _wrap(t, t.conclusion.pre, OBS_ZERO)
+    return proofs[None]
 
 
 def _wrap(t: ProofTree, pre: Assertion, post: Assertion) -> ProofTree:
@@ -455,7 +464,8 @@ def certificate_text(t: ProofTree) -> str:
     right part before the left, and is found again by its object's id, or an
     assertion by value, so equal terms get one entry.  An assertion is written
     as the term `obs(n1) * ... * credit * ...`, left-associated, or `true` when
-    it has no atoms and `false` for Bottom.  Proof nodes are not interned.
+    it has no atoms and `false` for Bottom.  Proof nodes are not interned: a
+    premise that `derive` shares is written where it occurs, as a tree.
     """
     cmds: list[str] = []
     asserts: list[str] = []

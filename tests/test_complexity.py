@@ -24,6 +24,7 @@ import pytest
 import busycheck.lang as lang
 from busycheck.lang import parse
 from busycheck.proofs import certificate_text, check_proof, from_json_dict, verify
+from busycheck.semantics import fuel_bound, spawn_tree
 
 N = 48  # and 2N: large enough that fixed costs do not hide the growth
 LINEAR = 1.1  # the largest exponent a linear layer may show
@@ -31,6 +32,10 @@ LINEAR = 1.1  # the largest exponent a linear layer may show
 
 def waiters(n):
     return "fork { loop skip }; " * n + "exit"
+
+
+def flats(n):
+    return "fork { exit }; " * n + "loop skip"
 
 
 def fork_nest(n):
@@ -71,11 +76,15 @@ def _inputs(layer: str, text: str):
         "verify": (verify, program),
         "certificate_text": (certificate_text, verify(program)),
         "check_proof": (check_proof, verify(program)),
+        "spawn_tree": (spawn_tree, program),
+        "fuel_bound": (fuel_bound, program),
     }[layer]
 
 
-@pytest.mark.parametrize("family", [waiters, fork_nest], ids=["waiters", "fork-nest"])
-@pytest.mark.parametrize("layer", ["parse", "verify", "certificate_text", "from_json_dict", "check_proof"])
+@pytest.mark.parametrize("family", [waiters, flats, fork_nest], ids=["waiters", "flats", "fork-nest"])
+@pytest.mark.parametrize(
+    "layer", ["parse", "verify", "certificate_text", "from_json_dict", "check_proof", "spawn_tree", "fuel_bound"]
+)
 def test_layer_cost_is_linear_and_repeats_exactly(layer, family):
     counts = []
     for n in (N, 2 * N):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from busycheck.ghost import (
@@ -23,7 +25,7 @@ from busycheck.ghost import (
 )
 from busycheck.harness import enumerate_programs
 from busycheck.lang import DONE, LOOP_SKIP, Done, Fork, Printer, Seq, parse
-from busycheck.proofs import ForkSplit, verify
+from busycheck.proofs import ForkSplit, certificate_text, from_json_dict, verify
 from busycheck.semantics import (
     ST_FORK,
     ST_LOOP,
@@ -453,3 +455,23 @@ def test_child_is_the_fresh_id_of_exactly_the_fork_steps():
                     else:
                         assert s.child is None
     assert forks > 1000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "fork { loop skip }; " * 8 + "exit",
+        "fork { exit }; " * 8 + "loop skip",
+        "; ".join(["fork { " + "fork { loop skip }; " * 3 + "exit }"] * 2) + "; loop skip",
+    ],
+    ids=["waiters", "flats", "km"],
+)
+def test_a_shared_proof_annotates_as_its_unshared_copy_does(text):
+    # `verify` gives equal threads one proof; a certificate read back is a tree
+    c = parse(text)
+    shared = verify(c)
+    unshared = from_json_dict(json.loads(certificate_text(shared)))
+    assert tree_size(unshared) == tree_size(shared)
+    for scheduler, window in ((RoundRobinScheduler(), 0), (RandomFairScheduler(1, 4), 4), (RandomFairScheduler(2, 4), 4)):
+        _, plain = run(initial_pool(c), scheduler, fuel_bound(c, window))
+        assert annotate(c, shared, plain).steps == annotate(c, unshared, plain).steps

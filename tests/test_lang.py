@@ -71,23 +71,23 @@ def test_parse_ignores_whitespace_and_comments():
     assert parse(text) == Seq(Fork(EXIT), LOOP_SKIP)
 
 
-@pytest.mark.parametrize(
-    "text,line,col",
-    [
-        ("fork { exit ", 1, 13),
-        ("loop", 1, 5),
-        ("exit; loop slip", 1, 12),
-        ("exit exit", 1, 6),
-        ("fork { } ", 1, 8),
-        ("exit; 5", 1, 7),  # a character outside the grammar
-        ("ex\u00b2t", 1, 3),  # a numeral that is not a letter, inside a word
-        ("fork { exit }; \u03bb\u03cc\u03b3\u03bf\u03c2", 1, 16),  # a word of non-ASCII letters
-        ("exit \u00a0 exit", 1, 8),  # NBSP counts one column
-        ("loop\u2003skip;\u00a0\u00a0exi", 1, 13),
-        ("exit;\r\nloop slip", 2, 6),  # `\r` is whitespace, `\n` starts line 2
-        ("fork { exit # c", 1, 13),  # end of input after a comment sits at its `#`
-    ],
-)
+_BAD_INPUTS = [
+    ("fork { exit ", 1, 13),
+    ("loop", 1, 5),
+    ("exit; loop slip", 1, 12),
+    ("exit exit", 1, 6),
+    ("fork { } ", 1, 8),
+    ("exit; 5", 1, 7),  # a character outside the grammar
+    ("ex\u00b2t", 1, 3),  # a numeral that is not a letter, inside a word
+    ("fork { exit }; \u03bb\u03cc\u03b3\u03bf\u03c2", 1, 16),  # a word of non-ASCII letters
+    ("exit \u00a0 exit", 1, 8),  # NBSP counts one column
+    ("loop\u2003skip;\u00a0\u00a0exi", 1, 13),
+    ("exit;\r\nloop slip", 2, 6),  # `\r` is whitespace, `\n` starts line 2
+    ("fork { exit # c", 1, 13),  # end of input after a comment sits at its `#`
+]
+
+
+@pytest.mark.parametrize("text,line,col", _BAD_INPUTS)
 def test_parse_errors_carry_position(text, line, col):
     with pytest.raises(ParseError) as err:
         parse(text)
@@ -153,6 +153,43 @@ def test_parse_agrees_with_the_reference_parser():
         seen[kind] = seen.get(kind, 0) + 1
     # a character outside the grammar, and each token the parser expects
     assert len(seen) == 7 and min(seen.values()) >= 20, seen
+
+
+def _layouts(c):
+    """`c` printed spaced, compact (no optional space) and one atom per line."""
+    spaced = pretty(c)
+    compact = spaced.replace(" {", "{").replace("{ ", "{").replace(" }", "}").replace("; ", ";")
+    return spaced, compact, spaced.replace("{ ", "{\n").replace(" }", "\n}").replace("; ", ";\n")
+
+
+# Text outside the plain set: comments, a numeral that is not a letter,
+# digits, `_`, and these next to words and tabs.
+_FALLBACK = [
+    "exit # c", "# c\nexit", "fork { exit }; # c\nloop skip", "fork {\texit } # }\n; loop skip",
+    "ex\u00b2t", "fork { exit\u00b2 }; loop skip", "exit; 5", "exit5", "loop\t1skip",
+    "fork_{ exit }; loop skip", "exit;\t_loop skip", "fo\trk { ex_it }",
+]
+
+
+def test_plain_text_is_split_and_agrees_with_the_reference_parser():
+    # plain text takes the split path, and gives the same command or error
+    programs = 0
+    for c in enumerate_programs(6):
+        for text in _layouts(c):
+            assert lang._PLAIN.fullmatch(text), repr(text)
+            assert parse(text) is c and reference_parse(text) is c, repr(text)
+        programs += 1
+    assert programs > 2000
+    for text in ["ex\tit", "loop\tskip", "exit exit", "fork{}", "", "loop slip", "fork { exit ; } loop"]:
+        assert lang._PLAIN.fullmatch(text), repr(text)
+        assert _parsed(parse, text) == _parsed(reference_parse, text), repr(text)
+
+
+def test_other_text_is_lexed_by_findall_and_agrees_with_the_reference_parser():
+    for text in _FALLBACK + [text for text, _, _ in _BAD_INPUTS]:
+        if text in _FALLBACK:
+            assert not lang._PLAIN.fullmatch(text), repr(text)
+        assert _parsed(parse, text) == _parsed(reference_parse, text), repr(text)
 
 
 def test_pretty_round_trips_the_examples():

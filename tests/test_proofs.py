@@ -917,3 +917,71 @@ def test_rule_constants_are_the_members_they_name():
     constants = (RULE_FRAME, RULE_EXIT, RULE_LOOP, RULE_FORK, RULE_SEQ, RULE_VIEW_SHIFT)
     members = (Rule.FRAME, Rule.EXIT, Rule.LOOP, Rule.FORK, Rule.SEQ, Rule.VIEW_SHIFT)
     assert all(c is m for c, m in zip(constants, members, strict=True))
+
+
+# The benchmark's `large` and `interleave` shapes, small: waiters, flats, k x m.
+SHARING_FAMILIES = {
+    "waiters": "fork { loop skip }; " * 8 + "exit",
+    "flats": "fork { exit }; " * 8 + "loop skip",
+    "km": "; ".join(["fork { " + "fork { loop skip }; " * 3 + "exit }"] * 2) + "; loop skip",
+}
+
+
+def _occurrences(t):
+    """Every node of `t`, once per place it occurs."""
+    out, todo = [], [t]
+    while todo:
+        out.append(todo.pop())
+        todo += out[-1].premises
+    return out
+
+
+@pytest.mark.parametrize("family", ["waiters", "flats", "km"])
+def test_forks_of_equal_threads_share_one_premise(family):
+    premises = {}  # (body, split) -> the premise of the first such Fork node
+    forks = [t for t in _occurrences(verify(parse(SHARING_FAMILIES[family]))) if t.rule is RULE_FORK]
+    for node in forks:
+        assert premises.setdefault((node.conclusion.cmd.body, node.data), node.premises[0]) is node.premises[0]
+    assert len(forks) == 8 and len(premises) <= 3
+
+
+@pytest.mark.parametrize("family", ["waiters", "flats", "km"])
+def test_check_proof_checks_each_node_object_once(monkeypatch, family):
+    checked = []
+    node_fault = busycheck.proofs._node_fault
+    monkeypatch.setattr(busycheck.proofs, "_node_fault", lambda t: checked.append(t) or node_fault(t))
+    proof = verify(parse(SHARING_FAMILIES[family]))
+    assert check_proof(proof) is None
+    distinct = {id(t) for t in _occurrences(proof)}
+    assert len(checked) == len({id(t) for t in checked}) == len(distinct) < tree_size(proof)
+
+
+def _with_first_leaf_tampered(t):
+    if not t.premises:
+        return t._replace(conclusion=t.conclusion._replace(pre=state_assertion(5, 5)))
+    return t._replace(premises=(_with_first_leaf_tampered(t.premises[0]), *t.premises[1:]))
+
+
+def _substituted(t, old, new, memo):
+    """`t` with the object `old` replaced by `new` wherever it occurs; a shared
+    subtree stays one object."""
+    if t is old:
+        return new
+    if id(t) not in memo:
+        memo[id(t)] = t._replace(premises=tuple(_substituted(p, old, new, memo) for p in t.premises))
+    return memo[id(t)]
+
+
+@pytest.mark.parametrize("family", ["waiters", "flats", "km"])
+def test_a_faulty_shared_premise_fails_where_its_unshared_copy_does(family):
+    proof = verify(parse(SHARING_FAMILIES[family]))
+    premises = [t.premises[0] for t in _occurrences(proof) if t.rule is RULE_FORK]
+    shared = max(premises, key=lambda p: sum(q is p for q in premises))
+    tampered = _with_first_leaf_tampered(shared)
+    dag = _substituted(proof, shared, tampered, {})
+    assert sum(t is tampered for t in _occurrences(dag)) == sum(p is shared for p in premises) >= 2
+    unshared = from_json_dict(to_json_dict(dag))
+    assert len({id(t) for t in _occurrences(unshared)}) == tree_size(unshared) == tree_size(dag)
+    violation = check_proof(dag)
+    assert violation is not None
+    assert violation == check_proof(unshared)
