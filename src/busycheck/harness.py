@@ -10,11 +10,10 @@ for ghost balance after every step plus the leaf-sum equality on random
 sibling-closed loop-edge-free prefixes.  The same walk counts the programs
 that reach a second thread (`multi_thread`).
 
-A campaign checks each random program as it is drawn, and draws every
-prefix from a second `random.Random` seeded from `GenConfig.seed`, so it is
-reproducible from its seed.  The exhaustive sweep builds the commands of
-each size once and shares them as the fork bodies and suffixes of larger
-commands.
+A campaign draws every prefix from one `random.Random` seeded from
+`GenConfig.seed`, so it is reproducible from its seed.  The exhaustive sweep
+builds the commands of each size once and shares them as the fork bodies
+and suffixes of larger commands.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .ghost import AnnotationError, CancelUnderflow, SplitError, annotate, check_balance
 from .lang import Command, EXIT, Fork, LOOP_SKIP, Seq, pretty
@@ -68,17 +67,11 @@ class GenConfig:
 
 def gen_program(cfg: GenConfig) -> list[Command]:
     """Deterministic in the seed; every program has <= max_atoms atoms."""
-    return list(_random_programs(cfg))
-
-
-def _random_programs(cfg: GenConfig):
-    """`gen_program`'s programs, each drawn when it is taken, from its own RNG."""
     rng = random.Random(cfg.seed)
     # the cumulative weights `choices` would sum from the plain ones: the same
     # draws, without summing again for every atom
     cum_weights = list(accumulate((cfg.exit_prob, cfg.loop_prob, cfg.fork_prob)))
-    for _ in range(cfg.count):
-        yield _gen_command(rng, cum_weights, rng.randint(1, cfg.max_atoms))
+    return [_gen_command(rng, cum_weights, rng.randint(1, cfg.max_atoms)) for _ in range(cfg.count)]
 
 
 _KINDS = ("exit", "loop", "fork")
@@ -191,9 +184,9 @@ def soundness_campaign(
     """
     started = time.perf_counter()
     report = CampaignReport()
-    programs = _random_programs(cfg)
+    programs = gen_program(cfg)
     if exhaustive_max_atoms:
-        programs = chain(programs, enumerate_programs(exhaustive_max_atoms))
+        programs.extend(enumerate_programs(exhaustive_max_atoms))
     rng = random.Random(cfg.seed)  # draws every prefix the campaign checks
     for program in programs:
         _check_one(program, rng, report)

@@ -22,9 +22,9 @@ Concrete grammar (whitespace-insensitive, ``#`` comments to end of line)::
     cmd  ::= atom (";" cmd)?
     atom ::= "exit" | "loop" "skip" | "fork" "{" cmd "}"
 
-`parse` lexes text of ASCII letters, `{};`, spaces, tabs and line ends by
-splitting it, any other text with one `findall`, and reads the tokens' texts
-in one loop, without recursion; only an error works out where it stands.
+`parse` lexes by dropping comments, spacing out `{};` and calling
+`str.split`, and reads the tokens' texts in one loop, without recursion;
+only an error works out where it stands.
 """
 
 from __future__ import annotations
@@ -186,12 +186,11 @@ def _error_at(message: str, text: str, offset: int) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
-# `findall` skips the whitespace between lexemes and gives each comment as ''.
+# An error's re-scan: a comment, `{};`, a word, or any other character.
 # `[^\W\d_]` also takes the numerals that are not letters (e.g. `²`), so a
 # word that is not all letters holds an unexpected character.
-_LEXEME = re.compile(r"#[^\n]*|([;{}]|[^\W\d_]+|\S)")
-# Text that `findall` and `str.split`, once `{};` are spaced out, lex alike.
-_PLAIN = re.compile(r"[A-Za-z{}; \t\r\n]*")
+_LEXEME = re.compile(r"#[^\n]*|[;{}]|[^\W\d_]+|\S")
+_COMMENT = re.compile(r"#[^\n]*")
 
 
 def _error(text: str, at: int, expected: str) -> ParseError:
@@ -221,11 +220,11 @@ def parse(text: str) -> Command:
     """Parse a program into the command it spells, atoms in source order.
 
     `open_seqs` holds, for each fork whose body is being read, the atoms read
-    so far around that fork."""
-    if _PLAIN.fullmatch(text):
-        tokens = text.replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
-    else:
-        tokens = list(filter(None, _LEXEME.findall(text)))
+    so far around that fork.  On text of letters the split gives the
+    re-scan's words, as both split at the same whitespace; any other
+    character lands in a token that is no keyword, so `parse` fails, and the
+    re-scan reports the first such character."""
+    tokens = _COMMENT.sub("", text).replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
     tokens.append("")  # end of input
     open_seqs: list[list[Command]] = []
     atoms: list[Command] = []

@@ -162,33 +162,29 @@ def _layouts(c):
     return spaced, compact, spaced.replace("{ ", "{\n").replace(" }", "\n}").replace("; ", ";\n")
 
 
-# Text outside the plain set: comments, a numeral that is not a letter,
-# digits, `_`, and these next to words and tabs.
-_FALLBACK = [
+# Comments, a numeral that is not a letter, digits, `_`, and these next to
+# words and tabs.
+_NOT_LETTERS = [
     "exit # c", "# c\nexit", "fork { exit }; # c\nloop skip", "fork {\texit } # }\n; loop skip",
     "ex\u00b2t", "fork { exit\u00b2 }; loop skip", "exit; 5", "exit5", "loop\t1skip",
     "fork_{ exit }; loop skip", "exit;\t_loop skip", "fo\trk { ex_it }",
 ]
 
 
-def test_plain_text_is_split_and_agrees_with_the_reference_parser():
-    # plain text takes the split path, and gives the same command or error
+def test_every_layout_of_small_programs_agrees_with_the_reference_parser():
+    # spaced, compact and one atom per line, each gives the same command
     programs = 0
     for c in enumerate_programs(6):
         for text in _layouts(c):
-            assert lang._PLAIN.fullmatch(text), repr(text)
             assert parse(text) is c and reference_parse(text) is c, repr(text)
         programs += 1
     assert programs > 2000
     for text in ["ex\tit", "loop\tskip", "exit exit", "fork{}", "", "loop slip", "fork { exit ; } loop"]:
-        assert lang._PLAIN.fullmatch(text), repr(text)
         assert _parsed(parse, text) == _parsed(reference_parse, text), repr(text)
 
 
-def test_other_text_is_lexed_by_findall_and_agrees_with_the_reference_parser():
-    for text in _FALLBACK + [text for text, _, _ in _BAD_INPUTS]:
-        if text in _FALLBACK:
-            assert not lang._PLAIN.fullmatch(text), repr(text)
+def test_text_beyond_letters_agrees_with_the_reference_parser():
+    for text in _NOT_LETTERS + [text for text, _, _ in _BAD_INPUTS]:
         assert _parsed(parse, text) == _parsed(reference_parse, text), repr(text)
 
 

@@ -19,7 +19,6 @@ EXEMPT = {
     "cli.explore": "the tracer wraps it to count explored states under `cli`",
     "ghost.normalize_assertion": "the tracer wraps it as `assertions.normalize`",
     "harness.explore": "the tracer wraps it to count explored states under `harness`",
-    "harness.gen_program": "the tracer wraps it as `harness.gen`; the campaign draws its programs lazily",
     "proofs.parse": "the tracer wraps it to count parsed atoms under `proofs`",
     "proofs.view_shift_status": "the tracer wraps it as `assertions.view_shift`",
 }
