@@ -50,7 +50,7 @@ obs(0).  By induction over the
 spine and the spawn tree, a feasible start always yields a proof.
 
 Equal threads, by (body, co, cc), share one proof object within a call,
-which `check_proof` and `ghost` visit once.
+which `check_proof` and `ghost` visit once and a certificate writes once.
 
 It is also the smallest choice: in the order ghost delta 0, 1, -1, 2, -2,
 ..., then splits by ascending co + cc, then ascending co, it is the first
@@ -63,8 +63,11 @@ that order as a reference, and their certificates agree byte for byte.
 Certificates.  A certificate is one JSON object, `{"format": 2, "cmds":
 [...], "asserts": [...], "nodes": [...], "root": i}`, whose entries name
 earlier entries by index, so its size is linear in the proof and its
-nesting depth is constant.  It is a tree: a shared premise is written
-where it occurs.  `cmds` holds commands, each `"exit"`, `"loop skip"`,
+nesting depth is constant.  A node may be the premise of any number of Fork
+nodes, and the writer writes each Fork premise once; a node that a Seq,
+ViewShift or Frame node names is named by no other node.  So `check_proof`,
+which opens each Fork premise once, visits each node of the file at most
+once.  `cmds` holds commands, each `"exit"`, `"loop skip"`,
 `{"fork": i}` or `{"seq": [i, j]}`; `asserts` holds assertions, each
 `"true"`, `"false"`, `"credit"`, `{"obs": n}` or `{"star": [i, j]}`.  Both
 tables are hash-consed: a term occurs once, and the commands' sharing comes
@@ -458,14 +461,19 @@ def certificate_text(t: ProofTree) -> str:
     """The certificate of `t` as one line of JSON (the module docstring has
     the format), as `json.dumps` writes it with separators "," and ":".
 
-    The nodes are listed in pre-order, premises right to left, and written
-    in the reverse of that order, which is post-order, the root last.  Each
-    term they name gets an entry the first time it is met, parts first, the
-    right part before the left, and is found again by its object's id, or an
-    assertion by value, so equal terms get one entry.  An assertion is written
-    as the term `obs(n1) * ... * credit * ...`, left-associated, or `true` when
-    it has no atoms and `false` for Bottom.  Proof nodes are not interned: a
-    premise that `derive` shares is written where it occurs, as a tree.
+    The nodes are written in post-order, the root last.  A Fork premise is
+    written once, just before the first Fork node that names it, and found
+    again by its object's id; every other node is written where it occurs,
+    so a proof whose Fork nodes share no premise is written as a tree.  A
+    segment, a node and its premises short of Fork premises, is listed in
+    pre-order, premises right to left, and written from the back of that
+    list, which is post-order; a Fork node whose premise is not written yet
+    waits until the premise's segment is.  Each term the nodes name gets an
+    entry the first time it is met, parts first, the right part before the
+    left, and is found again by its object's id, or an assertion by value,
+    so equal terms get one entry.  An assertion is written as the term
+    `obs(n1) * ... * credit * ...`, left-associated, or `true` when it has no
+    atoms and `false` for Bottom.
     """
     cmds: list[str] = []
     asserts: list[str] = []
@@ -511,30 +519,54 @@ def certificate_text(t: ProofTree) -> str:
         known[id(f)] = i
         return i
 
-    order, todo = [], [t]  # the nodes in pre-order, premises right to left
-    while todo:
-        node = todo.pop()
-        order.append(node)
-        todo += node.premises
+    def segment(root: ProofTree) -> list[ProofTree]:
+        """`root` and its premises short of Fork premises, in pre-order, premises right to left."""
+        order, todo = [], [root]
+        while todo:
+            node = todo.pop()
+            order.append(node)
+            if node.rule is not RULE_FORK:
+                todo += node.premises
+        return order
+
     get = known.get
     nodes: list[str] = []
     done: list[str] = []  # written nodes whose parent is not written yet
-    for node in reversed(order):
-        c, data, cut = node.conclusion, node.data, len(done) - len(node.premises)
-        text = (
-            f'{_NODE_HEAD[node.rule]}{get(id(c.pre)) or assertion(c.pre)},"cmd":{get(id(c.cmd)) or command(c.cmd)},'
-            f'"post":{get(id(c.post)) or assertion(c.post)},"premises":[{",".join(done[cut:])}]'
-        )
-        del done[cut:]
-        if type(data) is ForkSplit:
-            text += f',"childObs":{data.child_obs},"childCredits":{data.child_credits}'
-        elif type(data) is ShiftData:
-            pre, post = data
-            text += f',"innerPre":{get(id(pre)) or assertion(pre)},"innerPost":{get(id(post)) or assertion(post)}'
-        elif type(data) is FrameData:
-            text += f',"frame":{assertion(data.frame)}'
-        done.append(str(len(nodes)))
-        nodes.append(text + "}")
+    shared: dict[int, str] = {}  # id of a written Fork premise -> its entry
+    segments = [(segment(t), None)]  # each with the Fork premise it is for, None for `t`'s
+    while segments:
+        order, root = segments[-1]
+        while order:
+            node = order.pop()  # so the segment is written in post-order
+            if node.rule is RULE_FORK:
+                new = [p for p in node.premises if id(p) not in shared]
+                if new:  # write the premise first, then this node
+                    order.append(node)
+                    segments.append((segment(new[0]), new[0]))
+                    break
+                premises = ",".join([shared[id(p)] for p in node.premises])
+            else:
+                cut = len(done) - len(node.premises)
+                premises = ",".join(done[cut:])
+                del done[cut:]
+            c, data = node.conclusion, node.data
+            text = (
+                f'{_NODE_HEAD[node.rule]}{get(id(c.pre)) or assertion(c.pre)},"cmd":{get(id(c.cmd)) or command(c.cmd)},'
+                f'"post":{get(id(c.post)) or assertion(c.post)},"premises":[{premises}]'
+            )
+            if type(data) is ForkSplit:
+                text += f',"childObs":{data.child_obs},"childCredits":{data.child_credits}'
+            elif type(data) is ShiftData:
+                pre, post = data
+                text += f',"innerPre":{get(id(pre)) or assertion(pre)},"innerPost":{get(id(post)) or assertion(post)}'
+            elif type(data) is FrameData:
+                text += f',"frame":{assertion(data.frame)}'
+            done.append(str(len(nodes)))
+            nodes.append(text + "}")
+        else:  # the segment is written
+            segments.pop()
+            if root is not None:
+                shared[id(root)] = done.pop()
     return '{"format":2,"cmds":[%s],"asserts":[%s],"nodes":[%s],"root":%d}' % (
         ",".join(cmds), ",".join(asserts), ",".join(nodes), len(nodes) - 1
     )
@@ -551,11 +583,14 @@ def from_json_dict(data: dict) -> ProofTree:
     as one object, and each assertion entry is summarized from the entries
     it names (`summarize`).  One loop then checks and builds the nodes; an
     entry a node names is normalized the first time it is named.
+    A node is built once and stands for each place it is named, so the
+    premise of several Fork nodes loads as one object.
     CertificateError names the fault: a format other than 2, an index of no
     earlier entry, an entry not in the form the module docstring gives, named
     assertions that hold more obs atoms in all than `asserts` has entries (so
     reading stays linear in the file), or a node that is the premise of two
-    nodes (so `check_proof` walks a tree no larger than the file).
+    nodes that are not both Fork nodes (so `check_proof`, which opens each
+    Fork premise once, visits no more nodes than the file has).
     """
     if not isinstance(data, dict) or data.get("format") != 2:
         raise CertificateError('unsupported certificate format: expected an object with "format": 2')
@@ -584,26 +619,29 @@ def from_json_dict(data: dict) -> ProofTree:
         # built by `tuple.__new__`, as NamedTuple's generated `__new__` is a Python call
         new, rules, fork, view_shift_rule, frame = tuple.__new__, _RULES, Rule.FORK, Rule.VIEW_SHIFT, Rule.FRAME
         nodes: list[ProofTree] = []
-        used: list[int] = []  # the premise indices of every node
+        forked: list[int] = []  # the premise indices of the Fork nodes
+        named: list[int] = []  # those of the other nodes
         for e in data["nodes"]:
             ps = e["premises"]
             premises = tuple([nodes[i] for i in ps if type(i) is int and 0 <= i < len(nodes)])
             if len(premises) != len(ps):
                 _at(nodes, next(i for i in ps if type(i) is not int or not 0 <= i < len(nodes)))
-            used += ps
             r = e["rule"]
             rule = type(r) is str and rules.get(r) or Rule(r)
             extra: ForkSplit | ShiftData | FrameData | None = None
             if rule is fork:
+                forked += ps
                 extra = new(ForkSplit, (_count(e["childObs"]), _count(e["childCredits"])))
-            elif rule is view_shift_rule:
-                x = e["innerPre"]
-                x = type(x) is int and flats.get(x) or assertion(x)
-                y = e["innerPost"]
-                extra = new(ShiftData, (x, type(y) is int and flats.get(y) or assertion(y)))
-            elif rule is frame:
-                x = e["frame"]
-                extra = new(FrameData, (type(x) is int and flats.get(x) or assertion(x),))
+            else:
+                named += ps
+                if rule is view_shift_rule:
+                    x = e["innerPre"]
+                    x = type(x) is int and flats.get(x) or assertion(x)
+                    y = e["innerPost"]
+                    extra = new(ShiftData, (x, type(y) is int and flats.get(y) or assertion(y)))
+                elif rule is frame:
+                    x = e["frame"]
+                    extra = new(FrameData, (type(x) is int and flats.get(x) or assertion(x),))
             x = e["pre"]
             pre = type(x) is int and flats.get(x) or assertion(x)
             x = e["cmd"]
@@ -611,8 +649,11 @@ def from_json_dict(data: dict) -> ProofTree:
             x = e["post"]
             post = type(x) is int and flats.get(x) or assertion(x)
             nodes.append(new(ProofTree, (new(HoareTriple, (pre, cmd, post)), rule, premises, extra)))
-        if len(set(used)) < len(used):
-            raise CertificateError("malformed certificate: a node is the premise of two nodes")
+        once = set(named)
+        if len(once) < len(named) or not once.isdisjoint(forked):
+            raise CertificateError(
+                "malformed certificate: a node is the premise of two nodes that are not both Fork nodes"
+            )
         return _at(nodes, data["root"])
     except CertificateError:
         raise

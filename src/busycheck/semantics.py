@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
 from .lang import (
@@ -211,10 +211,13 @@ class RoundRobinScheduler:
 class RandomFairScheduler:
     """Random choice with a forced pick once a thread nears its deadline.
 
-    Each decision is a pure function of (seed, trace, pool), so a run is
-    reproducible from the seed alone.  Ages (steps since a thread last stepped
-    or was born) come from a run history, a cache that reads each new trace
-    step once and starts over when handed a different or shorter trace.
+    Each decision is a pure function of (seed, trace, pool), `pool` being
+    the pool the trace ends in, so a run is reproducible from the seed alone.
+    Ages (steps since a thread last stepped or was born) come from a run
+    history, a cache that reads each new trace step once and starts over
+    when handed a different or shorter trace.  It keeps the live threads in
+    the order they last stepped or were born, each with that step's index,
+    so the oldest thread, lowest id first among equals, is the first.
     """
 
     def __init__(self, seed: int, window: int):
@@ -224,28 +227,32 @@ class RandomFairScheduler:
         self.window = window
         self._trace: list[TraceStep] | None = None  # the trace the history is for
         self._seen = 0  # how many of its steps it covers
-        self._last: dict[int, int] = {}  # tid -> index of its last step or birth
-
-    def _history(self, trace: list[TraceStep]) -> dict[int, int]:
-        if trace is not self._trace or len(trace) < self._seen:
-            self._trace, self._seen, self._last = trace, 0, {}
-        last = self._last
-        for j in range(self._seen, len(trace)):
-            step = trace[j]
-            last[step.tid] = j
-            child = step.child
-            if child is not None:
-                last[child] = j  # born at a fork step
-        self._seen = len(trace)
-        return last
+        self._live: OrderedDict[int, int] = OrderedDict()  # live tid -> index of its last step or birth
 
     def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int:
+        seen, live = self._seen, self._live
+        if trace is not self._trace or len(trace) < seen or not trace:
+            start = trace[0].before if trace else pool
+            self._trace, seen, self._live = trace, 0, OrderedDict.fromkeys(start.ids, -1)
+            live = self._live
+        for j in range(seen, len(trace)):  # the history reads each new step once
+            before, tid, _, after = trace[j]
+            grown = 0 if after is before else len(after.ids) - len(before.ids)  # a loop step keeps its pool
+            if grown < 0:
+                live.pop(tid)  # the thread ends, or takes the whole pool with it
+                if not after.ids:
+                    live.clear()
+            else:
+                live[tid] = j
+                live.move_to_end(tid)
+                if grown:
+                    live[after.ids[-1]] = j  # born at a fork step
+        n = self._seen = len(trace)
         tids = pool.ids
-        lasts = list(map(self._history(trace).get, tids, repeat(-1)))
-        first = min(lasts)
-        if len(trace) - 1 - first >= max(1, self.window - len(tids)):
-            return tids[lasts.index(first)]  # the oldest thread, lowest id first
-        rng = random.Random(self.seed * 1_000_003 + len(trace))
+        oldest, last = next(iter(live.items()))
+        if n - 1 - last >= max(1, self.window - len(tids)):
+            return oldest  # the oldest thread, lowest id first
+        rng = random.Random(self.seed * 1_000_003 + n)
         return rng.choice(tids)
 
 

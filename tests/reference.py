@@ -9,6 +9,9 @@
 - `is_fair_prefix`, the sliding-window fairness check on finite traces that
   the schedulers must pass.
 - `FixedScheduler` and `run_schedule`, which replay a scripted tid sequence.
+- `ReferenceRandomFairScheduler`, the random fair scheduler whose picks
+  scanned the pool for the oldest thread, which `RandomFairScheduler.pick`
+  replaced.
 - `tree_size`, the node count of a proof tree.
 - `initial_annotated_pool`, a singleton annotated pool with chosen
   obligations.
@@ -26,15 +29,18 @@
   `proofs.certificate_text` and `proofs.from_json_dict` replaced:
   `reference_parse` (a tokenizer with one record per lexeme, then a reader of
   the records), `reference_to_json_dict` (the certificate as a JSON value,
-  which `json.dumps` writes) and `reference_from_json_dict` (a reader that
-  checks each field with a call and normalizes by walking the table).  The
-  tests hold the replacements to them.
+  which `json.dumps` writes; with `shared=False` it is the tree writer that
+  wrote a shared Fork premise at each place) and `reference_from_json_dict`
+  (a reader that checks each field with a call and normalizes by walking
+  the table).  The tests hold the replacements to them.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from busycheck.assertions import BOTTOM, Assertion, Bottom, Flat, normalize, summarize
@@ -218,6 +224,44 @@ class FixedScheduler:
 def run_schedule(tp: ThreadPool, tids: list[int]) -> tuple[RunOutcome, list[TraceStep]]:
     """`run` from `tp` that steps the threads `tids` in order, or fewer if the pool empties."""
     return run(tp, FixedScheduler(tids), len(tids))
+
+
+class ReferenceRandomFairScheduler:
+    """`semantics.RandomFairScheduler` as it was before it kept the live
+    threads in the order they last stepped: its history maps every thread
+    seen to the index of its last step or birth, and each pick reads the
+    index of every live thread to find the oldest, lowest id first."""
+
+    def __init__(self, seed: int, window: int):
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        self.seed = seed
+        self.window = window
+        self._trace: list[TraceStep] | None = None  # the trace the history is for
+        self._seen = 0  # how many of its steps it covers
+        self._last: dict[int, int] = {}  # tid -> index of its last step or birth
+
+    def _history(self, trace: list[TraceStep]) -> dict[int, int]:
+        if trace is not self._trace or len(trace) < self._seen:
+            self._trace, self._seen, self._last = trace, 0, {}
+        last = self._last
+        for j in range(self._seen, len(trace)):
+            step = trace[j]
+            last[step.tid] = j
+            child = step.child
+            if child is not None:
+                last[child] = j  # born at a fork step
+        self._seen = len(trace)
+        return last
+
+    def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int:
+        tids = pool.ids
+        lasts = list(map(self._history(trace).get, tids, repeat(-1)))
+        first = min(lasts)
+        if len(trace) - 1 - first >= max(1, self.window - len(tids)):
+            return tids[lasts.index(first)]  # the oldest thread, lowest id first
+        rng = random.Random(self.seed * 1_000_003 + len(trace))
+        return rng.choice(tids)
 
 
 # --- proofs and annotated pools --------------------------------------------------
@@ -448,15 +492,17 @@ _COMMANDS = {"exit": Exit, "loop skip": LoopSkip, "fork": Fork, "seq": Seq}
 _COMMAND_TAGS = {cls: tag for tag, cls in _COMMANDS.items()}
 
 
-def reference_to_json_dict(t: ProofTree) -> dict:
+def reference_to_json_dict(t: ProofTree, shared: bool = True) -> dict:
     """The certificate of `t` as a JSON value (the `proofs` docstring has the format).
 
     One iterative walk writes the nodes in post-order, the root last, and
     interns every term they name into its table, parts first, the right part
     before the left, so equal terms get one entry.  An assertion is written
     as the term `obs(n1) * ... * credit * ...`, left-associated, or `true`
-    when it has no atoms and `false` for Bottom.  Proof nodes are not
-    interned.
+    when it has no atoms and `false` for Bottom.  When `shared`, a premise of
+    a Fork node is written once, by the first Fork node that names it, and
+    named by its entry from then on; other nodes, and every node when not
+    `shared`, are written where they occur, so the certificate is a tree.
     """
     cmds: list = []
     asserts: list = []
@@ -508,22 +554,32 @@ def reference_to_json_dict(t: ProofTree) -> dict:
 
     nodes: list[dict] = []
     done: list[int] = []  # written nodes whose parent is not written yet
-    todo: list[tuple[ProofTree, bool]] = [(t, False)]
+    fork_premises: dict[int, int] = {}  # id of a Fork premise written -> its entry, when `shared`
+    todo: list[tuple[ProofTree, list | None]] = [(t, None)]  # a node, and the premises it has had written
     while todo:
-        node, ready = todo.pop()
-        if not ready:
-            todo.append((node, True))
-            todo += ((p, False) for p in reversed(node.premises))
+        node, written = todo.pop()
+        if written is None:
+            written = list(node.premises)
+            if shared and node.rule is Rule.FORK:
+                written = [p for p in written if id(p) not in fork_premises]
+            todo.append((node, written))
+            todo += ((p, None) for p in reversed(written))
             continue
-        c, data, cut = node.conclusion, node.data, len(done) - len(node.premises)
+        cut = len(done) - len(written)
+        premises = done[cut:]
+        del done[cut:]
+        if shared and node.rule is Rule.FORK:
+            for p, i in zip(written, premises):
+                fork_premises.setdefault(id(p), i)
+            premises = [fork_premises[id(p)] for p in node.premises]
+        c, data = node.conclusion, node.data
         entry = {
             "rule": node.rule.value,
             "pre": assertion(c.pre),
             "cmd": command(c.cmd),
             "post": assertion(c.post),
-            "premises": done[cut:],
+            "premises": premises,
         }
-        del done[cut:]
         if isinstance(data, ForkSplit):
             entry.update(childObs=data.child_obs, childCredits=data.child_credits)
         elif isinstance(data, ShiftData):
@@ -542,8 +598,9 @@ def reference_from_json_dict(data: dict) -> ProofTree:
     as one object, and only the assertions the nodes name are normalized,
     each once.  CertificateError names the fault: a format other than 2, an
     index of no earlier entry, an entry not in the form the module docstring
-    gives, or a node that is the premise of two nodes (so `check_proof`
-    walks a tree no larger than the file).
+    gives, or a node that is the premise of two nodes that are not both
+    Fork nodes (so `check_proof`, which opens each Fork premise once, walks
+    no more nodes than the file has).
     """
     if not isinstance(data, dict) or data.get("format") != 2:
         raise CertificateError('unsupported certificate format: expected an object with "format": 2')
@@ -557,11 +614,12 @@ def reference_from_json_dict(data: dict) -> ProofTree:
             return _walk_normalize(asserts, i, flats)
 
         nodes: list[ProofTree] = []
-        used: list[int] = []  # the premise indices of every node
+        parents: dict[int, list[Rule]] = {}  # node -> the rules of the nodes it is a premise of
         for e in data["nodes"]:
             premises = tuple(_at(nodes, i) for i in e["premises"])
-            used += e["premises"]
             rule = Rule(e["rule"])
+            for i in e["premises"]:
+                parents.setdefault(i, []).append(rule)
             extra: ForkSplit | ShiftData | FrameData | None = None
             if rule is Rule.FORK:
                 extra = ForkSplit(_count(e["childObs"]), _count(e["childCredits"]))
@@ -571,8 +629,10 @@ def reference_from_json_dict(data: dict) -> ProofTree:
                 extra = FrameData(assertion(e["frame"]))
             triple = HoareTriple(assertion(e["pre"]), _at(cmds, e["cmd"]), assertion(e["post"]))
             nodes.append(ProofTree(triple, rule, premises, extra))
-        if len(set(used)) < len(used):
-            raise CertificateError("malformed certificate: a node is the premise of two nodes")
+        if any(len(rules) > 1 and set(rules) != {Rule.FORK} for rules in parents.values()):
+            raise CertificateError(
+                "malformed certificate: a node is the premise of two nodes that are not both Fork nodes"
+            )
         return _at(nodes, data["root"])
     except CertificateError:
         raise

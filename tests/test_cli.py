@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,20 @@ def _v2(cmds, asserts, nodes, root, format=2):
 EXIT_LEAF = {"rule": "Exit", "pre": 0, "cmd": 0, "post": 1, "premises": []}
 EXIT_SHIFT = {"rule": "ViewShift", "pre": 0, "cmd": 0, "post": 0, "premises": [0], "innerPre": 0, "innerPost": 1}
 EXIT_TABLES = (["exit"], [{"obs": 0}, "false"])
+# the tables of `fork { exit }; fork { exit }`, with `true` for a frame
+SHARING_TABLES = (["exit", {"fork": 0}, {"seq": [1, 1]}], [{"obs": 0}, "false", "true"])
+
+
+def _fork_of(i):
+    return {"rule": "Fork", "pre": 0, "cmd": 1, "post": 0, "premises": [i], "childObs": 0, "childCredits": 0}
+
+
+def _seq_of(i, j):
+    return {"rule": "Seq", "pre": 0, "cmd": 2, "post": 0, "premises": [i, j]}
+
+
+def _frame_of(i):
+    return {"rule": "Frame", "pre": 0, "cmd": 0, "post": 1, "premises": [i], "frame": 2}
 
 
 @pytest.mark.parametrize(
@@ -199,6 +214,19 @@ EXIT_TABLES = (["exit"], [{"obs": 0}, "false"])
             _v2(["exit", {"seq": [0, 0]}, {"seq": [1, 0]}], EXIT_TABLES[1], [EXIT_LEAF], 0), id="seq-in-first"
         ),
         pytest.param(_v2(*EXIT_TABLES, [EXIT_LEAF, EXIT_SHIFT, EXIT_SHIFT], 2), id="premise-twice"),
+        # a node named by two Seq nodes, by two Frame nodes, and by a Fork node and a Seq node
+        pytest.param(
+            _v2(
+                *SHARING_TABLES,
+                [EXIT_LEAF, EXIT_SHIFT, EXIT_LEAF, {**EXIT_SHIFT, "premises": [2]}, *[_seq_of(1, 3)] * 2],
+                5,
+            ),
+            id="two-seq-parents",
+        ),
+        pytest.param(_v2(*SHARING_TABLES, [EXIT_LEAF, _frame_of(0), _frame_of(0)], 2), id="two-frame-parents"),
+        pytest.param(
+            _v2(*SHARING_TABLES, [EXIT_LEAF, EXIT_SHIFT, _fork_of(1), _seq_of(2, 1)], 3), id="fork-and-seq-parents"
+        ),
         # entry k + 1 is entry k twice: a 1 KB table naming an assertion of 2^61 nodes
         pytest.param(
             _v2(["exit"], [{"obs": 0}] + [{"star": [k, k]} for k in range(60)], [{**EXIT_LEAF, "pre": 60}], 0),
@@ -224,6 +252,52 @@ def test_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, text):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+SHARED_PREMISE = "malformed certificate: a node is the premise of two nodes that are not both Fork nodes\n"
+
+
+def test_forks_may_share_a_premise_and_other_rules_may_not(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(_v2(*SHARING_TABLES, [EXIT_LEAF, EXIT_SHIFT, _fork_of(1), _fork_of(1), _seq_of(2, 3)], 4))
+    assert main(["check-proof", str(cert)]) == 0
+    assert capsys.readouterr() == ("Ok\n", "")
+    cert.write_text(_v2(*SHARING_TABLES, [EXIT_LEAF, EXIT_SHIFT, _fork_of(1), _seq_of(2, 1)], 3))
+    assert main(["check-proof", str(cert)]) == 2
+    assert capsys.readouterr() == ("", SHARED_PREMISE)
+
+
+def test_check_proof_refuses_a_seq_that_names_a_fork_premise(tmp_path, capsys):
+    # the edit the installed-script CI step makes: the last Seq node names a Fork node's premise
+    cert = tmp_path / "cert.json"
+    assert main(["verify", "-e", "fork { exit }; " * 200 + "loop skip", "--emit-cert", str(cert)]) == 0
+    capsys.readouterr()
+    payload = json.loads(cert.read_text())
+    nodes = payload["nodes"]
+    assert len(nodes) <= 2 * 200 + 7
+    fork = next(e for e in nodes if e["rule"] == "Fork")
+    seq = max(i for i, e in enumerate(nodes) if e["rule"] == "Seq")
+    nodes[seq]["premises"][0] = fork["premises"][0]
+    cert.write_text(json.dumps(payload))
+    assert main(["check-proof", str(cert)]) == 2
+    assert capsys.readouterr() == ("", SHARED_PREMISE)
+
+
+def test_check_proof_of_a_nested_doubling_program_takes_under_a_second(tmp_path, capsys):
+    # X_0 = exit and X_(d+1) = fork { X_d }; fork { X_d }: X_40 has 2^40 atoms in a
+    # 81-entry command table, and its proof three nodes per level, the two Fork
+    # nodes of each level naming one premise; no path may walk a command's expansion
+    depth, cmds, nodes = 40, ["exit"], [EXIT_LEAF, EXIT_SHIFT]
+    for _ in range(depth):
+        cmds += [{"fork": len(cmds) - 1}, {"seq": [len(cmds), len(cmds)]}]
+        fork = {**_fork_of(len(nodes) - 1), "cmd": len(cmds) - 2}
+        nodes += [fork, fork, {**_seq_of(len(nodes), len(nodes) + 1), "cmd": len(cmds) - 1}]
+    cert = tmp_path / "doubling.json"
+    cert.write_text(_v2(cmds, EXIT_TABLES[1], nodes, len(nodes) - 1))
+    start = time.perf_counter()
+    assert main(["check-proof", str(cert)]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("Ok\n", "")
 
 
 def test_old_format_certificate_is_unsupported(tmp_path, capsys):
@@ -638,7 +712,8 @@ CONTRACT_FORMS = {
     "check-proof": ["check-proof", "{cert}"],
 }
 # sha256 per argv form of (exit code, stdout, stderr) with temp paths masked; `verify
-# --emit-cert` adds the certificate bytes, `fuzz` drops its wallTime line
+# --emit-cert` adds the certificate bytes (re-taken when certificates began to write
+# each shared Fork premise once; it was 822239ab...), `fuzz` drops its wallTime line
 CONTRACT_DIGESTS = {
     "run --show-trace": "7c74fcf6c14e59cdec3388ab8e865ed2a0a83d886de307cc5bd45874b1e1f531",
     "run --json": "3ac317dd2e8a15ae68fc17fe8b44dac900211b9d49a8405fc0d475f93fc8c031",
@@ -646,7 +721,7 @@ CONTRACT_DIGESTS = {
     "run --sched rotated:2 --show-trace": "7c74fcf6c14e59cdec3388ab8e865ed2a0a83d886de307cc5bd45874b1e1f531",
     "trace": "0e91893a0356794ed8cdf13b86e74d1e5a0f0c2513bd4bcdf21a0e9eedb43cd7",
     "graph --prefix": "b39bdca1809b8a112a9faa8b9301c938d890ddd5f9d82f2cb9297ed4736ea55b",
-    "verify --emit-cert": "822239ab72cb08d9b328822bd2a45f128086699dd73b5aa67ef4edb66e7923c1",
+    "verify --emit-cert": "5057c8db09b097e9fc22040ac638f1053c94c2162e4a062dfeadd876ffb52337",
     "check-proof": "f81c688346a24b851989fd82b03033c5811486fc317f8af9f4df560ac7634322",
     "fuzz --seed 1 --json": "2f54897d99f1eaee9d5acf5b68a5cf9f18b732d3ce776854e37964eedc9b50eb",
 }

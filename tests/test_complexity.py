@@ -24,10 +24,11 @@ import pytest
 import busycheck.lang as lang
 from busycheck.lang import parse
 from busycheck.proofs import certificate_text, check_proof, from_json_dict, verify
-from busycheck.semantics import fuel_bound, spawn_tree
+from busycheck.semantics import RandomFairScheduler, RoundRobinScheduler, fuel_bound, initial_pool, run, spawn_tree
 
 N = 48  # and 2N: large enough that fixed costs do not hide the growth
 LINEAR = 1.1  # the largest exponent a linear layer may show
+QUADRATIC = 2.1  # and a quadratic one
 
 
 def waiters(n):
@@ -81,17 +82,43 @@ def _inputs(layer: str, text: str):
     }[layer]
 
 
+def _exponent(calls):
+    """The growth exponent from the opcodes of two calls (fn, arg), at n and
+    at 2n, and those counts; each count must repeat."""
+    counts = []
+    for fn, arg in calls:
+        opcodes(fn, arg)  # Python 3.12.1 counts no opcode in the first traced call of a process
+        first = opcodes(fn, arg)
+        assert opcodes(fn, arg) == first, "the count of a run does not repeat"
+        counts.append(first)
+    return math.log2(counts[1] / counts[0]), counts
+
+
 @pytest.mark.parametrize("family", [waiters, flats, fork_nest], ids=["waiters", "flats", "fork-nest"])
 @pytest.mark.parametrize(
     "layer", ["parse", "verify", "certificate_text", "from_json_dict", "check_proof", "spawn_tree", "fuel_bound"]
 )
 def test_layer_cost_is_linear_and_repeats_exactly(layer, family):
-    counts = []
-    for n in (N, 2 * N):
-        fn, arg = _inputs(layer, family(n))
-        opcodes(fn, arg)  # Python 3.12.1 counts no opcode in the first traced call of a process
-        first = opcodes(fn, arg)
-        assert opcodes(fn, arg) == first, "the count of a run does not repeat"
-        counts.append(first)
-    exponent = math.log2(counts[1] / counts[0])
+    exponent, counts = _exponent([_inputs(layer, family(n)) for n in (N, 2 * N)])
     assert exponent <= LINEAR, f"{layer} grows as n^{exponent:.2f} ({counts})"
+
+
+@pytest.mark.parametrize("scheduler", [RoundRobinScheduler, lambda: RandomFairScheduler(3, 16)], ids=["rr", "random"])
+def test_a_run_of_waiters_is_quadratic(scheduler):
+    # the main thread exits after about n^2 / 2 steps under either scheduler,
+    # each step a constant number of opcodes
+    def run_waiters(text):
+        program = parse(text)
+        return run(initial_pool(program), scheduler(), fuel_bound(program, 16))
+
+    exponent, counts = _exponent([(run_waiters, waiters(n)) for n in (N, 2 * N)])
+    assert exponent <= QUADRATIC, f"run grows as n^{exponent:.2f} ({counts})"
+
+
+@pytest.mark.parametrize(
+    "family, size", [(waiters, lambda n: 3 * n + 3), (flats, lambda n: 2 * n + 7)], ids=["waiters", "flats"]
+)
+def test_certificates_write_each_shared_premise_once(family, size):
+    # as trees they took 5n + 1 nodes (waiters) and 4n + 3 (flats)
+    for n in (3, 4, N, 2 * N, 200):
+        assert len(json.loads(certificate_text(verify(parse(family(n)))))["nodes"]) == size(n), n

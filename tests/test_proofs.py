@@ -347,25 +347,62 @@ def test_certificate_round_trip(tmp_path):
     assert check_proof(loaded) is None
 
 
+def _tree_text(tree):
+    """The certificate of `tree` with every premise written where it occurs,
+    as certificates were written before Fork premises were shared."""
+    return json.dumps(reference_to_json_dict(tree, shared=False), separators=(",", ":")) + "\n"
+
+
+def _digests(texts):
+    """sha256 over certificate texts, and over the certificates they load as, written as trees."""
+    shared, tree = hashlib.sha256(), hashlib.sha256()
+    for text in texts:
+        shared.update(text.encode())
+        tree.update(_tree_text(from_json_dict(json.loads(text))).encode())
+    return shared.hexdigest(), tree.hexdigest()
+
+
 def test_certificates_up_to_6_atoms_are_pinned_and_round_trip():
     # sha256 over the text `save_certificate` writes for every Verified
-    # program of up to 6 atoms, in enumeration order; the same loop over 7
-    # atoms gives 5cb01b9170bd47b6303824c5708b3cfdfd52067e2aad7fae0c336db82a6a0a6b
-    digest = hashlib.sha256()
+    # program of up to 6 atoms, in enumeration order, and over those
+    # certificates read back and written as trees, whose digest is the one
+    # pinned before Fork premises were shared; the same loops over 7 atoms
+    # give cba7873cad70de040dca5fafc1d8a4c145b0aa425bb413d2adefafe6f3c13e08
+    # and 5cb01b9170bd47b6303824c5708b3cfdfd52067e2aad7fae0c336db82a6a0a6b
+    texts = []
     for c in enumerate_programs(6):
         tree = verify(c)
         if tree is None:
             continue
         cert = to_json_dict(tree)
-        digest.update((json.dumps(cert, separators=(",", ":")) + "\n").encode())
+        texts.append(json.dumps(cert, separators=(",", ":")) + "\n")
         assert to_json_dict(from_json_dict(cert)) == cert, pretty(c)
-    assert digest.hexdigest() == "3359f0d7c5517d863a24f20bed1955d2f1865e96494275391848b3120988a58d"
+    assert _digests(texts) == (
+        "6ff2038a0c5b11d99d6a5a6fa95fe42532e14a6c9d8cab944f2f088e7fc991c2",
+        "3359f0d7c5517d863a24f20bed1955d2f1865e96494275391848b3120988a58d",
+    )
 
 
 def _written(tree, path):
     save_certificate(tree, path)
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def _shares_a_fork_premise(tree):
+    premises = [t.premises[0] for t in _occurrences(tree) if t.rule is RULE_FORK]
+    return len({id(p) for p in premises}) < len(premises)
+
+
+def test_a_certificate_without_equal_threads_is_written_as_a_tree(tmp_path):
+    # no two forks of an equal (body, co, cc): the text is the tree's, as before sharing
+    path = str(tmp_path / "cert.json")
+    programs = [*enumerate_programs(6), *gen_program(GenConfig(max_atoms=40, seed=18, count=300))]
+    trees = [tree for tree in map(verify, programs) if tree is not None]
+    unshared = [tree for tree in trees if not _shares_a_fork_premise(tree)]
+    for tree in unshared:
+        assert _written(tree, path) == _tree_text(tree)
+    assert len(trees) > len(unshared) > 1000
 
 
 def test_written_certificate_is_the_reference_writers_json(tmp_path):
@@ -384,29 +421,33 @@ def test_written_certificate_is_the_reference_writers_json(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "program, sizes, digest",
+    "program, sizes, digests",
     [
         (
             lambda n: "fork { loop skip }; " * n + "exit",
             range(10, 61, 10),
-            "6ccded0c88e985270f15f8738925e1f47d971619455e19c9b4806da62672facd",
+            (
+                "bd2ee0d3897d2d45d2c2db3c67d08dd86aae4529b4b4e5753a6aa928bf0879f8",
+                "6ccded0c88e985270f15f8738925e1f47d971619455e19c9b4806da62672facd",
+            ),
         ),
         (
             lambda n: "fork { exit }; " * n + "loop skip",
             range(50, 201, 50),
-            "cf768a85589b34f5de1c4183d28b1d42cd9b15c040c7f4592d4e0c70e99abe5f",
+            (
+                "b054bd6a20837f0410eb46e4326af72e0ad054f41d9ba27836d40d3b412eb91c",
+                "cf768a85589b34f5de1c4183d28b1d42cd9b15c040c7f4592d4e0c70e99abe5f",
+            ),
         ),
     ],
     ids=["waiters", "flats"],
 )
-def test_certificates_of_the_large_families_are_pinned(tmp_path, program, sizes, digest):
+def test_certificates_of_the_large_families_are_pinned(tmp_path, program, sizes, digests):
     # sha256 over the written certificates of the benchmark's `large` programs,
-    # whose long credit chains no program of up to 6 atoms reaches
+    # whose long credit chains no program of up to 6 atoms reaches, and over
+    # them loaded and written as trees (the digest pinned before sharing)
     path = str(tmp_path / "cert.json")
-    text = hashlib.sha256()
-    for n in sizes:
-        text.update(_written(verify(parse(program(n))), path).encode())
-    assert text.hexdigest() == digest
+    assert _digests(_written(verify(parse(program(n))), path) for n in sizes) == digests
 
 
 def test_certificate_is_single_line_and_linear_in_size(tmp_path):
@@ -417,8 +458,9 @@ def test_certificate_is_single_line_and_linear_in_size(tmp_path):
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
         sizes.append(len(text))
-    # 177,545 and 358,557 bytes; the nested format took 3.46 MB at n = 400
-    assert sizes[0] < 200_000 and sizes[1] <= 2.1 * sizes[0]
+    # 118,094 and 239,506 bytes; written as trees they took 177,545 and
+    # 358,557, and the nested format 3.46 MB at n = 400
+    assert sizes[0] < 120_000 and sizes[1] <= 2.1 * sizes[0]
 
 
 def _subterms(cmd):
@@ -980,8 +1022,25 @@ def test_a_faulty_shared_premise_fails_where_its_unshared_copy_does(family):
     tampered = _with_first_leaf_tampered(shared)
     dag = _substituted(proof, shared, tampered, {})
     assert sum(t is tampered for t in _occurrences(dag)) == sum(p is shared for p in premises) >= 2
-    unshared = from_json_dict(to_json_dict(dag))
+    loaded = from_json_dict(to_json_dict(dag))  # the round trip keeps the sharing
+    distinct = len({id(t) for t in _occurrences(dag)})
+    assert len({id(t) for t in _occurrences(loaded)}) == distinct < tree_size(loaded) == tree_size(dag)
+    unshared = from_json_dict(reference_to_json_dict(dag, shared=False))
     assert len({id(t) for t in _occurrences(unshared)}) == tree_size(unshared) == tree_size(dag)
     violation = check_proof(dag)
     assert violation is not None
-    assert violation == check_proof(unshared)
+    assert violation == check_proof(loaded) == check_proof(unshared)
+
+
+def test_only_fork_premises_are_written_once():
+    # a Fork node named twice by a Seq node is written twice, and a premise
+    # named by a Seq node and a Fork node once for each; both read back and check
+    child = verify(parse("exit"))  # {obs(0)} exit {obs(0)}
+    fork = ProofTree(HoareTriple(OBS_ZERO, Fork(EXIT), OBS_ZERO), RULE_FORK, (child,), ForkSplit(0, 0))
+    twice = ProofTree(HoareTriple(OBS_ZERO, parse("fork { exit }; fork { exit }"), OBS_ZERO), RULE_SEQ, (fork, fork))
+    mixed = ProofTree(HoareTriple(OBS_ZERO, parse("exit; fork { exit }"), OBS_ZERO), RULE_SEQ, (child, fork))
+    for tree, nodes in ((twice, 5), (mixed, 6)):
+        assert check_proof(tree) is None
+        cert = to_json_dict(tree)
+        assert cert == reference_to_json_dict(tree) and len(cert["nodes"]) == nodes
+        assert check_proof(from_json_dict(cert)) is None

@@ -36,7 +36,8 @@ from busycheck.semantics import (
     spawn_tree,
     step_pool,
 )
-from reference import FixedScheduler, is_fair_prefix
+from reference import FixedScheduler, ReferenceRandomFairScheduler, is_fair_prefix
+
 
 def test_step_pool_loop_returns_the_same_pool():
     pool, rule = step_pool(TWO_LOOPERS, 1)
@@ -238,6 +239,7 @@ def test_random_fair_schedules_match_the_reference_on_every_program_of_up_to_5_a
         for seed in range(4):
             got = _schedule(initial_pool(c), RandomFairScheduler(seed, window), fuel)
             assert got == _schedule(initial_pool(c), _ReferenceRandomFair(seed, window), fuel), c
+            assert got == _schedule(initial_pool(c), ReferenceRandomFairScheduler(seed, window), fuel), c
             forced += len(got)
     assert forced > 1000
 
@@ -249,6 +251,16 @@ def test_random_fair_schedules_match_the_reference_on_waiters(window):
         for seed in range(4):
             got = _schedule(initial_pool(c), RandomFairScheduler(seed, window), fuel_bound(c, window))
             want = _schedule(initial_pool(c), _ReferenceRandomFair(seed, window), fuel_bound(c, window))
+            assert got == want, (n, seed)
+
+
+@pytest.mark.parametrize("window", [1, 3, 16])
+def test_random_fair_schedules_match_the_scanning_scheduler_on_waiters_up_to_240(window):
+    for n in (60, 120, 240):
+        c = parse("; ".join(["fork { loop skip }"] * n) + "; exit")
+        for seed in range(3):
+            got = _schedule(initial_pool(c), RandomFairScheduler(seed, window), fuel_bound(c, window))
+            want = _schedule(initial_pool(c), ReferenceRandomFairScheduler(seed, window), fuel_bound(c, window))
             assert got == want, (n, seed)
 
 
