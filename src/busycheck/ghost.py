@@ -260,7 +260,8 @@ def annotate(
 
     Ghost steps land immediately before the owning thread's next real step;
     fork splits come from the proof's Fork nodes.  The non-ghost steps of the
-    result project onto the input trace exactly.
+    result project onto the input trace exactly, and a plain label that is
+    not the counterpart of the real step its thread takes is refused.
     """
     violation = check_proof(proof)
     if violation is not None:
@@ -294,32 +295,36 @@ def annotate(
     # side), they are still equal and the comparison is skipped
     same_erased, same_plain = erased, start
 
-    for _, tid, rule, after in plain_trace:
+    for _, tid, label, after in plain_trace:
         cursor = cursors.get(tid)
         if cursor is None:
             raise AnnotationError(f"trace steps unknown thread {tid}")
         slot = split = None
-        if rule == ST_LOOP:
+        if label == ST_LOOP:
             ops: tuple[str, ...] | list[str] = ()
+            real = RA_LOOP
             if not cursor.loop_entered:
                 ops = _slot_at(cursor).ops
                 cursor.loop_entered = True
-        elif rule == ST_FORK:
+        elif label == ST_FORK:
             slot = _slot_at(cursor)
             if slot.split is None or slot.child is None:
                 raise AnnotationError("proof has no fork split where the trace forks")
-            ops, split = slot.ops, slot.split
-        elif rule == TP_EXIT:
-            ops = _slot_at(cursor).ops
-        elif rule == TP_THREAD_TERM:
-            ops = cursor.plan.final_ops
+            ops, split, real = slot.ops, slot.split, RA_FORK
+        elif label == TP_EXIT:
+            ops, real = _slot_at(cursor).ops, RA_EXIT
+        elif label == TP_THREAD_TERM:
+            ops, real = cursor.plan.final_ops, RA_THREAD_TERM
         else:
-            raise AnnotationError(f"unknown plain rule {rule!r}")
+            raise AnnotationError(f"unknown plain rule {label!r}")
         for op in ops:  # the thread's ghost steps, right before its real step
             nxt = ghost_step(pool, tid, op)
             steps.append(TraceStep(pool, tid, op, nxt))
             pool = nxt
         nxt, rule = real_step(pool, tid, split)
+        if rule != real:
+            index = sum(s.rule not in (GS_INTRO, GS_CANCEL) for s in steps)
+            raise AnnotationError(f"trace step {index} is labelled {label}, but thread {tid} takes {rule}")
         step = TraceStep(pool, tid, rule, nxt)
         steps.append(step)
         pool = nxt

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .ghost import AnnotationError, CancelUnderflow, SplitError, annotate, check_balance
-from .lang import Command, EXIT, Fork, LOOP_SKIP, Seq, pretty
+from .lang import Command, EXIT, Fork, LOOP_SKIP, Seq, pretty, seq_of
 from .pog import PrefixError, build_pog, check_leaf_balance, describe_leaf, random_sc_loopfree_prefix
 from .proofs import verify
 from .semantics import (
@@ -78,21 +78,29 @@ _KINDS = ("exit", "loop", "fork")
 
 
 def _gen_command(rng: random.Random, cum_weights: list[float], atoms: int) -> Command:
-    """`cum_weights` are those of `_KINDS`; a single atom cannot fork."""
-    if atoms >= 2:
-        kind = rng.choices(_KINDS, cum_weights=cum_weights)[0]
-    else:
-        kind = rng.choices(_KINDS[:2], cum_weights=cum_weights[:2])[0]
-    if kind == "fork":
-        body_atoms = rng.randint(1, atoms - 1)
-        first: Command = Fork(_gen_command(rng, cum_weights, body_atoms))
-        used = 1 + body_atoms
-    else:
-        first = EXIT if kind == "exit" else LOOP_SKIP
-        used = 1
-    if used == atoms:
-        return first
-    return Seq(first, _gen_command(rng, cum_weights, atoms - used))
+    """`cum_weights` are those of `_KINDS`.  Each atom draws its kind, a fork
+    then its body's size and body, before the rest of the spine; `spines`
+    holds the parts drawn and the atoms left of each outer spine."""
+    spines: list[tuple[list[Command], int]] = []
+    parts: list[Command] = []
+    while True:
+        while atoms:
+            if atoms >= 2:
+                kind = rng.choices(_KINDS, cum_weights=cum_weights)[0]
+            else:  # a single atom cannot fork
+                kind = rng.choices(_KINDS[:2], cum_weights=cum_weights[:2])[0]
+            if kind == "fork":
+                body_atoms = rng.randint(1, atoms - 1)
+                spines.append((parts, atoms - 1 - body_atoms))
+                parts, atoms = [], body_atoms
+            else:
+                parts.append(EXIT if kind == "exit" else LOOP_SKIP)
+                atoms -= 1
+        command = seq_of(parts)
+        if not spines:
+            return command
+        parts, atoms = spines.pop()
+        parts.append(Fork(command))
 
 
 def enumerate_programs(max_atoms: int):

@@ -455,25 +455,25 @@ _COMMANDS = {"exit": Exit, "loop skip": LoopSkip, "fork": Fork, "seq": Seq}
 _COMMAND_TEXT = {Exit: '"exit"', LoopSkip: '"loop skip"', Fork: '{"fork":%s}', Seq: '{"seq":[%s,%s]}'}
 _NODE_HEAD = {rule: '{"rule":"%s","pre":' % rule.value for rule in Rule}
 _RULES = {rule.value: rule for rule in Rule}
+_WRITE = object()  # on `certificate_text`'s stack, just above a node that was opened
 
 
 def certificate_text(t: ProofTree) -> str:
     """The certificate of `t` as one line of JSON (the module docstring has
     the format), as `json.dumps` writes it with separators "," and ":".
 
-    The nodes are written in post-order, the root last.  A Fork premise is
-    written once, just before the first Fork node that names it, and found
-    again by its object's id; every other node is written where it occurs,
-    so a proof whose Fork nodes share no premise is written as a tree.  A
-    segment, a node and its premises short of Fork premises, is listed in
-    pre-order, premises right to left, and written from the back of that
-    list, which is post-order; a Fork node whose premise is not written yet
-    waits until the premise's segment is.  Each term the nodes name gets an
-    entry the first time it is met, parts first, the right part before the
-    left, and is found again by its object's id, or an assertion by value,
-    so equal terms get one entry.  An assertion is written as the term
-    `obs(n1) * ... * credit * ...`, left-associated, or `true` when it has no
-    atoms and `false` for Bottom.
+    The nodes are written in post-order, the root last, in one walk: popping
+    a node opens it, putting it back under `_WRITE` with its premises on top,
+    the first uppermost, and popping `_WRITE` writes the node beneath it.  A
+    Fork premise is written once, just before the first Fork node that names
+    it, and found again by its object's id in `shared`, which a Fork node
+    whose premise is not there yet fills.  Every other node is written where
+    it occurs, so a proof whose Fork nodes share no premise is written as a
+    tree.  Each term the nodes name gets an entry the first time it is met,
+    parts first, the right part before the left, and is found again by its
+    object's id, or an assertion by value, so equal terms get one entry.  An
+    assertion is written as the term `obs(n1) * ... * credit * ...`,
+    left-associated, or `true` when it has no atoms and `false` for Bottom.
     """
     cmds: list[str] = []
     asserts: list[str] = []
@@ -519,54 +519,39 @@ def certificate_text(t: ProofTree) -> str:
         known[id(f)] = i
         return i
 
-    def segment(root: ProofTree) -> list[ProofTree]:
-        """`root` and its premises short of Fork premises, in pre-order, premises right to left."""
-        order, todo = [], [root]
-        while todo:
-            node = todo.pop()
-            order.append(node)
-            if node.rule is not RULE_FORK:
-                todo += node.premises
-        return order
-
     get = known.get
     nodes: list[str] = []
     done: list[str] = []  # written nodes whose parent is not written yet
     shared: dict[int, str] = {}  # id of a written Fork premise -> its entry
-    segments = [(segment(t), None)]  # each with the Fork premise it is for, None for `t`'s
-    while segments:
-        order, root = segments[-1]
-        while order:
-            node = order.pop()  # so the segment is written in post-order
-            if node.rule is RULE_FORK:
-                new = [p for p in node.premises if id(p) not in shared]
-                if new:  # write the premise first, then this node
-                    order.append(node)
-                    segments.append((segment(new[0]), new[0]))
-                    break
-                premises = ",".join([shared[id(p)] for p in node.premises])
-            else:
-                cut = len(done) - len(node.premises)
-                premises = ",".join(done[cut:])
-                del done[cut:]
-            c, data = node.conclusion, node.data
-            text = (
-                f'{_NODE_HEAD[node.rule]}{get(id(c.pre)) or assertion(c.pre)},"cmd":{get(id(c.cmd)) or command(c.cmd)},'
-                f'"post":{get(id(c.post)) or assertion(c.post)},"premises":[{premises}]'
-            )
-            if type(data) is ForkSplit:
-                text += f',"childObs":{data.child_obs},"childCredits":{data.child_credits}'
-            elif type(data) is ShiftData:
-                pre, post = data
-                text += f',"innerPre":{get(id(pre)) or assertion(pre)},"innerPost":{get(id(post)) or assertion(post)}'
-            elif type(data) is FrameData:
-                text += f',"frame":{assertion(data.frame)}'
-            done.append(str(len(nodes)))
-            nodes.append(text + "}")
-        else:  # the segment is written
-            segments.pop()
-            if root is not None:
-                shared[id(root)] = done.pop()
+    todo: list = [t]  # nodes to open, and each opened node under `_WRITE`
+    while todo:
+        node = todo.pop()
+        if node is _WRITE:
+            node = todo.pop()
+        elif node.premises and not (node.rule is RULE_FORK and id(node.premises[0]) in shared):
+            todo += node, _WRITE, *node.premises[::-1]
+            continue
+        if node.rule is RULE_FORK:
+            (premise,) = node.premises  # the rule takes one; any other count raises
+            premises = shared.get(id(premise)) or shared.setdefault(id(premise), done.pop())
+        else:
+            cut = len(done) - len(node.premises)
+            premises = ",".join(done[cut:])
+            del done[cut:]
+        c, data = node.conclusion, node.data
+        text = (
+            f'{_NODE_HEAD[node.rule]}{get(id(c.pre)) or assertion(c.pre)},"cmd":{get(id(c.cmd)) or command(c.cmd)},'
+            f'"post":{get(id(c.post)) or assertion(c.post)},"premises":[{premises}]'
+        )
+        if type(data) is ForkSplit:
+            text += f',"childObs":{data.child_obs},"childCredits":{data.child_credits}'
+        elif type(data) is ShiftData:
+            pre, post = data
+            text += f',"innerPre":{get(id(pre)) or assertion(pre)},"innerPost":{get(id(post)) or assertion(post)}'
+        elif type(data) is FrameData:
+            text += f',"frame":{assertion(data.frame)}'
+        done.append(str(len(nodes)))
+        nodes.append(text + "}")
     return '{"format":2,"cmds":[%s],"asserts":[%s],"nodes":[%s],"root":%d}' % (
         ",".join(cmds), ",".join(asserts), ",".join(nodes), len(nodes) - 1
     )

@@ -9,6 +9,9 @@
 - `is_fair_prefix`, the sliding-window fairness check on finite traces that
   the schedulers must pass.
 - `FixedScheduler` and `run_schedule`, which replay a scripted tid sequence.
+- `fair_run_exists`, a fair-cycle search over the reachable pool graph that
+  decides divergence from the definition of fairness; the tests hold the
+  lemma that `semantics.explore` rests on to it.
 - `ReferenceRandomFairScheduler`, the random fair scheduler whose picks
   scanned the pool for the oldest thread, which `RandomFairScheduler.pick`
   replaced.
@@ -56,7 +59,7 @@ from busycheck.proofs import (
     ShiftData,
 )
 from busycheck.pog import LeafBalance, PrefixError, ProgramOrderGraph
-from busycheck.semantics import RunOutcome, ThreadPool, TraceStep, run
+from busycheck.semantics import RunOutcome, ThreadPool, TraceStep, initial_pool, run, step_pool
 
 # --- assertion terms and their bundle model --------------------------------------
 
@@ -224,6 +227,69 @@ class FixedScheduler:
 def run_schedule(tp: ThreadPool, tids: list[int]) -> tuple[RunOutcome, list[TraceStep]]:
     """`run` from `tp` that steps the threads `tids` in order, or fewer if the pool empties."""
     return run(tp, FixedScheduler(tids), len(tids))
+
+
+def fair_run_exists(c: Command) -> tuple[bool, int]:
+    """Whether `c` has a fair infinite run, decided from the definition of
+    fairness, and the number of pools reachable from `initial_pool(c)`.
+
+    An infinite run ends up inside one strongly connected component of the
+    reachable pool graph, whose edges are the steps, each labelled with the
+    thread that takes it; one cycle can take every edge of a component.
+    Every thread is enabled in every pool it is live in, so a run that stays
+    in a component is fair iff each thread live in all of its pools steps
+    infinitely often (Lichtenstein & Pnueli, POPL 1985).  So a fair infinite
+    run exists iff some component has an edge and each thread live in all of
+    its pools labels one of its edges.  Iterative: the graph is built by a
+    depth-first search and split into components by Tarjan's algorithm,
+    whose `work` stack holds each open pool with its successors still to
+    visit.
+    """
+    start = initial_pool(c)
+    edges: dict[ThreadPool, list[tuple[int, ThreadPool]]] = {}
+    todo = [start]
+    while todo:
+        pool = todo.pop()
+        if pool not in edges:
+            edges[pool] = [(tid, step_pool(pool, tid)[0]) for tid in pool.ids]
+            todo += [after for _, after in edges[pool]]
+    index: dict[ThreadPool, int] = {}
+    low: dict[ThreadPool, int] = {}
+    stack: list[ThreadPool] = []  # pools visited whose component is not closed yet
+    on_stack: set[ThreadPool] = set()
+    for root in edges:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(edges[root]))]
+        while work:
+            pool, successors = work[-1]
+            for _, after in successors:
+                if after not in index:
+                    index[after] = low[after] = len(index)
+                    stack.append(after)
+                    on_stack.add(after)
+                    work.append((after, iter(edges[after])))
+                    break
+                if after in on_stack:
+                    low[pool] = min(low[pool], index[after])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[pool])
+                if low[pool] != index[pool]:
+                    continue
+                component = set()
+                while pool not in component:
+                    component.add(stack.pop())
+                on_stack -= component
+                stepped = {tid for p in component for tid, after in edges[p] if after in component}
+                live = set.intersection(*(set(p.ids) for p in component))
+                if stepped and live <= stepped:
+                    return True, len(edges)
+    return False, len(edges)
 
 
 class ReferenceRandomFairScheduler:

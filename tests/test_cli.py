@@ -493,6 +493,16 @@ def test_fuzz_small_campaign(capsys):
     assert payload["leafBalanceFailures"] == 0
 
 
+def test_fuzz_generates_long_programs_without_recursion(capsys):
+    # a fork weight of 0.01 draws spines of up to 2,000 atoms, past the recursion limit
+    code = main(
+        ["fuzz", "--fork-weight", "0.01", "--max-atoms", "2000", "--count", "20", "--exhaustive-max", "0", "--json"]
+    )
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["total"] == 20
+
+
 def test_fuzz_reports_a_proof_that_annotate_refuses_as_a_violation(monkeypatch, capsys):
     # a mutant proof constructor that hands each fork's child one credit too few
     fork_choice = busycheck.proofs._fork_choice

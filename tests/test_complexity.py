@@ -22,7 +22,9 @@ import sys
 import pytest
 
 import busycheck.lang as lang
+from busycheck.ghost import annotate
 from busycheck.lang import parse
+from busycheck.pog import build_pog, check_leaf_balance, max_loopfree_sc_prefix, to_dot
 from busycheck.proofs import certificate_text, check_proof, from_json_dict, verify
 from busycheck.semantics import RandomFairScheduler, RoundRobinScheduler, fuel_bound, initial_pool, run, spawn_tree
 
@@ -122,3 +124,48 @@ def test_certificates_write_each_shared_premise_once(family, size):
     # as trees they took 5n + 1 nodes (waiters) and 4n + 3 (flats)
     for n in (3, 4, N, 2 * N, 200):
         assert len(json.loads(certificate_text(verify(parse(family(n)))))["nodes"]) == size(n), n
+
+
+def _run_layers(text: str) -> dict:
+    """Each layer after `run` with what it reads for the round-robin run of
+    `text`, as `trace` and `graph --prefix` call them; `check_leaf_balance`
+    and `to_dot` take the maximal prefix."""
+    program = parse(text)
+    proof = verify(program)
+    _, trace = run(initial_pool(program), RoundRobinScheduler(), fuel_bound(program))
+    atrace = annotate(program, proof, trace)
+    graph = build_pog(atrace)
+    prefix = max_loopfree_sc_prefix(graph)
+    return {
+        "annotate": (lambda args: annotate(*args), (program, proof, trace)),
+        "build_pog": (build_pog, atrace),
+        "to_dot": (lambda args: to_dot(*args), (graph, prefix)),
+        "max_loopfree_sc_prefix": (max_loopfree_sc_prefix, graph),
+        "check_leaf_balance": (lambda args: check_leaf_balance(*args), (graph, prefix)),
+    }
+
+
+# The trace printers (`serialize_trace`, `serialize_annotated_trace`) have no
+# contract here: on waiters their text is cubic, a pool of up to n threads
+# printed at each of about n^2 / 2 steps, and that text is built inside
+# `str.join`, whose work these counts do not see.
+@pytest.mark.parametrize(
+    "family, bound",
+    [(waiters, QUADRATIC), (flats, LINEAR), (fork_nest, LINEAR)],
+    ids=["waiters", "flats", "fork-nest"],
+)
+@pytest.mark.parametrize("layer", ["annotate", "build_pog", "to_dot"])
+def test_a_layer_over_a_run_grows_with_the_run(layer, family, bound):
+    # a round-robin run of waiters takes about n^2 / 2 steps, of a fork nest
+    # about 2n, and of flats two: the first child exits
+    exponent, counts = _exponent([_run_layers(family(n))[layer] for n in (N, 2 * N)])
+    assert exponent <= bound, f"{layer} grows as n^{exponent:.2f} ({counts})"
+
+
+@pytest.mark.parametrize("family", [waiters, flats, fork_nest], ids=["waiters", "flats", "fork-nest"])
+@pytest.mark.parametrize("layer", ["max_loopfree_sc_prefix", "check_leaf_balance"])
+def test_a_maximal_prefix_is_linear(layer, family):
+    # a loop-free prefix stops at each thread's first loop step, so it holds
+    # O(n) nodes even where the run has about n^2 / 2
+    exponent, counts = _exponent([_run_layers(family(n))[layer] for n in (N, 2 * N)])
+    assert exponent <= LINEAR, f"{layer} grows as n^{exponent:.2f} ({counts})"

@@ -203,6 +203,34 @@ def test_annotate_exit_alone_needs_no_ghost_steps():
     assert _counts(atrace.steps[0].before.get(0)) == (0, 0)
 
 
+def _relabelled(trace, index, label):
+    return [*trace[:index], trace[index]._replace(rule=label), *trace[index + 1 :]]
+
+
+def test_annotate_refuses_a_fork_step_labelled_exit():
+    # the label picks the proof's Fork slot, but the thread forks either way:
+    # unchecked, the child got (0|0) and the parent kept (1|1), not the
+    # proof's (0|1) and (1|0)
+    c = parse("fork { loop skip }; exit")
+    _, trace = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
+    assert trace[0].rule == ST_FORK
+    with pytest.raises(AnnotationError, match="trace step 0 is labelled TP-Exit, but thread 0 takes RA-Fork"):
+        annotate(c, verify(c), _relabelled(trace[:1], 0, TP_EXIT))
+
+
+@pytest.mark.parametrize("fixture, tids", [("two_level_fork", [0, 1, 2, 0, 0, 0]), ("waiting_pair", [0, 0, 0, 0, 1])])
+def test_annotate_refuses_any_relabelled_step(request, fixture, tids):
+    c = request.getfixturevalue(fixture)
+    proof = verify(c)
+    runs = [run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))[1], run_schedule(initial_pool(c), tids)[1]]
+    for trace in runs:
+        annotate(c, proof, trace)
+        for index, step in enumerate(trace):
+            for label in set(PLAIN_RULE.values()) - {step.rule}:
+                with pytest.raises(AnnotationError):
+                    annotate(c, proof, _relabelled(trace, index, label))
+
+
 def test_annotate_projection(two_level_fork):
     for tids in ([0, 1, 2, 0, 0, 0], [0, 0, 1, 0, 2, 1]):
         _, trace, atrace = _annotated(two_level_fork, tids=tids)

@@ -36,7 +36,7 @@ from busycheck.semantics import (
     spawn_tree,
     step_pool,
 )
-from reference import FixedScheduler, ReferenceRandomFairScheduler, is_fair_prefix
+from reference import FixedScheduler, ReferenceRandomFairScheduler, fair_run_exists, is_fair_prefix
 
 
 def test_step_pool_loop_returns_the_same_pool():
@@ -406,11 +406,27 @@ def test_spawn_tree_examples():
 
 
 def test_spawn_tree_agrees_with_explore_on_every_program_of_up_to_7_atoms():
-    programs = 0
+    # and `explore`'s lemma, that a fair infinite run exists iff some reachable
+    # non-empty pool is all-waiting, agrees with a fair-cycle search, which
+    # decides it from the definition of fairness
+    programs = pools = 0
     for c in enumerate_programs(7):
-        assert spawn_tree(c).diverges == explore(c).diverges, pretty(c)
+        info = explore(c)
+        diverges, reachable = fair_run_exists(c)
+        assert spawn_tree(c).diverges == info.diverges == diverges, pretty(c)
+        assert reachable == info.state_count, pretty(c)
         programs += 1
-    assert programs == 10_878
+        pools += reachable
+    assert (programs, pools) == (10_878, 48_345)
+
+
+def test_fair_cycle_search_examples():
+    assert fair_run_exists(parse("loop skip")) == (True, 1)
+    # the main thread's self-loop is a cycle, but not a fair one while the
+    # forked thread, live in its pool, never steps on it
+    assert fair_run_exists(parse("fork { exit }; loop skip"))[0] is False
+    assert fair_run_exists(parse("fork { fork { exit } }; loop skip"))[0] is False
+    assert fair_run_exists(parse("fork { loop skip }; loop skip"))[0] is True
 
 
 def _km_program(k, m, end):
