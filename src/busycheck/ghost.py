@@ -37,6 +37,7 @@ from .proofs import (
     RULE_FRAME,
     RULE_SEQ,
     RULE_VIEW_SHIFT,
+    ThreadTables,
     check_proof,
 )
 from . import semantics
@@ -197,19 +198,23 @@ def _ops_between(src: Assertion, dst: Assertion) -> list[str]:
     return [GS_CANCEL] * (-delta)
 
 
-def _extract_plan(t: ProofTree) -> _Plan:
+def _extract_plan(t: ProofTree, tables: ThreadTables | None = None) -> _Plan:
     """The plan of the thread `t` proves: one slot per Exit, Loop or Fork
     leaf, left to right, each with the ghost steps that the view shifts met
     since the leaf before put ahead of it; the steps met after the last leaf
     are the final ops.  A Fork's slot holds the plan of its premise, one
-    per premise object, which cursors only read.
+    per premise object, which cursors only read.  A premise planned by an
+    earlier call takes its plan from `tables.plans`, whose entries hold
+    their premise and count only for that very object; the plans this call
+    makes join the table once all of `t` is planned.
 
     Iterative: `todo` holds the nodes still to visit and the post-side steps
     of the view shifts being visited, each with the plan it adds to, and
     `plan.final_ops` collects the steps ahead of the next slot.
     """
     root = _Plan()
-    plans: dict[int, _Plan] = {}  # id of a Fork premise -> its plan
+    plans = {} if tables is None else tables.plans
+    made: dict[int, tuple[ProofTree, _Plan]] = {}  # id of a Fork premise planned here -> it, its plan
     todo: list[tuple[ProofTree | list[str], _Plan]] = [(t, root)]
     while todo:
         node, plan = todo.pop()
@@ -234,11 +239,12 @@ def _extract_plan(t: ProofTree) -> _Plan:
             plan.slots.append(slot)
             if rule is RULE_FORK:
                 premise = node.premises[0]
-                child = plans.get(id(premise))
-                if child is None:
-                    child = plans[id(premise)] = _Plan()
-                    todo.append((premise, child))
-                slot.split, slot.child = node.data, child
+                held = made.get(id(premise)) or plans.get(id(premise))
+                if held is None or held[0] is not premise:
+                    held = made[id(premise)] = (premise, _Plan())
+                    todo.append(held)
+                slot.split, slot.child = node.data, held[1]
+    plans.update(made)
     return root
 
 
@@ -254,7 +260,7 @@ class _Cursor:
 
 
 def annotate(
-    c: Command, proof: ProofTree, plain_trace: list[TraceStep]
+    c: Command, proof: ProofTree, plain_trace: list[TraceStep], tables: ThreadTables | None = None
 ) -> AnnotatedTrace:
     """Annotate a plain run of {tid0: c} using a checked proof.
 
@@ -262,8 +268,11 @@ def annotate(
     fork splits come from the proof's Fork nodes.  The non-ghost steps of the
     result project onto the input trace exactly, and a plain label that is
     not the counterpart of the real step its thread takes is refused.
+    `proof` is checked first, always; `tables`, when given, lets the check
+    skip the Fork premise objects that passed in earlier calls and the plan
+    reuse their plans (`check_proof`, `_extract_plan`).
     """
-    violation = check_proof(proof)
+    violation = check_proof(proof, tables)
     if violation is not None:
         raise AnnotationError(f"proof does not check: {violation}")
     if proof.conclusion.cmd is not c:
@@ -288,7 +297,7 @@ def annotate(
     # with the plain trace's pools
     pool = initial = ThreadPool.of({tid0: AnnotatedThread(0, 0, start_cont)})
     erased = start
-    cursors: dict[int, _Cursor] = {tid0: _Cursor(_extract_plan(proof))}
+    cursors: dict[int, _Cursor] = {tid0: _Cursor(_extract_plan(proof, tables))}
     steps: list[TraceStep] = []
     # the erased and plain pools last found equal: while both are still those
     # very objects (a loop step returns the pool it was given, on either

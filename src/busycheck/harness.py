@@ -13,7 +13,9 @@ that reach a second thread (`multi_thread`).
 A campaign draws every prefix from one `random.Random` seeded from
 `GenConfig.seed`, so it is reproducible from its seed.  The exhaustive sweep
 builds the commands of each size once and shares them as the fork bodies
-and suffixes of larger commands.
+and suffixes of larger commands, and a campaign's one `ThreadTables` lets
+`verify` and `annotate` prove, check and plan each distinct forked thread
+once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import accumulate
 from .ghost import AnnotationError, CancelUnderflow, SplitError, annotate, check_balance
 from .lang import Command, EXIT, Fork, LOOP_SKIP, Seq, pretty, seq_of
 from .pog import PrefixError, build_pog, check_leaf_balance, describe_leaf, random_sc_loopfree_prefix
-from .proofs import verify
+from .proofs import ThreadTables, verify
 from .semantics import (
     FuelExhausted,
     RoundRobinScheduler,
@@ -196,15 +198,16 @@ def soundness_campaign(
     if exhaustive_max_atoms:
         programs.extend(enumerate_programs(exhaustive_max_atoms))
     rng = random.Random(cfg.seed)  # draws every prefix the campaign checks
+    tables = ThreadTables()  # each distinct forked thread's proof, check and plan, made once
     for program in programs:
-        _check_one(program, rng, report)
+        _check_one(program, rng, report, tables)
     report.wall_time = time.perf_counter() - started
     return report
 
 
-def _check_one(program: Command, rng: random.Random, report: CampaignReport) -> None:
+def _check_one(program: Command, rng: random.Random, report: CampaignReport, tables: ThreadTables) -> None:
     report.total += 1
-    proof = verify(program)
+    proof = verify(program, tables)
     tree = spawn_tree(program)
     if tree.threads >= 2:
         report.multi_thread += 1
@@ -224,7 +227,7 @@ def _check_one(program: Command, rng: random.Random, report: CampaignReport) -> 
     if isinstance(outcome, FuelExhausted):
         raise CampaignViolation(program, "round-robin run of a verified program ran out of fuel")
     try:
-        atrace = annotate(program, proof, trace)
+        atrace = annotate(program, proof, trace, tables)
     except (AnnotationError, SplitError, CancelUnderflow) as exc:  # Stuck is an AnnotationError
         raise CampaignViolation(program, f"annotating the verified program's run failed: {exc}") from exc
     for step in atrace.steps:

@@ -51,6 +51,11 @@ spine and the spawn tree, a feasible start always yields a proof.
 
 Equal threads, by (body, co, cc), share one proof object within a call,
 which `check_proof` and `ghost` visit once and a certificate writes once.
+Given a `ThreadTables`, the sharing outlives the call: `derive` takes a
+forked thread's proof from an earlier call's, `check_proof` does not reopen
+a Fork premise object an earlier call passed, and `ghost` reuses the plan of
+a premise object it planned before.  A soundness campaign passes one set
+to every program it checks; a CLI request passes none.
 
 It is also the smallest choice: in the order ghost delta 0, 1, -1, 2, -2,
 ..., then splits by ascending co + cc, then ascending co, it is the first
@@ -175,6 +180,22 @@ class ProofTree(NamedTuple):
     data: ForkSplit | ShiftData | FrameData | None = None
 
 
+class ThreadTables:
+    """What `derive`, `check_proof` and `ghost.annotate` keep across calls:
+    `proofs` maps a forked thread's (body, co, cc) to its proof, `checked` the
+    id of a Fork premise whose whole proof passed to that premise, and `plans`
+    the id of a planned premise to (that premise, its plan).  An id is unique
+    only among live objects, so an entry holds its object and a lookup counts
+    only when the held object is the one looked up."""
+
+    __slots__ = ("proofs", "checked", "plans")
+
+    def __init__(self) -> None:
+        self.proofs: dict[tuple[Command, int, int], ProofTree] = {}
+        self.checked: dict[int, ProofTree] = {}
+        self.plans: dict[int, tuple] = {}
+
+
 @dataclass(frozen=True)
 class RuleViolation:
     path: tuple[int, ...]  # premise indices from the root
@@ -188,20 +209,22 @@ class RuleViolation:
 # --- certificate checking ------------------------------------------------------
 
 
-def check_proof(t: ProofTree) -> RuleViolation | None:
+def check_proof(t: ProofTree, tables: ThreadTables | None = None) -> RuleViolation | None:
     """None when every node instantiates its rule schema; first failure otherwise.
 
     Nodes are checked in pre-order (a node, then its premises left to right),
     iteratively, so any depth works.  `open_premises[d]` holds the premises
-    of the node at depth d of the current path and `next_premise[d]` the
-    index of the one to visit next; the path is read off them only when a
-    node fails.  A Fork premise object that passed is not opened again.
+    of the node at depth d - 1 of the current path, `(t,)` at d = 0, and
+    `next_premise[d]` the index of the one to visit next; the path is read
+    off them only when a node fails.  A Fork premise object that passed is
+    not opened again: one opened in this call, or one held in
+    `tables.checked`, whose entries this call adds to only when all of `t`
+    passed.  A skipped premise passed, so the first failure and its path are
+    those of the unshared tree.
     """
-    reason = _node_fault(t)
-    if reason is not None:
-        return RuleViolation((), reason)
-    open_premises, next_premise = [t.premises], [0]
-    opened: set[int] = set()  # ids of the premises of the Fork nodes opened
+    open_premises, next_premise = [(t,)], [0]
+    opened: dict[int, ProofTree] = {}  # id of each Fork premise opened -> that premise
+    checked = {} if tables is None else tables.checked
     while open_premises:
         premises = open_premises[-1]
         i = next_premise[-1]
@@ -213,15 +236,17 @@ def check_proof(t: ProofTree) -> RuleViolation | None:
         p = premises[i]
         reason = _node_fault(p)
         if reason is not None:
-            return RuleViolation(tuple(j - 1 for j in next_premise), reason)
+            return RuleViolation(tuple(j - 1 for j in next_premise[1:]), reason)
         premises = p.premises
         if premises:
             if p.rule is RULE_FORK:
-                if id(premises[0]) in opened:
+                premise = premises[0]
+                if opened.get(id(premise)) is premise or checked.get(id(premise)) is premise:
                     continue
-                opened.add(id(premises[0]))
+                opened[id(premise)] = premise
             open_premises.append(premises)
             next_premise.append(0)
+    checked.update(opened)
     return None
 
 
@@ -323,22 +348,27 @@ def _node_fault(t: ProofTree) -> str | None:
 def _features(c: Command) -> dict[Continuation, tuple[bool, int]]:
     """(absorbing, need) of every spine suffix of `c` and of its fork bodies.
 
-    Post-order without recursion: every spine is listed before the spines of
-    the fork bodies on it, and the list is read back to front, each spine
-    from its last atom to its first.
+    Without recursion: popping a body walks its spine, which goes back on
+    `todo` under the bodies of its forks that have no features yet, a run of
+    equal ones pushed once; popping the spine again, once those are known,
+    reads it from its last atom to its first.  A body is walked again only
+    when another spine forks it while it still waits on `todo`.
     """
-    spines: list[list[Command]] = []
-    todo = [c]
-    while todo:
-        suffix, spine = todo.pop(), []
-        while suffix is not DONE:
-            spine.append(suffix)
-            if isinstance(suffix.head, Fork):
-                todo.append(suffix.head.body)
-            suffix = suffix.tail
-        spines.append(spine)
     features = {DONE: (False, 0)}  # past the last atom: nothing absorbs, nothing waits
-    for spine in reversed(spines):
+    todo: list = [c]  # bodies to walk, and each walked spine under the bodies it waits for
+    while todo:
+        spine = todo.pop()
+        if type(spine) is not list:
+            suffix, spine, body = spine, [], None
+            todo.append(spine)
+            while suffix is not DONE:
+                spine.append(suffix)
+                atom = suffix.head
+                if type(atom) is Fork and atom.body is not body and atom.body not in features:
+                    body = atom.body
+                    todo.append(body)
+                suffix = suffix.tail
+            continue
         rest = features[DONE]
         for suffix in reversed(spine):
             atom = suffix.head
@@ -366,20 +396,23 @@ def _fork_choice(o: int, k: int, body: tuple[bool, int], rest: tuple[bool, int])
     return max(0, short - o), short, 0
 
 
-def derive(c: Command, n: int) -> ProofTree | None:
+def derive(c: Command, n: int, tables: ThreadTables | None = None) -> ProofTree | None:
     """The proof of {obs(n)} c {obs(0)} built in one pass, or None when the
     start state (n, 0) is infeasible for `c` and so no proof exists.
 
     Iterative at any depth and length.  A thread's forward walk fixes its
     states and its forks' choices, and stops at a fork whose child (body,
     co, cc) has no proof yet to walk the child first; its proof is then
-    built back to front, and every fork with that child names it.
+    built back to front, and every fork with that child names it.  The
+    forked threads' proofs go to `tables.proofs` when given, and a child
+    found there is not walked again; the root's proof is not kept.
     """
     features = _features(c)
     absorbing, need = features[c]
     if not absorbing and -n < need:
         return None
-    proofs: dict[tuple | None, ProofTree] = {}  # (body, co, cc) of a thread, None for the root -> its proof
+    # (body, co, cc) of a forked thread, None for the root -> its proof
+    proofs: dict[tuple | None, ProofTree] = {} if tables is None else tables.proofs
     todo = [(None, c, (n, 0), [])]  # threads walked: (key, next suffix, its state, walk so far)
     while todo:
         key, suffix, state, walk = todo.pop()
@@ -420,7 +453,7 @@ def derive(c: Command, n: int) -> ProofTree | None:
                 if dead:
                     t = _wrap(t, BOTTOM, required)
             proofs[key] = t if required is OBS_ZERO else _wrap(t, t.conclusion.pre, OBS_ZERO)
-    return proofs[None]
+    return proofs.pop(None)
 
 
 def _wrap(t: ProofTree, pre: Assertion, post: Assertion) -> ProofTree:
@@ -440,9 +473,9 @@ def _wrap(t: ProofTree, pre: Assertion, post: Assertion) -> ProofTree:
     )
 
 
-def verify(c: Command) -> ProofTree | None:
+def verify(c: Command, tables: ThreadTables | None = None) -> ProofTree | None:
     """Programs start without obligations or credits: prove {obs(0)} c {obs(0)}."""
-    return derive(c, 0)
+    return derive(c, 0, tables)
 
 
 # --- certificates -----------------------------------------------------------------

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from busycheck.ghost import (
@@ -17,6 +15,7 @@ from busycheck.ghost import (
     SplitError,
     Stuck,
     TERM_HOLDS_OBLIGATION,
+    _Plan,
     annotate,
     check_balance,
     ghost_step,
@@ -25,7 +24,7 @@ from busycheck.ghost import (
 )
 from busycheck.harness import enumerate_programs
 from busycheck.lang import DONE, LOOP_SKIP, Done, Fork, Printer, Seq, parse
-from busycheck.proofs import ForkSplit, certificate_text, from_json_dict, verify
+from busycheck.proofs import RULE_FORK, ForkSplit, ThreadTables, from_json_dict, verify
 from busycheck.semantics import (
     ST_FORK,
     ST_LOOP,
@@ -40,7 +39,7 @@ from busycheck.semantics import (
     initial_pool,
     run,
 )
-from reference import initial_annotated_pool, run_schedule, tree_size
+from reference import initial_annotated_pool, reference_to_json_dict, run_schedule, tree_size
 
 
 def _single(chunk, credits, cont=LOOP_SKIP):
@@ -495,11 +494,44 @@ def test_child_is_the_fresh_id_of_exactly_the_fork_steps():
     ids=["waiters", "flats", "km"],
 )
 def test_a_shared_proof_annotates_as_its_unshared_copy_does(text):
-    # `verify` gives equal threads one proof; a certificate read back is a tree
+    # `verify` gives equal threads one proof; the tree writer's certificate reads back as a tree
     c = parse(text)
     shared = verify(c)
-    unshared = from_json_dict(json.loads(certificate_text(shared)))
-    assert tree_size(unshared) == tree_size(shared)
+    unshared = from_json_dict(reference_to_json_dict(shared, shared=False))
+    distinct = len({id(t) for t in _nodes(unshared)})
+    assert distinct == tree_size(unshared) == tree_size(shared) > len({id(t) for t in _nodes(shared)})
     for scheduler, window in ((RoundRobinScheduler(), 0), (RandomFairScheduler(1, 4), 4), (RandomFairScheduler(2, 4), 4)):
         _, plain = run(initial_pool(c), scheduler, fuel_bound(c, window))
         assert annotate(c, shared, plain).steps == annotate(c, unshared, plain).steps
+
+
+def test_shared_tables_annotate_as_fresh_calls_do():
+    tables = ThreadTables()
+    for c in enumerate_programs(6):
+        proof = verify(c, tables)
+        if proof is None:
+            continue
+        _, plain = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
+        assert annotate(c, proof, plain, tables).steps == annotate(c, verify(c), plain).steps
+    # one plan per distinct forked thread, each held beside its premise
+    assert 0 < len(tables.plans) == len(tables.proofs)
+    assert all(tables.plans[id(p)][0] is p for p in tables.proofs.values())
+
+
+def test_a_plan_held_for_another_object_is_not_reused():
+    c = parse("fork { loop skip }; fork { loop skip }; exit")
+    proof = verify(c)
+    _, plain = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
+    premise = next(t.premises[0] for t in _nodes(proof) if t.rule is RULE_FORK)
+    tables = ThreadTables()
+    tables.plans[id(premise)] = (verify(parse("exit")), _Plan())  # an empty plan of another object
+    assert annotate(c, proof, plain, tables).steps == annotate(c, proof, plain).steps
+    assert tables.plans[id(premise)][0] is premise
+
+
+def _nodes(t):
+    out, todo = [], [t]
+    while todo:
+        out.append(todo.pop())
+        todo += out[-1].premises
+    return out

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import busycheck.harness
+import busycheck.proofs
 import busycheck.semantics
 from busycheck.harness import (
     CampaignReport,
@@ -14,7 +15,7 @@ from busycheck.harness import (
 )
 from busycheck.lang import EXIT, LOOP_SKIP, Fork, Seq, parse, pretty
 from busycheck.pog import check_leaf_balance
-from busycheck.proofs import verify
+from busycheck.proofs import ThreadTables, verify
 from busycheck.semantics import explore, spawn_tree
 from reference import reference_enumerate_programs
 
@@ -193,6 +194,40 @@ def test_default_campaign_report_is_pinned():
     }
 
 
+def _count_campaign_cost(monkeypatch):
+    """Counts of the `_node_fault` calls and a list of the thread tables made
+    by the campaigns run after this call."""
+    faults, made = [0], []
+    node_fault = busycheck.proofs._node_fault
+
+    def counting(t):
+        faults[0] += 1
+        return node_fault(t)
+
+    monkeypatch.setattr(busycheck.proofs, "_node_fault", counting)
+    monkeypatch.setattr(busycheck.harness, "ThreadTables", lambda: made.append(ThreadTables()) or made[-1])
+    return faults, made
+
+
+def test_default_campaign_cost_is_pinned(monkeypatch):
+    # each distinct forked thread is proved, checked and planned once per campaign
+    # (22,198 `_node_fault` calls when every program was checked on its own)
+    faults, made = _count_campaign_cost(monkeypatch)
+    soundness_campaign(GenConfig(seed=42, count=500))
+    assert faults[0] == 13771
+    assert len(made) == 1 and len(made[0].proofs) == 497
+
+
+def test_campaigns_share_no_tables(monkeypatch):
+    faults, made = _count_campaign_cost(monkeypatch)
+    counts = []
+    for _ in range(2):
+        soundness_campaign(GenConfig(count=40), exhaustive_max_atoms=4)
+        counts.append(faults[0] - sum(counts))
+    assert counts[0] == counts[1] > 0
+    assert len(made) == 2 and made[0] is not made[1] and made[0].proofs
+
+
 def test_multi_thread_counts_programs_that_reach_two_threads():
     programs = list(enumerate_programs(6))
     reach_two = [explore(c).max_threads >= 2 for c in programs]
@@ -217,8 +252,8 @@ def test_campaign_never_explores(monkeypatch):
 def test_campaign_catches_a_verifier_that_accepts_a_busy_wait(monkeypatch):
     exit_proof = verify(EXIT)
 
-    def accepting(c):
-        return exit_proof if c == LOOP_SKIP else verify(c)
+    def accepting(c, tables=None):
+        return exit_proof if c == LOOP_SKIP else verify(c, tables)
 
     monkeypatch.setattr(busycheck.harness, "verify", accepting)
     with pytest.raises(CampaignViolation, match="admits a fair infinite run") as err:

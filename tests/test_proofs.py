@@ -38,6 +38,7 @@ from busycheck.proofs import (
     Rule,
     RuleViolation,
     ShiftData,
+    ThreadTables,
     certificate_text,
     check_proof,
     derive,
@@ -1044,3 +1045,82 @@ def test_only_fork_premises_are_written_once():
         cert = to_json_dict(tree)
         assert cert == reference_to_json_dict(tree) and len(cert["nodes"]) == nodes
         assert check_proof(from_json_dict(cert)) is None
+
+
+def test_shared_tables_give_the_certificates_of_fresh_calls():
+    tables = ThreadTables()
+    proved = alone = 0  # Verified programs, and the thread proofs they build each on its own
+    for c in enumerate_programs(6):  # sweep order: a size's programs fork those of smaller ones
+        proof, fresh = verify(c, tables), verify(c)
+        assert (proof is None) == (fresh is None)
+        if proof is not None:
+            assert certificate_text(proof) == certificate_text(fresh)
+            assert check_proof(proof, tables) is None
+            proved += 1
+            own = ThreadTables()
+            verify(c, own)
+            alone += len(own.proofs)
+    assert proved == 1424
+    assert None not in tables.proofs  # no root proof is kept
+    assert 0 < len(tables.proofs) == len(tables.checked) < alone
+
+
+def _counting_node_faults(monkeypatch):
+    visited = []
+    node_fault = busycheck.proofs._node_fault
+    monkeypatch.setattr(busycheck.proofs, "_node_fault", lambda t: visited.append(t) or node_fault(t))
+    return visited
+
+
+def test_check_proof_skips_only_the_premises_the_table_holds(monkeypatch):
+    tables = ThreadTables()
+    proof = verify(parse(SHARING_FAMILIES["km"]), tables)
+    assert check_proof(proof, tables) is None
+    premises = [t.premises[0] for t in _occurrences(proof) if t.rule is RULE_FORK]
+    assert all(tables.checked[id(p)] is p for p in premises)
+    visited = _counting_node_faults(monkeypatch)
+    assert check_proof(proof, tables) is None  # only the root thread's nodes are checked again
+    root_thread, todo = set(), [proof]
+    while todo:
+        t = todo.pop()
+        root_thread.add(id(t))
+        todo += () if t.rule is RULE_FORK else t.premises
+    assert len(visited) == len(root_thread) < len({id(t) for t in _occurrences(proof)})
+    # a structurally equal copy of each premise is opened in full
+    copy = from_json_dict(to_json_dict(proof))
+    assert copy == proof and not any(t is p for t in _occurrences(copy) for p in premises)
+    visited.clear()
+    assert check_proof(copy, tables) is None
+    assert len(visited) == len({id(t) for t in _occurrences(copy)})
+
+
+def test_check_proof_skips_no_premise_held_under_another_object():
+    proof = verify(parse(SHARING_FAMILIES["km"]))
+    premises = [t.premises[0] for t in _occurrences(proof) if t.rule is RULE_FORK]
+    shared = max(premises, key=lambda p: sum(q is p for q in premises))
+    tampered = _with_first_leaf_tampered(shared)
+    dag = _substituted(proof, shared, tampered, {})
+    tables = ThreadTables()
+    tables.checked[id(tampered)] = shared  # an object that passed, under the faulty one's id
+    assert check_proof(dag, tables) == check_proof(dag) is not None
+
+
+def _with_last_leaf_tampered(t):
+    if not t.premises:
+        return t._replace(conclusion=t.conclusion._replace(pre=state_assertion(5, 5)))
+    return t._replace(premises=(*t.premises[:-1], _with_last_leaf_tampered(t.premises[-1])))
+
+
+def test_a_premise_that_failed_fails_again_with_the_same_tables():
+    # the outer threads of km fork inner ones: a fault at the end of an outer
+    # thread's proof is found after its inner premises passed
+    tables = ThreadTables()
+    proof = verify(parse(SHARING_FAMILIES["km"]), tables)
+    premises = [t.premises[0] for t in _occurrences(proof) if t.rule is RULE_FORK]
+    outer = next(p for p in premises if any(t.rule is RULE_FORK for t in _occurrences(p)))
+    tampered = _with_last_leaf_tampered(outer)
+    dag = _substituted(proof, outer, tampered, {})
+    first = check_proof(dag, tables)
+    assert first is not None and first == check_proof(dag)
+    assert not any(p is tampered for p in tables.checked.values())
+    assert check_proof(dag, tables) == first
