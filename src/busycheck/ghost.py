@@ -149,7 +149,8 @@ def real_step(
 
 
 def check_balance(pool: ThreadPool) -> bool:
-    """Obligations and credits in the system stay equal (spawned in pairs)."""
+    """Obligations equal credits in the pool, as in every pool of `derive`'s proofs;
+    a valid proof keeps only credits <= obligations: a view shift may drop a credit."""
     obligations = sum(e.obligations for _, e in pool.threads)
     credits = sum(e.credits for _, e in pool.threads)
     return obligations == credits

@@ -11,9 +11,9 @@ flat record of the pools around it, the stepped thread and the name of the
 underlying rule, and the trace printer renders a pool once for each run of
 steps that share it.
 Pool operations bisect and slice a sorted tuple, so a step shares every
-untouched entry with the pool before it and costs no Python work per thread;
-the random scheduler reads thread ages off a run history it updates once per
-step.
+untouched entry with the pool before it and costs no Python work per thread.
+A scheduler is told each step taken: the random one ages threads from it and
+draws from one generator per run, so a run is reproducible from seed and window.
 
 Fairness follows the usual definition: every thread alive at any point is
 eventually scheduled.  The tests hold the schedulers to a sliding-window
@@ -185,7 +185,10 @@ def step_pool(tp: ThreadPool, tid: int) -> tuple[ThreadPool, str]:
 
 
 class Scheduler(Protocol):
-    def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int: ...
+    """`run` calls `pick` once per step with the step just taken, or None for a
+    run's first pick, where the scheduler starts its run state afresh."""
+
+    def pick(self, pool: ThreadPool, last: TraceStep | None) -> int: ...
 
 
 class RoundRobinScheduler:
@@ -200,73 +203,67 @@ class RoundRobinScheduler:
     def __init__(self, offset: int = 0):
         self.offset = offset
 
-    def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int:
+    def pick(self, pool: ThreadPool, last: TraceStep | None) -> int:
         tids = pool.ids
-        if not trace:
+        if last is None:
             return tids[self.offset % len(tids)]
-        i = bisect_right(tids, trace[-1].tid)
+        i = bisect_right(tids, last.tid)
         return tids[i] if i < len(tids) else tids[0]
 
 
 class RandomFairScheduler:
     """Random choice with a forced pick once a thread nears its deadline.
 
-    Each decision is a pure function of (seed, trace, pool), `pool` being
-    the pool the trace ends in, so a run is reproducible from the seed alone.
-    Ages (steps since a thread last stepped or was born) come from a run
-    history, a cache that reads each new trace step once and starts over
-    when handed a different or shorter trace.  It keeps the live threads in
-    the order they last stepped or were born, each with that step's index,
-    so the oldest thread, lowest id first among equals, is the first.
+    Each run draws from its own `random.Random(seed)`, once per unforced
+    pick, so a run is reproducible from its seed and window.  The live
+    threads are kept in the order they last stepped or were born, each with
+    the steps taken by then, so the oldest thread, lowest id first among
+    equals, is the first.
     """
+
+    _rng: random.Random  # the current run's state, started by its first pick
+    _steps: int
+    _live: OrderedDict[int, int]  # live tid -> steps taken when it last stepped or was born
 
     def __init__(self, seed: int, window: int):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.seed = seed
         self.window = window
-        self._trace: list[TraceStep] | None = None  # the trace the history is for
-        self._seen = 0  # how many of its steps it covers
-        self._live: OrderedDict[int, int] = OrderedDict()  # live tid -> index of its last step or birth
 
-    def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int:
-        seen, live = self._seen, self._live
-        if trace is not self._trace or len(trace) < seen or not trace:
-            start = trace[0].before if trace else pool
-            self._trace, seen, self._live = trace, 0, OrderedDict.fromkeys(start.ids, -1)
-            live = self._live
-        for j in range(seen, len(trace)):  # the history reads each new step once
-            before, tid, _, after = trace[j]
-            grown = 0 if after is before else len(after.ids) - len(before.ids)  # a loop step keeps its pool
-            if grown < 0:
-                live.pop(tid)  # the thread ends, or takes the whole pool with it
-                if not after.ids:
-                    live.clear()
-            else:
-                live[tid] = j
+    def pick(self, pool: ThreadPool, last: TraceStep | None) -> int:
+        if last is None:
+            self._rng, steps = random.Random(self.seed), 0
+            live = self._live = OrderedDict.fromkeys(pool.ids, 0)
+        else:
+            live, steps, tid = self._live, self._steps + 1, last.tid
+            if last.rule == TP_THREAD_TERM:
+                del live[tid]
+            else:  # a loop or fork step; no pick follows an exit step
+                live[tid] = steps
                 live.move_to_end(tid)
-                if grown:
-                    live[after.ids[-1]] = j  # born at a fork step
-        n = self._seen = len(trace)
+                if last.rule == ST_FORK:
+                    live[last.after.ids[-1]] = steps  # born at this step
+        self._steps = steps
         tids = pool.ids
-        oldest, last = next(iter(live.items()))
-        if n - 1 - last >= max(1, self.window - len(tids)):
+        oldest, since = next(iter(live.items()))
+        if steps - since >= max(1, self.window - len(tids)):
             return oldest  # the oldest thread, lowest id first
-        rng = random.Random(self.seed * 1_000_003 + n)
-        return rng.choice(tids)
+        return self._rng.choice(tids)
 
 
 def run(tp: ThreadPool, scheduler: Scheduler, fuel: int) -> tuple[RunOutcome, list[TraceStep]]:
     """Drive up to `fuel` steps.  FuelExhausted is a cut-off, not divergence."""
     trace: list[TraceStep] = []
-    pool = tp
+    pool, last = tp, None
     for _ in range(fuel):
         if pool.is_empty():
             break
-        tid = scheduler.pick(trace, pool)
-        pool2, rule = step_pool(pool, tid)
-        trace.append(TraceStep(pool, tid, rule, pool2))
-        pool = pool2
+        tid = scheduler.pick(pool, last)
+        after, rule = step_pool(pool, tid)
+        last = TraceStep(pool, tid, rule, after)
+        trace.append(last)
+        pool = after
     if not pool.is_empty():
         return FuelExhausted(pool), trace
     if trace and trace[-1].rule == TP_EXIT:

@@ -220,8 +220,9 @@ class FixedScheduler:
     def __init__(self, tids: list[int]):
         self.tids = list(tids)
 
-    def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int:
-        return self.tids[len(trace)]
+    def pick(self, pool: ThreadPool, last: TraceStep | None) -> int:
+        self._steps = 0 if last is None else self._steps + 1
+        return self.tids[self._steps]
 
 
 def run_schedule(tp: ThreadPool, tids: list[int]) -> tuple[RunOutcome, list[TraceStep]]:
@@ -296,38 +297,32 @@ class ReferenceRandomFairScheduler:
     """`semantics.RandomFairScheduler` as it was before it kept the live
     threads in the order they last stepped: its history maps every thread
     seen to the index of its last step or birth, and each pick reads the
-    index of every live thread to find the oldest, lowest id first."""
+    index of every live thread to find the oldest, lowest id first.  It
+    draws as that scheduler does, from one `random.Random(seed)` per run,
+    once per unforced pick."""
 
     def __init__(self, seed: int, window: int):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.seed = seed
         self.window = window
-        self._trace: list[TraceStep] | None = None  # the trace the history is for
-        self._seen = 0  # how many of its steps it covers
-        self._last: dict[int, int] = {}  # tid -> index of its last step or birth
 
-    def _history(self, trace: list[TraceStep]) -> dict[int, int]:
-        if trace is not self._trace or len(trace) < self._seen:
-            self._trace, self._seen, self._last = trace, 0, {}
-        last = self._last
-        for j in range(self._seen, len(trace)):
-            step = trace[j]
-            last[step.tid] = j
-            child = step.child
+    def pick(self, pool: ThreadPool, last: TraceStep | None) -> int:
+        if last is None:  # a run starts
+            self._rng, self._steps, self._last = random.Random(self.seed), 0, {}
+        else:
+            j = self._steps
+            self._steps += 1
+            self._last[last.tid] = j
+            child = last.child
             if child is not None:
-                last[child] = j  # born at a fork step
-        self._seen = len(trace)
-        return last
-
-    def pick(self, trace: list[TraceStep], pool: ThreadPool) -> int:
+                self._last[child] = j  # born at a fork step
         tids = pool.ids
-        lasts = list(map(self._history(trace).get, tids, repeat(-1)))
+        lasts = list(map(self._last.get, tids, repeat(-1)))
         first = min(lasts)
-        if len(trace) - 1 - first >= max(1, self.window - len(tids)):
+        if self._steps - 1 - first >= max(1, self.window - len(tids)):
             return tids[lasts.index(first)]  # the oldest thread, lowest id first
-        rng = random.Random(self.seed * 1_000_003 + len(trace))
-        return rng.choice(tids)
+        return self._rng.choice(tids)
 
 
 # --- proofs and annotated pools --------------------------------------------------

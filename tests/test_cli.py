@@ -723,11 +723,13 @@ CONTRACT_FORMS = {
 }
 # sha256 per argv form of (exit code, stdout, stderr) with temp paths masked; `verify
 # --emit-cert` adds the certificate bytes (re-taken when certificates began to write
-# each shared Fork premise once; it was 822239ab...), `fuzz` drops its wallTime line
+# each shared Fork premise once; it was 822239ab...), `fuzz` drops its wallTime line;
+# `run --sched random` re-taken when each random run began to draw from one
+# `random.Random(seed)`, once per unforced pick (it was fd0d8ee3...)
 CONTRACT_DIGESTS = {
     "run --show-trace": "7c74fcf6c14e59cdec3388ab8e865ed2a0a83d886de307cc5bd45874b1e1f531",
     "run --json": "3ac317dd2e8a15ae68fc17fe8b44dac900211b9d49a8405fc0d475f93fc8c031",
-    "run --sched random --seed 3 --show-trace": "fd0d8ee3c5823167f4ad8a9cdfd73e3fe4e2e1c76a3f0c86c592c6ae9d370ee5",
+    "run --sched random --seed 3 --show-trace": "59f2dc8d46e063093b5b180f4ad7461ffe723610a71d990588125a71aa24dce7",
     "run --sched rotated:2 --show-trace": "7c74fcf6c14e59cdec3388ab8e865ed2a0a83d886de307cc5bd45874b1e1f531",
     "trace": "0e91893a0356794ed8cdf13b86e74d1e5a0f0c2513bd4bcdf21a0e9eedb43cd7",
     "graph --prefix": "b39bdca1809b8a112a9faa8b9301c938d890ddd5f9d82f2cb9297ed4736ea55b",

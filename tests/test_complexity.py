@@ -22,15 +22,24 @@ import sys
 import pytest
 
 import busycheck.lang as lang
-from busycheck.ghost import annotate
+from busycheck.ghost import annotate, serialize_annotated_trace
 from busycheck.lang import parse
 from busycheck.pog import build_pog, check_leaf_balance, max_loopfree_sc_prefix, to_dot
 from busycheck.proofs import certificate_text, check_proof, from_json_dict, verify
-from busycheck.semantics import RandomFairScheduler, RoundRobinScheduler, fuel_bound, initial_pool, run, spawn_tree
+from busycheck.semantics import (
+    RandomFairScheduler,
+    RoundRobinScheduler,
+    fuel_bound,
+    initial_pool,
+    run,
+    serialize_trace,
+    spawn_tree,
+)
 
 N = 48  # and 2N: large enough that fixed costs do not hide the growth
 LINEAR = 1.1  # the largest exponent a linear layer may show
 QUADRATIC = 2.1  # and a quadratic one
+CUBIC = 3.1  # and a cubic one
 
 
 def waiters(n):
@@ -145,10 +154,28 @@ def _run_layers(text: str) -> dict:
     }
 
 
-# The trace printers (`serialize_trace`, `serialize_annotated_trace`) have no
-# contract here: on waiters their text is cubic, a pool of up to n threads
-# printed at each of about n^2 / 2 steps, and that text is built inside
-# `str.join`, whose work these counts do not see.
+@pytest.mark.parametrize("printer", ["serialize_trace", "serialize_annotated_trace"])
+def test_the_trace_text_of_waiters_is_cubic(printer):
+    # a pool of up to n threads printed at each of about n^2 / 2 steps; the
+    # text is built inside `str.join`, whose work opcodes do not see, so the
+    # contract counts its characters
+    sizes = []
+    for n in (N, 2 * N):
+        program = parse(waiters(n))
+        _, trace = run(initial_pool(program), RoundRobinScheduler(), fuel_bound(program))
+        if printer == "serialize_trace":
+            sizes.append(len(serialize_trace(trace)))
+        else:
+            sizes.append(len(serialize_annotated_trace(annotate(program, verify(program), trace))))
+    exponent = math.log2(sizes[1] / sizes[0])
+    assert exponent <= CUBIC, f"{printer} text grows as n^{exponent:.2f} ({sizes})"
+
+
+# Every thread stops at `exit` or `loop skip`, so a run grows with n only
+# where waiters pile up (waiters, about n^2 / 2 steps) or threads end one
+# inside another (fork nests, about 2n).  A round-robin run of flats takes
+# two steps, as the first child exits, so the flats cases below see no growth:
+# the contracts of the layers over a run rest on waiters and fork nests.
 @pytest.mark.parametrize(
     "family, bound",
     [(waiters, QUADRATIC), (flats, LINEAR), (fork_nest, LINEAR)],
@@ -156,8 +183,6 @@ def _run_layers(text: str) -> dict:
 )
 @pytest.mark.parametrize("layer", ["annotate", "build_pog", "to_dot"])
 def test_a_layer_over_a_run_grows_with_the_run(layer, family, bound):
-    # a round-robin run of waiters takes about n^2 / 2 steps, of a fork nest
-    # about 2n, and of flats two: the first child exits
     exponent, counts = _exponent([_run_layers(family(n))[layer] for n in (N, 2 * N)])
     assert exponent <= bound, f"{layer} grows as n^{exponent:.2f} ({counts})"
 

@@ -24,7 +24,19 @@ from busycheck.ghost import (
 )
 from busycheck.harness import enumerate_programs
 from busycheck.lang import DONE, LOOP_SKIP, Done, Fork, Printer, Seq, parse
-from busycheck.proofs import RULE_FORK, ForkSplit, ThreadTables, from_json_dict, verify
+from busycheck.assertions import BOTTOM, OBS_ZERO, Flat
+from busycheck.proofs import (
+    RULE_FORK,
+    ForkSplit,
+    HoareTriple,
+    ProofTree,
+    Rule,
+    ShiftData,
+    ThreadTables,
+    check_proof,
+    from_json_dict,
+    verify,
+)
 from busycheck.semantics import (
     ST_FORK,
     ST_LOOP,
@@ -183,6 +195,33 @@ def test_check_balance_examples(two_level_fork):
     assert check_balance(row4)  # obligations 0+2+0 match credits 1+0+1
     assert check_balance(ThreadPool.of({}))
     assert not check_balance(_single(1, 0))
+
+
+def _credit_dropping_proof(c):
+    """A valid proof of {obs(0)} fork { exit } {obs(0)} that drops a credit:
+    obs(0) => obs(1) * credit, the Fork hands obs(1) to the child, and
+    obs(0) * credit => obs(0) drops the parent's credit."""
+    exit_leaf = ProofTree(HoareTriple(Flat((1,), 0), c.body, BOTTOM), Rule.EXIT)
+    child = ProofTree(
+        HoareTriple(Flat((1,), 0), c.body, OBS_ZERO), Rule.VIEW_SHIFT, (exit_leaf,), ShiftData(Flat((1,), 0), BOTTOM)
+    )
+    fork = ProofTree(HoareTriple(Flat((1,), 1), c, Flat((0,), 1)), Rule.FORK, (child,), ForkSplit(1, 0))
+    shift = ShiftData(Flat((1,), 1), Flat((0,), 1))
+    return ProofTree(HoareTriple(OBS_ZERO, c, OBS_ZERO), Rule.VIEW_SHIFT, (fork,), shift)
+
+
+def test_a_valid_proof_keeps_credits_at_most_obligations_not_equal():
+    # the parent ends holding its credit, so the pool after its end has one
+    # obligation (the child's) and no credit: `check_balance` is false there
+    c = parse("fork { exit }")
+    proof = _credit_dropping_proof(c)
+    assert check_proof(proof) is None
+    _, trace = run_schedule(initial_pool(c), [0, 0, 1])
+    atrace = annotate(c, proof, trace)
+    pools = [atrace.initial] + [s.after for s in atrace.steps]
+    for pool in pools:
+        assert sum(e.credits for _, e in pool.threads) <= sum(e.obligations for _, e in pool.threads)
+    assert not all(map(check_balance, pools))
 
 
 def test_annotate_waiting_pair_bundles(waiting_pair):
@@ -391,9 +430,6 @@ def test_annotate_rejects_a_trace_of_another_program(waiting_pair):
 
 
 def test_annotate_rejects_unchecked_proof(waiting_pair):
-    from busycheck.proofs import HoareTriple, ProofTree, Rule
-    from busycheck.assertions import BOTTOM, Flat
-
     bogus = ProofTree(HoareTriple(Flat((1,), 1), LOOP_SKIP, BOTTOM), Rule.LOOP)
     _, trace = run_schedule(initial_pool(waiting_pair), [0, 1])
     with pytest.raises(AnnotationError):

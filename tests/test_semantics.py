@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from busycheck.lang import (
     pretty,
     seq_of,
 )
+from busycheck import semantics
 from busycheck.semantics import (
     AbruptExit,
     FuelExhausted,
@@ -190,27 +192,31 @@ def _reference_ages(trace, tids):
 
 
 class _ReferenceRandomFair:
-    """`RandomFairScheduler.pick` computed from `_reference_ages`."""
+    """`RandomFairScheduler.pick` computed from `_reference_ages` over the
+    run's steps so far, drawing from one `random.Random(seed)` per run."""
 
     def __init__(self, seed, window):
         self.seed, self.window = seed, window
 
-    def pick(self, trace, pool):
+    def pick(self, pool, last):
+        if last is None:
+            self.trace, self.rng = [], random.Random(self.seed)
+        else:
+            self.trace.append(last)
         tids = pool.ids
         deadline = max(1, self.window - len(tids))
-        ages = _reference_ages(trace, tids)
+        ages = _reference_ages(self.trace, tids)
         oldest_age, neg_tid = max((ages[t], -t) for t in tids)
         if oldest_age >= deadline:
             return -neg_tid
-        rng = random.Random(self.seed * 1_000_003 + len(trace))
-        return rng.choice(tids)
+        return self.rng.choice(tids)
 
 
 class _UniformScheduler:
     def __init__(self, seed):
         self.rng = random.Random(seed)
 
-    def pick(self, trace, pool):
+    def pick(self, pool, last):
         return self.rng.choice(pool.ids)
 
 
@@ -265,22 +271,33 @@ def test_random_fair_schedules_match_the_scanning_scheduler_on_waiters_up_to_240
 
 
 @pytest.mark.parametrize("window", [1, 5])
-def test_random_fair_history_is_rebuilt_for_another_or_a_shorter_trace(window):
-    # one scheduler, handed prefixes in random order (new lists, and the same
-    # list cut short) and other runs' traces, picks what the reference picks
-    sched, rng = RandomFairScheduler(2, window), random.Random(window)
+def test_one_random_fair_scheduler_drives_runs_in_turn_as_fresh_ones_do(window):
+    # a run's first pick starts the run state afresh, also after a run that
+    # fuel cut short
+    sched = RandomFairScheduler(2, window)
     for i, c in enumerate(_generated(seed=25, count=30)):
-        _, trace = run(initial_pool(c), _UniformScheduler(i), 60)
-        cuts = list(range(len(trace)))
-        rng.shuffle(cuts)
-        for n in cuts:
-            want = _ReferenceRandomFair(2, window).pick(trace[:n], trace[n].before)
-            assert sched.pick(trace[:n], trace[n].before) == want
-        for n in sorted(cuts, reverse=True):
-            del trace[n + 1 :]
-            if not trace[-1].after.is_empty():
-                want = _ReferenceRandomFair(2, window).pick(trace[:], trace[-1].after)
-                assert sched.pick(trace, trace[-1].after) == want
+        for fuel in (fuel_bound(c, window), i % 5):
+            got = _schedule(initial_pool(c), sched, fuel)
+            assert got == _schedule(initial_pool(c), RandomFairScheduler(2, window), fuel), c
+            assert got == _schedule(initial_pool(c), _ReferenceRandomFair(2, window), fuel), c
+
+
+def test_a_random_run_builds_one_generator(monkeypatch):
+    # a cost count: a run seeds one generator, not one per unforced pick
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(semantics, "random", SimpleNamespace(Random=Counting))
+    three = parse("fork { loop skip }; fork { loop skip }; loop skip")
+    waiters = parse("fork { loop skip }; " * 60 + "exit")
+    for c, fuel in ((three, 50_000), (waiters, fuel_bound(waiters, 16))):
+        built.clear()
+        _, trace = run(initial_pool(c), RandomFairScheduler(3, 16), fuel)
+        assert built == [(3,)] and len(trace) > 1000
 
 
 def test_pool_operations_match_a_dict_reference():
