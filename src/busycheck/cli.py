@@ -19,7 +19,7 @@ import sys
 
 from .assertions import OBS_ZERO
 from .ghost import annotate, serialize_annotated_trace
-from .harness import CampaignViolation, GenConfig, soundness_campaign
+from .harness import EXHAUSTIVE_MAX_ATOMS, CampaignViolation, GenConfig, soundness_campaign
 from .lang import Command, ParseError, parse, pretty
 from .pog import build_pog, max_loopfree_sc_prefix, to_dot
 from .proofs import CertificateError, check_proof, load_certificate, save_certificate, verify
@@ -227,11 +227,13 @@ def _graph_args(p: argparse.ArgumentParser) -> None:
 
 
 def _fuzz_args(p: argparse.ArgumentParser) -> None:
-    for flag, default in (("--count", 500), ("--max-atoms", 12), ("--seed", 42)):
-        p.add_argument(flag, type=int, default=default)
-    p.add_argument("--exhaustive-max", type=int, default=6, help="sweep all programs up to this many atoms (0 disables)")
-    for flag in ("--fork-weight", "--loop-weight", "--exit-weight"):
-        p.add_argument(flag, type=float, default=1.0)
+    gen = GenConfig()  # the campaign's defaults are the options'
+    for name in ("count", "max_atoms", "seed"):
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(gen, name))
+    help_max = "sweep all programs up to this many atoms (0 disables)"
+    p.add_argument("--exhaustive-max", type=int, default=EXHAUSTIVE_MAX_ATOMS, help=help_max)
+    for kind in ("fork", "loop", "exit"):
+        p.add_argument(f"--{kind}-weight", type=float, default=getattr(gen, f"{kind}_prob"))
     p.add_argument("--json", action="store_true")
 
 

@@ -17,6 +17,9 @@ onto the plain trace step for step.  It checks this after every step against
 an erased pool kept beside the annotated one with the same pool operations,
 so a step costs no Python work per thread; after a loop step, which leaves
 both pools the very objects last found equal, the check is two identity tests.
+Whatever the proof or trace, `annotate` returns or raises `AnnotationError`:
+a bad split (`SplitError`), cancel (`CancelUnderflow`) or real step (`Stuck`)
+is one too, and so is a step of a thread that has ended or never began.
 """
 
 from __future__ import annotations
@@ -63,15 +66,15 @@ LOOP_HOLDS_OBLIGATION = "LoopHoldsObligation"
 TERM_HOLDS_OBLIGATION = "TermHoldsObligation"
 
 
-class CancelUnderflow(ValueError):
-    pass
-
-
-class SplitError(ValueError):
-    pass
-
-
 class AnnotationError(ValueError):
+    """`annotate` refuses its proof or trace; the only error it raises."""
+
+
+class CancelUnderflow(AnnotationError):
+    pass
+
+
+class SplitError(AnnotationError):
     pass
 
 
@@ -161,22 +164,15 @@ def check_balance(pool: ThreadPool) -> bool:
 
 class _Slot:
     """The ghost steps due before one Exit, Loop or Fork leaf of a thread's
-    proof, and a Fork's split and child plan."""
+    proof, or before the thread ends, and a Fork's split and child plan.  A
+    plan is a list of slots, one per leaf, left to right, then the end's."""
 
     __slots__ = ("ops", "split", "child")
 
-    def __init__(self, ops: list[str], split: ForkSplit | None = None, child: _Plan | None = None):
-        self.ops = ops
-        self.split = split
-        self.child = child
-
-
-class _Plan:
-    __slots__ = ("slots", "final_ops")
-
     def __init__(self) -> None:
-        self.slots: list[_Slot] = []
-        self.final_ops: list[str] = []
+        self.ops: list[str] = []
+        self.split: ForkSplit | None = None
+        self.child: list[_Slot] | None = None
 
 
 def _chunk(f: Assertion) -> tuple[int, int] | None:
@@ -199,33 +195,33 @@ def _ops_between(src: Assertion, dst: Assertion) -> list[str]:
     return [GS_CANCEL] * (-delta)
 
 
-def _extract_plan(t: ProofTree, tables: ThreadTables | None = None) -> _Plan:
+def _extract_plan(t: ProofTree, tables: ThreadTables | None = None) -> list[_Slot]:
     """The plan of the thread `t` proves: one slot per Exit, Loop or Fork
     leaf, left to right, each with the ghost steps that the view shifts met
-    since the leaf before put ahead of it; the steps met after the last leaf
-    are the final ops.  A Fork's slot holds the plan of its premise, one
+    since the leaf before put ahead of it, then one with the steps met after
+    the last leaf.  A Fork's slot holds the plan of its premise, one
     per premise object, which cursors only read.  A premise planned by an
     earlier call takes its plan from `tables.plans`, whose entries hold
     their premise and count only for that very object; the plans this call
     makes join the table once all of `t` is planned.
 
     Iterative: `todo` holds the nodes still to visit and the post-side steps
-    of the view shifts being visited, each with the plan it adds to, and
-    `plan.final_ops` collects the steps ahead of the next slot.
+    of the view shifts being visited, each with the plan it adds to, and a
+    plan's last slot collects the steps ahead of its next leaf.
     """
-    root = _Plan()
+    root = [_Slot()]
     plans = {} if tables is None else tables.plans
-    made: dict[int, tuple[ProofTree, _Plan]] = {}  # id of a Fork premise planned here -> it, its plan
-    todo: list[tuple[ProofTree | list[str], _Plan]] = [(t, root)]
+    made: dict[int, tuple[ProofTree, list[_Slot]]] = {}  # id of a Fork premise planned here -> it, its plan
+    todo: list[tuple[ProofTree | list[str], list[_Slot]]] = [(t, root)]
     while todo:
         node, plan = todo.pop()
         if isinstance(node, list):
-            plan.final_ops += node
+            plan[-1].ops += node
             continue
         rule = node.rule
         if rule is RULE_VIEW_SHIFT:
             c, data = node.conclusion, node.data
-            plan.final_ops += _ops_between(c.pre, data.inner_pre)
+            plan[-1].ops += _ops_between(c.pre, data.inner_pre)
             post_ops = _ops_between(data.inner_post, c.post)
             if post_ops:
                 todo.append((post_ops, plan))
@@ -234,30 +230,32 @@ def _extract_plan(t: ProofTree, tables: ThreadTables | None = None) -> _Plan:
             todo.append((node.premises[0], plan))
         elif rule is RULE_SEQ:
             todo += [(node.premises[1], plan), (node.premises[0], plan)]
-        else:
-            slot = _Slot(plan.final_ops)
-            plan.final_ops = []
-            plan.slots.append(slot)
+        else:  # a leaf takes the last slot and opens the next
+            slot = plan[-1]
+            plan.append(_Slot())
             if rule is RULE_FORK:
                 premise = node.premises[0]
                 held = made.get(id(premise)) or plans.get(id(premise))
                 if held is None or held[0] is not premise:
-                    held = made[id(premise)] = (premise, _Plan())
+                    held = made[id(premise)] = (premise, [_Slot()])
                     todo.append(held)
                 slot.split, slot.child = node.data, held[1]
     plans.update(made)
     return root
 
 
+# the real step that each plain step's label names
+_REAL_RULES = {ST_LOOP: RA_LOOP, ST_FORK: RA_FORK, TP_EXIT: RA_EXIT, TP_THREAD_TERM: RA_THREAD_TERM}
+
+
 class _Cursor:
     """How far a thread has run through its plan."""
 
-    __slots__ = ("plan", "index", "loop_entered")
+    __slots__ = ("plan", "index")
 
-    def __init__(self, plan: _Plan):
+    def __init__(self, plan: list[_Slot]):
         self.plan = plan
         self.index = 0
-        self.loop_entered = False
 
 
 def annotate(
@@ -268,7 +266,8 @@ def annotate(
     Ghost steps land immediately before the owning thread's next real step;
     fork splits come from the proof's Fork nodes.  The non-ghost steps of the
     result project onto the input trace exactly, and a plain label that is
-    not the counterpart of the real step its thread takes is refused.
+    not the counterpart of the real step its thread takes is refused, as is a
+    step of a thread not in the pool: it raises only `AnnotationError`.
     `proof` is checked first, always; `tables`, when given, lets the check
     skip the Fork premise objects that passed in earlier calls and the plan
     reuse their plans (`check_proof`, `_extract_plan`).
@@ -298,65 +297,52 @@ def annotate(
     # with the plain trace's pools
     pool = initial = ThreadPool.of({tid0: AnnotatedThread(0, 0, start_cont)})
     erased = start
-    cursors: dict[int, _Cursor] = {tid0: _Cursor(_extract_plan(proof, tables))}
+    cursors: dict[int, _Cursor] = {tid0: _Cursor(_extract_plan(proof, tables))}  # one per thread in the pool
+    looping = _Cursor([_Slot()])  # where a thread is once in its loop: no ghost steps are left
     steps: list[TraceStep] = []
     # the erased and plain pools last found equal: while both are still those
     # very objects (a loop step returns the pool it was given, on either
     # side), they are still equal and the comparison is skipped
     same_erased, same_plain = erased, start
 
-    for _, tid, label, after in plain_trace:
+    for index, (_, tid, label, after) in enumerate(plain_trace):
         cursor = cursors.get(tid)
         if cursor is None:
-            raise AnnotationError(f"trace steps unknown thread {tid}")
-        slot = split = None
-        if label == ST_LOOP:
-            ops: tuple[str, ...] | list[str] = ()
-            real = RA_LOOP
-            if not cursor.loop_entered:
-                ops = _slot_at(cursor).ops
-                cursor.loop_entered = True
-        elif label == ST_FORK:
-            slot = _slot_at(cursor)
-            if slot.split is None or slot.child is None:
-                raise AnnotationError("proof has no fork split where the trace forks")
-            ops, split, real = slot.ops, slot.split, RA_FORK
-        elif label == TP_EXIT:
-            ops, real = _slot_at(cursor).ops, RA_EXIT
-        elif label == TP_THREAD_TERM:
-            ops, real = cursor.plan.final_ops, RA_THREAD_TERM
-        else:
+            raise AnnotationError(f"trace step {index} steps thread {tid}, which is not in the pool")
+        real = _REAL_RULES.get(label)
+        if real is None:
             raise AnnotationError(f"unknown plain rule {label!r}")
-        for op in ops:  # the thread's ghost steps, right before its real step
+        slot = cursor.plan[cursor.index]
+        if real is RA_FORK and slot.child is None:
+            raise AnnotationError("proof has no fork split where the trace forks")
+        for op in slot.ops:  # the thread's ghost steps, right before its real step
             nxt = ghost_step(pool, tid, op)
             steps.append(TraceStep(pool, tid, op, nxt))
             pool = nxt
-        nxt, rule = real_step(pool, tid, split)
+        nxt, rule = real_step(pool, tid, slot.split)
         if rule != real:
-            index = sum(s.rule not in (GS_INTRO, GS_CANCEL) for s in steps)
             raise AnnotationError(f"trace step {index} is labelled {label}, but thread {tid} takes {rule}")
         step = TraceStep(pool, tid, rule, nxt)
         steps.append(step)
         pool = nxt
         if rule == RA_FORK:
             erased = erased.replace(tid, pool.get(tid).cont).extend(pool.get(step.child).cont)
-        elif rule != RA_LOOP:  # an exit empties the pool, an ended thread leaves it
-            erased = erased.remove(tid) if pool.threads else EMPTY_POOL
-        if slot is not None:
             cursors[step.child] = _Cursor(slot.child)
             cursor.index += 1
+        elif rule == RA_LOOP:
+            cursors[tid] = looping
+        elif rule == RA_EXIT:
+            erased = EMPTY_POOL
+            cursors.clear()
+        elif rule == RA_THREAD_TERM:
+            erased = erased.remove(tid)
+            del cursors[tid]
         if erased is not same_erased or after is not same_plain:
             if erased != after:
                 raise AnnotationError("annotated run diverged from the plain trace")
             same_erased, same_plain = erased, after
 
     return AnnotatedTrace(initial, tuple(steps))
-
-
-def _slot_at(cursor: _Cursor) -> _Slot:
-    if cursor.index >= len(cursor.plan.slots):
-        raise AnnotationError("trace runs past the thread's proof")
-    return cursor.plan.slots[cursor.index]
 
 
 # --- serialization --------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import busycheck.cli
 import busycheck.proofs
 import busycheck.semantics
 from busycheck.cli import main
-from busycheck.harness import enumerate_programs
+from busycheck.harness import CampaignReport, enumerate_programs
 from busycheck.lang import parse, pretty
 from busycheck.proofs import check_proof, load_certificate
 from busycheck.semantics import fuel_bound
@@ -491,6 +492,37 @@ def test_fuzz_small_campaign(capsys):
     assert 0 < payload["multiThread"] < 38
     assert payload["soundnessViolations"] == 0
     assert payload["leafBalanceFailures"] == 0
+
+
+def test_fuzz_text_summary_is_pinned(capsys):
+    # the same campaign as the JSON test above, as `fuzz` prints it without --json
+    args = ["fuzz", "--count", "30", "--max-atoms", "6", "--seed", "7", "--exhaustive-max", "2"]
+    assert main(args) == 0
+    *rows, wall = capsys.readouterr().out.splitlines()
+    assert rows == [
+        "programs                  38",
+        "verified                  20",
+        "rejected                  18",
+        "oracle says diverges      18",
+        "soundness violations      0",
+        "leaf-balance checks       60",
+        "leaf-balance failures     0",
+        "ghost-balance checks      30",
+        "ghost-balance failures    0",
+        "rejected but terminating  0 (0.0%)",
+        "multi-thread programs     7",
+    ]
+    assert re.fullmatch(r"wall time                 \d+\.\d\ds", wall)
+    assert main(args + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [row[26:].split(" ")[0] for row in rows] == [str(v) for k, v in payload.items() if k != "wallTime"]
+    # the share of Rejected programs that terminate, to one decimal place
+    report = CampaignReport(rejected=3, rejected_terminating=1, wall_time=12.345)
+    assert report.summary().splitlines()[9:] == [
+        "rejected but terminating  1 (33.3%)",
+        "multi-thread programs     0",
+        "wall time                 12.35s",
+    ]
 
 
 def test_fuzz_generates_long_programs_without_recursion(capsys):

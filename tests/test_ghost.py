@@ -15,7 +15,7 @@ from busycheck.ghost import (
     SplitError,
     Stuck,
     TERM_HOLDS_OBLIGATION,
-    _Plan,
+    _Slot,
     annotate,
     check_balance,
     ghost_step,
@@ -28,6 +28,7 @@ from busycheck.assertions import BOTTOM, OBS_ZERO, Flat
 from busycheck.proofs import (
     RULE_FORK,
     ForkSplit,
+    FrameData,
     HoareTriple,
     ProofTree,
     Rule,
@@ -46,10 +47,12 @@ from busycheck.semantics import (
     RandomFairScheduler,
     RoundRobinScheduler,
     ThreadPool,
+    TraceStep,
     fuel_bound,
     UnknownThreadError,
     initial_pool,
     run,
+    step_pool,
 )
 from reference import initial_annotated_pool, reference_to_json_dict, run_schedule, tree_size
 
@@ -218,10 +221,103 @@ def test_a_valid_proof_keeps_credits_at_most_obligations_not_equal():
     assert check_proof(proof) is None
     _, trace = run_schedule(initial_pool(c), [0, 0, 1])
     atrace = annotate(c, proof, trace)
+    assert _credits_within_obligations(atrace)
+    assert not all(check_balance(s.after) for s in atrace.steps)
+
+
+def _credits_within_obligations(atrace):
     pools = [atrace.initial] + [s.after for s in atrace.steps]
-    for pool in pools:
-        assert sum(e.credits for _, e in pool.threads) <= sum(e.obligations for _, e in pool.threads)
-    assert not all(map(check_balance, pools))
+    return all(sum(e.credits for _, e in p.threads) <= sum(e.obligations for _, e in p.threads) for p in pools)
+
+
+def _exit_proofs():
+    """Two valid proofs of {obs(0)} exit {obs(0)} that `derive` never emits."""
+    c = parse("exit")
+    pair = Flat((1,), 1)  # obs(1) * credit
+    # the root view shift introduces a pair, and a nested one cancels it
+    leaf = ProofTree(HoareTriple(OBS_ZERO, c, BOTTOM), Rule.EXIT)
+    nested = ProofTree(HoareTriple(pair, c, BOTTOM), Rule.VIEW_SHIFT, (leaf,), ShiftData(OBS_ZERO, BOTTOM))
+    cancelled = ProofTree(HoareTriple(OBS_ZERO, c, OBS_ZERO), Rule.VIEW_SHIFT, (nested,), ShiftData(pair, BOTTOM))
+    # the Exit leaf of obs(1) sits under a Frame of one credit
+    leaf = ProofTree(HoareTriple(Flat((1,), 0), c, BOTTOM), Rule.EXIT)
+    framed = ProofTree(HoareTriple(pair, c, BOTTOM), Rule.FRAME, (leaf,), FrameData(Flat((), 1)))
+    framed = ProofTree(HoareTriple(OBS_ZERO, c, OBS_ZERO), Rule.VIEW_SHIFT, (framed,), ShiftData(pair, BOTTOM))
+    return c, {"cancelled": cancelled, "framed": framed}
+
+
+@pytest.mark.parametrize(
+    "name, rules", [("cancelled", [GS_INTRO, GS_CANCEL, RA_EXIT]), ("framed", [GS_INTRO, RA_EXIT])]
+)
+def test_annotate_a_hand_built_proof_of_exit(name, rules):
+    c, proofs = _exit_proofs()
+    proof = proofs[name]
+    assert check_proof(proof) is None
+    _, trace = run_schedule(initial_pool(c), [0])
+    atrace = annotate(c, proof, trace)
+    assert [s.rule for s in atrace.steps] == rules
+    assert _projects_onto(atrace, trace)
+    assert _credits_within_obligations(atrace)
+
+
+def _replays(trace):
+    """Whether each step of `trace` is the plain step its thread takes from the
+    pool the steps before it reach, from the first step's pool."""
+    pool = trace[0].before
+    for _, tid, rule, after in trace:
+        try:
+            if step_pool(pool, tid) != (after, rule):
+                return False
+        except UnknownThreadError:
+            return False
+        pool = after
+    return True
+
+
+def _malformed(trace):
+    """Traces made from `trace` by relabelling a step, forging its thread or
+    its pool after, or adding a step of a thread that is not in the pool."""
+    labels = set(PLAIN_RULE.values()) | {"ST-Skip"}
+    tids = range(max(t for s in trace for t in s.after.ids + s.before.ids) + 2)
+    for index, step in enumerate(trace):
+        head, tail = trace[:index], trace[index + 1 :]
+        for label in labels - {step.rule}:
+            yield [*head, step._replace(rule=label), *tail]
+        for tid in set(tids) - {step.tid}:
+            yield [*head, step._replace(tid=tid), *tail]
+        for other in trace:
+            if other.after != step.after:
+                yield [*head, step._replace(after=other.after), *tail]
+    last = trace[-1].after
+    for tid in set(tids) - set(last.ids):  # an ended thread, or one never forked
+        for label in PLAIN_RULE.values():
+            yield [*trace, TraceStep(last, tid, label, last)]
+
+
+def test_annotate_raises_only_annotation_errors_on_malformed_traces():
+    # the one-step-too-many trace of a thread that has ended raised a bare KeyError
+    ended = parse("fork { fork { exit } }; loop skip")
+    _, trace = run_schedule(initial_pool(ended), [0, 1, 1])
+    last = trace[-1].after
+    with pytest.raises(AnnotationError, match="trace step 3 steps thread 1, which is not in the pool"):
+        annotate(ended, verify(ended), [*trace, TraceStep(last, 1, TP_THREAD_TERM, last)])
+    refused = accepted = 0
+    programs = [ended, *enumerate_programs(4), parse("fork { exit }; fork { loop skip }; loop skip")]
+    for index, c in enumerate(programs):
+        proof = verify(c)
+        if proof is None:
+            continue
+        for scheduler in (RoundRobinScheduler(), RandomFairScheduler(index, 4)):
+            _, plain = run(initial_pool(c), scheduler, 12)
+            for bad in _malformed(plain):
+                try:
+                    annotate(c, proof, bad)
+                except AnnotationError:
+                    assert not _replays(bad)
+                    refused += 1
+                else:  # a forged step that is a plain step too, such as another waiter's loop
+                    assert _replays(bad)
+                    accepted += 1
+    assert refused > 10 * accepted > 0
 
 
 def test_annotate_waiting_pair_bundles(waiting_pair):
@@ -560,7 +656,7 @@ def test_a_plan_held_for_another_object_is_not_reused():
     _, plain = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
     premise = next(t.premises[0] for t in _nodes(proof) if t.rule is RULE_FORK)
     tables = ThreadTables()
-    tables.plans[id(premise)] = (verify(parse("exit")), _Plan())  # an empty plan of another object
+    tables.plans[id(premise)] = (verify(parse("exit")), [_Slot()])  # an empty plan of another object
     assert annotate(c, proof, plain, tables).steps == annotate(c, proof, plain).steps
     assert tables.plans[id(premise)][0] is premise
 
