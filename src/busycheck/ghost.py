@@ -199,7 +199,9 @@ def _extract_plan(t: ProofTree, tables: ThreadTables | None = None) -> list[_Slo
     """The plan of the thread `t` proves: one slot per Exit, Loop or Fork
     leaf, left to right, each with the ghost steps that the view shifts met
     since the leaf before put ahead of it, then one with the steps met after
-    the last leaf.  A Fork's slot holds the plan of its premise, one
+    the last leaf, skipping dead code: in a proof `check_proof` accepts, a
+    false precondition follows an Exit or Loop leaf, after which `annotate`
+    reads no slot.  A Fork's slot holds the plan of its premise, one
     per premise object, which cursors only read.  A premise planned by an
     earlier call takes its plan from `tables.plans`, whose entries hold
     their premise and count only for that very object; the plans this call
@@ -217,6 +219,8 @@ def _extract_plan(t: ProofTree, tables: ThreadTables | None = None) -> list[_Slo
         node, plan = todo.pop()
         if isinstance(node, list):
             plan[-1].ops += node
+            continue
+        if type(node.conclusion.pre) is Bottom:  # dead code
             continue
         rule = node.rule
         if rule is RULE_VIEW_SHIFT:
@@ -267,7 +271,8 @@ def annotate(
     fork splits come from the proof's Fork nodes.  The non-ghost steps of the
     result project onto the input trace exactly, and a plain label that is
     not the counterpart of the real step its thread takes is refused, as is a
-    step of a thread not in the pool: it raises only `AnnotationError`.
+    step of a thread not in the pool or one that starts from another pool
+    than the steps before it reached: it raises only `AnnotationError`.
     `proof` is checked first, always; `tables`, when given, lets the check
     skip the Fork premise objects that passed in earlier calls and the plan
     reuse their plans (`check_proof`, `_extract_plan`).
@@ -302,10 +307,13 @@ def annotate(
     steps: list[TraceStep] = []
     # the erased and plain pools last found equal: while both are still those
     # very objects (a loop step returns the pool it was given, on either
-    # side), they are still equal and the comparison is skipped
+    # side), they are still equal and the comparison is skipped; the next
+    # step starts from `same_plain`, the pool the steps before it reached
     same_erased, same_plain = erased, start
 
-    for index, (_, tid, label, after) in enumerate(plain_trace):
+    for index, (before, tid, label, after) in enumerate(plain_trace):
+        if before is not same_plain and before != same_plain:
+            raise AnnotationError(f"trace step {index} starts from a pool the steps before it do not reach")
         cursor = cursors.get(tid)
         if cursor is None:
             raise AnnotationError(f"trace step {index} steps thread {tid}, which is not in the pool")

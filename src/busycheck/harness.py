@@ -18,7 +18,8 @@ A campaign draws every prefix from one `random.Random` seeded from
 builds the commands of each size once and shares them as the fork bodies
 and suffixes of larger commands, and a campaign's one `ThreadTables` lets
 `verify` and `annotate` prove, check and plan each distinct forked thread
-once.
+once, and prove and check each dead suffix once; plans stop at each
+thread's first stop.
 """
 
 from __future__ import annotations

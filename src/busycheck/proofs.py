@@ -51,11 +51,15 @@ spine and the spawn tree, a feasible start always yields a proof.
 
 Equal threads, by (body, co, cc), share one proof object within a call,
 which `check_proof` and `ghost` visit once and a certificate writes once.
-Given a `ThreadTables`, the sharing outlives the call: `derive` takes a
-forked thread's proof from an earlier call's, `check_proof` does not reopen
-a Fork premise object an earlier call passed, and `ghost` reuses the plan of
-a premise object it planned before.  A soundness campaign passes one set
-to every program it checks; a CLI request passes none.
+So do equal dead suffixes, which `check_proof` visits once, a certificate
+writes where each occurs, and `ghost` does not plan: a plan stops at its
+thread's first stop.  Given a `ThreadTables`, the sharing outlives the call:
+`derive` takes a forked thread's or dead suffix's proof, and a suffix's
+(absorbing, need), from an earlier call's, `check_proof` does not reopen a
+Fork premise or dead node object an earlier call passed, and `ghost` reuses
+the plan of a premise object it planned before.  A soundness campaign passes
+one set to every program it checks, so it proves and checks each dead suffix
+once; a CLI request passes none.
 
 It is also the smallest choice: in the order ghost delta 0, 1, -1, 2, -2,
 ..., then splits by ascending co + cc, then ascending co, it is the first
@@ -182,16 +186,19 @@ class ProofTree(NamedTuple):
 
 class ThreadTables:
     """What `derive`, `check_proof` and `ghost.annotate` keep across calls:
-    `proofs` maps a forked thread's (body, co, cc) to its proof, `checked` the
-    id of a Fork premise whose whole proof passed to that premise, and `plans`
-    the id of a planned premise to (that premise, its plan).  An id is unique
-    only among live objects, so an entry holds its object and a lookup counts
-    only when the held object is the one looked up."""
+    `proofs` maps a forked thread's (body, co, cc), or a suffix after an exit
+    or a loop skip, to its proof, `features` a suffix to its (absorbing,
+    need), `checked` the id of a Fork premise or false-precondition node
+    whose whole proof passed to that node, and `plans` the id of a planned
+    premise to (that premise, its plan).  An id is unique only among live
+    objects, so an entry holds its object and a lookup counts only when the
+    held object is the one looked up."""
 
-    __slots__ = ("proofs", "checked", "plans")
+    __slots__ = ("proofs", "features", "checked", "plans")
 
     def __init__(self) -> None:
-        self.proofs: dict[tuple[Command, int, int], ProofTree] = {}
+        self.proofs: dict[tuple[Command, int, int] | Command, ProofTree] = {}
+        self.features: dict[Continuation, tuple[bool, int]] = {}
         self.checked: dict[int, ProofTree] = {}
         self.plans: dict[int, tuple] = {}
 
@@ -216,14 +223,15 @@ def check_proof(t: ProofTree, tables: ThreadTables | None = None) -> RuleViolati
     iteratively, so any depth works.  `open_premises[d]` holds the premises
     of the node at depth d - 1 of the current path, `(t,)` at d = 0, and
     `next_premise[d]` the index of the one to visit next; the path is read
-    off them only when a node fails.  A Fork premise object that passed is
-    not opened again: one opened in this call, or one held in
+    off them only when a node fails.  A Fork premise object or a node whose
+    precondition is false (dead code, which `derive` proves once per suffix)
+    that passed is not opened again: one opened in this call, or one held in
     `tables.checked`, whose entries this call adds to only when all of `t`
-    passed.  A skipped premise passed, so the first failure and its path are
+    passed.  A skipped node passed, so the first failure and its path are
     those of the unshared tree.
     """
     open_premises, next_premise = [(t,)], [0]
-    opened: dict[int, ProofTree] = {}  # id of each Fork premise opened -> that premise
+    opened: dict[int, ProofTree] = {}  # id of each Fork premise and dead node opened -> it
     checked = {} if tables is None else tables.checked
     while open_premises:
         premises = open_premises[-1]
@@ -234,6 +242,10 @@ def check_proof(t: ProofTree, tables: ThreadTables | None = None) -> RuleViolati
             continue
         next_premise[-1] = i + 1
         p = premises[i]
+        if type(p.conclusion.pre) is Bottom:
+            if opened.get(id(p)) is p or checked.get(id(p)) is p:
+                continue
+            opened[id(p)] = p
         reason = _node_fault(p)
         if reason is not None:
             return RuleViolation(tuple(j - 1 for j in next_premise[1:]), reason)
@@ -345,23 +357,24 @@ def _node_fault(t: ProofTree) -> str | None:
 # --- proof construction ----------------------------------------------------------
 
 
-def _features(c: Command) -> dict[Continuation, tuple[bool, int]]:
-    """(absorbing, need) of every spine suffix of `c` and of its fork bodies.
+def _features(c: Command, features: dict) -> dict[Continuation, tuple[bool, int]]:
+    """`features`, which may hold an earlier call's, with the (absorbing, need)
+    of every spine suffix of `c` and of its fork bodies added.
 
-    Without recursion: popping a body walks its spine, which goes back on
-    `todo` under the bodies of its forks that have no features yet, a run of
-    equal ones pushed once; popping the spine again, once those are known,
-    reads it from its last atom to its first.  A body is walked again only
-    when another spine forks it while it still waits on `todo`.
+    Without recursion: popping a body walks its spine up to a suffix with
+    features, and it goes back on `todo` under the bodies of its forks that
+    have none yet, a run of equal ones pushed once; popping the spine again,
+    once those are known, reads it from its last atom to its first.  A body
+    is walked again only when another spine forks it while it still waits.
     """
-    features = {DONE: (False, 0)}  # past the last atom: nothing absorbs, nothing waits
+    features[DONE] = (False, 0)  # past the last atom: nothing absorbs, nothing waits
     todo: list = [c]  # bodies to walk, and each walked spine under the bodies it waits for
     while todo:
         spine = todo.pop()
         if type(spine) is not list:
             suffix, spine, body = spine, [], None
             todo.append(spine)
-            while suffix is not DONE:
+            while suffix not in features:
                 spine.append(suffix)
                 atom = suffix.head
                 if type(atom) is Fork and atom.body is not body and atom.body not in features:
@@ -369,7 +382,7 @@ def _features(c: Command) -> dict[Continuation, tuple[bool, int]]:
                     todo.append(body)
                 suffix = suffix.tail
             continue
-        rest = features[DONE]
+        rest = features[spine[-1].tail] if spine else None
         for suffix in reversed(spine):
             atom = suffix.head
             if atom is EXIT:
@@ -403,20 +416,22 @@ def derive(c: Command, n: int, tables: ThreadTables | None = None) -> ProofTree 
     Iterative at any depth and length.  A thread's forward walk fixes its
     states and its forks' choices, and stops at a fork whose child (body,
     co, cc) has no proof yet to walk the child first; its proof is then
-    built back to front, and every fork with that child names it.  The
-    forked threads' proofs go to `tables.proofs` when given, and a child
-    found there is not walked again; the root's proof is not kept.
+    built back to front, and every fork with that child names it.  It also
+    stops at dead code (a suffix after an exit or a loop skip) that has a
+    proof, which depends on the suffix alone.  The forked threads' and dead
+    suffixes' proofs go to `tables.proofs` when given, and one found there
+    is not walked again; the root's proof is not kept.
     """
-    features = _features(c)
+    features = _features(c, {} if tables is None else tables.features)
     absorbing, need = features[c]
     if not absorbing and -n < need:
         return None
-    # (body, co, cc) of a forked thread, None for the root -> its proof
-    proofs: dict[tuple | None, ProofTree] = {} if tables is None else tables.proofs
+    # (body, co, cc) of a forked thread, None for the root, or dead code -> its proof
+    proofs: dict = {} if tables is None else tables.proofs
     todo = [(None, c, (n, 0), [])]  # threads walked: (key, next suffix, its state, walk so far)
     while todo:
         key, suffix, state, walk = todo.pop()
-        while suffix is not DONE:
+        while suffix is not DONE and (state is not None or suffix not in proofs):
             atom, rest = suffix.head, suffix.tail
             dead = state is None  # code after an exit or a loop skip
             if dead:
@@ -433,9 +448,9 @@ def derive(c: Command, n: int, tables: ThreadTables | None = None) -> ProofTree 
             if child is not None and child not in proofs:
                 todo += ((key, suffix, state, walk), (child, atom.body, (co, cc), []))
                 break
-        else:  # the thread is walked: its proof, from its last atom back
-            required = OBS_ZERO if isinstance(walk[-1][1], Fork) else BOTTOM
-            t = None
+        else:  # the thread is walked: its proof, from its last atom or its dead code back
+            t = proofs.get(suffix)
+            required = t.conclusion.post if t is not None else OBS_ZERO if isinstance(walk[-1][1], Fork) else BOTTOM
             for suffix, atom, state, start, after, dead, child in reversed(walk):
                 pre = state_assertion(*start)
                 if child is None:
@@ -451,7 +466,7 @@ def derive(c: Command, n: int, tables: ThreadTables | None = None) -> ProofTree 
                 if start != state:
                     t = _wrap(t, state_assertion(*state), required)
                 if dead:
-                    t = _wrap(t, BOTTOM, required)
+                    t = proofs[suffix] = _wrap(t, BOTTOM, required)
             proofs[key] = t if required is OBS_ZERO else _wrap(t, t.conclusion.pre, OBS_ZERO)
     return proofs.pop(None)
 

@@ -22,7 +22,7 @@ import sys
 import pytest
 
 import busycheck.lang as lang
-from busycheck.ghost import annotate, serialize_annotated_trace
+from busycheck.ghost import _extract_plan, annotate, serialize_annotated_trace
 from busycheck.lang import parse
 from busycheck.pog import build_pog, check_leaf_balance, max_loopfree_sc_prefix, to_dot
 from busycheck.proofs import certificate_text, check_proof, from_json_dict, verify
@@ -52,6 +52,10 @@ def flats(n):
 
 def fork_nest(n):
     return "fork { " * n + "exit" + " }" * n + "; loop skip"
+
+
+def dead_tail(n):
+    return "exit; " + "fork { loop skip }; " * n + "loop skip"
 
 
 def opcodes(layer, arg) -> int:
@@ -112,6 +116,19 @@ def _exponent(calls):
 def test_layer_cost_is_linear_and_repeats_exactly(layer, family):
     exponent, counts = _exponent([_inputs(layer, family(n)) for n in (N, 2 * N)])
     assert exponent <= LINEAR, f"{layer} grows as n^{exponent:.2f} ({counts})"
+
+
+@pytest.mark.parametrize("layer", ["verify", "check_proof"])
+def test_dead_code_is_proved_and_checked_in_linear_time(layer):
+    exponent, counts = _exponent([_inputs(layer, dead_tail(n)) for n in (N, 2 * N)])
+    assert exponent <= LINEAR, f"{layer} grows as n^{exponent:.2f} ({counts})"
+
+
+def test_a_plan_skips_dead_code():
+    # the main thread of a dead tail stops at its first atom, so its plan
+    # holds two slots and is built in the same opcodes at any n
+    exponent, counts = _exponent([(_extract_plan, verify(parse(dead_tail(n)))) for n in (N, 2 * N)])
+    assert abs(exponent) <= 0.05, f"_extract_plan grows as n^{exponent:.2f} ({counts})"
 
 
 @pytest.mark.parametrize("scheduler", [RoundRobinScheduler, lambda: RandomFairScheduler(3, 16)], ids=["rr", "random"])

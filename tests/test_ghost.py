@@ -16,6 +16,7 @@ from busycheck.ghost import (
     Stuck,
     TERM_HOLDS_OBLIGATION,
     _Slot,
+    _extract_plan,
     annotate,
     check_balance,
     ghost_step,
@@ -23,8 +24,8 @@ from busycheck.ghost import (
     serialize_annotated_trace,
 )
 from busycheck.harness import enumerate_programs
-from busycheck.lang import DONE, LOOP_SKIP, Done, Fork, Printer, Seq, parse
-from busycheck.assertions import BOTTOM, OBS_ZERO, Flat
+from busycheck.lang import DONE, LOOP_SKIP, Done, Fork, Printer, Seq, parse, spine
+from busycheck.assertions import BOTTOM, OBS_ZERO, Bottom, Flat
 from busycheck.proofs import (
     RULE_FORK,
     ForkSplit,
@@ -260,10 +261,13 @@ def test_annotate_a_hand_built_proof_of_exit(name, rules):
 
 
 def _replays(trace):
-    """Whether each step of `trace` is the plain step its thread takes from the
-    pool the steps before it reach, from the first step's pool."""
+    """Whether each step of `trace` starts from the pool the steps before it
+    reach, from the first step's pool, and is the plain step its thread takes
+    there."""
     pool = trace[0].before
-    for _, tid, rule, after in trace:
+    for before, tid, rule, after in trace:
+        if before is not pool and before != pool:
+            return False
         try:
             if step_pool(pool, tid) != (after, rule):
                 return False
@@ -275,7 +279,8 @@ def _replays(trace):
 
 def _malformed(trace):
     """Traces made from `trace` by relabelling a step, forging its thread or
-    its pool after, or adding a step of a thread that is not in the pool."""
+    its pool before or after, or adding a step of a thread that is not in the
+    pool."""
     labels = set(PLAIN_RULE.values()) | {"ST-Skip"}
     tids = range(max(t for s in trace for t in s.after.ids + s.before.ids) + 2)
     for index, step in enumerate(trace):
@@ -285,6 +290,8 @@ def _malformed(trace):
         for tid in set(tids) - {step.tid}:
             yield [*head, step._replace(tid=tid), *tail]
         for other in trace:
+            if other.before != step.before:
+                yield [*head, step._replace(before=other.before), *tail]
             if other.after != step.after:
                 yield [*head, step._replace(after=other.after), *tail]
     last = trace[-1].after
@@ -318,6 +325,16 @@ def test_annotate_raises_only_annotation_errors_on_malformed_traces():
                     assert _replays(bad)
                     accepted += 1
     assert refused > 10 * accepted > 0
+
+
+def test_annotate_refuses_a_step_from_a_pool_the_trace_did_not_reach():
+    # only the first step's pool before was read: this trace was annotated (4 steps)
+    c = parse("fork { exit }; loop skip")
+    _, trace = run_schedule(initial_pool(c), [0, 0, 1])
+    forged = [trace[0], trace[1]._replace(before=ThreadPool.of({7: LOOP_SKIP})), trace[2]]
+    assert _replays(trace) and not _replays(forged)
+    with pytest.raises(AnnotationError, match="trace step 1 starts from a pool the steps before it do not reach"):
+        annotate(c, verify(c), forged)
 
 
 def test_annotate_waiting_pair_bundles(waiting_pair):
@@ -639,15 +656,44 @@ def test_a_shared_proof_annotates_as_its_unshared_copy_does(text):
 
 def test_shared_tables_annotate_as_fresh_calls_do():
     tables = ThreadTables()
+    live = {}  # id of each Fork premise outside dead code -> it
     for c in enumerate_programs(6):
         proof = verify(c, tables)
         if proof is None:
             continue
         _, plain = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
         assert annotate(c, proof, plain, tables).steps == annotate(c, verify(c), plain).steps
-    # one plan per distinct forked thread, each held beside its premise
-    assert 0 < len(tables.plans) == len(tables.proofs)
-    assert all(tables.plans[id(p)][0] is p for p in tables.proofs.values())
+        todo = [proof]
+        while todo:
+            t = todo.pop()
+            if type(t.conclusion.pre) is not Bottom:
+                todo += t.premises
+                if t.rule is RULE_FORK:
+                    live[id(t.premises[0])] = t.premises[0]
+    # one plan per distinct forked thread outside dead code, each held beside its premise
+    forked = sum(type(key) is tuple for key in tables.proofs)
+    assert 0 < len(tables.plans) == len(live) <= forked < len(tables.proofs)
+    assert all(tables.plans[i][0] is p for i, p in live.items())
+
+
+def test_a_plan_stops_at_its_threads_stop():
+    # one slot per atom a thread runs alone, up to its first exit or loop skip
+    # or its end, as the spawn tree walks it, then the end's
+    plans = 0
+    for c in enumerate_programs(6):
+        proof = verify(c)
+        todo = [] if proof is None else [(c, _extract_plan(proof))]
+        while todo:
+            body, plan = todo.pop()
+            path = []
+            for atom in spine(body):
+                path.append(atom)
+                if not isinstance(atom, Fork):
+                    break
+            assert len(plan) == 1 + len(path)
+            todo += [(atom.body, slot.child) for atom, slot in zip(path, plan) if isinstance(atom, Fork)]
+            plans += 1
+    assert plans > 2000
 
 
 def test_a_plan_held_for_another_object_is_not_reused():

@@ -210,12 +210,13 @@ def _count_campaign_cost(monkeypatch):
 
 
 def test_default_campaign_cost_is_pinned(monkeypatch):
-    # each distinct forked thread is proved, checked and planned once per campaign
-    # (22,198 `_node_fault` calls when every program was checked on its own)
+    # each distinct forked thread and dead suffix is proved and checked once per
+    # campaign (22,198 `_node_fault` calls when every program was checked on its
+    # own, 13,771 when only forked threads were shared)
     faults, made = _count_campaign_cost(monkeypatch)
     soundness_campaign(GenConfig(seed=42, count=500))
-    assert faults[0] == 13771
-    assert len(made) == 1 and len(made[0].proofs) == 497
+    assert faults[0] == 9116
+    assert len(made) == 1 and sum(type(key) is tuple for key in made[0].proofs) == 497
 
 
 def test_campaigns_share_no_tables(monkeypatch):

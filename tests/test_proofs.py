@@ -1124,3 +1124,23 @@ def test_a_premise_that_failed_fails_again_with_the_same_tables():
     assert first is not None and first == check_proof(dag)
     assert not any(p is tampered for p in tables.checked.values())
     assert check_proof(dag, tables) == first
+
+
+@pytest.mark.parametrize("where", ["inside", "after"])
+def test_a_faulty_dead_subtree_fails_where_its_unshared_copy_does(where):
+    # the child and the main thread both end in the dead `loop skip` after an
+    # exit, which `derive` proves once; the fault is inside that shared
+    # subtree, or in a copy of it after the shared object passed
+    proof = verify(parse("fork { exit; loop skip }; exit; loop skip"))
+    dead = [t for t in _occurrences(proof) if t.conclusion.pre is BOTTOM]
+    shared = max(dead, key=lambda d: sum(e is d for e in dead))
+    assert sum(d is shared for d in dead) == 2
+    if where == "inside":
+        dag = _substituted(proof, shared, _with_first_leaf_tampered(shared), {})
+    else:
+        dag = _with_last_leaf_tampered(proof)
+    unshared = from_json_dict(reference_to_json_dict(dag, shared=False))
+    assert len({id(t) for t in _occurrences(unshared)}) == tree_size(unshared) == tree_size(dag)
+    violation = check_proof(dag)
+    assert violation is not None
+    assert violation == check_proof(dag, ThreadTables()) == check_proof(unshared)
