@@ -17,6 +17,9 @@ onto the plain trace step for step.  It checks this after every step against
 an erased pool kept beside the annotated one with the same pool operations,
 so a step costs no Python work per thread; after a loop step, which leaves
 both pools the very objects last found equal, the check is two identity tests.
+A settled thread (see `semantics`), whose cursor is `looping` and whose slot
+holds no ghost steps, takes each later loop step without `real_step`; its
+label and pools are still checked.
 Whatever the proof or trace, `annotate` returns or raises `AnnotationError`:
 a bad split (`SplitError`), cancel (`CancelUnderflow`) or real step (`Stuck`)
 is one too, and so is a step of a thread that has ended or never began.
@@ -327,7 +330,10 @@ def annotate(
             nxt = ghost_step(pool, tid, op)
             steps.append(TraceStep(pool, tid, op, nxt))
             pool = nxt
-        nxt, rule = real_step(pool, tid, slot.split)
+        if cursor is looping:  # settled: its entry is as its last loop step left it
+            nxt, rule = pool, RA_LOOP
+        else:
+            nxt, rule = real_step(pool, tid, slot.split)
         if rule != real:
             raise AnnotationError(f"trace step {index} is labelled {label}, but thread {tid} takes {rule}")
         step = TraceStep(pool, tid, rule, nxt)

@@ -557,12 +557,26 @@ def certificate_text(t: ProofTree) -> str:
             if isinstance(f, Bottom):
                 i = put("false", '"false"')
             else:
-                atoms = [(n, '{"obs":%d}' % n) for n in f.obs] + [("credit", '"credit"')] * f.credits
-                parts = [put(*atom) for atom in reversed(atoms)] or [put("true", '"true"')]
-                i = parts.pop()
-                while parts:
-                    j = parts.pop()
+                # obs(..) * credit^k stars obs(..) * credit^(k-1) with credit:
+                # extend the longest such chain with an entry, or build the
+                # one-credit chain as `f`'s atoms would be, registering each
+                obs, k, start = f.obs, f.credits, None
+                while k > 1 and start is None:
+                    k -= 1
+                    start = by_flat.get(Flat(obs, k))
+                if start is None:
+                    atoms = [(n, '{"obs":%d}' % n) for n in obs] + [("credit", '"credit"')] * k
+                    parts = [put(*atom) for atom in reversed(atoms)] or [put("true", '"true"')]
+                    i = parts.pop()
+                    while parts:
+                        j = parts.pop()
+                        i = put((i, j), '{"star":[%d,%d]}' % (i, j))
+                else:
+                    i = int(start)
+                for k in range(k + 1, f.credits + 1):
+                    j = put("credit", '"credit"')
                     i = put((i, j), '{"star":[%d,%d]}' % (i, j))
+                    by_flat[Flat(obs, k)] = str(i)
             i = by_flat[f] = str(i)
         known[id(f)] = i
         return i

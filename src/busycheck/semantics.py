@@ -15,6 +15,12 @@ untouched entry with the pool before it and costs no Python work per thread.
 A scheduler is told each step taken: the random one ages threads from it and
 draws from one generator per run, so a run is reproducible from seed and window.
 
+A thread is *settled* once it has taken a loop step.  Its entry then never
+changes: only its own steps change it, a loop step returns the pool it was
+given, and `exit` empties the pool, ending the run.  So each later step of
+it is the loop step from the pool it is picked in back to that very pool,
+and `run` and `ghost.annotate` take it without applying the step rule.
+
 Fairness follows the usual definition: every thread alive at any point is
 eventually scheduled.  The tests hold the schedulers to a sliding-window
 check of it on finite prefixes (`is_fair_prefix` in `tests/reference.py`).
@@ -253,14 +259,26 @@ class RandomFairScheduler:
 
 
 def run(tp: ThreadPool, scheduler: Scheduler, fuel: int) -> tuple[RunOutcome, list[TraceStep]]:
-    """Drive up to `fuel` steps.  FuelExhausted is a cut-off, not divergence."""
+    """Drive up to `fuel` steps.  FuelExhausted is a cut-off, not divergence.
+
+    A settled thread's steps (see the module docstring) are taken as
+    `(pool, ST_LOOP)`, so `step_pool` runs once per progress step and once
+    per thread that loops; each step is still picked, recorded and counted
+    against `fuel`.
+    """
     trace: list[TraceStep] = []
     pool, last = tp, None
+    settled: set[int] = set()
     for _ in range(fuel):
         if pool.is_empty():
             break
         tid = scheduler.pick(pool, last)
-        after, rule = step_pool(pool, tid)
+        if tid in settled:
+            after, rule = pool, ST_LOOP
+        else:
+            after, rule = step_pool(pool, tid)
+            if rule is ST_LOOP:
+                settled.add(tid)
         last = TraceStep(pool, tid, rule, after)
         trace.append(last)
         pool = after

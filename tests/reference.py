@@ -9,6 +9,8 @@
 - `is_fair_prefix`, the sliding-window fairness check on finite traces that
   the schedulers must pass.
 - `FixedScheduler` and `run_schedule`, which replay a scripted tid sequence.
+- `reference_run`, the run loop that steps every pick through
+  `semantics.step_pool`, which `semantics.run`'s settled threads skip.
 - `fair_run_exists`, a fair-cycle search over the reachable pool graph that
   decides divergence from the definition of fairness; the tests hold the
   lemma that `semantics.explore` rests on to it.
@@ -59,7 +61,19 @@ from busycheck.proofs import (
     ShiftData,
 )
 from busycheck.pog import LeafBalance, PrefixError, ProgramOrderGraph
-from busycheck.semantics import RunOutcome, ThreadPool, TraceStep, initial_pool, run, step_pool
+from busycheck.semantics import (
+    TP_EXIT,
+    AbruptExit,
+    FuelExhausted,
+    RunOutcome,
+    Scheduler,
+    Terminated,
+    ThreadPool,
+    TraceStep,
+    initial_pool,
+    run,
+    step_pool,
+)
 
 # --- assertion terms and their bundle model --------------------------------------
 
@@ -228,6 +242,25 @@ class FixedScheduler:
 def run_schedule(tp: ThreadPool, tids: list[int]) -> tuple[RunOutcome, list[TraceStep]]:
     """`run` from `tp` that steps the threads `tids` in order, or fewer if the pool empties."""
     return run(tp, FixedScheduler(tids), len(tids))
+
+
+def reference_run(tp: ThreadPool, scheduler: Scheduler, fuel: int) -> tuple[RunOutcome, list[TraceStep]]:
+    """The run loop `semantics.run` replaced: every pick, a settled thread's too, steps through `step_pool`."""
+    trace: list[TraceStep] = []
+    pool, last = tp, None
+    for _ in range(fuel):
+        if pool.is_empty():
+            break
+        tid = scheduler.pick(pool, last)
+        after, rule = step_pool(pool, tid)
+        last = TraceStep(pool, tid, rule, after)
+        trace.append(last)
+        pool = after
+    if not pool.is_empty():
+        return FuelExhausted(pool), trace
+    if trace and trace[-1].rule == TP_EXIT:
+        return AbruptExit(len(trace)), trace
+    return Terminated(len(trace)), trace
 
 
 def fair_run_exists(c: Command) -> tuple[bool, int]:

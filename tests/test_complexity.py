@@ -22,11 +22,13 @@ import sys
 import pytest
 
 import busycheck.lang as lang
+from busycheck import ghost, semantics
 from busycheck.ghost import _extract_plan, annotate, serialize_annotated_trace
 from busycheck.lang import parse
 from busycheck.pog import build_pog, check_leaf_balance, max_loopfree_sc_prefix, to_dot
 from busycheck.proofs import certificate_text, check_proof, from_json_dict, verify
 from busycheck.semantics import (
+    FuelExhausted,
     RandomFairScheduler,
     RoundRobinScheduler,
     fuel_bound,
@@ -109,18 +111,16 @@ def _exponent(calls):
     return math.log2(counts[1] / counts[0]), counts
 
 
-@pytest.mark.parametrize("family", [waiters, flats, fork_nest], ids=["waiters", "flats", "fork-nest"])
+# the dead tail's code after its `exit` is proved from `false`, through the
+# states (0, n+1) down to (0, 1), so its certificate names n+1 credit chains
+@pytest.mark.parametrize(
+    "family", [waiters, flats, fork_nest, dead_tail], ids=["waiters", "flats", "fork-nest", "dead-tail"]
+)
 @pytest.mark.parametrize(
     "layer", ["parse", "verify", "certificate_text", "from_json_dict", "check_proof", "spawn_tree", "fuel_bound"]
 )
 def test_layer_cost_is_linear_and_repeats_exactly(layer, family):
     exponent, counts = _exponent([_inputs(layer, family(n)) for n in (N, 2 * N)])
-    assert exponent <= LINEAR, f"{layer} grows as n^{exponent:.2f} ({counts})"
-
-
-@pytest.mark.parametrize("layer", ["verify", "check_proof"])
-def test_dead_code_is_proved_and_checked_in_linear_time(layer):
-    exponent, counts = _exponent([_inputs(layer, dead_tail(n)) for n in (N, 2 * N)])
     assert exponent <= LINEAR, f"{layer} grows as n^{exponent:.2f} ({counts})"
 
 
@@ -141,6 +141,48 @@ def test_a_run_of_waiters_is_quadratic(scheduler):
 
     exponent, counts = _exponent([(run_waiters, waiters(n)) for n in (N, 2 * N)])
     assert exponent <= QUADRATIC, f"run grows as n^{exponent:.2f} ({counts})"
+
+
+def _count_calls(monkeypatch, module, name):
+    """A list that grows by one at each call of `module.name`, from now on."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, steps", [(N, 1225), (2 * N, 4753)])
+def test_settled_threads_apply_the_step_rule_once(monkeypatch, n, steps):
+    # a round-robin run of waiters loops each child about n / 2 times, but
+    # the step rule runs once per progress step (n forks, the exit) and once
+    # per child, at its first loop step, in `run` and in `annotate` alike
+    program = parse(waiters(n))
+    proof = verify(program)
+    stepped = _count_calls(monkeypatch, semantics, "step_pool")
+    really = _count_calls(monkeypatch, ghost, "real_step")
+    _, trace = run(initial_pool(program), RoundRobinScheduler(), fuel_bound(program))
+    annotate(program, proof, trace)
+    assert (len(trace), len(stepped), len(really)) == (steps, 2 * n + 1, 2 * n + 1)
+    # the random scheduler's main thread may exit before every child has looped
+    stepped.clear()
+    really.clear()
+    _, trace = run(initial_pool(program), RandomFairScheduler(3, 16), fuel_bound(program, 16))
+    annotate(program, proof, trace)
+    assert len(stepped) <= 2 * n + 1 and len(really) <= 2 * n + 1 < len(trace)
+
+
+def test_a_twin_run_applies_the_step_rule_once_per_thread_and_atom(monkeypatch):
+    # the Rejected k=3, m=4 twin walks its whole fuel bound, 799 steps, to a
+    # pool of 16 waiting threads; its 15 forks and 16 first loops take the rule
+    twin = parse("; ".join(["fork { " + "fork { loop skip }; " * 4 + "loop skip }"] * 3) + "; loop skip")
+    stepped = _count_calls(monkeypatch, semantics, "step_pool")
+    outcome, trace = run(initial_pool(twin), RoundRobinScheduler(), fuel_bound(twin))
+    assert isinstance(outcome, FuelExhausted) and len(outcome.last_pool.ids) == 16
+    assert (len(trace), len(stepped)) == (799, 31)
 
 
 @pytest.mark.parametrize(

@@ -309,6 +309,10 @@ def test_annotate_raises_only_annotation_errors_on_malformed_traces():
         annotate(ended, verify(ended), [*trace, TraceStep(last, 1, TP_THREAD_TERM, last)])
     refused = accepted = 0
     programs = [ended, *enumerate_programs(4), parse("fork { exit }; fork { loop skip }; loop skip")]
+    # waiters loop again and again once settled, so their forged loop steps
+    # are relabelled, re-threaded and moved between pools
+    programs += map(parse, ["fork { loop skip }; " * n + "exit" for n in (2, 3)])
+    programs.append(parse("fork { fork { loop skip }; loop skip }; fork { loop skip }; exit"))
     for index, c in enumerate(programs):
         proof = verify(c)
         if proof is None:

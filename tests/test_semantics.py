@@ -38,7 +38,13 @@ from busycheck.semantics import (
     spawn_tree,
     step_pool,
 )
-from reference import FixedScheduler, ReferenceRandomFairScheduler, fair_run_exists, is_fair_prefix
+from reference import (
+    FixedScheduler,
+    ReferenceRandomFairScheduler,
+    fair_run_exists,
+    is_fair_prefix,
+    reference_run,
+)
 
 
 def test_step_pool_loop_returns_the_same_pool():
@@ -469,6 +475,42 @@ def test_spawn_tree_agrees_with_explore_on_the_interleaving_families():
         tree, info = spawn_tree(c), explore(c)
         assert tree.diverges == info.diverges == (end == "loop skip"), text
         assert tree.threads >= info.max_threads, text
+
+
+def _same_run(got, want):
+    """Whether two runs have the same outcome and steps: the same thread and
+    rule, and pools that are equal, and one object wherever `want`'s are."""
+    (outcome, trace), (want_outcome, want_trace) = got, want
+    if outcome != want_outcome or len(trace) != len(want_trace):
+        return False
+    pools = {}  # id of a pool of `want` -> the pool of `got` in its place
+    for step, want_step in zip(trace, want_trace):
+        if (step.tid, step.rule) != (want_step.tid, want_step.rule):
+            return False
+        for pool, want_pool in ((step.before, want_step.before), (step.after, want_step.after)):
+            if pool is not pools.setdefault(id(want_pool), pool) or pool != want_pool:
+                return False
+    return True
+
+
+def test_settled_threads_run_as_the_reference_loop_does():
+    # every program of up to 6 atoms and the interleaving families with their
+    # twins, whose waiting threads settle, at the fuel bound and cut short
+    programs = list(enumerate_programs(6))
+    programs += [parse(_km_program(k, m, end)) for k in (1, 2, 3) for m in range(5) for end in ("exit", "loop skip")]
+    programs += [parse(_nest_program(d, end)) for d in range(1, 13) for end in ("exit", "loop skip")]
+    schedulers = [(RoundRobinScheduler(k), 0) for k in range(3)]
+    schedulers += [(RandomFairScheduler(seed, window), window) for window in (1, 4, 16) for seed in range(2)]
+    loops = 0
+    for c in programs:
+        for scheduler, window in schedulers:
+            bound = fuel_bound(c, window)
+            _, full = reference_run(initial_pool(c), scheduler, bound)
+            for fuel in (bound, len(full) // 2):
+                want = reference_run(initial_pool(c), scheduler, fuel)
+                assert _same_run(run(initial_pool(c), scheduler, fuel), want), (pretty(c), scheduler, fuel)
+            loops += sum(s.rule == ST_LOOP for s in full)
+    assert loops > 500_000
 
 
 def test_spawn_tree_takes_deep_and_long_programs():
