@@ -17,6 +17,13 @@ intern table keys a command by the ids of its parts, which it keeps alive, and
 holds it by weak reference: a dead entry costs what a missing one does, and is
 replaced or swept once the table has doubled.  It takes no lock.
 
+Each command also carries its feasibility pair, two read-only fields set in
+O(1) when it is built: `absorbing` (some thread of its spawn tree stops at
+`exit`) and `need` (how many threads stop at `loop skip`).  `exit` is
+(True, 0), `loop skip` (False, 1) and `DONE` (False, 0); `fork { b }` takes
+b's pair; `a; r` takes a's pair when a is `exit` or `loop skip`, and
+(A_a or A_r, N_a + N_r) when a is a fork.  `proofs` reads them.
+
 Concrete grammar (whitespace-insensitive, ``#`` comments to end of line)::
 
     cmd  ::= atom (";" cmd)?
@@ -42,6 +49,7 @@ class Done:
     """What a thread has left to run once it has run all its atoms."""
 
     __slots__ = ()
+    absorbing, need = False, 0
 
 
 DONE = Done()
@@ -61,6 +69,8 @@ class Command:
     __slots__ = ()
     head: Command
     tail: Continuation
+    absorbing: bool
+    need: int
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -85,10 +95,12 @@ class _Atom(Command):
 
 class Exit(_Atom):
     __slots__ = ()
+    absorbing, need = True, 0
 
 
 class LoopSkip(_Atom):
     __slots__ = ()
+    absorbing, need = False, 1
 
 
 _SINGLETONS = {cls: object.__new__(cls) for cls in (Exit, LoopSkip)}
@@ -109,7 +121,7 @@ def _sweep() -> None:
 
 
 class Fork(_Atom):
-    __slots__ = ("body", "__weakref__")
+    __slots__ = ("body", "absorbing", "need", "__weakref__")
 
     def __new__(cls, body: Command) -> Fork:
         key = id(body)
@@ -117,6 +129,8 @@ class Fork(_Atom):
         if self is None:
             self = object.__new__(cls)
             _set_body(self, body)
+            _set_fork_absorbing(self, body.absorbing)
+            _set_fork_need(self, body.need)
             _table[key] = weakref.ref(self)
             if len(_table) > _limit:
                 _sweep()
@@ -126,7 +140,7 @@ class Fork(_Atom):
 class Seq(Command):
     """`first; second`, right-associated: `first` is an atom."""
 
-    __slots__ = ("first", "second", "__weakref__")
+    __slots__ = ("first", "second", "absorbing", "need", "__weakref__")
 
     def __new__(cls, first: Command, second: Command) -> Seq:
         key = id(first) << 64 | id(second)
@@ -137,6 +151,9 @@ class Seq(Command):
             self = object.__new__(cls)
             _set_first(self, first)
             _set_second(self, second)
+            rest = second if type(first) is Fork else DONE  # nothing runs after `exit` or `loop skip`
+            _set_seq_absorbing(self, first.absorbing or rest.absorbing)
+            _set_seq_need(self, first.need + rest.need)
             _table[key] = weakref.ref(self)
             if len(_table) > _limit:
                 _sweep()
@@ -144,7 +161,9 @@ class Seq(Command):
 
 
 _set_body = Fork.body.__set__  # type: ignore[attr-defined]
+_set_fork_absorbing, _set_fork_need = Fork.absorbing.__set__, Fork.need.__set__  # type: ignore[attr-defined]
 _set_first, _set_second = Seq.first.__set__, Seq.second.__set__  # type: ignore[attr-defined]
+_set_seq_absorbing, _set_seq_need = Seq.absorbing.__set__, Seq.need.__set__  # type: ignore[attr-defined]
 # The slots' own descriptors read `first` and `second` under the names `head`
 # and `tail` too, at the cost of a plain attribute.
 Seq.head, Seq.tail = Seq.first, Seq.second  # type: ignore[attr-defined]

@@ -16,17 +16,18 @@ violation with its root-to-leaf path.  `derive` builds a proof of
 obs(o) * credit^k.  The regression suite pins the exact certificate for
 `fork { exit }; loop skip`.
 
-Feasibility.  Each thread body and each suffix of one has a pair
-(absorbing, need): `exit` gives (True, 0) and `loop skip` (False, 1),
+Feasibility.  Each command carries its pair (absorbing, need), which `lang`
+sets when it builds it: `exit` gives (True, 0) and `loop skip` (False, 1),
 whatever follows; `fork { b }` followed by the rest r gives
-(A_b or A_r, N_b + N_r), an empty rest being (False, 0).  So a command is
-absorbing iff a thread of its spawn tree stops at `exit`, and need counts
-the threads that stop at `loop skip`.  A state (o, k) is *feasible* when the
-command is absorbing or k - o >= need.  An infeasible state has no proof:
-without an exit, pair moves keep k - o, forks split it, credits can only be
-dropped, and each loop skip consumes one.  So `derive` returns None iff
-`not absorbing and -n < need`; at n = 0 that is exactly the spawn tree's
-divergence test, which the tests check and this module does not import.
+(A_b or A_r, N_b + N_r), an empty rest (`DONE`) being (False, 0).  So a
+command is absorbing iff a thread of its spawn tree stops at `exit`, and
+need counts the threads that stop at `loop skip`.  A state (o, k) is
+*feasible* when the command is absorbing or k - o >= need.  An infeasible
+state has no proof: without an exit, pair moves keep k - o, forks split it,
+credits can only be dropped, and each loop skip consumes one.  So `derive`
+returns None iff `not absorbing and -n < need`; at n = 0 that is exactly the
+spawn tree's divergence test, which the tests check and this module does
+not import.
 
 Construction.  Walk each thread's spine from its start state, (n, 0) for
 the root.  `exit` runs from (o, 0) and `loop skip` from (0, 1) (feasibility
@@ -54,12 +55,12 @@ which `check_proof` and `ghost` visit once and a certificate writes once.
 So do equal dead suffixes, which `check_proof` visits once, a certificate
 writes where each occurs, and `ghost` does not plan: a plan stops at its
 thread's first stop.  Given a `ThreadTables`, the sharing outlives the call:
-`derive` takes a forked thread's or dead suffix's proof, and a suffix's
-(absorbing, need), from an earlier call's, `check_proof` does not reopen a
-Fork premise or dead node object an earlier call passed, and `ghost` reuses
-the plan of a premise object it planned before.  A soundness campaign passes
-one set to every program it checks, so it proves and checks each dead suffix
-once; a CLI request passes none.
+`derive` takes a forked thread's or dead suffix's proof from an earlier
+call's, `check_proof` does not reopen a Fork premise or dead node object an
+earlier call passed, and `ghost` reuses the plan of a premise object it
+planned before.  A soundness campaign passes one set to every program it
+checks, so it proves and checks each dead suffix once; a CLI request passes
+none.
 
 It is also the smallest choice: in the order ghost delta 0, 1, -1, 2, -2,
 ..., then splits by ascending co + cc, then ascending co, it is the first
@@ -120,7 +121,7 @@ from .assertions import (
     summarize,
     view_shift,
 )
-from .lang import DONE, EXIT, LOOP_SKIP, Command, Continuation, Exit, Fork, LoopSkip, Seq
+from .lang import DONE, EXIT, Command, Continuation, Exit, Fork, LoopSkip, Seq
 
 # Not called here: certificates carry no program text.  The name stays
 # importable from this module because perfbench/tracing.py wraps it.
@@ -187,18 +188,16 @@ class ProofTree(NamedTuple):
 class ThreadTables:
     """What `derive`, `check_proof` and `ghost.annotate` keep across calls:
     `proofs` maps a forked thread's (body, co, cc), or a suffix after an exit
-    or a loop skip, to its proof, `features` a suffix to its (absorbing,
-    need), `checked` the id of a Fork premise or false-precondition node
-    whose whole proof passed to that node, and `plans` the id of a planned
-    premise to (that premise, its plan).  An id is unique only among live
-    objects, so an entry holds its object and a lookup counts only when the
-    held object is the one looked up."""
+    or a loop skip, to its proof, `checked` the id of a Fork premise or
+    false-precondition node whose whole proof passed to that node, and
+    `plans` the id of a planned premise to (that premise, its plan).  An id
+    is unique only among live objects, so an entry holds its object and a
+    lookup counts only when the held object is the one looked up."""
 
-    __slots__ = ("proofs", "features", "checked", "plans")
+    __slots__ = ("proofs", "checked", "plans")
 
     def __init__(self) -> None:
         self.proofs: dict[tuple[Command, int, int] | Command, ProofTree] = {}
-        self.features: dict[Continuation, tuple[bool, int]] = {}
         self.checked: dict[int, ProofTree] = {}
         self.plans: dict[int, tuple] = {}
 
@@ -357,54 +356,13 @@ def _node_fault(t: ProofTree) -> str | None:
 # --- proof construction ----------------------------------------------------------
 
 
-def _features(c: Command, features: dict) -> dict[Continuation, tuple[bool, int]]:
-    """`features`, which may hold an earlier call's, with the (absorbing, need)
-    of every spine suffix of `c` and of its fork bodies added.
-
-    Without recursion: popping a body walks its spine up to a suffix with
-    features, and it goes back on `todo` under the bodies of its forks that
-    have none yet, a run of equal ones pushed once; popping the spine again,
-    once those are known, reads it from its last atom to its first.  A body
-    is walked again only when another spine forks it while it still waits.
-    """
-    features[DONE] = (False, 0)  # past the last atom: nothing absorbs, nothing waits
-    todo: list = [c]  # bodies to walk, and each walked spine under the bodies it waits for
-    while todo:
-        spine = todo.pop()
-        if type(spine) is not list:
-            suffix, spine, body = spine, [], None
-            todo.append(spine)
-            while suffix not in features:
-                spine.append(suffix)
-                atom = suffix.head
-                if type(atom) is Fork and atom.body is not body and atom.body not in features:
-                    body = atom.body
-                    todo.append(body)
-                suffix = suffix.tail
-            continue
-        rest = features[spine[-1].tail] if spine else None
-        for suffix in reversed(spine):
-            atom = suffix.head
-            if atom is EXIT:
-                rest = (True, 0)
-            elif atom is LOOP_SKIP:
-                rest = (False, 1)
-            else:
-                absorbing, need = features[atom.body]
-                rest = (absorbing or rest[0], need + rest[1])
-            features[suffix] = rest
-    return features
-
-
-def _fork_choice(o: int, k: int, body: tuple[bool, int], rest: tuple[bool, int]):
+def _fork_choice(o: int, k: int, body: Command, rest: Continuation):
     """(delta, child_obs, child_credits) for a fork run in the feasible state
-    (o, k), given the (absorbing, need) of its body and of the atoms after it."""
-    body_absorbing, body_need = body
-    if not body_absorbing:
-        return max(0, body_need - k), 0, body_need
-    rest_absorbing, rest_need = rest
-    short = rest_need - (k - o)
-    if rest_absorbing or short <= 0:
+    (o, k), given its body and the atoms after it."""
+    if not body.absorbing:
+        return max(0, body.need - k), 0, body.need
+    short = rest.need - (k - o)
+    if rest.absorbing or short <= 0:
         return 0, 0, 0
     return max(0, short - o), short, 0
 
@@ -422,9 +380,7 @@ def derive(c: Command, n: int, tables: ThreadTables | None = None) -> ProofTree 
     suffixes' proofs go to `tables.proofs` when given, and one found there
     is not walked again; the root's proof is not kept.
     """
-    features = _features(c, {} if tables is None else tables.features)
-    absorbing, need = features[c]
-    if not absorbing and -n < need:
+    if not c.absorbing and -n < c.need:
         return None
     # (body, co, cc) of a forked thread, None for the root, or dead code -> its proof
     proofs: dict = {} if tables is None else tables.proofs
@@ -435,12 +391,11 @@ def derive(c: Command, n: int, tables: ThreadTables | None = None) -> ProofTree 
             atom, rest = suffix.head, suffix.tail
             dead = state is None  # code after an exit or a loop skip
             if dead:
-                absorbing, need = features[suffix]
-                state = (0, 0 if absorbing else need)
+                state = (0, 0 if suffix.absorbing else suffix.need)
             o, k = state
             start, after, child = ((o, 0) if atom is EXIT else (0, 1)), None, None
             if isinstance(atom, Fork):
-                delta, co, cc = _fork_choice(o, k, features[atom.body], features[rest])
+                delta, co, cc = _fork_choice(o, k, atom.body, rest)
                 start, after = (o + delta, k + delta), (o + delta - co, k + delta - cc)
                 child = (atom.body, co, cc)
             walk.append((suffix, atom, state, start, after, dead, child))
@@ -472,13 +427,8 @@ def derive(c: Command, n: int, tables: ThreadTables | None = None) -> ProofTree 
 
 
 def _wrap(t: ProofTree, pre: Assertion, post: Assertion) -> ProofTree:
-    """View-shift wrapper around `t`, merging nested shifts into one node.
-
-    `state_assertion` hands out one object per recent state, so the ends are
-    compared by identity first."""
-    c = t.conclusion
-    if (pre is c.pre or pre == c.pre) and (post is c.post or post == c.post):
-        return t
+    """View-shift wrapper around `t`, merging nested shifts into one node;
+    every caller changes an end."""
     inner = t.premises[0] if t.rule is RULE_VIEW_SHIFT else t
     return ProofTree(
         HoareTriple(pre, t.conclusion.cmd, post),

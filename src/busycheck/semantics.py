@@ -289,8 +289,8 @@ def run(tp: ThreadPool, scheduler: Scheduler, fuel: int) -> tuple[RunOutcome, li
     return Terminated(len(trace)), trace
 
 
-def initial_pool(c: Command, tid0: int = 0) -> ThreadPool:
-    return ThreadPool.of({tid0: c})
+def initial_pool(c: Command) -> ThreadPool:
+    return ThreadPool.of({0: c})
 
 
 # --- exact divergence oracle -------------------------------------------------

@@ -36,6 +36,7 @@ from busycheck.proofs import (
     ShiftData,
     ThreadTables,
     check_proof,
+    derive,
     from_json_dict,
     verify,
 )
@@ -222,8 +223,35 @@ def test_a_valid_proof_keeps_credits_at_most_obligations_not_equal():
     assert check_proof(proof) is None
     _, trace = run_schedule(initial_pool(c), [0, 0, 1])
     atrace = annotate(c, proof, trace)
+    assert [(s.tid, s.rule) for s in atrace.steps] == [(0, GS_INTRO), (0, RA_FORK), (0, RA_THREAD_TERM), (1, RA_EXIT)]
     assert _credits_within_obligations(atrace)
-    assert not all(check_balance(s.after) for s in atrace.steps)
+    assert [check_balance(s.after) for s in atrace.steps] == [True, True, False, True]
+    assert [_counts(e) for _, e in atrace.steps[2].after.threads] == [(1, 0)]
+
+
+def _post_cancelling_proof(c):
+    """A valid proof of {obs(0)} fork { exit } {obs(0)} whose root view shift
+    moves obligations on its post side: obs(0) => obs(1) * credit, the Fork
+    hands the child nothing, and obs(1) * credit => obs(0) cancels the pair."""
+    exit_leaf = ProofTree(HoareTriple(OBS_ZERO, c.body, BOTTOM), Rule.EXIT)
+    child = ProofTree(HoareTriple(OBS_ZERO, c.body, OBS_ZERO), Rule.VIEW_SHIFT, (exit_leaf,), ShiftData(OBS_ZERO, BOTTOM))
+    pair = Flat((1,), 1)
+    fork = ProofTree(HoareTriple(pair, c, pair), Rule.FORK, (child,), ForkSplit(0, 0))
+    return ProofTree(HoareTriple(OBS_ZERO, c, OBS_ZERO), Rule.VIEW_SHIFT, (fork,), ShiftData(pair, pair))
+
+
+def test_annotate_takes_the_ghost_steps_of_a_post_side_view_shift():
+    # `derive` never emits such a shift: the parent cancels its pair before it ends
+    c = parse("fork { exit }")
+    proof = _post_cancelling_proof(c)
+    assert check_proof(proof) is None
+    _, trace = run_schedule(initial_pool(c), [0, 0, 1])
+    atrace = annotate(c, proof, trace)
+    assert [(s.tid, s.rule) for s in atrace.steps] == [
+        (0, GS_INTRO), (0, RA_FORK), (0, GS_CANCEL), (0, RA_THREAD_TERM), (1, RA_EXIT)
+    ]
+    assert all(check_balance(s.after) for s in atrace.steps)
+    assert _projects_onto(atrace, trace)
 
 
 def _credits_within_obligations(atrace):
@@ -456,7 +484,7 @@ def test_annotate_under_randomized_fair_schedules():
 
 def test_annotate_supports_nonzero_initial_tid(waiting_pair):
     proof = verify(waiting_pair)
-    _, trace = run(initial_pool(waiting_pair, tid0=5), RoundRobinScheduler(), 100)
+    _, trace = run(ThreadPool.of({5: waiting_pair}), RoundRobinScheduler(), 100)
     atrace = annotate(waiting_pair, proof, trace)
     assert atrace.initial.ids == (5,)
     assert _projects_onto(atrace, trace)
@@ -544,6 +572,26 @@ def test_annotate_rejects_a_trace_of_another_program(waiting_pair):
     _, trace = run(initial_pool(parse("fork { exit }; exit")), RoundRobinScheduler(), 100)
     with pytest.raises(AnnotationError, match="does not start with"):
         annotate(waiting_pair, verify(waiting_pair), trace)
+
+
+def _refused_annotations(c):
+    """Name -> (proof, trace, message): what `annotate(c, proof, trace)` refuses, and why."""
+    _, trace = run_schedule(initial_pool(c), [0, 1])
+    return {
+        "another-command": (verify(parse("exit")), trace, "proof concludes a different command"),
+        "nonzero-start": (derive(c, 1), trace, "annotation needs a proof of {obs(0)} c {obs(0)}"),
+        "empty-trace": (verify(c), [], "empty trace: nothing to annotate"),
+        "two-thread-start": (verify(c), trace[1:], "trace must start from a singleton pool"),
+    }
+
+
+@pytest.mark.parametrize("case", ["another-command", "nonzero-start", "empty-trace", "two-thread-start"])
+def test_annotate_refuses_with_its_message(waiting_pair, case):
+    proof, trace, message = _refused_annotations(waiting_pair)[case]
+    assert check_proof(proof) is None
+    with pytest.raises(AnnotationError) as refused:
+        annotate(waiting_pair, proof, trace)
+    assert str(refused.value) == message
 
 
 def test_annotate_rejects_unchecked_proof(waiting_pair):

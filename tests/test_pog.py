@@ -13,7 +13,7 @@ from busycheck.ghost import (
     real_step,
 )
 from busycheck.harness import GenConfig, enumerate_programs, gen_program
-from busycheck.lang import LOOP_SKIP, parse
+from busycheck.lang import DONE, LOOP_SKIP, parse
 from busycheck.pog import (
     PrefixError,
     ProgramOrderGraph,
@@ -162,6 +162,14 @@ def test_leaf_balance_preconditions(worked_graph):
     for unknown in (-1, len(g.info), "x"):
         with pytest.raises(PrefixError, match="prefix contains unknown nodes"):
             check_leaf_balance(g, {0, unknown})
+
+
+def test_build_pog_refuses_a_trace_from_two_threads():
+    pool = ThreadPool.of({0: AnnotatedThread(0, 1, LOOP_SKIP), 1: AnnotatedThread(0, 0, DONE)})
+    after, rule = real_step(pool, 1)
+    with pytest.raises(PrefixError) as refused:
+        build_pog(AnnotatedTrace(pool, (TraceStep(pool, 1, rule, after),)))
+    assert str(refused.value) == "trace must start from a singleton pool"
 
 
 def test_leaf_balance_requires_balanced_start():

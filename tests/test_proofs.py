@@ -12,6 +12,7 @@ import busycheck.proofs
 from busycheck.assertions import BOTTOM, OBS_ZERO, Flat, flat_add, state_assertion, view_shift
 from busycheck.harness import GenConfig, enumerate_programs, gen_program
 from busycheck.lang import (
+    DONE,
     Command,
     EXIT,
     Exit,
@@ -176,6 +177,59 @@ def test_check_accepts_multi_chunk_view_shifts():
 def test_check_rejects_an_invalid_multi_chunk_view_shift():
     tampered = _shifted_exit(Flat((1, 2), 0), Flat((0, 0), 0))
     assert str(check_proof(tampered)) == "root: pre-side view shift invalid"
+
+
+def _node_faults():
+    """(name, tree, reason): each tree breaks its root's rule schema in one way."""
+    exit_leaf = ProofTree(HoareTriple(OBS_ZERO, EXIT, BOTTOM), Rule.EXIT)
+    fork = verify(parse("fork { exit }"))  # a Fork node: {obs(0)} fork { exit } {obs(0)}
+    return [
+        ("unknown-rule", ProofTree(exit_leaf.conclusion, "Bogus"), "unknown rule 'Bogus'"),
+        (
+            "loop-on-exit",
+            ProofTree(HoareTriple(Flat((0,), 1), EXIT, BOTTOM), Rule.LOOP),
+            "Loop rule applied to a non-loop command",
+        ),
+        (
+            "fork-without-split",
+            ProofTree(fork.conclusion, Rule.FORK, fork.premises),
+            "Fork node carries no resource split",
+        ),
+        (
+            "shift-without-data",
+            ProofTree(exit_leaf.conclusion, Rule.VIEW_SHIFT, (exit_leaf,)),
+            "ViewShift node carries no intermediate assertions",
+        ),
+        (
+            "post-shift-mints-a-credit",  # obs(0) => obs(0) * credit
+            ProofTree(
+                HoareTriple(OBS_ZERO, fork.conclusion.cmd, Flat((0,), 1)),
+                Rule.VIEW_SHIFT,
+                (fork,),
+                ShiftData(OBS_ZERO, OBS_ZERO),
+            ),
+            "post-side view shift invalid",
+        ),
+        (
+            "frame-without-data",
+            ProofTree(exit_leaf.conclusion, Rule.FRAME, (exit_leaf,)),
+            "Frame node carries no frame assertion",
+        ),
+        (
+            "frame-of-another-command",
+            ProofTree(HoareTriple(Flat((0,), 1), LOOP_SKIP, BOTTOM), Rule.FRAME, (exit_leaf,), FrameData(Flat((), 1))),
+            "Frame premise command differs from conclusion",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("tree, reason", [pytest.param(tree, reason, id=name) for name, tree, reason in _node_faults()])
+def test_check_names_each_schema_fault_and_its_path(tree, reason):
+    # at the root, and as the premise of a view shift that keeps both ends
+    c = tree.conclusion
+    shifted = ProofTree(c, Rule.VIEW_SHIFT, (tree,), ShiftData(c.pre, c.post))
+    assert str(check_proof(tree)) == f"root: {reason}"
+    assert check_proof(shifted) == RuleViolation((0,), reason)
 
 
 def test_check_rejects_fork_split_mismatch():
@@ -912,6 +966,29 @@ def test_verify_succeeds_exactly_when_the_spawn_tree_does_not_diverge():
     # completeness of the six rules for this language, up to 7 atoms
     for c in enumerate_programs(7):
         assert (verify(c) is None) == spawn_tree(c).diverges, pretty(c)
+
+
+def test_each_command_carries_its_feasibility_pair():
+    # every spine suffix and fork body of the programs of <= 7 atoms and of
+    # random ones of <= 40: the fields `lang` sets when it builds a command
+    # are the reference recurrence and the spawn tree's counts
+    programs = [*enumerate_programs(7), *gen_program(GenConfig(max_atoms=40, seed=30, count=1000))]
+    seen, todo = set(), list(programs)
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            todo += [x.body] if isinstance(x, Fork) else [x.first, x.second] if isinstance(x, Seq) else []
+    reference = _ReferenceSearch(0)
+    for x in seen:
+        tree = spawn_tree(x)
+        assert (x.absorbing, x.need) == reference._features(x) == (tree.exits > 0, tree.waits), pretty(x)
+    assert len(seen) > 15_000
+    assert (DONE.absorbing, DONE.need) == (False, 0)
+    for x in (EXIT, LOOP_SKIP, Fork(EXIT), WAITING_PAIR, DONE):
+        for field in ("absorbing", "need"):
+            with pytest.raises(AttributeError):
+                setattr(x, field, 0)
 
 
 def test_proofs_imports_nothing_from_semantics():
