@@ -1,17 +1,18 @@
 """Random program generation and the empirical soundness campaign.
 
-The campaign samples programs, runs the verifier, and cross-checks every
-Verified answer against the exact divergence oracle `semantics.spawn_tree`, a
-walk linear in the program (the tests hold it to the reference search
-`semantics.explore`): a Verified program for which a fair infinite run exists
-is a bug witness and aborts the campaign.  Verified programs are additionally
-executed, annotated with their proof (which `annotate` checks), and checked
-for ghost balance after every step plus the leaf-sum equality on random
-sibling-closed loop-edge-free prefixes.  The same walk counts the programs
-that reach a second thread (`multi_thread`).  The fields of `CampaignReport`
-are the one list of a campaign's counts; its three failure counts are 0 in
-every report returned, since a violation raises instead (and ends `fuzz`
-with exit 1).
+The campaign samples programs, runs the verifier, and reads every divergence
+verdict off a pool the semantics reaches (`semantics.all_waiting`).  A
+Rejected program's `thread_alone_schedule`, replayed through `step_pool`,
+must stop every thread it reaches at `exit` or `loop skip`.  A Verified
+program's round-robin run must end within `fuel_bound`; one that runs out of
+fuel at an all-waiting pool is a bug witness (a fair infinite run exists)
+and aborts the campaign.  The run is then annotated with the proof (which
+`annotate` checks), and checked for ghost balance after every step plus the
+leaf-sum equality on random sibling-closed loop-edge-free prefixes.  A
+program reaches a second thread (`multi_thread`) iff its first atom is a
+fork.  The fields of `CampaignReport` are the one list of a campaign's
+counts; its three failure counts are 0 in every report returned, since a
+violation raises instead (and ends `fuzz` with exit 1).
 
 A campaign draws every prefix from one `random.Random` seeded from
 `GenConfig.seed`, so it is reproducible from its seed.  The exhaustive sweep
@@ -35,17 +36,12 @@ from .ghost import AnnotationError, annotate, check_balance
 from .lang import Command, EXIT, Fork, LOOP_SKIP, Seq, pretty, seq_of
 from .pog import PrefixError, build_pog, check_leaf_balance, describe_leaf, random_sc_loopfree_prefix
 from .proofs import ThreadTables, verify
-from .semantics import (
-    FuelExhausted,
-    RoundRobinScheduler,
-    fuel_bound,
-    initial_pool,
-    run,
-    spawn_tree,
-)
+from .semantics import FuelExhausted, RoundRobinScheduler, all_waiting, fuel_bound, initial_pool, run, step_pool
+from .semantics import thread_alone_schedule
 
-# Not called here: the campaign decides divergence with `spawn_tree`.  The name
-# stays importable from this module because perfbench/tracing.py wraps it here.
+# Not called here: the campaign reads divergence off the pools that `step_pool`
+# and `run` reach.  The name stays importable from this module because
+# perfbench/tracing.py wraps it here.
 from .semantics import explore  # noqa: F401
 
 # Random prefixes checked for leaf balance on each verified program's graph.
@@ -204,23 +200,27 @@ def soundness_campaign(
 
 def _check_one(program: Command, rng: random.Random, report: CampaignReport, tables: ThreadTables) -> None:
     report.total += 1
-    proof = verify(program, tables)
-    tree = spawn_tree(program)
-    if tree.threads >= 2:
+    if type(program.head) is Fork:
         report.multi_thread += 1
-    if tree.diverges:
-        report.oracle_diverges += 1
+    proof = verify(program, tables)
     if proof is None:
         report.rejected += 1
-        if not tree.diverges:
+        pool = initial_pool(program)
+        for tid in thread_alone_schedule(program):
+            pool, _ = step_pool(pool, tid)
+        if not all(isinstance(k, Command) and k.head in (EXIT, LOOP_SKIP) for _, k in pool.threads):
+            raise CampaignViolation(program, "thread-alone schedule leaves a thread short of its stop")
+        if all_waiting(pool):
+            report.oracle_diverges += 1
+        else:
             report.rejected_terminating += 1
         return
     report.verified += 1
-    if tree.diverges:
-        raise CampaignViolation(program, "verified program admits a fair infinite run")
 
     outcome, trace = run(initial_pool(program), RoundRobinScheduler(), fuel_bound(program))
     if isinstance(outcome, FuelExhausted):
+        if all_waiting(outcome.last_pool):
+            raise CampaignViolation(program, "verified program admits a fair infinite run")
         raise CampaignViolation(program, "round-robin run of a verified program ran out of fuel")
     try:
         atrace = annotate(program, proof, trace, tables)

@@ -24,13 +24,15 @@ and `run` and `ghost.annotate` take it without applying the step rule.
 Fairness follows the usual definition: every thread alive at any point is
 eventually scheduled.  The tests hold the schedulers to a sliding-window
 check of it on finite prefixes (`is_fair_prefix` in `tests/reference.py`).
-Divergence, by contrast, is decided exactly, in two independent ways.
-`spawn_tree` walks each thread alone to its first `exit` or `loop skip`: a
-fair infinite run exists iff no thread stops at `exit` and some thread stops
-at `loop skip`, and the walk is linear in the program.  `explore` is the reference: the reachable state space is
-finite (loop bodies are `skip`, so forks cannot multiply), and a fair
-infinite run exists iff some reachable non-empty pool has every thread
-busy-waiting; its cost grows with the number of interleavings.
+Divergence, by contrast, is decided exactly, and always by a pool the
+semantics reaches: a fair infinite run exists iff some reachable pool is
+*all-waiting* (non-empty, every thread loop-headed; `all_waiting`).
+`thread_alone_schedule` runs each thread alone to its first `exit` or
+`loop skip`; the pool its schedule reaches through `step_pool` is
+all-waiting iff a fair infinite run exists, and the walk is linear in the
+program.  `explore` is the reference: the reachable state space is finite
+(loop bodies are `skip`, so forks cannot multiply), and it searches every
+reachable pool; its cost grows with the number of interleavings.
 
 How long a run needs is a matter of size alone: `fuel_bound` gives the steps
 within which every run under the shipped schedulers reaches an empty or
@@ -50,7 +52,6 @@ from .lang import (
     LOOP_SKIP,
     Command,
     Done,
-    Exit,
     Fork,
     LoopSkip,
     Printer,
@@ -303,7 +304,8 @@ class ReachabilityInfo:
     max_threads: int
 
 
-def _all_waiting(pool: ThreadPool) -> bool:
+def all_waiting(pool: ThreadPool) -> bool:
+    """Whether `pool` is non-empty and every thread in it is loop-headed."""
     if pool.is_empty():
         return False
     return all(
@@ -326,7 +328,7 @@ def explore(c: Command) -> ReachabilityInfo:
     max_threads = len(start.threads)
     while queue:
         pool = queue.pop()
-        if _all_waiting(pool):
+        if all_waiting(pool):
             diverges = True
         for tid in pool.ids:
             pool2, _ = step_pool(pool, tid)
@@ -337,70 +339,47 @@ def explore(c: Command) -> ReachabilityInfo:
     return ReachabilityInfo(diverges, len(seen), max_threads)
 
 
-@dataclass(frozen=True)
-class SpawnTree:
-    """Summary of a program's spawn tree: one node per thread any run starts.
+def thread_alone_schedule(c: Command) -> list[int]:
+    """The schedule that runs each thread of `c` alone to its first stop.
 
-    Each thread is run alone to its first `exit` or `loop skip`, or to its
-    end; `exits` and `waits` count the threads stopping at each.
-    """
+    Each thread, the main one (tid 0) first, takes its fork steps up to its
+    first `exit` or `loop skip`, where it stops unstepped, or to its end,
+    where it takes the step that removes it; a child runs before the rest of
+    its parent.  So the last thread forked forks next or stops at its first
+    atom: it is alive at the next fork, and `step_pool` numbers the children
+    1, 2, ... in the order they are forked.  The walk is linear and reads
+    only `head`, `tail` and `DONE`, none of `lang`'s feasibility fields.
 
-    threads: int
-    exits: int
-    waits: int
-
-    @property
-    def diverges(self) -> bool:
-        """True iff a fair infinite run exists (see `spawn_tree`)."""
-        return self.exits == 0 and self.waits > 0
-
-
-def spawn_tree(c: Command) -> SpawnTree:
-    """The spawn tree of `c`, found in one iterative walk of its atoms.
-
-    Each thread, starting with the main one, is walked to its first `exit`,
-    `loop skip` or end, and every fork met on the way adds the fork's body as
-    a thread.  Atoms after a thread's stop are never reached, so the walk
-    touches each atom at most once.
-
-    `diverges` is exact: a fair infinite run exists iff no thread of the tree
-    stops at `exit` and some thread stops at `loop skip`.
+    Replayed from `initial_pool(c)` through `step_pool`, the schedule
+    reaches the pool of exactly those threads of the spawn tree (one node per
+    thread any run starts) that stop at `exit` or `loop skip`, each at its
+    stop; a fair infinite run exists iff that pool is all-waiting.
 
     Proof.  A thread's own steps do not depend on other threads, except that
-    an `exit` step empties the pool; so in every run, each thread that is
-    ever alive is a node of the tree and walks a prefix of that node's path.
-    (If) With no `exit` stop, no run ever takes an `exit` step.  Under
-    round-robin, which is fair, every thread then runs its finitely many
-    fork atoms and either ends or reaches its `loop skip`, and the threads
-    stopping at `loop skip` (at least one) loop forever: a fair infinite run.
-    (Only if) Take a fair infinite run.  It never empties the pool, so it
-    takes no `exit` step.  Every node of the tree is spawned in it: the main
-    thread is alive at the start, and a node that is alive is scheduled
-    again and again by fairness, so it runs its path up to its stop and
-    spawns all its children.  A node stopping at `exit` would then be
-    scheduled at its `exit` head and end the run, so there is none.  Only
-    finitely many steps are not `loop skip` steps, because every atom runs
-    at most once, so from some point on every step is a loop step; the pool
-    is then non-empty and, by fairness, every live thread is loop-headed, so
-    some node stops at `loop skip`.
-
-    This walk is independent of `explore`, which stays as the reference
-    search over reachable pools, and of the proof constructor in `proofs`.
+    an `exit` step empties the pool; so in every run each thread ever alive
+    is a node of the tree and walks a prefix of that node's path.  (If)
+    Stepping the pool's threads in turn forever is a fair infinite run:
+    every other thread started on the way has ended.  (Only if) A fair
+    infinite run takes no `exit` step.  By fairness every thread alive in it
+    is scheduled again and again, so it runs its path to its stop and spawns
+    its children: every node of the tree is spawned, and none stops at
+    `exit`, or the run would take that step.  Every atom runs at most once,
+    so from some point on every step is a loop step; the pool is then
+    non-empty and, by fairness, every live thread is loop-headed, so some
+    node stops at `loop skip`.  So the replayed pool is all-waiting.
     """
-    threads = exits = waits = 0
-    bodies = [c]
-    while bodies:
-        threads += 1
-        for atom in spine(bodies.pop()):
-            if isinstance(atom, Fork):
-                bodies.append(atom.body)
-            elif isinstance(atom, Exit):
-                exits += 1
-                break
-            else:
-                waits += 1
-                break
-    return SpawnTree(threads, exits, waits)
+    schedule: list[int] = []
+    forks = 0
+    threads = [(0, c)]  # (tid, what it has left); a child above the rest of its parent
+    while threads:
+        tid, k = threads.pop()
+        if isinstance(k, Done):
+            schedule.append(tid)  # the thread ends
+        elif type(k.head) is Fork:
+            schedule.append(tid)
+            forks += 1
+            threads += ((tid, k.tail), (forks, k.head.body))
+    return schedule
 
 
 def fuel_bound(c: Command, window: int = 0) -> int:

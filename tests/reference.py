@@ -14,6 +14,9 @@
 - `fair_run_exists`, a fair-cycle search over the reachable pool graph that
   decides divergence from the definition of fairness; the tests hold the
   lemma that `semantics.explore` rests on to it.
+- `replay`, the pool a schedule reaches through `semantics.step_pool`, and
+  `witness_distance`, a breadth-first search for the fewest steps to an
+  all-waiting pool, which `semantics.thread_alone_schedule` is held to.
 - `ReferenceRandomFairScheduler`, the random fair scheduler whose picks
   scanned the pool for the oldest thread, which `RandomFairScheduler.pick`
   replaced.
@@ -70,6 +73,7 @@ from busycheck.semantics import (
     Terminated,
     ThreadPool,
     TraceStep,
+    all_waiting,
     initial_pool,
     run,
     step_pool,
@@ -324,6 +328,29 @@ def fair_run_exists(c: Command) -> tuple[bool, int]:
                 if stepped and live <= stepped:
                     return True, len(edges)
     return False, len(edges)
+
+
+def replay(c: Command, schedule: list[int]) -> ThreadPool:
+    """The pool `step_pool` reaches from `initial_pool(c)` stepping the threads `schedule` in order."""
+    pool = initial_pool(c)
+    for tid in schedule:
+        pool = step_pool(pool, tid)[0]
+    return pool
+
+
+def witness_distance(c: Command) -> int | None:
+    """The fewest steps from `initial_pool(c)` to an all-waiting pool, or None
+    if no reachable pool is all-waiting: a breadth-first search, one layer of
+    pools at a time."""
+    layer = [initial_pool(c)]
+    seen, steps = set(layer), 0
+    while layer:
+        if any(map(all_waiting, layer)):
+            return steps
+        after = {step_pool(pool, tid)[0] for pool in layer for tid in pool.ids} - seen
+        seen |= after
+        layer, steps = list(after), steps + 1
+    return None
 
 
 class ReferenceRandomFairScheduler:

@@ -35,7 +35,7 @@ from busycheck.semantics import (
     initial_pool,
     run,
     serialize_trace,
-    spawn_tree,
+    thread_alone_schedule,
 )
 
 N = 48  # and 2N: large enough that fixed costs do not hide the growth
@@ -94,7 +94,7 @@ def _inputs(layer: str, text: str):
         "verify": (verify, program),
         "certificate_text": (certificate_text, verify(program)),
         "check_proof": (check_proof, verify(program)),
-        "spawn_tree": (spawn_tree, program),
+        "thread_alone_schedule": (thread_alone_schedule, program),
         "fuel_bound": (fuel_bound, program),
     }[layer]
 
@@ -117,7 +117,8 @@ def _exponent(calls):
     "family", [waiters, flats, fork_nest, dead_tail], ids=["waiters", "flats", "fork-nest", "dead-tail"]
 )
 @pytest.mark.parametrize(
-    "layer", ["parse", "verify", "certificate_text", "from_json_dict", "check_proof", "spawn_tree", "fuel_bound"]
+    "layer",
+    ["parse", "verify", "certificate_text", "from_json_dict", "check_proof", "thread_alone_schedule", "fuel_bound"],
 )
 def test_layer_cost_is_linear_and_repeats_exactly(layer, family):
     exponent, counts = _exponent([_inputs(layer, family(n)) for n in (N, 2 * N)])

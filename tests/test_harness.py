@@ -16,7 +16,7 @@ from busycheck.harness import (
 from busycheck.lang import EXIT, LOOP_SKIP, Fork, Seq, parse, pretty
 from busycheck.pog import check_leaf_balance
 from busycheck.proofs import ThreadTables, verify
-from busycheck.semantics import explore, spawn_tree
+from busycheck.semantics import explore, thread_alone_schedule
 from reference import reference_enumerate_programs
 
 
@@ -232,7 +232,8 @@ def test_campaigns_share_no_tables(monkeypatch):
 def test_multi_thread_counts_programs_that_reach_two_threads():
     programs = list(enumerate_programs(6))
     reach_two = [explore(c).max_threads >= 2 for c in programs]
-    assert [spawn_tree(c).threads >= 2 for c in programs] == reach_two
+    # a run's first step forks iff the main thread's first atom is a fork
+    assert [type(c.head) is Fork for c in programs] == reach_two
     report = soundness_campaign(GenConfig(count=0), exhaustive_max_atoms=5)
     assert report.multi_thread == sum(reach_two[: report.total]) > 0
     rows = [line.split() for line in report.summary().splitlines()]
@@ -260,3 +261,29 @@ def test_campaign_catches_a_verifier_that_accepts_a_busy_wait(monkeypatch):
     with pytest.raises(CampaignViolation, match="admits a fair infinite run") as err:
         soundness_campaign(GenConfig(count=0), exhaustive_max_atoms=1)
     assert err.value.program == LOOP_SKIP
+
+
+def test_campaign_counts_a_verifier_that_rejects_exit_as_rejected_terminating(monkeypatch):
+    def rejecting(c, tables=None):
+        return None if c == EXIT else verify(c, tables)
+
+    monkeypatch.setattr(busycheck.harness, "verify", rejecting)
+    report = soundness_campaign(GenConfig(count=0), exhaustive_max_atoms=1)
+    assert (report.rejected, report.oracle_diverges, report.rejected_terminating) == (2, 1, 1)
+
+
+def test_campaign_catches_a_schedule_that_drops_its_last_step(monkeypatch):
+    # `fork { loop skip }` is the first Rejected program whose schedule is not
+    # empty: [0, 0], whose last step ends the main thread
+    monkeypatch.setattr(busycheck.harness, "thread_alone_schedule", lambda c: thread_alone_schedule(c)[:-1])
+    with pytest.raises(CampaignViolation, match="short of its stop") as err:
+        soundness_campaign(GenConfig(count=0), exhaustive_max_atoms=2)
+    assert err.value.program == Fork(LOOP_SKIP)
+
+
+def test_campaign_tells_a_short_budget_from_a_fair_infinite_run(monkeypatch):
+    # one step leaves `fork { exit }` at {0: done, 1: exit}, not all-waiting
+    monkeypatch.setattr(busycheck.harness, "fuel_bound", lambda c: 1)
+    with pytest.raises(CampaignViolation, match="ran out of fuel") as err:
+        soundness_campaign(GenConfig(count=0), exhaustive_max_atoms=2)
+    assert err.value.program == Fork(EXIT)

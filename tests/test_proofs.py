@@ -49,8 +49,8 @@ from busycheck.proofs import (
     verify,
 )
 from busycheck.proofs import _wrap
-from busycheck.semantics import explore, spawn_tree
-from reference import command_parts, reference_from_json_dict, reference_to_json_dict, tree_size
+from busycheck.semantics import all_waiting, explore, thread_alone_schedule
+from reference import command_parts, reference_from_json_dict, reference_to_json_dict, replay, tree_size
 
 WAITING_PAIR = parse("fork { exit }; loop skip")
 TWO_LEVEL = parse("fork { fork { loop skip }; exit }; loop skip")
@@ -962,16 +962,17 @@ def test_verify_matches_the_reference_search_on_7_atoms():
             assert _certificate(verify(c)) == _certificate(_reference_derive(c, 0)), pretty(c)
 
 
-def test_verify_succeeds_exactly_when_the_spawn_tree_does_not_diverge():
+def test_verify_succeeds_exactly_when_the_replayed_schedule_is_not_all_waiting():
     # completeness of the six rules for this language, up to 7 atoms
     for c in enumerate_programs(7):
-        assert (verify(c) is None) == spawn_tree(c).diverges, pretty(c)
+        assert (verify(c) is None) == all_waiting(replay(c, thread_alone_schedule(c))), pretty(c)
 
 
 def test_each_command_carries_its_feasibility_pair():
     # every spine suffix and fork body of the programs of <= 7 atoms and of
     # random ones of <= 40: the fields `lang` sets when it builds a command
-    # are the reference recurrence and the spawn tree's counts
+    # are the reference recurrence and what the pool its thread-alone schedule
+    # replays to holds: an `exit` head, and its `loop skip` heads
     programs = [*enumerate_programs(7), *gen_program(GenConfig(max_atoms=40, seed=30, count=1000))]
     seen, todo = set(), list(programs)
     while todo:
@@ -981,8 +982,8 @@ def test_each_command_carries_its_feasibility_pair():
             todo += [x.body] if isinstance(x, Fork) else [x.first, x.second] if isinstance(x, Seq) else []
     reference = _ReferenceSearch(0)
     for x in seen:
-        tree = spawn_tree(x)
-        assert (x.absorbing, x.need) == reference._features(x) == (tree.exits > 0, tree.waits), pretty(x)
+        heads = [k.head for _, k in replay(x, thread_alone_schedule(x)).threads]
+        assert (x.absorbing, x.need) == reference._features(x) == (EXIT in heads, heads.count(LOOP_SKIP)), pretty(x)
     assert len(seen) > 15_000
     assert (DONE.absorbing, DONE.need) == (False, 0)
     for x in (EXIT, LOOP_SKIP, Fork(EXIT), WAITING_PAIR, DONE):

@@ -16,6 +16,7 @@ from busycheck.lang import (
     seq_of,
 )
 from busycheck import semantics
+from busycheck.proofs import verify
 from busycheck.semantics import (
     AbruptExit,
     FuelExhausted,
@@ -28,15 +29,14 @@ from busycheck.semantics import (
     Terminated,
     ThreadPool,
     UnknownThreadError,
-    _all_waiting,
+    all_waiting,
     explore,
     fuel_bound,
     initial_pool,
     run,
-    SpawnTree,
     serialize_trace,
-    spawn_tree,
     step_pool,
+    thread_alone_schedule,
 )
 from reference import (
     FixedScheduler,
@@ -44,6 +44,8 @@ from reference import (
     fair_run_exists,
     is_fair_prefix,
     reference_run,
+    replay,
+    witness_distance,
 )
 
 
@@ -417,18 +419,34 @@ def test_oracle_loop_then_dead_exit_diverges():
     assert explore(parse("loop skip; exit")).diverges
 
 
-def test_spawn_tree_examples():
-    assert spawn_tree(parse("fork { exit }; loop skip")) == SpawnTree(2, 1, 1)
-    assert spawn_tree(parse("loop skip; exit")) == SpawnTree(1, 0, 1)
-    assert spawn_tree(parse("exit; fork { loop skip }")) == SpawnTree(1, 1, 0)
-    assert spawn_tree(parse("fork { fork { loop skip } }")) == SpawnTree(3, 0, 1)
-    assert spawn_tree(parse("fork { fork { loop skip } }")).diverges
-    assert not spawn_tree(parse("fork { exit }")).diverges  # an exit stop wins
-    assert not spawn_tree(parse("fork { fork { exit } }; loop skip")).diverges
-    assert spawn_tree(parse("fork { loop skip; fork { exit } }; loop skip")).diverges
+def _stops(c):
+    """The thread-alone schedule of `c` and the pool it replays to."""
+    schedule = thread_alone_schedule(c)
+    return schedule, replay(c, schedule)
 
 
-def test_spawn_tree_agrees_with_explore_on_every_program_of_up_to_7_atoms():
+def test_thread_alone_schedule_examples():
+    # each schedule replays to the threads stopped at `exit` or `loop skip`
+    examples = {
+        "fork { exit }; loop skip": ([0], {0: "loop skip", 1: "exit"}),
+        "loop skip; exit": ([], {0: "loop skip; exit"}),
+        "exit; fork { loop skip }": ([], {0: "exit; fork { loop skip }"}),
+        "fork { fork { loop skip } }": ([0, 1, 1, 0], {2: "loop skip"}),
+        "fork { exit }": ([0, 0], {1: "exit"}),
+        "fork { fork { exit } }; loop skip": ([0, 1, 1], {0: "loop skip", 2: "exit"}),
+        "fork { loop skip; fork { exit } }; loop skip": ([0], {0: "loop skip", 1: "loop skip; fork { exit }"}),
+        "fork { fork { loop skip }; exit }; fork { loop skip }": (
+            [0, 1, 0, 0],
+            {1: "exit", 2: "loop skip", 3: "loop skip"},
+        ),
+    }
+    for text, (schedule, stops) in examples.items():
+        assert _stops(parse(text)) == (schedule, ThreadPool.of({t: parse(k) for t, k in stops.items()})), text
+    diverging = [text for text in examples if all_waiting(_stops(parse(text))[1])]
+    assert diverging == ["loop skip; exit", "fork { fork { loop skip } }", "fork { loop skip; fork { exit } }; loop skip"]
+
+
+def test_thread_alone_schedule_agrees_with_explore_on_every_program_of_up_to_7_atoms():
     # and `explore`'s lemma, that a fair infinite run exists iff some reachable
     # non-empty pool is all-waiting, agrees with a fair-cycle search, which
     # decides it from the definition of fairness
@@ -436,13 +454,30 @@ def test_spawn_tree_agrees_with_explore_on_every_program_of_up_to_7_atoms():
     for c in enumerate_programs(7):
         info = explore(c)
         diverges, reachable = fair_run_exists(c)
-        assert spawn_tree(c).diverges == info.diverges == diverges, pretty(c)
+        _, pool = _stops(c)
+        assert all(k.head in (EXIT, LOOP_SKIP) for _, k in pool.threads), pretty(c)
+        assert all_waiting(pool) == info.diverges == diverges, pretty(c)
         assert reachable == info.state_count, pretty(c)
         programs += 1
         pools += reachable
     assert (programs, pools) == (10_878, 48_345)
 
 
+def test_thread_alone_schedule_is_a_shortest_witness():
+    # a Rejected program's schedule takes as few steps as any that reaches an
+    # all-waiting pool, and a Verified program reaches none
+    rejected = 0
+    for c in enumerate_programs(7):
+        schedule, pool = _stops(c)
+        distance = witness_distance(c)
+        if verify(c) is None:
+            assert all_waiting(pool) and len(schedule) == distance, pretty(c)
+            rejected += 1
+        else:
+            assert distance is None, pretty(c)
+    assert rejected == 4031
+    for n in (0, 1, 5, 40):
+        assert thread_alone_schedule(parse("fork { loop skip }; " * n + "loop skip")) == [0] * n
 def test_fair_cycle_search_examples():
     assert fair_run_exists(parse("loop skip")) == (True, 1)
     # the main thread's self-loop is a cycle, but not a fair one while the
@@ -465,16 +500,16 @@ def _nest_program(depth, end):
     return body + "; loop skip"
 
 
-def test_spawn_tree_agrees_with_explore_on_the_interleaving_families():
+def test_thread_alone_schedule_agrees_with_explore_on_the_interleaving_families():
     # the families whose state spaces grow fastest, and their twins whose
     # `exit` becomes `loop skip`, so every thread ends up busy-waiting
     cases = [(_km_program(k, m, end), end) for k in (1, 2, 3) for m in range(5) for end in ("exit", "loop skip")]
     cases += [(_nest_program(d, end), end) for d in range(1, 13) for end in ("exit", "loop skip")]
     for text, end in cases:
         c = parse(text)
-        tree, info = spawn_tree(c), explore(c)
-        assert tree.diverges == info.diverges == (end == "loop skip"), text
-        assert tree.threads >= info.max_threads, text
+        (_, pool), info = _stops(c), explore(c)
+        assert all_waiting(pool) == info.diverges == (end == "loop skip"), text
+        assert len(pool.ids) <= info.max_threads, text
 
 
 def _same_run(got, want):
@@ -513,13 +548,17 @@ def test_settled_threads_run_as_the_reference_loop_does():
     assert loops > 500_000
 
 
-def test_spawn_tree_takes_deep_and_long_programs():
+def test_thread_alone_schedule_takes_deep_and_long_programs():
     c = LOOP_SKIP
     for _ in range(10_000):
         c = Fork(c)
-    assert spawn_tree(c) == SpawnTree(10_001, 0, 1)
+    schedule, pool = _stops(c)
+    assert schedule == [*range(10_000), *reversed(range(10_000))]
+    assert pool == ThreadPool.of({10_000: LOOP_SKIP}) and all_waiting(pool)
     flat = seq_of([Fork(EXIT)] * 10_000 + [LOOP_SKIP])
-    assert spawn_tree(flat) == SpawnTree(10_001, 10_000, 1)
+    schedule, pool = _stops(flat)
+    assert schedule == [0] * 10_000
+    assert pool == ThreadPool.of({0: LOOP_SKIP, **dict.fromkeys(range(1, 10_001), EXIT)})
 
 
 def _generated(seed, count=120, max_atoms=8):
@@ -618,11 +657,11 @@ def test_fuel_bound_settles_every_small_program_exhaustively():
             start = initial_pool(c)
             outcome, trace = run(start, sched, fuel_bound(c, window))
             progress = stalled = 0
-            waiting = _all_waiting(start)  # a loop step leaves the pool as it was
+            waiting = all_waiting(start)  # a loop step leaves the pool as it was
             for step in trace:
                 if step.rule != ST_LOOP:
                     progress, stalled = progress + 1, 0
-                    waiting = _all_waiting(step.after)
+                    waiting = all_waiting(step.after)
                 elif not waiting:
                     stalled += 1
                     assert stalled <= window + threads - 1, (c, window)
@@ -631,7 +670,7 @@ def test_fuel_bound_settles_every_small_program_exhaustively():
                 assert isinstance(outcome, (Terminated, AbruptExit)), c
             else:
                 assert isinstance(outcome, FuelExhausted), c
-                assert _all_waiting(outcome.last_pool), c
+                assert all_waiting(outcome.last_pool), c
 
 
 def test_trace_serialization_format():
