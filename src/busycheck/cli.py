@@ -28,7 +28,6 @@ from .semantics import (
     FuelExhausted,
     RandomFairScheduler,
     RoundRobinScheduler,
-    Terminated,
     fuel_bound,
     initial_pool,
     run,
@@ -102,9 +101,7 @@ def _cmd_parse(args) -> int:
 def _cmd_run(args) -> int:
     program = _load_program(args)
     outcome, trace = run(initial_pool(program), _make_scheduler(args), _fuel_for(args, program))
-    if isinstance(outcome, Terminated):
-        text = f"Terminated steps={outcome.steps}"
-    elif isinstance(outcome, AbruptExit):
+    if isinstance(outcome, AbruptExit):
         text = f"AbruptExit steps={outcome.steps}"
     else:
         text = f"FuelExhausted live={len(outcome.last_pool.threads)}"

@@ -13,13 +13,16 @@ without obligations.  `exit` clears the pool regardless.
 direction of the soundness argument: given a checked proof of
 {obs(0)} c {obs(0)} and a plain trace, it inserts the proof's ghost moves and
 fork splits to produce an annotated trace whose non-ghost steps project back
-onto the plain trace step for step.  It checks this after every step against
-an erased pool kept beside the annotated one with the same pool operations,
-so a step costs no Python work per thread; after a loop step, which leaves
-both pools the very objects last found equal, the check is two identity tests.
-A settled thread (see `semantics`), whose cursor is `looping` and whose slot
-holds no ghost steps, takes each later loop step without `real_step`; its
-label and pools are still checked.
+onto the plain trace step for step.  It reads each thread's proof left to
+right as the thread runs (`_thread_walk`), a forked child's from its Fork
+premise, and no thread's past its first `exit` or `loop skip`.  It checks
+the projection after every step against an erased pool kept beside the
+annotated one with the same pool operations, so a step costs no Python work
+per thread; after a loop step, which leaves both pools the very objects last
+found equal, the check is two identity tests.  A settled thread (see
+`semantics`), whose walk has ended at its `loop skip` with no ghost steps
+left, takes each later loop step without `real_step`; its label and pools
+are still checked.
 Whatever the proof or trace, `annotate` returns or raises `AnnotationError`:
 a bad split (`SplitError`), cancel (`CancelUnderflow`) or real step (`Stuck`)
 is one too, and so is a step of a thread that has ended or never began.
@@ -28,7 +31,7 @@ is one too, and so is a step of a thread that has ended or never began.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .assertions import Assertion, Bottom, Flat
 
@@ -165,19 +168,6 @@ def check_balance(pool: ThreadPool) -> bool:
 # --- trace annotation guided by a proof tree ----------------------------------
 
 
-class _Slot:
-    """The ghost steps due before one Exit, Loop or Fork leaf of a thread's
-    proof, or before the thread ends, and a Fork's split and child plan.  A
-    plan is a list of slots, one per leaf, left to right, then the end's."""
-
-    __slots__ = ("ops", "split", "child")
-
-    def __init__(self) -> None:
-        self.ops: list[str] = []
-        self.split: ForkSplit | None = None
-        self.child: list[_Slot] | None = None
-
-
 def _chunk(f: Assertion) -> tuple[int, int] | None:
     """The (obligations, credits) state a normal form describes; None for false."""
     if isinstance(f, Bottom):
@@ -188,81 +178,52 @@ def _chunk(f: Assertion) -> tuple[int, int] | None:
 
 
 def _ops_between(src: Assertion, dst: Assertion) -> list[str]:
-    a = _chunk(src)
-    b = _chunk(dst)
-    if a is None or b is None:
-        return []  # dead code never executes
-    delta = b[0] - a[0]
-    if delta >= 0:
-        return [GS_INTRO] * delta
-    return [GS_CANCEL] * (-delta)
+    delta = _chunk(dst)[0] - _chunk(src)[0]
+    return [GS_INTRO] * delta + [GS_CANCEL] * -delta  # one of the two is empty
 
 
-def _extract_plan(t: ProofTree, tables: ThreadTables | None = None) -> list[_Slot]:
-    """The plan of the thread `t` proves: one slot per Exit, Loop or Fork
-    leaf, left to right, each with the ghost steps that the view shifts met
-    since the leaf before put ahead of it, then one with the steps met after
-    the last leaf, skipping dead code: in a proof `check_proof` accepts, a
-    false precondition follows an Exit or Loop leaf, after which `annotate`
-    reads no slot.  A Fork's slot holds the plan of its premise, one
-    per premise object, which cursors only read.  A premise planned by an
-    earlier call takes its plan from `tables.plans`, whose entries hold
-    their premise and count only for that very object; the plans this call
-    makes join the table once all of `t` is planned.
+def _thread_walk(t: ProofTree) -> Iterator[tuple[list[str], ForkSplit | None, ProofTree | None]]:
+    """Read the proof `t` of one thread left to right, as the thread runs.
 
-    Iterative: `todo` holds the nodes still to visit and the post-side steps
-    of the view shifts being visited, each with the plan it adds to, and a
-    plan's last slot collects the steps ahead of its next leaf.
+    Yield once for each Exit, Loop or Fork leaf, with the ghost steps that
+    the view shifts met since the leaf before put ahead of it, and a Fork's
+    split and premise; then once for the thread's end, with the steps met
+    after the last leaf.  The walk returns at the first Exit or Loop leaf,
+    the thread's first stop: it runs no further, so the walk never enters
+    the dead code (false precondition) that `check_proof` accepts after it,
+    and meets no false assertion: none holds before the stop, and a view
+    shift's post side is read only once its premise has run stop-free.
+    Iterative: `todo` holds the nodes still to visit and the (inner post,
+    post) pairs of the view shifts being visited.
     """
-    root = [_Slot()]
-    plans = {} if tables is None else tables.plans
-    made: dict[int, tuple[ProofTree, list[_Slot]]] = {}  # id of a Fork premise planned here -> it, its plan
-    todo: list[tuple[ProofTree | list[str], list[_Slot]]] = [(t, root)]
+    ops: list[str] = []
+    todo: list[ProofTree | tuple[Assertion, Assertion]] = [t]
     while todo:
-        node, plan = todo.pop()
-        if isinstance(node, list):
-            plan[-1].ops += node
-            continue
-        if type(node.conclusion.pre) is Bottom:  # dead code
+        node = todo.pop()
+        if type(node) is tuple:  # a view shift's post side
+            ops += _ops_between(*node)
             continue
         rule = node.rule
         if rule is RULE_VIEW_SHIFT:
             c, data = node.conclusion, node.data
-            plan[-1].ops += _ops_between(c.pre, data.inner_pre)
-            post_ops = _ops_between(data.inner_post, c.post)
-            if post_ops:
-                todo.append((post_ops, plan))
-            todo.append((node.premises[0], plan))
+            ops += _ops_between(c.pre, data.inner_pre)
+            todo += [(data.inner_post, c.post), node.premises[0]]
         elif rule is RULE_FRAME:
-            todo.append((node.premises[0], plan))
+            todo.append(node.premises[0])
         elif rule is RULE_SEQ:
-            todo += [(node.premises[1], plan), (node.premises[0], plan)]
-        else:  # a leaf takes the last slot and opens the next
-            slot = plan[-1]
-            plan.append(_Slot())
-            if rule is RULE_FORK:
-                premise = node.premises[0]
-                held = made.get(id(premise)) or plans.get(id(premise))
-                if held is None or held[0] is not premise:
-                    held = made[id(premise)] = (premise, [_Slot()])
-                    todo.append(held)
-                slot.split, slot.child = node.data, held[1]
-    plans.update(made)
-    return root
+            todo += [node.premises[1], node.premises[0]]
+        elif rule is RULE_FORK:
+            yield ops, node.data, node.premises[0]
+            ops = []
+        else:
+            yield ops, None, None
+            return
+    yield ops, None, None
 
 
 # the real step that each plain step's label names
 _REAL_RULES = {ST_LOOP: RA_LOOP, ST_FORK: RA_FORK, TP_EXIT: RA_EXIT, TP_THREAD_TERM: RA_THREAD_TERM}
-
-
-class _Cursor:
-    """How far a thread has run through its plan."""
-
-    __slots__ = ("plan", "index")
-
-    def __init__(self, plan: list[_Slot]):
-        self.plan = plan
-        self.index = 0
+_SETTLED = ((), None, None)  # what a settled thread's step reads: no ghost steps are left
 
 
 def annotate(
@@ -277,8 +238,14 @@ def annotate(
     step of a thread not in the pool or one that starts from another pool
     than the steps before it reached: it raises only `AnnotationError`.
     `proof` is checked first, always; `tables`, when given, lets the check
-    skip the Fork premise objects that passed in earlier calls and the plan
-    reuse their plans (`check_proof`, `_extract_plan`).
+    skip the Fork premise objects that passed in earlier calls (`check_proof`).
+
+    Each thread in the pool has a walk of its proof (`_thread_walk`), whose
+    next leaf each real step of the thread takes; a forked child walks its
+    Fork premise, and a settled thread's walk is None.  A walk cannot run
+    out: in a checked proof the leaves are the spine's atoms in order, and
+    the thread steps once per atom to its first stop, or per atom and once
+    to end, then never again (settled, or the pool is empty).
     """
     violation = check_proof(proof, tables)
     if violation is not None:
@@ -305,8 +272,7 @@ def annotate(
     # with the plain trace's pools
     pool = initial = ThreadPool.of({tid0: AnnotatedThread(0, 0, start_cont)})
     erased = start
-    cursors: dict[int, _Cursor] = {tid0: _Cursor(_extract_plan(proof, tables))}  # one per thread in the pool
-    looping = _Cursor([_Slot()])  # where a thread is once in its loop: no ghost steps are left
+    walks: dict[int, Iterator | None] = {tid0: _thread_walk(proof)}  # one per thread in the pool
     steps: list[TraceStep] = []
     # the erased and plain pools last found equal: while both are still those
     # very objects (a loop step returns the pool it was given, on either
@@ -317,23 +283,23 @@ def annotate(
     for index, (before, tid, label, after) in enumerate(plain_trace):
         if before is not same_plain and before != same_plain:
             raise AnnotationError(f"trace step {index} starts from a pool the steps before it do not reach")
-        cursor = cursors.get(tid)
-        if cursor is None:
+        if tid not in walks:
             raise AnnotationError(f"trace step {index} steps thread {tid}, which is not in the pool")
         real = _REAL_RULES.get(label)
         if real is None:
             raise AnnotationError(f"unknown plain rule {label!r}")
-        slot = cursor.plan[cursor.index]
-        if real is RA_FORK and slot.child is None:
+        walk = walks[tid]
+        ops, split, premise = _SETTLED if walk is None else next(walk)
+        if real is RA_FORK and premise is None:
             raise AnnotationError("proof has no fork split where the trace forks")
-        for op in slot.ops:  # the thread's ghost steps, right before its real step
+        for op in ops:  # the thread's ghost steps, right before its real step
             nxt = ghost_step(pool, tid, op)
             steps.append(TraceStep(pool, tid, op, nxt))
             pool = nxt
-        if cursor is looping:  # settled: its entry is as its last loop step left it
+        if walk is None:  # settled: its entry is as its last loop step left it
             nxt, rule = pool, RA_LOOP
         else:
-            nxt, rule = real_step(pool, tid, slot.split)
+            nxt, rule = real_step(pool, tid, split)
         if rule != real:
             raise AnnotationError(f"trace step {index} is labelled {label}, but thread {tid} takes {rule}")
         step = TraceStep(pool, tid, rule, nxt)
@@ -341,16 +307,15 @@ def annotate(
         pool = nxt
         if rule == RA_FORK:
             erased = erased.replace(tid, pool.get(tid).cont).extend(pool.get(step.child).cont)
-            cursors[step.child] = _Cursor(slot.child)
-            cursor.index += 1
+            walks[step.child] = _thread_walk(premise)
         elif rule == RA_LOOP:
-            cursors[tid] = looping
+            walks[tid] = None
         elif rule == RA_EXIT:
             erased = EMPTY_POOL
-            cursors.clear()
+            walks.clear()
         elif rule == RA_THREAD_TERM:
             erased = erased.remove(tid)
-            del cursors[tid]
+            del walks[tid]
         if erased is not same_erased or after is not same_plain:
             if erased != after:
                 raise AnnotationError("annotated run diverged from the plain trace")

@@ -18,9 +18,8 @@ A campaign draws every prefix from one `random.Random` seeded from
 `GenConfig.seed`, so it is reproducible from its seed.  The exhaustive sweep
 builds the commands of each size once and shares them as the fork bodies
 and suffixes of larger commands, and a campaign's one `ThreadTables` lets
-`verify` and `annotate` prove, check and plan each distinct forked thread
-once, and prove and check each dead suffix once; plans stop at each
-thread's first stop.
+`verify` and `annotate` prove and check each distinct forked thread and
+each dead suffix once.
 """
 
 from __future__ import annotations
@@ -191,7 +190,7 @@ def soundness_campaign(
     if exhaustive_max_atoms:
         programs.extend(enumerate_programs(exhaustive_max_atoms))
     rng = random.Random(cfg.seed)  # draws every prefix the campaign checks
-    tables = ThreadTables()  # each distinct forked thread's proof, check and plan, made once
+    tables = ThreadTables()  # each distinct forked thread's proof and check, made once
     for program in programs:
         _check_one(program, rng, report, tables)
     report.wall_time = time.perf_counter() - started

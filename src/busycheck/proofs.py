@@ -51,16 +51,15 @@ obs(0).  By induction over the
 spine and the spawn tree, a feasible start always yields a proof.
 
 Equal threads, by (body, co, cc), share one proof object within a call,
-which `check_proof` and `ghost` visit once and a certificate writes once.
+which `check_proof` visits once and a certificate writes once.
 So do equal dead suffixes, which `check_proof` visits once, a certificate
-writes where each occurs, and `ghost` does not plan: a plan stops at its
-thread's first stop.  Given a `ThreadTables`, the sharing outlives the call:
-`derive` takes a forked thread's or dead suffix's proof from an earlier
-call's, `check_proof` does not reopen a Fork premise or dead node object an
-earlier call passed, and `ghost` reuses the plan of a premise object it
-planned before.  A soundness campaign passes one set to every program it
-checks, so it proves and checks each dead suffix once; a CLI request passes
-none.
+writes where each occurs, and `ghost` never reads: it reads a thread's
+proof as the thread runs, up to its first stop.  Given a `ThreadTables`,
+the sharing outlives the call: `derive` takes a forked thread's or dead
+suffix's proof from an earlier call's, and `check_proof` does not reopen a
+Fork premise or dead node object an earlier call passed.  A soundness
+campaign passes one set to every program it checks, so it proves and
+checks each dead suffix once; a CLI request passes none.
 
 It is also the smallest choice: in the order ghost delta 0, 1, -1, 2, -2,
 ..., then splits by ascending co + cc, then ascending co, it is the first
@@ -186,20 +185,19 @@ class ProofTree(NamedTuple):
 
 
 class ThreadTables:
-    """What `derive`, `check_proof` and `ghost.annotate` keep across calls:
-    `proofs` maps a forked thread's (body, co, cc), or a suffix after an exit
-    or a loop skip, to its proof, `checked` the id of a Fork premise or
-    false-precondition node whose whole proof passed to that node, and
-    `plans` the id of a planned premise to (that premise, its plan).  An id
-    is unique only among live objects, so an entry holds its object and a
-    lookup counts only when the held object is the one looked up."""
+    """What `derive` and `check_proof` keep across calls (`ghost.annotate`
+    passes its tables to `check_proof`): `proofs` maps a forked thread's
+    (body, co, cc), or a suffix after an exit or a loop skip, to its proof,
+    and `checked` the id of a Fork premise or false-precondition node whose
+    whole proof passed to that node.  An id is unique only among live
+    objects, so an entry holds its object and a lookup counts only when the
+    held object is the one looked up."""
 
-    __slots__ = ("proofs", "checked", "plans")
+    __slots__ = ("proofs", "checked")
 
     def __init__(self) -> None:
         self.proofs: dict[tuple[Command, int, int] | Command, ProofTree] = {}
         self.checked: dict[int, ProofTree] = {}
-        self.plans: dict[int, tuple] = {}
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ changes: only its own steps change it, a loop step returns the pool it was
 given, and `exit` empties the pool, ending the run.  So each later step of
 it is the loop step from the pool it is picked in back to that very pool,
 and `run` and `ghost.annotate` take it without applying the step rule.
+A run from a program never ends `Terminated`: a leaf of its spawn tree forks
+nothing, so that thread's first atom is `exit` or `loop skip`, and the run
+either exits or keeps it alive (only a hand-built pool can empty quietly).
 
 Fairness follows the usual definition: every thread alive at any point is
 eventually scheduled.  The tests hold the schedulers to a sliding-window
@@ -122,8 +125,6 @@ class ThreadPool:
 
     def replace(self, tid: int, entry: Any) -> "ThreadPool":
         i = self._index(tid)
-        if self.threads[i][1] is entry:
-            return self
         return ThreadPool(self.threads[:i] + ((tid, entry),) + self.threads[i + 1 :], self.ids)
 
     def remove(self, tid: int) -> "ThreadPool":

@@ -154,6 +154,15 @@ def test_verify_accepts_and_emits_certificate(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "Ok"
 
 
+def test_verify_json_names_the_verdict_and_the_certificate_written(tmp_path, capsys):
+    assert main(["verify", "--json", "-e", "fork { exit }; loop skip"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"verdict": "Verified"}
+    cert = tmp_path / "cert.json"
+    assert main(["verify", "--json", "-e", "fork { exit }; loop skip", "--emit-cert", str(cert)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"verdict": "Verified", "certificate": str(cert)}
+    assert cert.exists()
+
+
 def test_verify_rejects_waiter(capsys):
     assert main(["verify", "-e", "loop skip"]) == 1
     assert capsys.readouterr().out.strip() == "Rejected"
@@ -469,6 +478,14 @@ def test_trace_subcommand_prints_annotated_run(capsys):
 def test_trace_rejects_unverifiable_program(capsys):
     assert main(["trace", "-e", "loop skip"]) == 1
     assert "Rejected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trace", "graph"])
+def test_trace_and_graph_of_a_run_out_of_fuel_exit_1_with_one_line(command, capsys):
+    assert main([command, "--fuel", "1", "-e", "fork { exit }; loop skip"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "run did not settle within fuel; raise --fuel\n"
 
 
 def test_graph_emits_dot(tmp_path, capsys):

@@ -23,7 +23,7 @@ import pytest
 
 import busycheck.lang as lang
 from busycheck import ghost, semantics
-from busycheck.ghost import _extract_plan, annotate, serialize_annotated_trace
+from busycheck.ghost import _thread_walk, annotate, serialize_annotated_trace
 from busycheck.lang import parse
 from busycheck.pog import build_pog, check_leaf_balance, max_loopfree_sc_prefix, to_dot
 from busycheck.proofs import certificate_text, check_proof, from_json_dict, verify
@@ -125,11 +125,14 @@ def test_layer_cost_is_linear_and_repeats_exactly(layer, family):
     assert exponent <= LINEAR, f"{layer} grows as n^{exponent:.2f} ({counts})"
 
 
-def test_a_plan_skips_dead_code():
-    # the main thread of a dead tail stops at its first atom, so its plan
-    # holds two slots and is built in the same opcodes at any n
-    exponent, counts = _exponent([(_extract_plan, verify(parse(dead_tail(n)))) for n in (N, 2 * N)])
-    assert abs(exponent) <= 0.05, f"_extract_plan grows as n^{exponent:.2f} ({counts})"
+def test_a_walk_skips_dead_code():
+    # the main thread of a dead tail stops at its first atom, so its walk
+    # yields one leaf and returns, in the same opcodes at any n
+    def walk(proof):
+        return list(_thread_walk(proof))
+
+    exponent, counts = _exponent([(walk, verify(parse(dead_tail(n)))) for n in (N, 2 * N)])
+    assert abs(exponent) <= 0.05, f"_thread_walk grows as n^{exponent:.2f} ({counts})"
 
 
 @pytest.mark.parametrize("scheduler", [RoundRobinScheduler, lambda: RandomFairScheduler(3, 16)], ids=["rr", "random"])

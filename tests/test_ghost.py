@@ -15,8 +15,7 @@ from busycheck.ghost import (
     SplitError,
     Stuck,
     TERM_HOLDS_OBLIGATION,
-    _Slot,
-    _extract_plan,
+    _thread_walk,
     annotate,
     check_balance,
     ghost_step,
@@ -708,55 +707,40 @@ def test_a_shared_proof_annotates_as_its_unshared_copy_does(text):
 
 def test_shared_tables_annotate_as_fresh_calls_do():
     tables = ThreadTables()
-    live = {}  # id of each Fork premise outside dead code -> it
     for c in enumerate_programs(6):
         proof = verify(c, tables)
         if proof is None:
             continue
         _, plain = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
         assert annotate(c, proof, plain, tables).steps == annotate(c, verify(c), plain).steps
-        todo = [proof]
-        while todo:
-            t = todo.pop()
-            if type(t.conclusion.pre) is not Bottom:
-                todo += t.premises
-                if t.rule is RULE_FORK:
-                    live[id(t.premises[0])] = t.premises[0]
-    # one plan per distinct forked thread outside dead code, each held beside its premise
-    forked = sum(type(key) is tuple for key in tables.proofs)
-    assert 0 < len(tables.plans) == len(live) <= forked < len(tables.proofs)
-    assert all(tables.plans[i][0] is p for i, p in live.items())
 
 
-def test_a_plan_stops_at_its_threads_stop():
-    # one slot per atom a thread runs alone, up to its first exit or loop skip
-    # or its end, as the spawn tree walks it, then the end's
-    plans = 0
+def test_a_walk_stops_at_its_threads_stop():
+    # one leaf per atom a thread runs alone, up to its first exit or loop
+    # skip, as the spawn tree walks it, then the end's only if it reaches no
+    # stop: the walk yields nothing past the stop; a Fork leaf carries the
+    # split and the proof of the child's body
+    walks = 0
     for c in enumerate_programs(6):
         proof = verify(c)
-        todo = [] if proof is None else [(c, _extract_plan(proof))]
+        todo = [] if proof is None else [(c, proof)]
         while todo:
-            body, plan = todo.pop()
+            body, t = todo.pop()
             path = []
             for atom in spine(body):
                 path.append(atom)
                 if not isinstance(atom, Fork):
                     break
-            assert len(plan) == 1 + len(path)
-            todo += [(atom.body, slot.child) for atom, slot in zip(path, plan) if isinstance(atom, Fork)]
-            plans += 1
-    assert plans > 2000
-
-
-def test_a_plan_held_for_another_object_is_not_reused():
-    c = parse("fork { loop skip }; fork { loop skip }; exit")
-    proof = verify(c)
-    _, plain = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
-    premise = next(t.premises[0] for t in _nodes(proof) if t.rule is RULE_FORK)
-    tables = ThreadTables()
-    tables.plans[id(premise)] = (verify(parse("exit")), [_Slot()])  # an empty plan of another object
-    assert annotate(c, proof, plain, tables).steps == annotate(c, proof, plain).steps
-    assert tables.plans[id(premise)][0] is premise
+            leaves = list(_thread_walk(t))
+            assert len(leaves) == len(path) + isinstance(path[-1], Fork)
+            for atom, (_, split, premise) in zip(path, leaves):
+                forks = isinstance(atom, Fork)
+                assert (split is not None) == (premise is not None) == forks
+                if forks:
+                    assert premise.conclusion.cmd is atom.body
+                    todo.append((atom.body, premise))
+            walks += 1
+    assert walks > 2000
 
 
 def _nodes(t):

@@ -287,3 +287,35 @@ def test_campaign_tells_a_short_budget_from_a_fair_infinite_run(monkeypatch):
     with pytest.raises(CampaignViolation, match="ran out of fuel") as err:
         soundness_campaign(GenConfig(count=0), exhaustive_max_atoms=2)
     assert err.value.program == Fork(EXIT)
+
+
+def test_campaign_catches_an_unbalanced_annotated_pool(monkeypatch):
+    monkeypatch.setattr(busycheck.harness, "check_balance", lambda pool: False)
+    with pytest.raises(CampaignViolation, match="^ghost balance broken along the annotated trace\n") as err:
+        soundness_campaign(GenConfig(count=0), exhaustive_max_atoms=1)
+    assert err.value.program == EXIT
+
+
+def test_campaign_names_the_leaves_of_unequal_leaf_sums(monkeypatch):
+    def unequal(graph, prefix):
+        balance = check_leaf_balance(graph, prefix)
+        return balance._replace(obligations=balance.credits + 1, equal=False)
+
+    monkeypatch.setattr(busycheck.harness, "check_leaf_balance", unequal)
+    with pytest.raises(CampaignViolation) as err:
+        soundness_campaign(GenConfig(count=0), exhaustive_max_atoms=1)
+    # `exit` runs one step, RA-Exit, which is the only node and the only leaf
+    assert err.value.program == EXIT
+    assert err.value.detail == (
+        "leaf sums differ on prefix [0]: 1 obligations vs 0 credits (step 0: thread 0 (0|0) exit;done)"
+    )
+
+
+def test_campaign_catches_a_prefix_that_is_not_sibling_closed(monkeypatch):
+    # every node as the prefix: in `fork { exit }` the child's exit ends the
+    # run before the parent's next step, so the fork keeps one of its two successors
+    monkeypatch.setattr(busycheck.harness, "random_sc_loopfree_prefix", lambda graph, rng: frozenset(graph.nodes))
+    with pytest.raises(CampaignViolation) as err:
+        soundness_campaign(GenConfig(count=0), exhaustive_max_atoms=2)
+    assert err.value.program == Fork(EXIT)
+    assert err.value.detail == "leaf-balance check refused prefix [0, 1]: prefix is not sibling-closed"
