@@ -290,8 +290,6 @@ def annotate(
             raise AnnotationError(f"unknown plain rule {label!r}")
         walk = walks[tid]
         ops, split, premise = _SETTLED if walk is None else next(walk)
-        if real is RA_FORK and premise is None:
-            raise AnnotationError("proof has no fork split where the trace forks")
         for op in ops:  # the thread's ghost steps, right before its real step
             nxt = ghost_step(pool, tid, op)
             steps.append(TraceStep(pool, tid, op, nxt))

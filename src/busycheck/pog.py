@@ -12,6 +12,11 @@ validates a prefix and sums its leaves in one pass over its nodes; it
 refuses an unknown node first, then a prefix not downward-closed, then one
 not sibling-closed, then an unbalanced initial bundle.
 
+One walk grows loop-edge-free sibling-closed prefixes from the root:
+`max_loopfree_sc_prefix` expands every node it may (`graph --prefix` shades
+that prefix), and `random_sc_loopfree_prefix` stops at random (the campaign
+checks three such prefixes per run).
+
 Built over finite prefixes only: a node whose successors lie beyond the
 trace is a leaf, and a fork node missing one of its two successors must stay
 a leaf (expanding only the surviving side would leak the forked-away
@@ -94,59 +99,41 @@ def _truncated_fork(g: ProgramOrderGraph, n: int) -> bool:
 
 
 def _expandable(g: ProgramOrderGraph, n: int) -> bool:
-    if g.info[n].rule == RA_LOOP:
-        return False  # expanding a loop step makes a loop-labeled edge internal
-    if _truncated_fork(g, n):
-        return False
-    return bool(g.out[n])
+    # expanding a loop step makes a loop-labeled edge internal
+    return g.info[n].rule != RA_LOOP and not _truncated_fork(g, n) and bool(g.out[n])
 
 
-def max_loopfree_sc_prefix(g: ProgramOrderGraph) -> frozenset[int]:
-    """The unique maximal sibling-closed downward-closed prefix whose internal
-    edges carry no loop rule."""
+def _loopfree_sc_prefix(g: ProgramOrderGraph, rng: random.Random | None) -> frozenset[int]:
+    """Every node but the root has one predecessor, so a node's successors
+    enter the prefix only when it is expanded.  `frontier` holds the admitted
+    nodes that are expandable and not yet expanded.  Without an `rng` each
+    round expands the last of them; with one, it stops with probability 1/4,
+    or else expands one drawn uniformly."""
     if not len(g.info):
         return frozenset()
-    admitted = {g.root}
-    frontier = [g.root]
+    admitted = [g.root]
+    frontier = [g.root] if _expandable(g, g.root) else []
     while frontier:
-        n = frontier.pop()
-        if not _expandable(g, n):
-            continue
-        for d in g.out[n]:
-            if d not in admitted:
-                admitted.add(d)
+        if rng is not None:
+            if rng.random() < 0.25:
+                break
+            i = rng.randrange(len(frontier))
+            frontier[i], frontier[-1] = frontier[-1], frontier[i]
+        for d in g.out[frontier.pop()]:
+            admitted.append(d)
+            if _expandable(g, d):
                 frontier.append(d)
     return frozenset(admitted)
 
 
-def random_sc_loopfree_prefix(g: ProgramOrderGraph, rng: random.Random) -> frozenset[int]:
-    """A random sibling-closed downward-closed loop-edge-free prefix.
+def max_loopfree_sc_prefix(g: ProgramOrderGraph) -> frozenset[int]:
+    """The unique maximal loop-edge-free sibling-closed prefix: every expandable node expanded."""
+    return _loopfree_sc_prefix(g, None)
 
-    Each round expands one admitted node, drawn from those that are
-    expandable and have a successor outside the prefix.  Every node but the
-    root has one predecessor, so a node's successors enter the prefix only
-    when it is expanded: the nodes expanded, or found not expandable, are
-    `closed`, and the rest of `admitted`, in its own order, are the draw.
-    """
-    if not len(g.info):
-        return frozenset()
-    admitted = {g.root}
-    closed: set[int] = set()
-    while True:
-        candidates = []
-        for n in admitted:
-            if n in closed:
-                continue
-            if _expandable(g, n):
-                candidates.append(n)
-            else:
-                closed.add(n)
-        if not candidates or rng.random() < 0.25:
-            break
-        n = rng.choice(candidates)
-        closed.add(n)
-        admitted.update(g.out[n])
-    return frozenset(admitted)
+
+def random_sc_loopfree_prefix(g: ProgramOrderGraph, rng: random.Random) -> frozenset[int]:
+    """A random loop-edge-free sibling-closed prefix, drawn from `rng`."""
+    return _loopfree_sc_prefix(g, rng)
 
 
 class LeafBalance(NamedTuple):

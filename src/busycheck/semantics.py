@@ -251,7 +251,7 @@ class RandomFairScheduler:
                 live[tid] = steps
                 live.move_to_end(tid)
                 if last.rule == ST_FORK:
-                    live[last.after.ids[-1]] = steps  # born at this step
+                    live[last.child] = steps  # born at this step
         self._steps = steps
         tids = pool.ids
         oldest, since = next(iter(live.items()))

@@ -27,6 +27,10 @@
   `downward_closed`, `sibling_closed` (closure asked of each node's
   siblings), `leaves`, and `reference_check_leaf_balance`, which runs them
   in turn before it sums.
+- `loopfree_sc_prefixes`, every loop-edge-free sibling-closed prefix of a
+  graph by brute force over its node subsets, and `prefix_distribution`,
+  the exact chance of each that the campaign's random prefix walk draws.
+  `NeverStops` is an rng under which that walk never stops.
 - `structurally_equal`, equality of commands by a walk over both terms (the
   walk `lang.same_command` made before commands were hash-consed, without its
   identity shortcuts), and `command_parts`, a command's parts in order.
@@ -52,7 +56,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from busycheck.assertions import BOTTOM, Assertion, Bottom, Flat, normalize, summarize
-from busycheck.ghost import RA_FORK, AnnotatedThread
+from busycheck.ghost import RA_FORK, RA_LOOP, AnnotatedThread
 from busycheck.lang import EXIT, LOOP_SKIP, Command, Exit, Fork, LoopSkip, ParseError, Seq, seq_of
 from busycheck.proofs import (
     CertificateError,
@@ -437,6 +441,57 @@ def leaves(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) -> frozenset
     """Nodes of the prefix with no outgoing edge inside the prefix."""
     pset = frozenset(prefix)
     return frozenset(n for n in pset if pset.isdisjoint(g.out[n]))
+
+
+def loopfree_sc_prefixes(g: ProgramOrderGraph) -> frozenset[frozenset[int]]:
+    """Every sibling-closed downward-closed prefix of `g` that holds its root
+    and no loop-labelled internal edge, found among all node subsets."""
+    found = set()
+    for mask in range(1, 1 << len(g.info)):
+        prefix = frozenset(n for n in g.nodes if mask >> n & 1)
+        if (
+            g.root in prefix
+            and downward_closed(prefix, g)
+            and sibling_closed(prefix, g)
+            and not any(src in prefix and dst in prefix and g.info[src].rule == RA_LOOP for src, dst in g.edges)
+        ):
+            found.add(prefix)
+    return frozenset(found)
+
+
+def prefix_distribution(g: ProgramOrderGraph) -> dict[frozenset[int], float]:
+    """The chance of each prefix a random walk from the root ends at, when
+    each round stops with probability 1/4 or else adds the successors of one
+    node, drawn uniformly from those whose successors keep the prefix in
+    `loopfree_sc_prefixes(g)`, and it stops where no node is left to draw."""
+    prefixes = loopfree_sc_prefixes(g)
+    chances: dict[frozenset[int], float] = {}
+
+    def grow(prefix: frozenset[int], chance: float) -> None:
+        bigger = [prefix.union(g.out[n]) for n in sorted(prefix) if not prefix.issuperset(g.out[n])]
+        bigger = [b for b in bigger if b in prefixes]
+        stop = chance / 4 if bigger else chance
+        chances[prefix] = chances.get(prefix, 0.0) + stop
+        for b in bigger:
+            grow(b, (chance - stop) / len(bigger))
+
+    grow(frozenset({g.root}), 1.0)
+    return chances
+
+
+class NeverStops:
+    """An rng whose `random()` is always 1.0, so a random prefix walk never
+    takes its stop and grows the maximal prefix; its other draws are those
+    of `random.Random(seed)`."""
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+
+    def random(self) -> float:
+        return 1.0
+
+    def __getattr__(self, name: str):
+        return getattr(self._rng, name)
 
 
 def reference_check_leaf_balance(g: ProgramOrderGraph, prefix: set[int] | frozenset[int]) -> LeafBalance:

@@ -25,7 +25,7 @@ import busycheck.lang as lang
 from busycheck import ghost, semantics
 from busycheck.ghost import _thread_walk, annotate, serialize_annotated_trace
 from busycheck.lang import parse
-from busycheck.pog import build_pog, check_leaf_balance, max_loopfree_sc_prefix, to_dot
+from busycheck.pog import build_pog, check_leaf_balance, max_loopfree_sc_prefix, random_sc_loopfree_prefix, to_dot
 from busycheck.proofs import certificate_text, check_proof, from_json_dict, verify
 from busycheck.semantics import (
     FuelExhausted,
@@ -37,6 +37,7 @@ from busycheck.semantics import (
     serialize_trace,
     thread_alone_schedule,
 )
+from reference import NeverStops
 
 N = 48  # and 2N: large enough that fixed costs do not hide the growth
 LINEAR = 1.1  # the largest exponent a linear layer may show
@@ -201,7 +202,8 @@ def test_certificates_write_each_shared_premise_once(family, size):
 def _run_layers(text: str) -> dict:
     """Each layer after `run` with what it reads for the round-robin run of
     `text`, as `trace` and `graph --prefix` call them; `check_leaf_balance`
-    and `to_dot` take the maximal prefix."""
+    and `to_dot` take the maximal prefix, which `random_sc_loopfree_prefix`
+    also grows under an rng that never stops."""
     program = parse(text)
     proof = verify(program)
     _, trace = run(initial_pool(program), RoundRobinScheduler(), fuel_bound(program))
@@ -213,6 +215,7 @@ def _run_layers(text: str) -> dict:
         "build_pog": (build_pog, atrace),
         "to_dot": (lambda args: to_dot(*args), (graph, prefix)),
         "max_loopfree_sc_prefix": (max_loopfree_sc_prefix, graph),
+        "random_sc_loopfree_prefix": (lambda g: random_sc_loopfree_prefix(g, NeverStops(0)), graph),
         "check_leaf_balance": (lambda args: check_leaf_balance(*args), (graph, prefix)),
     }
 
@@ -251,9 +254,11 @@ def test_a_layer_over_a_run_grows_with_the_run(layer, family, bound):
 
 
 @pytest.mark.parametrize("family", [waiters, flats, fork_nest], ids=["waiters", "flats", "fork-nest"])
-@pytest.mark.parametrize("layer", ["max_loopfree_sc_prefix", "check_leaf_balance"])
+@pytest.mark.parametrize("layer", ["max_loopfree_sc_prefix", "random_sc_loopfree_prefix", "check_leaf_balance"])
 def test_a_maximal_prefix_is_linear(layer, family):
     # a loop-free prefix stops at each thread's first loop step, so it holds
-    # O(n) nodes even where the run has about n^2 / 2
+    # O(n) nodes even where the run has about n^2 / 2; the random walk draws
+    # each node it expands from the ones left to expand, not from a rescan
+    # of the prefix
     exponent, counts = _exponent([_run_layers(family(n))[layer] for n in (N, 2 * N)])
     assert exponent <= LINEAR, f"{layer} grows as n^{exponent:.2f} ({counts})"

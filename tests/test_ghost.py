@@ -400,6 +400,28 @@ def test_annotate_refuses_a_fork_step_labelled_exit():
         annotate(c, verify(c), _relabelled(trace[:1], 0, TP_EXIT))
 
 
+@pytest.mark.parametrize(
+    "text, tids, index, rule",
+    [
+        # thread 1's second loop step: it has settled, and its proof is done with
+        ("fork { loop skip }; fork { exit }; loop skip", None, 3, RA_LOOP),
+        # thread 1 ends once it has forked, before thread 2 exits
+        ("fork { fork { exit } }; loop skip", [0, 1, 1, 2], 2, RA_THREAD_TERM),
+    ],
+    ids=["settled", "ending"],
+)
+def test_annotate_refuses_a_step_labelled_fork_where_the_thread_does_not_fork(text, tids, index, rule):
+    c = parse(text)
+    pool = initial_pool(c)
+    trace = run(pool, RoundRobinScheduler(), fuel_bound(c))[1] if tids is None else run_schedule(pool, tids)[1]
+    proof = verify(c)
+    annotate(c, proof, trace)
+    step = trace[index]
+    assert step.tid == 1 and step.rule != ST_FORK
+    with pytest.raises(AnnotationError, match=f"^trace step {index} is labelled ST-Fork, but thread 1 takes {rule}$"):
+        annotate(c, proof, _relabelled(trace, index, ST_FORK))
+
+
 @pytest.mark.parametrize("fixture, tids", [("two_level_fork", [0, 1, 2, 0, 0, 0]), ("waiting_pair", [0, 0, 0, 0, 1])])
 def test_annotate_refuses_any_relabelled_step(request, fixture, tids):
     c = request.getfixturevalue(fixture)

@@ -34,9 +34,12 @@ from busycheck.semantics import (
     run,
 )
 from reference import (
+    NeverStops,
     downward_closed,
     initial_annotated_pool,
     leaves,
+    loopfree_sc_prefixes,
+    prefix_distribution,
     reference_check_leaf_balance,
     run_schedule,
     sibling_closed,
@@ -137,6 +140,45 @@ def test_max_loopfree_prefix_boundary_first_step_loop():
     after, rule = real_step(pool, 0)
     g = build_pog(AnnotatedTrace(pool, (TraceStep(pool, 0, rule, after),) * 3))
     assert max_loopfree_sc_prefix(g) == frozenset({0})
+
+
+def test_random_prefixes_are_the_enumerated_ones(worked_graph):
+    g = worked_graph
+    drawn = {random_sc_loopfree_prefix(g, random.Random(seed)) for seed in range(2000)}
+    assert drawn == loopfree_sc_prefixes(g) == {
+        frozenset({0}),
+        frozenset({0, 1}),
+        frozenset({0, 1, 2, 5}),
+        frozenset({0, 1, 2, 3, 5}),
+    }
+
+
+def test_random_prefixes_follow_the_walks_distribution():
+    # two levels of forks: the walk often has several nodes to draw from
+    c = parse("fork { fork { loop skip }; fork { loop skip }; exit }; fork { loop skip }; loop skip")
+    _, trace = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
+    g = build_pog(annotate(c, verify(c), trace))
+    chances = prefix_distribution(g)
+    assert len(g.info) == 14 and len(chances) == 13
+    draws = 4000
+    counts = Counter(random_sc_loopfree_prefix(g, random.Random(seed)) for seed in range(draws))
+    assert set(counts) == set(chances)
+    for prefix, p in chances.items():
+        sigma = (draws * p * (1 - p)) ** 0.5
+        assert abs(counts[prefix] - draws * p) <= 4 * sigma, (sorted(prefix), counts[prefix], draws * p)
+
+
+def test_a_walk_that_never_stops_is_the_maximal_prefix():
+    checked = 0
+    for c in enumerate_programs(6):
+        proof = verify(c)
+        if proof is None:
+            continue
+        _, trace = run(initial_pool(c), RoundRobinScheduler(), fuel_bound(c))
+        g = build_pog(annotate(c, proof, trace))
+        assert random_sc_loopfree_prefix(g, NeverStops(checked)) == max_loopfree_sc_prefix(g), c
+        checked += 1
+    assert checked > 1000
 
 
 def test_leaf_balance_on_worked_prefixes(worked_graph):
