@@ -160,9 +160,7 @@ def real_step(
 def check_balance(pool: ThreadPool) -> bool:
     """Obligations equal credits in the pool, as in every pool of `derive`'s proofs;
     a valid proof keeps only credits <= obligations: a view shift may drop a credit."""
-    obligations = sum(e.obligations for _, e in pool.threads)
-    credits = sum(e.credits for _, e in pool.threads)
-    return obligations == credits
+    return sum(e.obligations - e.credits for _, e in pool.threads) == 0
 
 
 # --- trace annotation guided by a proof tree ----------------------------------
@@ -270,7 +268,7 @@ def annotate(
     # the annotated run starts from the trace's own command, so the erased
     # pool, kept step by step next to the annotated one, shares its entries
     # with the plain trace's pools
-    pool = initial = ThreadPool.of({tid0: AnnotatedThread(0, 0, start_cont)})
+    pool = initial = start.replace(tid0, AnnotatedThread(0, 0, start_cont))
     erased = start
     walks: dict[int, Iterator | None] = {tid0: _thread_walk(proof)}  # one per thread in the pool
     steps: list[TraceStep] = []

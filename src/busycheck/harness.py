@@ -28,6 +28,7 @@ import json
 import math
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 
@@ -71,8 +72,7 @@ class GenConfig:
 def gen_program(cfg: GenConfig) -> list[Command]:
     """Deterministic in the seed; every program has <= max_atoms atoms."""
     rng = random.Random(cfg.seed)
-    # the cumulative weights `choices` would sum from the plain ones: the same
-    # draws, without summing again for every atom
+    # the cumulative weights that every kind draw bisects, summed once
     cum_weights = list(accumulate((cfg.exit_prob, cfg.loop_prob, cfg.fork_prob)))
     return [_gen_command(rng, cum_weights, rng.randint(1, cfg.max_atoms)) for _ in range(cfg.count)]
 
@@ -83,15 +83,16 @@ _KINDS = ("exit", "loop", "fork")
 def _gen_command(rng: random.Random, cum_weights: list[float], atoms: int) -> Command:
     """`cum_weights` are those of `_KINDS`.  Each atom draws its kind, a fork
     then its body's size and body, before the rest of the spine; `spines`
-    holds the parts drawn and the atoms left of each outer spine."""
+    holds the parts drawn and the atoms left of each outer spine.  A kind is
+    the draw `rng.choices` makes over the first `hi + 1` kinds, so a seed
+    keeps its programs: one `random()` scaled by their total weight, as a
+    float, and a bisect."""
     spines: list[tuple[list[Command], int]] = []
     parts: list[Command] = []
     while True:
         while atoms:
-            if atoms >= 2:
-                kind = rng.choices(_KINDS, cum_weights=cum_weights)[0]
-            else:  # a single atom cannot fork
-                kind = rng.choices(_KINDS[:2], cum_weights=cum_weights[:2])[0]
+            hi = 2 if atoms >= 2 else 1  # a single atom cannot fork
+            kind = _KINDS[bisect_right(cum_weights, rng.random() * (cum_weights[hi] + 0.0), 0, hi)]
             if kind == "fork":
                 body_atoms = rng.randint(1, atoms - 1)
                 spines.append((parts, atoms - 1 - body_atoms))

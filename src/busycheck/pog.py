@@ -54,8 +54,13 @@ class ProgramOrderGraph:
         self.info = info
         self.out = tuple(out)
         self.pred = pred
-        self.edges = tuple((src, dst) for src, dsts in enumerate(self.out) for dst in dsts)
         self.initial_bundle = initial_bundle
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Computed from `out` when read: the campaign builds graphs it never
+        reads the edges of."""
+        return tuple((src, dst) for src, dsts in enumerate(self.out) for dst in dsts)
 
     @property
     def nodes(self) -> range:
@@ -88,9 +93,8 @@ def build_pog(trace: AnnotatedTrace) -> ProgramOrderGraph:
             out[j] += (i,)
             pred[i] = j
         last[tid] = i
-        child = s.child
-        if child is not None:
-            last[child] = i
+        if s.rule == RA_FORK:  # the one rule that adds a thread
+            last[s.child] = i
     return ProgramOrderGraph(steps, out, pred, (start.obligations, start.credits))
 
 

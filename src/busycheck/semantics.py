@@ -292,7 +292,8 @@ def run(tp: ThreadPool, scheduler: Scheduler, fuel: int) -> tuple[RunOutcome, li
 
 
 def initial_pool(c: Command) -> ThreadPool:
-    return ThreadPool.of({0: c})
+    """{0: c}, built directly: there is nothing to sort."""
+    return ThreadPool(((0, c),), (0,))
 
 
 # --- exact divergence oracle -------------------------------------------------

@@ -50,10 +50,16 @@ def test_generation_respects_budget():
 GENERATED_DIGESTS = {
     ("default", 1): "a76647fbb34226323e774da340d275770d852267ff4f7579bd72f5cd6e5a013c",
     ("default", 12): "e35574ff5701e7cfb5eac8b2e4191af8a0e0d7f6c519b552ec778bce772c656d",
+    ("integer", 12): "d3e1baea6228adde1fa9af82fa7d4d2095881623e9949d2f09a4e9af9214ba2c",
     ("skewed", 1): "d62ac4320f3d58653c1b6f138d3666cbd26bf889e2dd17e8ef524aa8bd9c3757",
     ("skewed", 12): "7fd4183e6795b47c5f97698d56dd287979d6b8d1dcc10125f1a93efec202f556",
 }
-WEIGHTS = {"default": {}, "skewed": {"fork_prob": 5.0, "loop_prob": 0.25, "exit_prob": 0.5}}
+WEIGHTS = {
+    "default": {},
+    "skewed": {"fork_prob": 5.0, "loop_prob": 0.25, "exit_prob": 0.5},
+    # integer weights: the kind draw's total weight is converted to a float
+    "integer": {"fork_prob": 3, "loop_prob": 1, "exit_prob": 2},
+}
 
 
 @pytest.mark.parametrize("weights, max_atoms", sorted(GENERATED_DIGESTS))

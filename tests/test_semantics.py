@@ -90,6 +90,12 @@ def test_step_pool_fork_assigns_fresh_id():
     assert pool2 == ThreadPool.of({0: LOOP_SKIP, 1: EXIT})
 
 
+def test_initial_pool_is_the_one_thread_pool_of_the_program():
+    for c in enumerate_programs(4):
+        pool = initial_pool(c)
+        assert pool == ThreadPool.of({0: c}) and pool.ids == (0,)
+
+
 def test_step_pool_fresh_id_is_max_plus_one():
     pool = ThreadPool.of({2: Fork(EXIT), 7: LOOP_SKIP})
     pool2, _ = step_pool(pool, 2)
